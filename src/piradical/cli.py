@@ -241,22 +241,6 @@ def _resolve_pi(args, spec) -> PrimeSet:
     raise _InputError("--pi is required (or a 'pi' line in the spec file)")
 
 
-def _width_record(res) -> dict:
-    """Flatten a WidthResult into a JSON-scalar record (certificate schema)."""
-    return {
-        "value": res.value,
-        "witness": [str(w) for w in res.witness] if res.witness else None,
-        "members": [str(m) for m in res.members] if res.members else None,
-        "certificate_order": str(res.certificate_order)
-        if res.certificate_order
-        else None,
-        "explored_width": res.explored_width,
-        "saturated": res.saturated,
-        "exhaustive": res.exhaustive,
-        "states_visited": res.states_visited,
-    }
-
-
 # ---------------------------------------------------------------------------
 # subcommands
 
@@ -318,7 +302,7 @@ def _run_width(args, kind: str) -> int:
     }
     if kind == "beta":
         record["r"] = args.r
-    record.update(_width_record(res))
+    record.update(res.to_json_dict())
     record["revalidated"] = res.revalidate() if res.value is not None else None
     report = ExperimentReport(
         experiment=kind,
@@ -399,6 +383,8 @@ def cmd_transposition_sweep(args) -> int:
     if not is_prime(r) or r < 3:
         raise _InputError(f"--r must be an odd prime >= 3, got {r}")
     sample = args.sample
+    if sample is not None and sample < 1:
+        raise _InputError(f"--sample must be >= 1, got {sample}")
     if r > 7 and sample is None:
         sample = 20_000  # full exhaustion is out of reach; sample and say so
     rep = transposition_pi_sweep(r, sample=sample, seed=args.seed)
@@ -462,7 +448,7 @@ def cmd_width_table(args) -> int:
     any_unknown = False
     any_violation = False
 
-    def run_cell(label: str, ctx: AlmostSimpleContext, r: int, expected: str) -> None:
+    def run_cell(label: str, ctx: AlmostSimpleContext, r: int, expected: str, a) -> None:
         nonlocal any_unknown, any_violation
         res = beta(ctx, r, budget)
         if res.value is None:
@@ -492,8 +478,7 @@ def cmd_width_table(args) -> int:
             if res.certificate_order
             else None,
         }
-        if args.include_alpha:
-            a = alpha(ctx, budget)
+        if a is not None:
             rec["alpha"] = a.value
             if res.value is not None and a.value is not None and res.value > a.value:
                 raise InvariantViolation(
@@ -508,18 +493,22 @@ def cmd_width_table(args) -> int:
             p for p in range(3, n + 1) if is_prime(p)
         ]
         r_list = [r for r in r_list if r <= n]
+        # alpha does not depend on r: once per context
         for x, p, _k in prime_order_class_representatives(n):
             ctx = AlmostSimpleContext.build(socle, x, budget=budget)
+            a = alpha(ctx, budget) if args.include_alpha and r_list else None
             for r in r_list:
                 expected = "eq-r-1" if x.is_transposition() else "le-r-1"
-                run_cell(f"A{n}", ctx, r, expected)
+                run_cell(f"A{n}", ctx, r, expected, a)
         if n == 6:
             pg = projective_semilinear_9()
             ctx = AlmostSimpleContext.build(
                 pg.socle, pg.involution_outside_s6, budget=budget
             )
-            for r in [r for r in r_list if r in (3, 5)]:
-                run_cell("A6:pgammal", ctx, r, "eq-3" if r == 3 else "le-r-1")
+            rs = [r for r in r_list if r in (3, 5)]
+            a = alpha(ctx, budget) if args.include_alpha and rs else None
+            for r in rs:
+                run_cell("A6:pgammal", ctx, r, "eq-3" if r == 3 else "le-r-1", a)
 
     report = ExperimentReport(
         experiment="width-table",

@@ -3,8 +3,9 @@
 Group orders here are products of orbit sizes, so they arrive as products of
 small integers; keeping them factored makes divisibility questions ("is this
 order a pi-number?", "does r divide it?") exact and cheap, with no large-int
-arithmetic in hot loops.  Factorization of the small pieces is delegated to
-``sympy.factorint`` behind a memo cache.
+arithmetic in hot loops.  The small pieces are factored by trial division
+behind a memo cache: every prime factor of a group order here is at most its
+degree, so the division stops early.
 """
 
 from __future__ import annotations
@@ -12,17 +13,34 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache, reduce
 
-import sympy
+_PRIME_TEST_LIMIT = 10**12
 
 
 @lru_cache(maxsize=None)
 def _factorint(n: int) -> tuple[tuple[int, int], ...]:
-    return tuple(sorted(sympy.factorint(n).items()))
+    factors = []
+    d = 2
+    while d * d <= n:
+        if n % d == 0:
+            e = 0
+            while n % d == 0:
+                n //= d
+                e += 1
+            factors.append((d, e))
+        d += 1 if d == 2 else 2
+    if n > 1:
+        factors.append((n, 1))
+    return tuple(factors)
 
 
 @lru_cache(maxsize=None)
 def is_prime(n: int) -> bool:
-    return bool(sympy.isprime(n))
+    """Primality by trial division.  Values above 10^12 raise ``ValueError``
+    at once instead of hanging in the division; no group this engine can
+    hold has a prime factor that large."""
+    if n > _PRIME_TEST_LIMIT:
+        raise ValueError(f"{n} exceeds the primality-test limit 10^12")
+    return n > 1 and _factorint(n) == ((n, 1),)
 
 
 @dataclass(frozen=True)

@@ -290,9 +290,9 @@ class PermGroup:
 
     # -- enumeration and sampling ---------------------------------------------
 
-    def elements(self, cap: int = 10**6) -> list[Permutation]:
-        """All elements, in the canonical transversal-product order (the
-        identity comes first).  Raises :class:`TooLarge` above ``cap``."""
+    def _element_images(self, cap: int) -> list[Images]:
+        """Image tuples of all elements in the canonical transversal-product
+        order (the identity comes first); :class:`TooLarge` above ``cap``."""
         if self.order_int > cap:
             raise TooLarge(f"group order {self.order_int} exceeds cap {cap}")
         elems: list[Images] = [self._identity]
@@ -301,21 +301,16 @@ class PermGroup:
             elems = [
                 tuple(u[i] for i in e) for e in elems for u in map(trans.__getitem__, lev.orbit)
             ]
-        return [Permutation(t) for t in elems]
+        return elems
+
+    def elements(self, cap: int = 10**6) -> list[Permutation]:
+        """All elements, in the canonical transversal-product order (the
+        identity comes first).  Raises :class:`TooLarge` above ``cap``."""
+        return [Permutation(t) for t in self._element_images(cap)]
 
     def element_tuples(self, cap: int = 10**6) -> set[Images]:
         """Image tuples of all elements, as a set (order-free fast variant)."""
-        if self.order_int > cap:
-            raise TooLarge(f"group order {self.order_int} exceeds cap {cap}")
-        elems: list[Images] = [self._identity]
-        for lev in reversed(self._levels):
-            trans = lev.trans
-            elems = [
-                tuple(u[i] for i in e)
-                for e in elems
-                for u in map(trans.__getitem__, lev.orbit)
-            ]
-        return set(elems)
+        return set(self._element_images(cap))
 
     def random_element(self, rng: random.Random | int = 0) -> Permutation:
         """Exactly uniform element from the seeded generator: one transversal

@@ -14,9 +14,12 @@ A = <L, x>.  For the class x^L of L-conjugates of x this module computes
   result).
 
 Engine.  All predicates used here depend only on the *order* of the generated
-subgroup and are therefore invariant under conjugation.  The search is a
-breadth-first walk over subgroup states: level 1 is <x>, and a state at level
-k+1 is obtained by adjoining one conjugate not already inside a level-k state.
+subgroup and are therefore invariant under conjugation.  The search is one
+breadth-first driver over subgroup states: level 1 is <x>, and a state at
+level k+1 is obtained by adjoining one conjugate not already inside a
+level-k state.  The driver owns the levels, the width and state budgets, the
+terminal level, saturation and the result record; a state model says what a
+state is, how a conjugate extends it, and when two states are one subgroup.
 Two soundness notes justify the pruning:
 
 * Pinning: a tuple (y_1, ..., y_m) of conjugates may be conjugated (by an
@@ -31,19 +34,23 @@ Two soundness notes justify the pruning:
 
 Exhausting every level below k certifies minimality of a level-k success;
 an emptied frontier ("saturated") certifies that no width at all succeeds.
-States are deduplicated exactly: bucket by (order, orbit partition), then
-confirm equality by sifting generators, so distinct subgroups are never
-merged.
 
-Two exact fast paths, both cross-checked in the test suite against the
-generic engine:
+Two exact state models, cross-checked against each other in the test suite:
 
-* all generators are transpositions: <T> is the direct product of symmetric
-  groups on the connected components of the edge graph of T (a textbook
-  fact, exposed separately as :class:`TranspositionGraph`), so states reduce
-  to partitions of the point set — no chains are built at all;
-* a pair of involutions <x, y> is dihedral of order 2*|xy|, so terminal
-  pair scans need only a product order, not a chain.
+* chains (any class): a state is a subgroup with its stabilizer chain,
+  deduplicated exactly: bucket by (order, orbit partition), then confirm
+  equality by sifting generators, so distinct subgroups are never merged.
+  A pair of involutions <x, y> is dihedral of order 2*|xy|, so a terminal
+  pair scan needs only a product order and builds a chain only on success;
+* partitions (all generators transpositions): <T> is the direct product of
+  symmetric groups on the connected components of the edge graph of T (a
+  textbook fact, exposed separately as :class:`TranspositionGraph`), so a
+  state *is* the partition of points it glues together, and a chain is
+  built only for the witness.
+
+A state, as counted by ``states_visited`` and capped by ``max_states``, is
+every chain (or pair) child before deduplication, but only a partition not
+seen before.
 """
 
 from __future__ import annotations
@@ -51,9 +58,9 @@ from __future__ import annotations
 import itertools
 import math
 import random
+from collections import Counter
 from dataclasses import dataclass, field, replace
-from functools import lru_cache
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Iterable, NamedTuple, Sequence
 
 from .errors import (
     BudgetExhausted,
@@ -65,28 +72,20 @@ from .errors import (
     PiContainsTwo,
     PowerIsIdentity,
     RNotDividingOrder,
-    TooLarge,
 )
 from .factored import FactoredInteger, is_prime
 from .groups import PermGroup
 from .perms import Permutation, compose_images
 from .structure import (
     PrimeSet,
-    class_closures,
     class_representatives,
     conjugation_orbit,
-    is_pi_group,
     is_pi_number,
     pi_radical,
     radical_is_trivial_by_prime_degree,
 )
 
 OrderPredicate = Callable[[int], bool]
-
-
-@lru_cache(maxsize=None)
-def _factored(n: int) -> FactoredInteger:
-    return FactoredInteger.from_int(n)
 
 
 # ---------------------------------------------------------------------------
@@ -102,12 +101,18 @@ class SearchBudget:
     ``max_class_size``: conjugacy classes larger than this are truncated to a
     seeded sample and every result derived from them reports
     ``class_complete=False``.
+    Each limit must be at least 1 (``ValueError`` otherwise).
     """
 
     max_width: int = 12
     max_states: int = 100_000
     max_class_size: int = 100_000
     seed: int = 0
+
+    def __post_init__(self):
+        for name in ("max_width", "max_states", "max_class_size"):
+            if getattr(self, name) < 1:
+                raise ValueError(f"{name} must be >= 1, got {getattr(self, name)}")
 
 
 @dataclass
@@ -160,7 +165,6 @@ class WidthResult:
 
     def to_json_dict(self) -> dict:
         return {
-            "kind": self.kind,
             "value": self.value,
             "witness": [str(w) for w in self.witness] if self.witness else None,
             "members": [str(m) for m in self.members] if self.members else None,
@@ -197,7 +201,7 @@ def _class_table(
 
 
 # ---------------------------------------------------------------------------
-# the generic engine
+# the search: one breadth-first driver over two state models
 
 
 def _product_order(a: tuple[int, ...], b: tuple[int, ...]) -> int:
@@ -235,243 +239,167 @@ def min_width_search(
     ``witnesses[i]`` must conjugate ``x`` to ``conjugates[i]``."""
     if not conjugates or conjugates[0] != x:
         raise ValueError("conjugates[0] must be x itself")
-    if x.is_transposition():
-        return _search_transpositions(
-            x, conjugates, witnesses, order_predicate, budget, pinned, kind, class_complete
-        )
-    return _search_generic(
-        x, conjugates, witnesses, order_predicate, budget, pinned, kind, class_complete
+    model = _Partitions if x.is_transposition() else _Chains
+    return _search(
+        model(x, conjugates), conjugates, witnesses, order_predicate,
+        budget, pinned, kind, class_complete,
     )
 
 
-def _mk_success(
-    kind, width, ids, conjugates, witnesses, subgroup, states, complete, truncated
+def _search(
+    model, conjugates, witnesses, pred, budget, pinned, kind, class_complete
 ) -> WidthResult:
-    return WidthResult(
-        kind=kind,
-        value=width,
-        witness=tuple(witnesses[i] for i in ids),
-        members=tuple(conjugates[i] for i in ids),
-        certificate_order=subgroup.order,
-        explored_width=width - 1,
-        saturated=False,
-        class_complete=complete,
-        state_budget_hit=truncated,
-        states_visited=states,
-        subgroup=subgroup,
-    )
-
-
-def _mk_failure(kind, explored, saturated, states, complete, truncated) -> WidthResult:
-    return WidthResult(
-        kind=kind,
-        value=None,
-        witness=None,
-        members=None,
-        certificate_order=None,
-        explored_width=explored,
-        saturated=saturated,
-        class_complete=complete,
-        state_budget_hit=truncated,
-        states_visited=states,
-        subgroup=None,
-    )
-
-
-def _search_generic(
-    x, conjugates, witnesses, pred, budget, pinned, kind, class_complete
-) -> WidthResult:
-    degree = x.degree
-    visited: dict[tuple, list[PermGroup]] = {}
+    """The breadth-first search over ``model``'s states.  Level 1 holds the
+    children of ``model.initial`` (<x> alone when ``pinned``); a child is
+    counted as a state when the model returns it, and searched further when
+    the model admits it."""
     states = 0
 
-    def register(group: PermGroup) -> bool:
-        """Record the subgroup; False when it is already known (exact test:
-        equal order bucket + generator containment)."""
-        key = (group.order_int, group.orbit_partition)
-        bucket = visited.setdefault(key, [])
+    def result(explored, saturated=False, budget_hit=False, found=None):
+        subgroup = model.group(*found) if found else None
+        ids = found[1] if found else ()
+        return WidthResult(
+            kind=kind,
+            value=explored + 1 if found else None,
+            witness=tuple(witnesses[i] for i in ids) if found else None,
+            members=tuple(conjugates[i] for i in ids) if found else None,
+            certificate_order=subgroup.order if found else None,
+            explored_width=explored,
+            saturated=saturated,
+            class_complete=class_complete,
+            state_budget_hit=budget_hit,
+            states_visited=states,
+            subgroup=subgroup,
+        )
+
+    frontier = [(model.initial, ())]
+    width = 0
+    saw_terminal_child = False
+    while frontier and width < budget.max_width:
+        terminal = width + 1 == budget.max_width
+        candidates = (0,) if pinned and width == 0 else range(len(conjugates))
+        next_frontier = []
+        for state, ids in frontier:
+            for idx in candidates:
+                child = model.child(state, idx, terminal)
+                if child is None:
+                    continue
+                states += 1
+                if states > budget.max_states:
+                    return result(width, budget_hit=True)
+                if not model.admit(child):
+                    continue
+                entry = (child, ids + (idx,))
+                if pred(model.order(child)):
+                    return result(width, found=entry)
+                if terminal:
+                    saw_terminal_child = True
+                else:
+                    next_frontier.append(entry)
+        frontier = next_frontier
+        width += 1
+    return result(width, saturated=not frontier and not saw_terminal_child)
+
+
+class _DihedralPair(NamedTuple):
+    """<parent, y> for a parent of order 2 and an involution y: dihedral of
+    order 2|xy|, so its order needs no chain until it is a witness."""
+
+    parent: PermGroup
+    y: Permutation
+    order_int: int
+
+
+class _Chains:
+    """States are subgroups with stabilizer chains (``None`` before the
+    roots); any class."""
+
+    initial = None
+
+    def __init__(self, x: Permutation, conjugates: Sequence[Permutation]):
+        self.conjugates = conjugates
+        self.degree = x.degree
+        self.pair_scan = x.order() == 2
+        self.buckets: dict[tuple, list[PermGroup]] = {}
+
+    def child(self, grp, idx, terminal):
+        """<grp, y> for the idx-th conjugate y, or None when y lies in grp."""
+        y = self.conjugates[idx]
+        if grp is None:
+            return PermGroup.from_generators([y], self.degree)
+        if grp._contains_tuple(y.images):
+            return None
+        if terminal and self.pair_scan and grp.order_int == 2:
+            base = grp.generators[0].images
+            return _DihedralPair(grp, y, 2 * _product_order(base, y.images))
+        return grp.extend(y)
+
+    def order(self, state) -> int:
+        return state.order_int
+
+    def admit(self, state) -> bool:
+        """Record a new subgroup; False when it is already known (exact test:
+        equal order bucket + generator containment).  Pairs are terminal and
+        never recorded."""
+        if isinstance(state, _DihedralPair):
+            return True
+        bucket = self.buckets.setdefault((state.order_int, state.orbit_partition), [])
         for t in bucket:
-            if all(t._contains_tuple(g.images) for g in group.generators):
+            if all(t._contains_tuple(g.images) for g in state.generators):
                 return False
-        bucket.append(group)
+        bucket.append(state)
         return True
 
-    frontier: list[tuple[PermGroup, tuple[int, ...]]] = []
-    first_ids = [0] if pinned else range(len(conjugates))
-    for idx in first_ids:
-        g1 = PermGroup.from_generators([conjugates[idx]], degree)
-        states += 1
-        if states > budget.max_states:
-            return _mk_failure(kind, 0, False, states, class_complete, True)
-        if not register(g1):
-            continue
-        if pred(g1.order_int):
-            return _mk_success(
-                kind, 1, (idx,), conjugates, witnesses, g1, states, class_complete, False
-            )
-        frontier.append((g1, (idx,)))
-
-    x_is_involution = x.order() == 2
-    width = 1
-    saw_terminal_child = False
-    while frontier and width < budget.max_width:
-        terminal = width + 1 == budget.max_width
-        new_frontier: list[tuple[PermGroup, tuple[int, ...]]] = []
-        for grp, ids in frontier:
-            # cheap dihedral scan: <involution, involution> has order 2|xy|
-            shortcut = terminal and x_is_involution and grp.order_int == 2
-            base_images = conjugates[ids[0]].images if shortcut else None
-            for idx, y in enumerate(conjugates):
-                if grp._contains_tuple(y.images):
-                    continue
-                if shortcut:
-                    saw_terminal_child = True
-                    states += 1
-                    if not pred(2 * _product_order(base_images, y.images)):
-                        continue
-                    child = grp.extend(y)
-                    return _mk_success(
-                        kind, width + 1, ids + (idx,), conjugates, witnesses,
-                        child, states, class_complete, False,
-                    )
-                child = grp.extend(y)
-                states += 1
-                if states > budget.max_states:
-                    return _mk_failure(kind, width, False, states, class_complete, True)
-                if not register(child):
-                    continue
-                nids = ids + (idx,)
-                if pred(child.order_int):
-                    return _mk_success(
-                        kind, width + 1, nids, conjugates, witnesses,
-                        child, states, class_complete, False,
-                    )
-                if terminal:
-                    saw_terminal_child = True
-                else:
-                    new_frontier.append((child, nids))
-        frontier = new_frontier
-        width += 1
-    saturated = not frontier and not saw_terminal_child
-    return _mk_failure(kind, width, saturated, states, class_complete, False)
+    def group(self, state, ids) -> PermGroup:
+        if isinstance(state, _DihedralPair):
+            return state.parent.extend(state.y)
+        return state
 
 
-# ---------------------------------------------------------------------------
-# transposition fast path: states are partitions of the point set
+class _Partitions:
+    """States for all-transposition classes: <T> is the product of
+    Sym(component) over the edge-graph components of T, so a state *is* the
+    partition of points it glues together, each point labelled by the least
+    point of its block (a canonical key, whatever the merge order)."""
 
+    def __init__(self, x: Permutation, conjugates: Sequence[Permutation]):
+        self.conjugates = conjugates
+        self.degree = x.degree
+        self.initial = tuple(range(x.degree))
+        self.seen: set[tuple[int, ...]] = set()
+        self.edges: list[tuple[int, int]] = []
+        for y in conjugates:
+            if not y.is_transposition():
+                # conjugates of a transposition are transpositions; reaching
+                # this means the caller passed an inconsistent class
+                raise NotATransposition(f"{y} in the class of transposition {x}")
+            a, b = y.moved_points()
+            self.edges.append((a - 1, b - 1))
 
-@lru_cache(maxsize=None)
-def _factorial(n: int) -> int:
-    return math.factorial(n)
+    def child(self, labels, idx, terminal):
+        """The partition with the idx-th edge's blocks merged, or None when
+        they already are one block or the merged partition was seen."""
+        a, b = self.edges[idx]
+        lo, hi = sorted((labels[a], labels[b]))
+        if lo == hi:
+            return None  # this conjugate already lies in the subgroup
+        merged = tuple(lo if label == hi else label for label in labels)
+        if merged in self.seen:
+            return None
+        self.seen.add(merged)
+        return merged
 
+    def order(self, labels) -> int:
+        return math.prod(math.factorial(k) for k in Counter(labels).values())
 
-def _search_transpositions(
-    x, conjugates, witnesses, pred, budget, pinned, kind, class_complete
-) -> WidthResult:
-    """Same contract as the generic engine, for all-transposition classes:
-    <T> = product of Sym(component) over the edge-graph components of T, so
-    a subgroup state *is* the partition of points it glues together."""
-    degree = x.degree
-    edges: list[tuple[int, int]] = []
-    for y in conjugates:
-        if not y.is_transposition():
-            # conjugates of a transposition are transpositions; reaching this
-            # means the caller passed an inconsistent class
-            raise NotATransposition(f"{y} in the class of transposition {x}")
-        a, b = y.moved_points()
-        edges.append((a - 1, b - 1))
+    def admit(self, labels) -> bool:
+        return True  # ``child`` returns only partitions not seen before
 
-    def mk_parent() -> list[int]:
-        return list(range(degree))
-
-    def find(parent: list[int], a: int) -> int:
-        while parent[a] != a:
-            parent[a] = parent[parent[a]]
-            a = parent[a]
-        return a
-
-    def canonical(parent: list[int]) -> tuple[int, ...]:
-        # label each point by the least point of its block: union-find roots
-        # depend on merge order, so they are not usable as a dedup key
-        roots = [find(parent, i) for i in range(degree)]
-        least: dict[int, int] = {}
-        for i, r in enumerate(roots):
-            least.setdefault(r, i)
-        return tuple(least[r] for r in roots)
-
-    def order_of(parent: list[int]) -> int:
-        sizes: dict[int, int] = {}
-        for i in range(degree):
-            r = find(parent, i)
-            sizes[r] = sizes.get(r, 0) + 1
-        o = 1
-        for s in sizes.values():
-            o *= _factorial(s)
-        return o
-
-    def build_group(ids: tuple[int, ...]) -> PermGroup:
-        return PermGroup.from_generators([conjugates[i] for i in ids], degree)
-
-    visited: set[tuple[int, ...]] = set()
-    states = 0
-    frontier: list[tuple[list[int], tuple[int, ...]]] = []
-    first_ids = [0] if pinned else range(len(conjugates))
-    for idx in first_ids:
-        parent = mk_parent()
-        a, b = edges[idx]
-        parent[find(parent, b)] = find(parent, a)
-        key = canonical(parent)
-        if key in visited:
-            continue
-        visited.add(key)
-        states += 1
-        if states > budget.max_states:
-            return _mk_failure(kind, 0, False, states, class_complete, True)
-        if pred(order_of(parent)):
-            return _mk_success(
-                kind, 1, (idx,), conjugates, witnesses, build_group((idx,)),
-                states, class_complete, False,
-            )
-        frontier.append((parent, (idx,)))
-
-    width = 1
-    saw_terminal_child = False
-    while frontier and width < budget.max_width:
-        terminal = width + 1 == budget.max_width
-        new_frontier: list[tuple[list[int], tuple[int, ...]]] = []
-        for parent, ids in frontier:
-            for idx, (a, b) in enumerate(edges):
-                ra, rb = find(parent, a), find(parent, b)
-                if ra == rb:
-                    continue  # this conjugate already lies in the subgroup
-                child = list(parent)
-                child[rb] = ra
-                key = canonical(child)
-                if key in visited:
-                    continue
-                visited.add(key)
-                states += 1
-                if states > budget.max_states:
-                    return _mk_failure(kind, width, False, states, class_complete, True)
-                nids = ids + (idx,)
-                if pred(order_of(child)):
-                    grp = build_group(nids)
-                    if grp.order_int != order_of(child):  # engine self-check
-                        raise InvariantViolation(
-                            "partition model disagrees with the built subgroup"
-                        )
-                    return _mk_success(
-                        kind, width + 1, nids, conjugates, witnesses, grp,
-                        states, class_complete, False,
-                    )
-                if terminal:
-                    saw_terminal_child = True
-                else:
-                    new_frontier.append((child, nids))
-        frontier = new_frontier
-        width += 1
-    saturated = not frontier and not saw_terminal_child
-    return _mk_failure(kind, width, saturated, states, class_complete, False)
+    def group(self, labels, ids) -> PermGroup:
+        grp = PermGroup.from_generators([self.conjugates[i] for i in ids], self.degree)
+        if grp.order_int != self.order(labels):  # engine self-check
+            raise InvariantViolation("partition model disagrees with the built subgroup")
+        return grp
 
 
 # ---------------------------------------------------------------------------
@@ -745,7 +673,7 @@ class GroupClassData:
 
 
 def _non_pi_predicate(pi: PrimeSet) -> OrderPredicate:
-    return lambda o: not is_pi_number(_factored(o), pi)
+    return lambda o: not is_pi_number(FactoredInteger.from_int(o), pi)
 
 
 def bs_membership(

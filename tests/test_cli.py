@@ -92,6 +92,44 @@ def test_width_budget_exhaustion_exits_three(capsys):
     assert code == 3
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["alpha", "--group", "A5", "--aut", "(1 2)", "--budget-max-states", "-1"],
+        ["alpha", "--group", "A5", "--aut", "(1 2)", "--budget-max-width", "0"],
+        ["alpha", "--group", "A5", "--aut", "(1 2)", "--budget-max-class", "0"],
+        ["transposition-sweep", "--r", "5", "--sample", "0"],
+    ],
+    ids=["max-states", "max-width", "max-class", "sample"],
+)
+def test_degenerate_budget_is_an_input_error(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert code == 2 and out == "" and "error" in err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["beta", "--group", "A5", "--aut", "(1 2)", "--r", str(10**30 + 57)],
+        ["radical", "--group", "S4", "--pi", str(10**30 + 57)],
+    ],
+    ids=["r", "pi"],
+)
+def test_huge_prime_candidate_is_an_input_error(capsys, argv):
+    code, _, err = run(capsys, *argv)
+    assert code == 2 and "10^12" in err
+
+
+def test_pair_scan_past_the_state_budget_exits_three(capsys):
+    code, report = run_json(
+        capsys, "alpha", "--group", "A5", "--aut", "(1 2)(3 4)",
+        "--budget-max-width", "2", "--budget-max-states", "1",
+    )
+    assert code == 3
+    rec = report["results"][0]
+    assert rec["exhaustive"] is False and rec["states_visited"] == 2
+
+
 # -- computed values through the CLI ------------------------------------------
 
 
@@ -182,6 +220,25 @@ def test_width_table_includes_semilinear_row_at_six(capsys):
         row["alpha"] is None or row["beta"] <= row["alpha"]
         for row in report["results"]
     )
+
+
+def test_width_table_computes_alpha_once_per_context(capsys, monkeypatch):
+    import piradical.cli as cli
+
+    calls = []
+    real_alpha = cli.alpha
+
+    def counting_alpha(ctx, budget):
+        calls.append(ctx)
+        return real_alpha(ctx, budget)
+
+    monkeypatch.setattr(cli, "alpha", counting_alpha)
+    code, report = run_json(capsys, "width-table", "--n", "6", "--include-alpha")
+    assert code == 0
+    contexts = {(row["socle"], row["aut"]) for row in report["results"]}
+    assert len(report["results"]) > len(contexts)  # several r per context
+    assert len(calls) == len({id(ctx) for ctx in calls}) == len(contexts)
+    assert all(row["alpha"] is not None for row in report["results"])
 
 
 # -- spec-file input -----------------------------------------------------------

@@ -71,3 +71,29 @@ def test_divides_matches_integer_divisibility(a, b):
     assert FactoredInteger.from_int(a).divides(FactoredInteger.from_int(a * b))
     fa, fb = FactoredInteger.from_int(a), FactoredInteger.from_int(b)
     assert fa.divides(fb) == (b % a == 0)
+
+
+def test_trial_division_agrees_with_sympy():
+    """An independent route for the factoring and primality that every order
+    computation rests on: small range, large primes, Carmichael numbers."""
+    sympy = pytest.importorskip("sympy")
+    from piradical.factored import _factorint
+
+    for n in range(1, 10**5 + 1):
+        assert dict(_factorint.__wrapped__(n)) == sympy.factorint(n), n
+        assert is_prime.__wrapped__(n) == sympy.isprime(n), n
+    _factorint.cache_clear()  # the range above is not worth keeping
+    carmichael = [561, 1105, 1729, 2465, 2821, 6601, 8911, 41041, 825265,
+                  321197185, 5394826801, 232250619601]
+    large = [2**31 - 1, 10**9 + 7, 998244353, 999983 * 999979,
+             999999999989, 10**12]
+    for n in carmichael + large:
+        assert is_prime(n) == sympy.isprime(n), n
+        assert dict(FactoredInteger.from_int(n).factors) == sympy.factorint(n), n
+
+
+def test_is_prime_rejects_values_above_the_limit():
+    assert is_prime(999999999989)
+    for n in (10**12 + 39, 2**61 - 1, 10**30 + 57):
+        with pytest.raises(ValueError, match="10\\^12"):
+            is_prime(n)

@@ -1,5 +1,7 @@
 """Width searches: generation counts, radical membership, pair checks."""
 
+import dataclasses
+
 import pytest
 
 from piradical import (
@@ -31,7 +33,7 @@ from piradical import (
     symmetric_group,
     transposition_pi_sweep,
 )
-from piradical.width import _search_generic
+from piradical.width import _Chains, _search
 
 P = Permutation.parse
 
@@ -163,21 +165,68 @@ def test_pinned_matches_unpinned_on_small_classes():
 
 
 def test_transposition_fast_path_matches_generic_search():
-    ctx = AlmostSimpleContext.build(alternating_group(6), P("(1 2)", 6))
-    for pred in [lambda o: o % 3 == 0, lambda o: o % 5 == 0, lambda o: o == 720]:
-        fast = min_width_search(ctx.element, ctx.conjugates, ctx.witnesses, pred)
-        slow = _search_generic(
-            ctx.element,
-            ctx.conjugates,
-            ctx.witnesses,
-            pred,
-            SearchBudget(),
-            True,
-            "width",
-            True,
-        )
-        assert fast.value == slow.value
-        assert fast.certificate_order == slow.certificate_order
+    """The partition states of a transposition class (the fast path) against
+    the chain states that serve every class, through the same driver: every
+    field but the state count agrees, for alpha and every beta_r.  The
+    counts differ by design: chain children are counted before
+    deduplication, partitions only when new."""
+    for n in (5, 6, 7):
+        ctx = AlmostSimpleContext.build(alternating_group(n), P("(1 2)", n))
+        target = ctx.ambient.order_int
+        preds = {"alpha": lambda o: o == target}
+        for r in (2, 3, 5, 7):
+            if r <= n:
+                preds[f"beta[{r}]"] = lambda o, r=r: o % r == 0
+        for kind, pred in preds.items():
+            fast = min_width_search(
+                ctx.element, ctx.conjugates, ctx.witnesses, pred, kind=kind
+            )
+            chains = _search(
+                _Chains(ctx.element, ctx.conjugates), ctx.conjugates,
+                ctx.witnesses, pred, SearchBudget(), True, kind, True,
+            )
+            assert fast.value is not None and fast.exhaustive, (n, kind)
+            assert dataclasses.replace(fast, states_visited=0) == dataclasses.replace(
+                chains, states_visited=0
+            ), (n, kind)
+            assert fast.subgroup.same_group_as(chains.subgroup)
+
+
+def test_states_visited_counts_are_pinned():
+    """A state is every chain child before deduplication, but only a new
+    partition; these counts guard that rule across refactors."""
+    def ctx(n, x):
+        return AlmostSimpleContext.build(alternating_group(n), P(x, n))
+
+    assert alpha(ctx(9, "(1 2)")).states_visited == 4140
+    assert alpha(ctx(8, "(1 2)")).states_visited == 877
+    assert beta(ctx(8, "(1 2)"), 7).states_visited == 814
+    assert alpha(ctx(7, "(1 2)(3 4)")).states_visited == 223
+    assert alpha(ctx(6, "(1 2)(3 4)(5 6)")).states_visited == 408
+    res = bs_membership(symmetric_group(7), PrimeSet.of(2, 3), 2)
+    assert [r.states_visited for r in res.records] == [
+        0, 16, 2, 2, 1, 1, 3, 3, 2, 1, 6, 3, 2, 2, 4
+    ]
+
+
+def test_pair_scan_honours_the_state_budget():
+    """The terminal dihedral pair scan counts against ``max_states`` like
+    every other child: it stops at the first state past the cap."""
+    res = alpha(ctx_a5("(1 2)(3 4)"), SearchBudget(max_width=2, max_states=5))
+    assert res.state_budget_hit and not res.exhaustive
+    assert res.states_visited == 6
+    assert res.value is None and res.explored_width == 1
+    full = alpha(ctx_a5("(1 2)(3 4)"), SearchBudget(max_width=2))
+    assert not full.state_budget_hit and full.states_visited == 15
+
+
+@pytest.mark.parametrize("field", ["max_width", "max_states", "max_class_size"])
+def test_search_budget_rejects_limits_below_one(field):
+    with pytest.raises(ValueError, match=field):
+        SearchBudget(**{field: 0})
+    with pytest.raises(ValueError, match=field):
+        dataclasses.replace(SearchBudget(), **{field: -1})
+    assert getattr(SearchBudget(**{field: 1}), field) == 1
 
 
 def test_power_width_monotonicity():
