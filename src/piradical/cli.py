@@ -38,7 +38,7 @@ from .errors import BudgetExhausted, InvariantViolation, PiradicalError
 from .factored import is_prime
 from .groups import PermGroup
 from .perms import Permutation
-from .structure import PrimeSet, normal_subgroups, pi_radical
+from .structure import PrimeSet, class_closures, normal_subgroups, pi_radical
 from .width import (
     AlmostSimpleContext,
     GroupClassData,
@@ -133,15 +133,15 @@ class ExperimentReport:
 
 
 def _provenance(args, t0: float) -> dict:
-    return {
-        "package": "piradical",
-        "version": __version__,
-        "seed": getattr(args, "seed", 0),
-        "budget_max_width": getattr(args, "budget_max_width", None),
-        "budget_max_states": getattr(args, "budget_max_states", None),
-        "budget_max_class": getattr(args, "budget_max_class", None),
-        "wall_time_s": round(time.monotonic() - t0, 3),
-    }
+    """Package, seed, the search budget (for subcommands that search) and
+    wall time."""
+    prov = {"package": "piradical", "version": __version__, "seed": getattr(args, "seed", 0)}
+    if hasattr(args, "budget_max_width"):
+        prov["budget_max_width"] = args.budget_max_width
+        prov["budget_max_states"] = args.budget_max_states
+        prov["budget_max_class"] = args.budget_max_class
+    prov["wall_time_s"] = round(time.monotonic() - t0, 3)
+    return prov
 
 
 def _emit(report: ExperimentReport, args) -> None:
@@ -165,6 +165,10 @@ def _add_budget_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--budget-max-width", type=int, default=12)
     p.add_argument("--budget-max-states", type=int, default=100_000)
     p.add_argument("--budget-max-class", type=int, default=100_000)
+    _add_seed_flag(p)
+
+
+def _add_seed_flag(p: argparse.ArgumentParser) -> None:
     p.add_argument("--seed", type=int, default=0)
 
 
@@ -249,13 +253,15 @@ def cmd_radical(args) -> int:
     t0 = time.monotonic()
     name, G, spec = _resolve_group(args)
     pi = _resolve_pi(args, spec)
-    radical = pi_radical(G, pi)
+    closures = class_closures(G)
+    radical = pi_radical(G, pi, closures)
     crosscheck = "skipped"
     if G.order_int <= args.crosscheck_cap:
         # independent route: the largest pi-member of the full normal
         # subgroup lattice must be the radical itself
+        lattice = normal_subgroups(G, closures=closures)
         best = max(
-            (N for N in normal_subgroups(G) if all(p in pi for p in N.order.prime_support)),
+            (N for N in lattice if all(p in pi for p in N.order.prime_support)),
             key=lambda N: N.order_int,
         )
         if not best.same_group_as(radical):
@@ -627,7 +633,7 @@ def build_parser() -> argparse.ArgumentParser:
         default=10_000,
         help="verify against the full normal-subgroup lattice up to this group order",
     )
-    _add_budget_flags(p)
+    _add_seed_flag(p)
     _add_output_flags(p)
     p.set_defaults(func=cmd_radical)
 
@@ -674,7 +680,7 @@ def build_parser() -> argparse.ArgumentParser:
         default=None,
         help="check a seeded sample instead of all subsets (forced above r = 7)",
     )
-    _add_budget_flags(p)
+    _add_seed_flag(p)
     _add_output_flags(p)
     p.set_defaults(func=cmd_transposition_sweep)
 

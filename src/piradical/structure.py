@@ -272,11 +272,18 @@ def pi_radical(
     return radical
 
 
-def normal_subgroups(G: PermGroup, cap: int = 10**5) -> list[PermGroup]:
+def normal_subgroups(
+    G: PermGroup,
+    cap: int = 10**5,
+    closures: Sequence[tuple[Permutation, PermGroup]] | None = None,
+) -> list[PermGroup]:
     """All normal subgroups of G (|G| <= cap), as the join-closure of the
     conjugacy-class normal closures, sorted by order.  Independent of
-    :func:`pi_radical` except for sharing :func:`class_closures`."""
-    closures = [cl for _, cl in class_closures(G, cap)]
+    :func:`pi_radical` except for sharing :func:`class_closures`; pass
+    precomputed ``closures`` to compute them once for both."""
+    if closures is None:
+        closures = class_closures(G, cap)
+    closures = [cl for _, cl in closures]
     found: list[PermGroup] = [PermGroup.trivial(G.degree)]
 
     def known(H: PermGroup) -> bool:

@@ -20,7 +20,7 @@ level k+1 is obtained by adjoining one conjugate not already inside a
 level-k state.  The driver owns the levels, the width and state budgets, the
 terminal level, saturation and the result record; a state model says what a
 state is, how a conjugate extends it, and when two states are one subgroup.
-Two soundness notes justify the pruning:
+Three soundness notes justify the pruning:
 
 * Pinning: a tuple (y_1, ..., y_m) of conjugates may be conjugated (by an
   element of L) so that its first entry is x; the generated subgroup maps to
@@ -31,6 +31,18 @@ Two soundness notes justify the pruning:
   and any shorter witness pads to any larger width by repeating entries.
   Hence minimal widths and all-width failure certificates over tuples *with*
   repetition equal those over the non-redundant chains enumerated here.
+* Centralizer pruning: conjugating a pinned chain (x, y_2, ..., y_k) by any c
+  in C = C_L(x) fixes x, permutes x^L and maps the generated subgroup to a
+  conjugate of the same order.  Before width 3 is searched, the level-2
+  frontier therefore keeps only its first state for each C-orbit of y_2:
+  every subgroup a chain of k conjugates reaches first at width k still has
+  a C-conjugate that the search reaches at width k, so minimal widths,
+  failures up to the explored width and an emptied frontier certify what
+  they certify without the pruning.  C is built only then, from the
+  Schreier generators of the class-table orbit, and checked to reach order
+  |L| / |x^L|.  This needs a pinned search (x fixed), a complete class (C
+  acts on it) and a predicate that depends only on the order; without the
+  group L the search is unreduced.
 
 Exhausting every level below k certifies minimality of a level-k success;
 an emptied frontier ("saturated") certifies that no width at all succeeds.
@@ -50,7 +62,8 @@ Two exact state models, cross-checked against each other in the test suite:
 
 A state, as counted by ``states_visited`` and capped by ``max_states``, is
 every chain (or pair) child before deduplication, but only a partition not
-seen before.
+seen before.  States after width 2 are counted after the centralizer
+pruning, so they are children of the kept level-2 states only.
 """
 
 from __future__ import annotations
@@ -75,7 +88,7 @@ from .errors import (
 )
 from .factored import FactoredInteger, is_prime
 from .groups import PermGroup
-from .perms import Permutation, compose_images
+from .perms import Permutation, compose_images, conjugate_images, inverse_images
 from .structure import (
     PrimeSet,
     class_representatives,
@@ -232,27 +245,36 @@ def min_width_search(
     pinned: bool = True,
     kind: str = "width",
     class_complete: bool = True,
+    group: PermGroup | None = None,
 ) -> WidthResult:
     """Minimal number of the given conjugates generating a subgroup whose
     order satisfies ``order_predicate`` (see the module docstring for the
     search semantics).  ``conjugates[0]`` must be ``x`` itself and
-    ``witnesses[i]`` must conjugate ``x`` to ``conjugates[i]``."""
+    ``witnesses[i]`` must conjugate ``x`` to ``conjugates[i]``.
+
+    ``group`` is the group whose conjugation orbit of ``x`` the conjugates
+    are.  When it is given and the search is pinned over a complete class,
+    the level-2 states are reduced to one per C_group(x)-orbit before
+    width 3 is searched; without it the search is unreduced."""
     if not conjugates or conjugates[0] != x:
         raise ValueError("conjugates[0] must be x itself")
     model = _Partitions if x.is_transposition() else _Chains
     return _search(
         model(x, conjugates), conjugates, witnesses, order_predicate,
         budget, pinned, kind, class_complete,
+        group if pinned and class_complete else None,
     )
 
 
 def _search(
-    model, conjugates, witnesses, pred, budget, pinned, kind, class_complete
+    model, conjugates, witnesses, pred, budget, pinned, kind, class_complete,
+    group=None,
 ) -> WidthResult:
     """The breadth-first search over ``model``'s states.  Level 1 holds the
     children of ``model.initial`` (<x> alone when ``pinned``); a child is
     counted as a state when the model returns it, and searched further when
-    the model admits it."""
+    the model admits it.  With ``group``, the level-2 frontier is pruned by
+    :func:`_one_per_centralizer_orbit` before it grows."""
     states = 0
 
     def result(explored, saturated=False, budget_hit=False, found=None):
@@ -276,6 +298,8 @@ def _search(
     width = 0
     saw_terminal_child = False
     while frontier and width < budget.max_width:
+        if width == 2 and group is not None:
+            frontier = _one_per_centralizer_orbit(frontier, group, conjugates, witnesses)
         terminal = width + 1 == budget.max_width
         candidates = (0,) if pinned and width == 0 else range(len(conjugates))
         next_frontier = []
@@ -299,6 +323,75 @@ def _search(
         frontier = next_frontier
         width += 1
     return result(width, saturated=not frontier and not saw_terminal_child)
+
+
+def _centralizer_generators(
+    group: PermGroup,
+    conjugates: Sequence[Permutation],
+    witnesses: Sequence[Permutation],
+    index: dict[tuple[int, ...], int],
+) -> list[tuple[int, ...]]:
+    """Generators of C = C_group(x), x = conjugates[0], as image tuples.
+
+    Each edge of the conjugation orbit, member i moved by a generator g of
+    ``group`` to member j, gives the Schreier generator w_i g w_j^-1 of the
+    stabilizer of x (Schreier's lemma).  They are sifted into a chain until
+    it reaches |C| = |group| / |x^group|; a generator that moves x, a member
+    mapped outside the class, or a chain that never reaches that order
+    raises :class:`InvariantViolation`."""
+    x = conjugates[0].images
+    target, rest = divmod(group.order_int, len(conjugates))
+    if rest:
+        raise InvariantViolation(
+            f"class size {len(conjugates)} does not divide |group| = {group.order_int}"
+        )
+    C = PermGroup.trivial(group.degree)
+    gens: list[tuple[int, ...]] = []
+    edges = ((y, w, g) for y, w in zip(conjugates, witnesses) for g in group.generators)
+    for y, w, g in edges:
+        if C.order_int == target:
+            break
+        j = index.get(conjugate_images(y.images, g.images))
+        if j is None:
+            raise InvariantViolation(f"{y} ** {g} lies outside the class")
+        s = compose_images(
+            compose_images(w.images, g.images), inverse_images(witnesses[j].images)
+        )
+        if conjugate_images(x, s) != x:
+            raise InvariantViolation("a Schreier generator does not centralize x")
+        if not C._contains_tuple(s):
+            C = C.extend(Permutation(s))
+            gens.append(s)
+    if C.order_int != target:
+        raise InvariantViolation(
+            f"the centralizer reached order {C.order_int}, not |group| / |class| = {target}"
+        )
+    return gens
+
+
+def _one_per_centralizer_orbit(frontier, group, conjugates, witnesses):
+    """The level-2 frontier (states <x, y_j>, ids (0, j)) reduced to its
+    first entry for each C_group(x)-orbit of j, in frontier order.  The
+    orbits on the class indices are traced lazily, one per kept entry."""
+    index = {y.images: i for i, y in enumerate(conjugates)}
+    gens = _centralizer_generators(group, conjugates, witnesses, index)
+    kept = []
+    covered: set[int] = set()
+    for entry in frontier:
+        j = entry[1][1]
+        if j in covered:
+            continue
+        kept.append(entry)
+        covered.add(j)
+        orbit = [j]
+        for k in orbit:
+            y = conjugates[k].images
+            for c in gens:
+                i = index[conjugate_images(y, c)]
+                if i not in covered:
+                    covered.add(i)
+                    orbit.append(i)
+    return kept
 
 
 class _DihedralPair(NamedTuple):
@@ -540,6 +633,7 @@ def alpha(
         pinned=pinned,
         kind="alpha",
         class_complete=ctx.class_complete,
+        group=ctx.socle,
     )
 
 
@@ -566,6 +660,7 @@ def beta(
         pinned=pinned,
         kind=f"beta[{r}]",
         class_complete=ctx.class_complete,
+        group=ctx.socle,
     )
 
 
@@ -726,6 +821,7 @@ def bs_membership(
             pinned=True,
             kind="non-pi-width",
             class_complete=complete,
+            group=G,
         )
         records.append(
             ClassMembershipRecord(
@@ -804,7 +900,7 @@ def minimal_membership_width(
         res = min_width_search(
             rep, members, wits, pred,
             budget=budget, pinned=True, kind="non-pi-width",
-            class_complete=complete,
+            class_complete=complete, group=G,
         )
         if res.value is None:
             raise BudgetExhausted(
@@ -861,7 +957,7 @@ def baer_suzuki_check(
             rep, members, wits, pred,
             budget=replace(budget, max_width=2),
             pinned=True, kind="non-p-pair",
-            class_complete=complete,
+            class_complete=complete, group=G,
         )
         if res.value is None and not res.exhaustive:
             raise BudgetExhausted(f"pair scan for {rep} truncated")
@@ -998,6 +1094,8 @@ def transposition_pi_sweep(
     """
     if not is_prime(r) or r < 3:
         raise ValueError(f"r must be an odd prime >= 3, got {r}")
+    if sample is not None and sample < 1:
+        raise ValueError(f"sample must be >= 1, got {sample}")
     pi = PrimeSet.of(*[p for p in range(2, r) if is_prime(p)])
     degree = r
     all_transpositions = [

@@ -8,6 +8,9 @@ two-route check.  Only :class:`piradical.Permutation` arithmetic is shared
 
 from __future__ import annotations
 
+from itertools import combinations_with_replacement, count
+from typing import Callable, Sequence
+
 from sympy import factorint
 
 from piradical import Permutation
@@ -88,3 +91,20 @@ def normal_subgroup_sets(
     return sorted(
         (s for s in subs if is_normal(elements, s)), key=lambda s: (len(s), sorted(s))
     )
+
+
+def min_generating_width(
+    members: Sequence[Permutation], degree: int, order_predicate: Callable[[int], bool]
+) -> int | None:
+    """Least k such that some k of ``members``, repetition allowed and none
+    pinned, generate a group whose order satisfies ``order_predicate``;
+    None when all of them together fail.  For a predicate that is upward
+    closed along subgroups (alpha, beta_r and non-pi all are), that failure
+    shows the value is absent at every width."""
+    members = list(members)
+    if not order_predicate(len(closure(members, degree))):
+        return None
+    for k in count(1):
+        for combo in combinations_with_replacement(members, k):
+            if order_predicate(len(closure(list(combo), degree))):
+                return k

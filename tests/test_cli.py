@@ -110,6 +110,49 @@ def test_degenerate_budget_is_an_input_error(capsys, argv):
 @pytest.mark.parametrize(
     "argv",
     [
+        ["radical", "--group", "S4", "--pi", "2", "--budget-max-states", "-1"],
+        ["transposition-sweep", "--r", "5", "--budget-max-width", "3"],
+    ],
+    ids=["radical", "transposition-sweep"],
+)
+def test_subcommands_without_a_search_reject_budget_flags(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
+
+
+def test_provenance_carries_a_budget_only_for_searches(capsys):
+    budget_keys = {"budget_max_width", "budget_max_states", "budget_max_class"}
+    _, report = run_json(capsys, "radical", "--group", "S4", "--pi", "2")
+    assert not budget_keys & report["provenance"].keys()
+    _, report = run_json(capsys, "transposition-sweep", "--r", "5")
+    assert not budget_keys & report["provenance"].keys()
+    _, report = run_json(capsys, "alpha", "--group", "A5", "--aut", "(1 2)")
+    assert report["provenance"]["budget_max_states"] == 100_000
+
+
+def test_radical_enumerates_the_classes_once(capsys, monkeypatch):
+    """pi_radical and the lattice crosscheck share one list of class closures."""
+    import piradical.structure as structure
+
+    calls = []
+    real = structure.class_representatives
+
+    def counting(*args, **kwargs):
+        calls.append(args[0])
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(structure, "class_representatives", counting)
+    code, report = run_json(capsys, "radical", "--group", "S5", "--pi", "2")
+    assert code == 0
+    assert report["results"][0]["crosscheck"] == "agrees"
+    assert len(calls) == 1
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
         ["beta", "--group", "A5", "--aut", "(1 2)", "--r", str(10**30 + 57)],
         ["radical", "--group", "S4", "--pi", str(10**30 + 57)],
     ],

@@ -194,15 +194,20 @@ def test_transposition_fast_path_matches_generic_search():
 
 def test_states_visited_counts_are_pinned():
     """A state is every chain child before deduplication, but only a new
-    partition; these counts guard that rule across refactors."""
+    partition, and after width 2 only the states kept by the C_L(x)
+    reduction are extended; these counts guard both rules across refactors
+    (the unreduced counts are pinned in test_width_reduction).  alpha on
+    (Alt(7), (1 2)(3 4)) finds its witness before the first dropped state
+    would have grown, and the S7 pair scans end at width 2, so those counts
+    equal the unreduced ones."""
     def ctx(n, x):
         return AlmostSimpleContext.build(alternating_group(n), P(x, n))
 
-    assert alpha(ctx(9, "(1 2)")).states_visited == 4140
-    assert alpha(ctx(8, "(1 2)")).states_visited == 877
-    assert beta(ctx(8, "(1 2)"), 7).states_visited == 814
+    assert alpha(ctx(9, "(1 2)")).states_visited == 1578
+    assert alpha(ctx(8, "(1 2)")).states_visited == 374
+    assert beta(ctx(8, "(1 2)"), 7).states_visited == 327
     assert alpha(ctx(7, "(1 2)(3 4)")).states_visited == 223
-    assert alpha(ctx(6, "(1 2)(3 4)(5 6)")).states_visited == 408
+    assert alpha(ctx(6, "(1 2)(3 4)(5 6)")).states_visited == 157
     res = bs_membership(symmetric_group(7), PrimeSet.of(2, 3), 2)
     assert [r.states_visited for r in res.records] == [
         0, 16, 2, 2, 1, 1, 3, 3, 2, 1, 6, 3, 2, 2, 4
@@ -417,6 +422,12 @@ def test_transposition_sweep_small_prime_exact():
     assert not TranspositionGraph.from_permutations(report.witness_subset).is_pi(
         report.pi
     )
+
+
+@pytest.mark.parametrize("sample", [0, -1])
+def test_transposition_sweep_rejects_empty_samples(sample):
+    with pytest.raises(ValueError, match="sample"):
+        transposition_pi_sweep(5, sample=sample)
 
 
 def test_transposition_sweep_sampled_mode():

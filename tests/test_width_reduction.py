@@ -1,0 +1,261 @@
+"""The C_L(x) reduction of the width search against two independent routes:
+the unreduced engine (the same driver with no group) and the brute-force
+closure oracle over unpinned tuples with repetition."""
+
+import itertools
+from contextlib import contextmanager
+from types import SimpleNamespace
+
+import pytest
+
+from piradical import (
+    AlmostSimpleContext,
+    FactoredInteger,
+    GroupClassData,
+    InvariantViolation,
+    PermGroup,
+    Permutation,
+    PrimeSet,
+    alpha,
+    alternating_group,
+    baer_suzuki_check,
+    beta,
+    bs_membership,
+    class_representatives,
+    conjugation_orbit,
+    group_by_name,
+    is_pi_number,
+    min_width_search,
+    minimal_membership_width,
+)
+from piradical import width
+from piradical.width import _centralizer_generators, _one_per_centralizer_orbit
+
+from .oracles import min_generating_width
+from .test_acceptance import every_context
+
+P = Permutation.parse
+
+
+def unreduced_search(ctx: AlmostSimpleContext, pred, kind: str):
+    return min_width_search(
+        ctx.element, ctx.conjugates, ctx.witnesses, pred,
+        kind=kind, class_complete=ctx.class_complete,
+    )
+
+
+@contextmanager
+def unreduced_engine(monkeypatch):
+    """Run the membership and pair checks with the group withheld from the
+    search, i.e. on the unreduced engine."""
+    search = width.min_width_search
+    with monkeypatch.context() as m:
+        m.setattr(width, "min_width_search", lambda *a, group=None, **k: search(*a, **k))
+        yield
+
+
+def non_pi(pi: PrimeSet):
+    return lambda o: not is_pi_number(FactoredInteger.from_int(o), pi)
+
+
+def assert_witness_is_sound(res, x: Permutation, pred) -> None:
+    assert res.revalidate(pred)
+    assert all(x**w == m for w, m in zip(res.witness, res.members))
+
+
+# -- pruned against unreduced ------------------------------------------------------
+
+
+def test_pruned_engine_agrees_with_unreduced_on_every_context():
+    pruned_states = unreduced_states = 0
+    for label, ctx, rs in every_context():
+        target = ctx.ambient.order_int
+        cases = [("alpha", alpha(ctx), lambda o: o == target)]
+        cases += [(f"beta[{r}]", beta(ctx, r), lambda o, r=r: o % r == 0) for r in rs]
+        for kind, pruned, pred in cases:
+            plain = unreduced_search(ctx, pred, kind)
+            fields = ("value", "explored_width", "saturated", "exhaustive")
+            assert [getattr(pruned, f) for f in fields] == [
+                getattr(plain, f) for f in fields
+            ], (label, kind)
+            assert pruned.value is not None, (label, kind)
+            assert_witness_is_sound(pruned, ctx.element, pred)
+            pruned_states += pruned.states_visited
+            unreduced_states += plain.states_visited
+    assert pruned_states < unreduced_states / 2  # the reduction really ran
+
+
+@pytest.mark.parametrize("name", ["S5", "A6", "S6", "S7", "psl2(7)"])
+def test_pruned_engine_agrees_with_unreduced_on_membership_and_pairs(name, monkeypatch):
+    G = group_by_name(name)
+    data = GroupClassData(G)
+    primes = sorted(G.order.prime_support)
+    prime_sets = [
+        PrimeSet.of(*sub)
+        for k in range(1, len(primes))
+        for sub in itertools.combinations(primes, k)
+    ]
+
+    def run():
+        return (
+            [bs_membership(G, pi, 2, data=data) for pi in prime_sets],
+            [minimal_membership_width(G, pi, data=data) for pi in prime_sets],
+            [baer_suzuki_check(G, p, data=data) for p in primes],
+        )
+
+    pruned = run()
+    with unreduced_engine(monkeypatch):
+        plain = run()
+    assert pruned == plain
+    for res in pruned[0]:
+        for rec in res.records:
+            if rec.witness is not None:
+                H = PermGroup.from_generators(rec.witness)
+                assert H.order_int == rec.witness_order.value
+                assert non_pi(res.pi)(H.order_int)
+
+
+def test_states_visited_counts_are_pinned_on_the_unreduced_engine(monkeypatch):
+    """Unreduced counts: a state is every chain child before deduplication,
+    but only a new partition; these guard that rule across refactors."""
+    def ctx(n, x):
+        return AlmostSimpleContext.build(alternating_group(n), P(x, n))
+
+    def count(c, pred):
+        return unreduced_search(c, pred, "width").states_visited
+
+    def whole(c):
+        return lambda o: o == c.ambient.order_int
+
+    c9, c8 = ctx(9, "(1 2)"), ctx(8, "(1 2)")
+    assert count(c9, whole(c9)) == 4140
+    assert count(c8, whole(c8)) == 877
+    assert count(c8, lambda o: o % 7 == 0) == 814
+    c7, c6 = ctx(7, "(1 2)(3 4)"), ctx(6, "(1 2)(3 4)(5 6)")
+    assert count(c7, whole(c7)) == 223
+    assert count(c6, whole(c6)) == 408
+    with unreduced_engine(monkeypatch):
+        res = bs_membership(group_by_name("S7"), PrimeSet.of(2, 3), 2)
+    assert [r.states_visited for r in res.records] == [
+        0, 16, 2, 2, 1, 1, 3, 3, 2, 1, 6, 3, 2, 2, 4
+    ]
+
+
+def test_truncated_classes_are_searched_unreduced():
+    """C_L(x) does not act on a sampled class, so such searches are never
+    pruned: the result equals the unreduced one field for field."""
+    ctx = AlmostSimpleContext.build(
+        alternating_group(6), P("(1 2)(3 4)", 6), budget=width.SearchBudget(max_class_size=20)
+    )
+    assert not ctx.class_complete
+    target = ctx.ambient.order_int
+    res = alpha(ctx)
+    assert res.value is not None and res.value >= 3 and not res.exhaustive
+    assert res == unreduced_search(ctx, lambda o: o == target, "alpha")
+
+
+# -- the centralizer ------------------------------------------------------------------
+
+
+def test_centralizer_of_a_double_transposition_in_alt8():
+    """|C| = 20160 / 210 = 96, and C has 10 orbits on the 210 conjugates."""
+    ctx = AlmostSimpleContext.build(alternating_group(8), P("(1 2)(3 4)", 8))
+    index = {y.images: i for i, y in enumerate(ctx.conjugates)}
+    gens = _centralizer_generators(ctx.socle, ctx.conjugates, ctx.witnesses, index)
+    C = PermGroup.from_generators([Permutation(g) for g in gens])
+    assert C.order_int == 96
+    assert C.is_subgroup_of(ctx.socle)
+    assert all(ctx.element ** c == ctx.element for c in C.generators)
+    everything = [(None, (0, j)) for j in range(len(ctx.conjugates))]
+    kept = _one_per_centralizer_orbit(everything, ctx.socle, ctx.conjugates, ctx.witnesses)
+    assert len(kept) == 10
+    assert kept[0] == (None, (0, 0))  # x is its own orbit
+
+
+def test_centralizer_order_check_raises_when_c_falls_short():
+    ctx = AlmostSimpleContext.build(alternating_group(6), P("(1 2 3)", 6))
+    index = {y.images: i for i, y in enumerate(ctx.conjugates)}
+    # a group whose claimed order is twice the real one: the Schreier
+    # generators close at |C_L(x)| and never reach the claimed order
+    doubled = SimpleNamespace(
+        generators=ctx.socle.generators,
+        order_int=2 * ctx.socle.order_int,
+        degree=ctx.socle.degree,
+    )
+    with pytest.raises(InvariantViolation, match="centralizer reached order"):
+        _centralizer_generators(doubled, ctx.conjugates, ctx.witnesses, index)
+
+
+def test_centralizer_rejects_inconsistent_class_tables():
+    ctx = AlmostSimpleContext.build(alternating_group(6), P("(1 2 3)", 6))
+    index = {y.images: i for i, y in enumerate(ctx.conjugates)}
+    swapped = list(ctx.witnesses)
+    swapped[1], swapped[2] = swapped[2], swapped[1]
+    with pytest.raises(InvariantViolation, match="does not centralize"):
+        _centralizer_generators(ctx.socle, ctx.conjugates, swapped, index)
+    partial = {y.images: i for i, y in enumerate(ctx.conjugates[:10])}
+    with pytest.raises(InvariantViolation, match="outside the class"):
+        _centralizer_generators(ctx.socle, ctx.conjugates, ctx.witnesses, partial)
+
+
+def test_searches_ending_by_width_two_never_build_the_centralizer(monkeypatch):
+    def fail(*_args):
+        raise AssertionError("centralizer built for a width <= 2 search")
+
+    monkeypatch.setattr(width, "_one_per_centralizer_orbit", fail)
+    ctx = AlmostSimpleContext.build(alternating_group(7), P("(1 2 3)", 7))
+    res = width.beta(ctx, 5)
+    assert res.value == 2
+    bs_membership(group_by_name("S6"), PrimeSet.of(2, 3), 2)
+    baer_suzuki_check(group_by_name("S6"), 3)
+
+
+# -- pruned against the brute-force oracle -------------------------------------------
+
+
+ORACLE_CONTEXTS = [
+    (5, "(1 2)"), (5, "(1 2)(3 4)"), (5, "(1 2 3)"), (5, "(1 2 3 4 5)"),
+    (6, "(1 2 3)"), (6, "(1 2 3)(4 5 6)"), (6, "(1 2)(3 4)"), (6, "(1 2 3 4 5)"),
+]
+
+
+@pytest.mark.parametrize("n,rep", ORACLE_CONTEXTS)
+def test_alpha_and_beta_match_the_brute_force_oracle(n, rep):
+    ctx = AlmostSimpleContext.build(alternating_group(n), P(rep, n))
+    target = ctx.ambient.order_int
+    cases = [(lambda o: o == target)]
+    cases += [(lambda o, r=r: o % r == 0) for r in (2, 3, 5, 7)]
+    for pred in cases:
+        res = min_width_search(
+            ctx.element, ctx.conjugates, ctx.witnesses, pred, group=ctx.socle
+        )
+        assert res.value == min_generating_width(ctx.conjugates, n, pred)
+        if res.value is None:  # beta_7: absent at every width
+            assert res.saturated and res.exhaustive
+        else:
+            assert_witness_is_sound(res, ctx.element, pred)
+
+
+@pytest.mark.parametrize("name", ["S5", "A5", "psl2(7)", "D8", "D10"])
+def test_non_pi_widths_match_the_brute_force_oracle(name):
+    """Every class of G and every prime set inside |G|'s support (the empty
+    and the full set included, so absent verdicts are covered too)."""
+    G = group_by_name(name)
+    primes = sorted(G.order.prime_support)
+    absent = 0
+    for rep, _ in class_representatives(G):
+        members, wits, complete = conjugation_orbit(G, rep)
+        assert complete
+        for k in range(len(primes) + 1):
+            for sub in itertools.combinations(primes, k):
+                pred = non_pi(PrimeSet.of(*sub))
+                res = min_width_search(rep, members, wits, pred, group=G)
+                assert res.value == min_generating_width(members, G.degree, pred), (
+                    rep, sub,
+                )
+                if res.value is None:
+                    absent += 1
+                    assert res.saturated and res.exhaustive
+                else:
+                    assert_witness_is_sound(res, rep, pred)
+    assert absent > 0
