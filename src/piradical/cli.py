@@ -1,15 +1,23 @@
 """Experiment runner: reproducible width/radical computations as reports.
 
-Every subcommand assembles an :class:`ExperimentReport` — the echoed inputs,
-a flat list of result records, and provenance (version, seed, budgets, wall
-time) — and renders it as text, JSON, or CSV.  Result records are plain
-JSON scalars/arrays, so the JSON and CSV renderings of one run carry
+Every subcommand computes the echoed inputs, a flat list of result records
+and a summary; :func:`main` wraps them once in an :class:`ExperimentReport`
+with provenance (version, the seed and budgets of the subcommands that take
+them, wall time) and renders it as text, JSON, or CSV.  Result records are
+plain JSON scalars/arrays, so the JSON and CSV renderings of one run carry
 identical records; re-running with the echoed inputs reproduces the report
 bit-identically except for the wall-time field.
 
+A width result (``alpha``, ``beta``, the cells of ``width-table``) carries a
+``status``: ``found`` (the value is certified minimal), ``absent`` (no width
+at all succeeds), ``width_budget`` or ``state_budget`` (a budget cut the
+search short) or ``sampled_class`` (the class was a seeded sample).  Only
+the first two are ``exhaustive``.
+
 Exit codes: 0 success; 1 a verified mathematical invariant failed (an
 implementation bug, never an input problem); 2 input/validation errors;
-3 budget exhaustion or a sampled (non-exhaustive) sweep.
+3 budget exhaustion, a printed width result that is not exhaustive, or a
+sampled (non-exhaustive) sweep.
 """
 
 from __future__ import annotations
@@ -38,10 +46,9 @@ from .errors import BudgetExhausted, InvariantViolation, PiradicalError
 from .factored import is_prime
 from .groups import PermGroup
 from .perms import Permutation
-from .structure import PrimeSet, class_closures, normal_subgroups, pi_radical
+from .structure import GroupClassData, PrimeSet, normal_subgroups, pi_radical
 from .width import (
     AlmostSimpleContext,
-    GroupClassData,
     SearchBudget,
     alpha,
     baer_suzuki_check,
@@ -133,23 +140,14 @@ class ExperimentReport:
 
 
 def _provenance(args, t0: float) -> dict:
-    """Package, seed, the search budget (for subcommands that search) and
-    wall time."""
-    prov = {"package": "piradical", "version": __version__, "seed": getattr(args, "seed", 0)}
-    if hasattr(args, "budget_max_width"):
-        prov["budget_max_width"] = args.budget_max_width
-        prov["budget_max_states"] = args.budget_max_states
-        prov["budget_max_class"] = args.budget_max_class
+    """Package, the seed and search budget (for subcommands that take them)
+    and wall time."""
+    prov = {"package": "piradical", "version": __version__}
+    for key in ("seed", "budget_max_width", "budget_max_states", "budget_max_class"):
+        if hasattr(args, key):
+            prov[key] = getattr(args, key)
     prov["wall_time_s"] = round(time.monotonic() - t0, 3)
     return prov
-
-
-def _emit(report: ExperimentReport, args) -> None:
-    text = report.render(args.format)
-    if args.out:
-        Path(args.out).write_text(text, encoding="utf-8")
-    else:
-        sys.stdout.write(text)
 
 
 # ---------------------------------------------------------------------------
@@ -246,20 +244,20 @@ def _resolve_pi(args, spec) -> PrimeSet:
 
 
 # ---------------------------------------------------------------------------
-# subcommands
+# subcommands: each returns its report's fields (inputs, results, summary)
+# and its exit code; main wraps them in the report
 
 
-def cmd_radical(args) -> int:
-    t0 = time.monotonic()
+def cmd_radical(args) -> tuple[dict, int]:
     name, G, spec = _resolve_group(args)
     pi = _resolve_pi(args, spec)
-    closures = class_closures(G)
-    radical = pi_radical(G, pi, closures)
+    data = GroupClassData(G)
+    radical = pi_radical(G, pi, data.closures)
     crosscheck = "skipped"
     if G.order_int <= args.crosscheck_cap:
         # independent route: the largest pi-member of the full normal
         # subgroup lattice must be the radical itself
-        lattice = normal_subgroups(G, closures=closures)
+        lattice = normal_subgroups(G, closures=data.closures)
         best = max(
             (N for N in lattice if all(p in pi for p in N.order.prime_support)),
             key=lambda N: N.order_int,
@@ -270,8 +268,7 @@ def cmd_radical(args) -> int:
                 f"subgroup lattice maximum (order {best.order_int})"
             )
         crosscheck = "agrees"
-    report = ExperimentReport(
-        experiment="radical",
+    return dict(
         inputs={"group": name, "pi": str(pi), "crosscheck_cap": args.crosscheck_cap},
         results=[
             {
@@ -285,60 +282,40 @@ def cmd_radical(args) -> int:
             }
         ],
         summary={"radical_order_int": radical.order_int},
-        provenance=_provenance(args, t0),
-    )
-    _emit(report, args)
-    return 0
+    ), 0
 
 
-def _run_width(args, kind: str) -> int:
-    t0 = time.monotonic()
+def cmd_width(args) -> tuple[dict, int]:
+    """``alpha``, or ``beta`` with ``--r``; exits 3 unless the result is
+    exhaustive."""
     budget = _budget(args)
     name, ctx = _resolve_context(args, budget)
-    if kind == "alpha":
-        res = alpha(ctx, budget)
-    else:
-        res = beta(ctx, args.r, budget)
+    with_r = args.command == "beta"
+    res = beta(ctx, args.r, budget) if with_r else alpha(ctx, budget)
     record = {
         "socle": name,
         "socle_order": ctx.socle.order_int,
         "ambient_order": ctx.ambient.order_int,
         "aut": str(ctx.element),
         "class_size": len(ctx.conjugates),
+        **({"r": args.r} if with_r else {}),
+        **res.to_json_dict(),
+        "revalidated": res.revalidate() if res.value is not None else None,
     }
-    if kind == "beta":
-        record["r"] = args.r
-    record.update(res.to_json_dict())
-    record["revalidated"] = res.revalidate() if res.value is not None else None
-    report = ExperimentReport(
-        experiment=kind,
+    return dict(
         inputs={
             "group": getattr(args, "group", None),
             "spec": getattr(args, "spec", None),
             "aut": args.aut,
-            **({"r": args.r} if kind == "beta" else {}),
+            **({"r": args.r} if with_r else {}),
             "seed": args.seed,
         },
         results=[record],
-        summary={"value": res.value, "exhaustive": res.exhaustive},
-        provenance=_provenance(args, t0),
-    )
-    _emit(report, args)
-    if res.value is None and not (res.exhaustive and res.saturated):
-        return 3  # could not certify absence within budget
-    return 0
+        summary={"value": res.value, "status": res.status, "exhaustive": res.exhaustive},
+    ), 0 if res.exhaustive else 3
 
 
-def cmd_alpha(args) -> int:
-    return _run_width(args, "alpha")
-
-
-def cmd_beta(args) -> int:
-    return _run_width(args, "beta")
-
-
-def cmd_bs_check(args) -> int:
-    t0 = time.monotonic()
+def cmd_bs_check(args) -> tuple[dict, int]:
     budget = _budget(args)
     name, G, spec = _resolve_group(args)
     pi = _resolve_pi(args, spec)
@@ -372,19 +349,14 @@ def cmd_bs_check(args) -> int:
         m_min, per_rep = minimal_membership_width(G, pi, budget=budget, data=data)
         summary["minimal_m"] = m_min
         summary["minimal_m_per_class"] = {str(rep): w for rep, w in per_rep}
-    report = ExperimentReport(
-        experiment="bs-check",
+    return dict(
         inputs={"group": name, "pi": str(pi), "m": args.m, "seed": args.seed},
         results=records,
         summary=summary,
-        provenance=_provenance(args, t0),
-    )
-    _emit(report, args)
-    return 0
+    ), 0
 
 
-def cmd_transposition_sweep(args) -> int:
-    t0 = time.monotonic()
+def cmd_transposition_sweep(args) -> tuple[dict, int]:
     r = args.r
     if not is_prime(r) or r < 3:
         raise _InputError(f"--r must be an odd prime >= 3, got {r}")
@@ -394,8 +366,11 @@ def cmd_transposition_sweep(args) -> int:
     if r > 7 and sample is None:
         sample = 20_000  # full exhaustion is out of reach; sample and say so
     rep = transposition_pi_sweep(r, sample=sample, seed=args.seed)
-    report = ExperimentReport(
-        experiment="transposition-sweep",
+    if not rep.all_small_subsets_pi:
+        code = 1  # contradicts the certified small-subset property: a bug
+    else:
+        code = 0 if rep.exhaustive else 3
+    return dict(
         inputs={"r": r, "sample": sample, "seed": args.seed},
         results=[
             {
@@ -417,12 +392,7 @@ def cmd_transposition_sweep(args) -> int:
             "exhaustive": rep.exhaustive,
             "implied_lower_bound": rep.implied_lower_bound,
         },
-        provenance=_provenance(args, t0),
-    )
-    _emit(report, args)
-    if not rep.all_small_subsets_pi:
-        return 1  # contradicts the certified small-subset property: a bug
-    return 0 if rep.exhaustive else 3
+    ), code
 
 
 def _parse_n_range(text: str) -> list[int]:
@@ -436,8 +406,9 @@ def _parse_n_range(text: str) -> list[int]:
     return list(range(lo, hi + 1))
 
 
-def cmd_width_table(args) -> int:
-    t0 = time.monotonic()
+def cmd_width_table(args) -> tuple[dict, int]:
+    """Exits 1 on a bound violation, else 3 when a cell has no beta or a
+    printed alpha or beta is not exhaustive."""
     budget = _budget(args)
     try:
         ns = _parse_n_range(args.n)
@@ -451,15 +422,16 @@ def cmd_width_table(args) -> int:
             if not is_prime(r) or r == 2:
                 raise _InputError(f"--r entries must be odd primes, got {r}")
     records: list[dict] = []
-    any_unknown = False
+    any_uncertified = False
     any_violation = False
 
     def run_cell(label: str, ctx: AlmostSimpleContext, r: int, expected: str, a) -> None:
-        nonlocal any_unknown, any_violation
+        nonlocal any_uncertified, any_violation
         res = beta(ctx, r, budget)
+        if res.value is None or not res.exhaustive or (a is not None and not a.exhaustive):
+            any_uncertified = True
         if res.value is None:
             ok = None
-            any_unknown = True
         elif expected == "eq-r-1":
             ok = res.value == r - 1
         elif expected == "eq-3":
@@ -516,8 +488,11 @@ def cmd_width_table(args) -> int:
             for r in rs:
                 run_cell("A6:pgammal", ctx, r, "eq-3" if r == 3 else "le-r-1", a)
 
-    report = ExperimentReport(
-        experiment="width-table",
+    if any_violation:
+        code = 1
+    else:
+        code = 3 if any_uncertified else 0
+    return dict(
         inputs={
             "n": args.n,
             "r": args.r,
@@ -530,18 +505,10 @@ def cmd_width_table(args) -> int:
             "violations": sum(1 for rec in records if rec["bound_ok"] is False),
             "unknown": sum(1 for rec in records if rec["bound_ok"] is None),
         },
-        provenance=_provenance(args, t0),
-    )
-    _emit(report, args)
-    if any_violation:
-        return 1
-    if any_unknown:
-        return 3
-    return 0
+    ), code
 
 
-def cmd_verify_bs(args) -> int:
-    t0 = time.monotonic()
+def cmd_verify_bs(args) -> tuple[dict, int]:
     budget = _budget(args)
     name, G, spec = _resolve_group(args)
     if args.p is not None and not is_prime(args.p):
@@ -570,19 +537,14 @@ def cmd_verify_bs(args) -> int:
                     "radical_order": str(rep.radical_order),
                 }
             )
-    report = ExperimentReport(
-        experiment="verify-bs",
+    return dict(
         inputs={"group": name, "p": args.p, "seed": args.seed},
         results=records,
         summary={"consistent": True, "primes": primes},
-        provenance=_provenance(args, t0),
-    )
-    _emit(report, args)
-    return 0
+    ), 0
 
 
-def cmd_verify_bs_sweep(args) -> int:
-    t0 = time.monotonic()
+def cmd_verify_bs_sweep(args) -> tuple[dict, int]:
     budget = _budget(args)
     records: list[dict] = []
     for entry in catalog_groups(max_order=args.order_cap):
@@ -602,15 +564,11 @@ def cmd_verify_bs_sweep(args) -> int:
                     "consistent": rep.consistent,
                 }
             )
-    report = ExperimentReport(
-        experiment="verify-bs-sweep",
+    return dict(
         inputs={"order_cap": args.order_cap, "seed": args.seed},
         results=records,
         summary={"groups_and_primes": len(records), "consistent": True},
-        provenance=_provenance(args, t0),
-    )
-    _emit(report, args)
-    return 0
+    ), 0
 
 
 # ---------------------------------------------------------------------------
@@ -633,7 +591,6 @@ def build_parser() -> argparse.ArgumentParser:
         default=10_000,
         help="verify against the full normal-subgroup lattice up to this group order",
     )
-    _add_seed_flag(p)
     _add_output_flags(p)
     p.set_defaults(func=cmd_radical)
 
@@ -642,7 +599,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--aut", help='cycles like "(1 2)", or outer-involution / field-involution')
     _add_budget_flags(p)
     _add_output_flags(p)
-    p.set_defaults(func=cmd_alpha)
+    p.set_defaults(func=cmd_width)
 
     p = sub.add_parser(
         "beta", help="minimal conjugates of --aut generating order divisible by --r"
@@ -652,7 +609,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--r", type=int, required=True, help="a prime")
     _add_budget_flags(p)
     _add_output_flags(p)
-    p.set_defaults(func=cmd_beta)
+    p.set_defaults(func=cmd_width)
 
     p = sub.add_parser(
         "bs-check", help="does width m separate the radical from its complement?"
@@ -719,8 +676,18 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    t0 = time.monotonic()
     try:
-        return args.func(args)
+        fields, code = args.func(args)
+        report = ExperimentReport(
+            args.command, **fields, provenance=_provenance(args, t0)
+        )
+        text = report.render(args.format)
+        if args.out:
+            Path(args.out).write_text(text, encoding="utf-8")
+        else:
+            sys.stdout.write(text)
+        return code
     except _InputError as e:
         print(f"error: {e}", file=sys.stderr)
         return 2

@@ -19,7 +19,7 @@ join enumerates all normal subgroups exactly.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 from .errors import (
@@ -141,27 +141,6 @@ def conjugation_orbit(
     return members, witnesses, True
 
 
-@dataclass
-class ConjugacyClass:
-    """A (possibly truncated) conjugacy class with conjugating witnesses."""
-
-    representative: Permutation
-    members: tuple[Permutation, ...]
-    witnesses: tuple[Permutation, ...]
-    complete: bool
-
-    @classmethod
-    def compute(cls, G: PermGroup, x: Permutation, cap: int = 10**5) -> "ConjugacyClass":
-        if not G.contains(x):
-            raise NotAMember(f"{x} is not in the group")
-        members, wits, complete = conjugation_orbit(G, x, cap=cap)
-        return cls(x, tuple(members), tuple(wits), complete)
-
-    @property
-    def size(self) -> int:
-        return len(self.members)
-
-
 def centralizer_order(G: PermGroup, x: Permutation, cap: int = 10**5) -> FactoredInteger:
     """|C_G(x)| = |G| / |x^G| by orbit-stabilizer, in factored form."""
     members, _, complete = conjugation_orbit(G, x, cap=cap, with_witnesses=False)
@@ -231,15 +210,40 @@ def normal_closure(G: PermGroup, elements: Sequence[Permutation]) -> PermGroup:
     return H
 
 
-def class_closures(
-    G: PermGroup, cap: int = 10**5
-) -> list[tuple[Permutation, PermGroup]]:
-    """(representative, normal closure of its class) for every conjugacy
-    class.  The closures depend only on G, so callers sweeping many prime
-    sets compute this once and reuse it."""
-    return [
-        (rep, normal_closure(G, [rep])) for rep, _ in class_representatives(G, cap)
-    ]
+class GroupClassData:
+    """Per-group cache: class representatives, class closures, radicals.
+
+    The closures are pi-independent, so sweeps over many prime sets, and the
+    radical with its lattice crosscheck, reuse one instance; ``closures`` is
+    the one place they are computed.
+    """
+
+    def __init__(self, G: PermGroup, cap: int = 10**5):
+        self.group = G
+        self.cap = cap
+        self._reps: list[tuple[Permutation, int]] | None = None
+        self._closures: list[tuple[Permutation, PermGroup]] | None = None
+        self._radicals: dict[PrimeSet, PermGroup] = {}
+
+    @property
+    def reps(self) -> list[tuple[Permutation, int]]:
+        if self._reps is None:
+            self._reps = class_representatives(self.group, self.cap)
+        return self._reps
+
+    @property
+    def closures(self) -> list[tuple[Permutation, PermGroup]]:
+        """(representative, normal closure of its class) for every class."""
+        if self._closures is None:
+            self._closures = [
+                (rep, normal_closure(self.group, [rep])) for rep, _ in self.reps
+            ]
+        return self._closures
+
+    def radical(self, pi: PrimeSet) -> PermGroup:
+        if pi not in self._radicals:
+            self._radicals[pi] = pi_radical(self.group, pi, self.closures)
+        return self._radicals[pi]
 
 
 def _join(G: PermGroup, parts: Sequence[PermGroup]) -> PermGroup:
@@ -257,10 +261,10 @@ def pi_radical(
 ) -> PermGroup:
     """The largest normal pi-subgroup ``O_pi(G)``, as the join of the class
     closures that are pi-groups (see the module docstring for why this is
-    exact).  Pass precomputed ``closures`` (from :func:`class_closures`)
+    exact).  Pass precomputed ``closures`` (``GroupClassData.closures``)
     when sweeping many prime sets over one group."""
     if closures is None:
-        closures = class_closures(G, cap)
+        closures = GroupClassData(G, cap).closures
     kept = [cl for _, cl in closures if is_pi_group(cl, pi)]
     radical = _join(G, kept)
     if not is_pi_group(radical, pi):
@@ -279,10 +283,11 @@ def normal_subgroups(
 ) -> list[PermGroup]:
     """All normal subgroups of G (|G| <= cap), as the join-closure of the
     conjugacy-class normal closures, sorted by order.  Independent of
-    :func:`pi_radical` except for sharing :func:`class_closures`; pass
-    precomputed ``closures`` to compute them once for both."""
+    :func:`pi_radical` except for sharing the class closures; pass
+    precomputed ``closures`` (``GroupClassData.closures``) to compute them
+    once for both."""
     if closures is None:
-        closures = class_closures(G, cap)
+        closures = GroupClassData(G, cap).closures
     closures = [cl for _, cl in closures]
     found: list[PermGroup] = [PermGroup.trivial(G.degree)]
 

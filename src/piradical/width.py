@@ -45,7 +45,22 @@ Three soundness notes justify the pruning:
   group L the search is unreduced.
 
 Exhausting every level below k certifies minimality of a level-k success;
-an emptied frontier ("saturated") certifies that no width at all succeeds.
+an emptied frontier certifies that no width at all succeeds.  A result's
+``status`` says how the search ended, and it is the one record of what the
+result certifies:
+
+* ``found``: the value is the minimal width;
+* ``absent``: the frontier emptied, so no width at all succeeds;
+* ``width_budget``: every width up to the explored one failed, and
+  ``max_width`` stopped the search there;
+* ``state_budget``: ``max_states`` stopped the search part-way through a
+  width;
+* ``sampled_class``: the class was truncated to a seeded sample, so neither
+  a value nor its absence speaks for the whole class.
+
+Only ``found`` and ``absent`` are exhaustive.  The membership checks ask
+less: every tuple up to their width m was searched, which ``width_budget``
+also gives.
 
 Two exact state models, cross-checked against each other in the test suite:
 
@@ -73,7 +88,7 @@ import math
 import random
 from collections import Counter
 from dataclasses import dataclass, field, replace
-from typing import Callable, Iterable, NamedTuple, Sequence
+from typing import Callable, Iterable, Literal, NamedTuple, Sequence
 
 from .errors import (
     BudgetExhausted,
@@ -90,8 +105,8 @@ from .factored import FactoredInteger, is_prime
 from .groups import PermGroup
 from .perms import Permutation, compose_images, conjugate_images, inverse_images
 from .structure import (
+    GroupClassData,
     PrimeSet,
-    class_representatives,
     conjugation_orbit,
     is_pi_number,
     pi_radical,
@@ -99,6 +114,9 @@ from .structure import (
 )
 
 OrderPredicate = Callable[[int], bool]
+Status = Literal["found", "absent", "width_budget", "state_budget", "sampled_class"]
+# the statuses of a search that tried every tuple up to its width budget
+_SEARCHED_TO_WIDTH = frozenset({"found", "absent", "width_budget"})
 
 
 # ---------------------------------------------------------------------------
@@ -112,8 +130,8 @@ class SearchBudget:
     ``max_width``: deepest tuple width explored.
     ``max_states``: cap on subgroup states created across all levels.
     ``max_class_size``: conjugacy classes larger than this are truncated to a
-    seeded sample and every result derived from them reports
-    ``class_complete=False``.
+    seeded sample and every result derived from them has status
+    ``sampled_class``.
     Each limit must be at least 1 (``ValueError`` otherwise).
     """
 
@@ -133,30 +151,34 @@ class WidthResult:
     """Outcome of a width search.
 
     ``value`` is the minimal width at which the predicate held, or None.
+    ``status`` says how the search ended and what that certifies (see the
+    module docstring); ``exhaustive`` and ``saturated`` are read off it.
     When ``value`` is None, ``explored_width`` is the deepest width whose
     states were all built and tested (so the true value, if any, exceeds
-    it), and ``saturated`` reports that the state space closed with no
-    further extensions — together with ``exhaustive`` that certifies failure
-    at *every* width.  ``witness`` holds conjugating elements l_i with
-    x ** l_i the chosen conjugates (``members``); ``certificate_order`` is
-    the order of the successful subgroup.
+    it).  ``witness`` holds conjugating elements l_i with x ** l_i the
+    chosen conjugates (``members``); ``certificate_order`` is the order of
+    the successful subgroup.
     """
 
-    kind: str
     value: int | None
     witness: tuple[Permutation, ...] | None
     members: tuple[Permutation, ...] | None
     certificate_order: FactoredInteger | None
     explored_width: int
-    saturated: bool
-    class_complete: bool
-    state_budget_hit: bool
+    status: Status
     states_visited: int
     subgroup: PermGroup | None = field(default=None, repr=False, compare=False)
 
     @property
     def exhaustive(self) -> bool:
-        return self.class_complete and not self.state_budget_hit
+        """The value is certified minimal, or its absence at every width is
+        certified."""
+        return self.status in ("found", "absent")
+
+    @property
+    def saturated(self) -> bool:
+        """The state space closed: no width at all succeeds."""
+        return self.status == "absent"
 
     @property
     def lower_bound(self) -> int:
@@ -185,6 +207,7 @@ class WidthResult:
             if self.certificate_order
             else None,
             "explored_width": self.explored_width,
+            "status": self.status,
             "saturated": self.saturated,
             "exhaustive": self.exhaustive,
             "states_visited": self.states_visited,
@@ -243,7 +266,6 @@ def min_width_search(
     *,
     budget: SearchBudget = SearchBudget(),
     pinned: bool = True,
-    kind: str = "width",
     class_complete: bool = True,
     group: PermGroup | None = None,
 ) -> WidthResult:
@@ -251,6 +273,7 @@ def min_width_search(
     order satisfies ``order_predicate`` (see the module docstring for the
     search semantics).  ``conjugates[0]`` must be ``x`` itself and
     ``witnesses[i]`` must conjugate ``x`` to ``conjugates[i]``.
+    ``class_complete`` False marks the conjugates as a sample of the class.
 
     ``group`` is the group whose conjugation orbit of ``x`` the conjugates
     are.  When it is given and the search is pinned over a complete class,
@@ -261,14 +284,13 @@ def min_width_search(
     model = _Partitions if x.is_transposition() else _Chains
     return _search(
         model(x, conjugates), conjugates, witnesses, order_predicate,
-        budget, pinned, kind, class_complete,
+        budget, pinned, class_complete,
         group if pinned and class_complete else None,
     )
 
 
 def _search(
-    model, conjugates, witnesses, pred, budget, pinned, kind, class_complete,
-    group=None,
+    model, conjugates, witnesses, pred, budget, pinned, class_complete, group=None,
 ) -> WidthResult:
     """The breadth-first search over ``model``'s states.  Level 1 holds the
     children of ``model.initial`` (<x> alone when ``pinned``); a child is
@@ -277,19 +299,18 @@ def _search(
     :func:`_one_per_centralizer_orbit` before it grows."""
     states = 0
 
-    def result(explored, saturated=False, budget_hit=False, found=None):
+    def result(explored, status, found=None):
+        if not class_complete and status != "state_budget":
+            status = "sampled_class"
         subgroup = model.group(*found) if found else None
         ids = found[1] if found else ()
         return WidthResult(
-            kind=kind,
             value=explored + 1 if found else None,
             witness=tuple(witnesses[i] for i in ids) if found else None,
             members=tuple(conjugates[i] for i in ids) if found else None,
             certificate_order=subgroup.order if found else None,
             explored_width=explored,
-            saturated=saturated,
-            class_complete=class_complete,
-            state_budget_hit=budget_hit,
+            status=status,
             states_visited=states,
             subgroup=subgroup,
         )
@@ -310,19 +331,19 @@ def _search(
                     continue
                 states += 1
                 if states > budget.max_states:
-                    return result(width, budget_hit=True)
+                    return result(width, "state_budget")
                 if not model.admit(child):
                     continue
                 entry = (child, ids + (idx,))
                 if pred(model.order(child)):
-                    return result(width, found=entry)
+                    return result(width, "found", entry)
                 if terminal:
                     saw_terminal_child = True
                 else:
                     next_frontier.append(entry)
         frontier = next_frontier
         width += 1
-    return result(width, saturated=not frontier and not saw_terminal_child)
+    return result(width, "width_budget" if frontier or saw_terminal_child else "absent")
 
 
 def _centralizer_generators(
@@ -631,7 +652,6 @@ def alpha(
         lambda o: o == target,
         budget=budget,
         pinned=pinned,
-        kind="alpha",
         class_complete=ctx.class_complete,
         group=ctx.socle,
     )
@@ -658,7 +678,6 @@ def beta(
         lambda o: o % r == 0,
         budget=budget,
         pinned=pinned,
-        kind=f"beta[{r}]",
         class_complete=ctx.class_complete,
         group=ctx.socle,
     )
@@ -703,7 +722,7 @@ class ClassMembershipRecord:
     violation_width: int | None
     witness: tuple[Permutation, ...] | None
     witness_order: FactoredInteger | None
-    exhaustive: bool
+    exhaustive: bool  # every tuple up to width m was searched, over the whole class
     states_visited: int
 
 
@@ -730,45 +749,25 @@ class BSMembershipResult:
     exhaustive: bool
 
 
-class GroupClassData:
-    """Per-group cache: class representatives, class closures, radicals.
-
-    The closures are pi-independent, so sweeps over many prime sets reuse
-    one instance.
-    """
-
-    def __init__(self, G: PermGroup, cap: int = 10**5):
-        self.group = G
-        self.cap = cap
-        self._reps: list[tuple[Permutation, int]] | None = None
-        self._closures: list[tuple[Permutation, PermGroup]] | None = None
-        self._radicals: dict[PrimeSet, PermGroup] = {}
-
-    @property
-    def reps(self) -> list[tuple[Permutation, int]]:
-        if self._reps is None:
-            self._reps = class_representatives(self.group, self.cap)
-        return self._reps
-
-    @property
-    def closures(self) -> list[tuple[Permutation, PermGroup]]:
-        if self._closures is None:
-            reps = self.reps
-            from .structure import normal_closure
-
-            self._closures = [
-                (rep, normal_closure(self.group, [rep])) for rep, _ in reps
-            ]
-        return self._closures
-
-    def radical(self, pi: PrimeSet) -> PermGroup:
-        if pi not in self._radicals:
-            self._radicals[pi] = pi_radical(self.group, pi, self.closures)
-        return self._radicals[pi]
-
-
 def _non_pi_predicate(pi: PrimeSet) -> OrderPredicate:
     return lambda o: not is_pi_number(FactoredInteger.from_int(o), pi)
+
+
+def _class_search(
+    G: PermGroup, rep: Permutation, pred: OrderPredicate, budget: SearchBudget
+) -> WidthResult:
+    """The width search over the G-class of ``rep``.  Raises
+    :class:`BudgetExhausted` when it found nothing and was cut off before
+    every tuple up to ``budget.max_width`` was searched."""
+    members, wits, complete = _class_table(G, rep, budget)
+    res = min_width_search(
+        rep, members, wits, pred, budget=budget, class_complete=complete, group=G
+    )
+    if res.value is None and res.status not in _SEARCHED_TO_WIDTH:
+        raise BudgetExhausted(
+            f"search for {rep} ended with status {res.status} before certification"
+        )
+    return res
 
 
 def bs_membership(
@@ -784,7 +783,8 @@ def bs_membership(
     <=m-tuple of G-conjugates of x generating a non-pi subgroup (elements of
     the radical need no search: their conjugates generate subgroups of the
     radical, which are pi-groups).  Raises :class:`BudgetExhausted` if some
-    representative's search was cut off before either outcome was certified.
+    representative's search found nothing and was cut off before every
+    tuple up to width m was searched.
     """
     if m < 1:
         raise ValueError(f"width m must be >= 1, got {m}")
@@ -811,18 +811,8 @@ def bs_membership(
                 )
             )
             continue
-        members, wits, complete = _class_table(G, rep, budget)
-        res = min_width_search(
-            rep,
-            members,
-            wits,
-            pred,
-            budget=replace(budget, max_width=m),
-            pinned=True,
-            kind="non-pi-width",
-            class_complete=complete,
-            group=G,
-        )
+        res = _class_search(G, rep, pred, replace(budget, max_width=m))
+        searched = res.status in _SEARCHED_TO_WIDTH
         records.append(
             ClassMembershipRecord(
                 representative=rep,
@@ -831,20 +821,16 @@ def bs_membership(
                 violation_width=res.value,
                 witness=res.members,
                 witness_order=res.certificate_order,
-                exhaustive=res.exhaustive,
+                exhaustive=searched,
                 states_visited=res.states_visited,
             )
         )
         if res.value is None:
-            if not res.exhaustive:
-                raise BudgetExhausted(
-                    f"search for {rep} was truncated before certification"
-                )
             # x is outside O_pi yet all its m-tuples generate pi-groups
             if holds:
                 violating = rep
             holds = False
-        all_exhaustive = all_exhaustive and res.exhaustive
+        all_exhaustive = all_exhaustive and searched
     return BSMembershipResult(
         pi=pi,
         m=m,
@@ -896,12 +882,7 @@ def minimal_membership_width(
     for rep, _size in data.reps:
         if radical.contains(rep):
             continue
-        members, wits, complete = _class_table(G, rep, budget)
-        res = min_width_search(
-            rep, members, wits, pred,
-            budget=budget, pinned=True, kind="non-pi-width",
-            class_complete=complete, group=G,
-        )
+        res = _class_search(G, rep, pred, budget)
         if res.value is None:
             raise BudgetExhausted(
                 f"no non-pi width found for {rep} within budget {budget}"
@@ -952,15 +933,7 @@ def baer_suzuki_check(
     records: list[ClassPairRecord] = []
     for rep, _size in data.reps:
         in_rad = radical.contains(rep)
-        members, wits, complete = _class_table(G, rep, budget)
-        res = min_width_search(
-            rep, members, wits, pred,
-            budget=replace(budget, max_width=2),
-            pinned=True, kind="non-p-pair",
-            class_complete=complete, group=G,
-        )
-        if res.value is None and not res.exhaustive:
-            raise BudgetExhausted(f"pair scan for {rep} truncated")
+        res = _class_search(G, rep, pred, replace(budget, max_width=2))
         all_pairs = res.value is None
         witness_pair = None
         if res.value is not None:

@@ -1,0 +1,48 @@
+"""The traced benchmark run wraps piradical's layer boundaries by name
+(``perfbench/spans.py``).  A renamed function would silently drop out of the
+per-layer counts, so every subcommand is run here under those wrappers."""
+
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+
+SCRIPT = """
+import json, os, sys
+import piradical, piradical.cli
+import spans
+
+tracer = spans.Tracer()
+spans.install(tracer, piradical)
+codes = {}
+for argv in json.loads(sys.argv[1]):
+    codes[argv[0]] = piradical.cli.main(argv + ["--format", "json", "--out", os.devnull])
+print(json.dumps({"codes": codes, "metrics": tracer.metrics()}))
+"""
+
+ARGV = [
+    ["radical", "--group", "S4", "--pi", "2"],
+    ["alpha", "--group", "A5", "--aut", "(1 2 3)"],
+    ["beta", "--group", "A5", "--aut", "(1 2)", "--r", "5"],
+    ["bs-check", "--group", "S4", "--pi", "2", "--m", "2", "--find-min"],
+    ["transposition-sweep", "--r", "5"],
+    ["width-table", "--n", "5", "--r", "3"],
+    ["verify-bs", "--group", "S4"],
+    ["verify-bs-sweep", "--order-cap", "12"],
+]
+
+
+def test_every_subcommand_runs_under_the_benchmark_spans():
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(ROOT / "src"), str(ROOT / "perfbench")]))
+    done = subprocess.run(
+        [sys.executable, "-c", SCRIPT, json.dumps(ARGV)],
+        env=env, capture_output=True, text=True, timeout=120,
+    )
+    assert done.returncode == 0, done.stderr
+    out = json.loads(done.stdout.splitlines()[-1])
+    assert out["codes"] == {argv[0]: 0 for argv in ARGV}
+    for name in ("width.searches", "structure.orbits", "groups.chain_builds"):
+        assert out["metrics"][name] > 0, name

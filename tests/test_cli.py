@@ -3,6 +3,7 @@
 import csv
 import io
 import json
+import re
 
 import pytest
 
@@ -123,13 +124,25 @@ def test_subcommands_without_a_search_reject_budget_flags(capsys, argv):
 
 
 def test_provenance_carries_a_budget_only_for_searches(capsys):
+    """And a seed only for the subcommands that take one."""
     budget_keys = {"budget_max_width", "budget_max_states", "budget_max_class"}
     _, report = run_json(capsys, "radical", "--group", "S4", "--pi", "2")
+    assert not (budget_keys | {"seed"}) & report["provenance"].keys()
+    assert "seed" not in report["inputs"]
+    _, report = run_json(capsys, "transposition-sweep", "--r", "5", "--seed", "4")
     assert not budget_keys & report["provenance"].keys()
-    _, report = run_json(capsys, "transposition-sweep", "--r", "5")
-    assert not budget_keys & report["provenance"].keys()
+    assert report["provenance"]["seed"] == 4
     _, report = run_json(capsys, "alpha", "--group", "A5", "--aut", "(1 2)")
     assert report["provenance"]["budget_max_states"] == 100_000
+    assert report["provenance"]["seed"] == 0
+
+
+def test_radical_takes_no_seed(capsys):
+    """Nothing in the radical computation is random."""
+    with pytest.raises(SystemExit) as exc:
+        main(["radical", "--group", "S4", "--pi", "2", "--seed", "7"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
 
 
 def test_radical_enumerates_the_classes_once(capsys, monkeypatch):
@@ -171,6 +184,43 @@ def test_pair_scan_past_the_state_budget_exits_three(capsys):
     assert code == 3
     rec = report["results"][0]
     assert rec["exhaustive"] is False and rec["states_visited"] == 2
+
+
+STATUS_ARGV = {
+    "found": ["--group", "A5", "--aut", "(1 2)"],
+    # <x^L> is the Klein four-group, a proper normal subgroup of Alt(4)
+    "absent": ["--group", "A4", "--aut", "(1 2)(3 4)"],
+    "width_budget": ["--group", "A5", "--aut", "(1 2 3)", "--budget-max-width", "1"],
+    "state_budget": [
+        "--group", "A5", "--aut", "(1 2)(3 4)",
+        "--budget-max-width", "2", "--budget-max-states", "1",
+    ],
+    "sampled_class": ["--group", "A6", "--aut", "(1 2)(3 4)", "--budget-max-class", "20"],
+}
+
+
+@pytest.mark.parametrize("status", list(STATUS_ARGV))
+def test_each_status_through_the_cli(capsys, status):
+    """The record and the summary carry the status; only found and absent
+    are exhaustive and exit 0.  A value found over a sampled class is not a
+    certified minimum, so it exits 3 too."""
+    code, report = run_json(capsys, "alpha", *STATUS_ARGV[status])
+    certified = status in ("found", "absent")
+    assert code == (0 if certified else 3)
+    rec, summary = report["results"][0], report["summary"]
+    assert rec["status"] == summary["status"] == status
+    assert rec["exhaustive"] is summary["exhaustive"] is certified
+    assert rec["saturated"] is (status == "absent")
+    assert (rec["value"] is not None) == (status in ("found", "sampled_class"))
+
+
+def test_width_table_over_a_sampled_class_exits_three(capsys):
+    code, report = run_json(
+        capsys, "width-table", "--n", "5", "--r", "3", "--budget-max-class", "5"
+    )
+    assert code == 3
+    assert report["summary"]["unknown"] == 0  # every cell has a value ...
+    assert not all(row["exhaustive"] for row in report["results"])  # ... not all certified
 
 
 # -- computed values through the CLI ------------------------------------------
@@ -333,7 +383,7 @@ def test_json_format_carries_provenance(capsys):
     assert code == 0
     prov = report["provenance"]
     assert prov["package"] == "piradical"
-    assert "seed" in prov and "wall_time_s" in prov
+    assert "wall_time_s" in prov and "seed" not in prov  # radical draws nothing at random
     assert report["experiment"] == "radical"
 
 
@@ -353,10 +403,34 @@ def test_csv_format_matches_json_records(capsys):
         assert row["in_radical"] == ("true" if rec["in_radical"] else "false")
 
 
-def test_repeat_runs_are_identical_modulo_timing(capsys):
-    _, first = run_json(capsys, "bs-check", "--group", "S5", "--pi", "2,3", "--m", "4")
-    _, second = run_json(capsys, "bs-check", "--group", "S5", "--pi", "2,3", "--m", "4")
-    assert strip_timing(first) == strip_timing(second)
+REPEAT_ARGV = {
+    "radical": ["radical", "--group", "S4", "--pi", "2"],
+    "alpha": ["alpha", "--group", "A5", "--aut", "(1 2)"],
+    # a seeded sample of the class
+    "beta": [
+        "beta", "--group", "A6", "--aut", "(1 2)(3 4)", "--r", "5",
+        "--budget-max-class", "20", "--seed", "3",
+    ],
+    "bs-check": ["bs-check", "--group", "S5", "--pi", "2,3", "--m", "4"],
+    "transposition-sweep": ["transposition-sweep", "--r", "5", "--sample", "30", "--seed", "2"],
+    "width-table": ["width-table", "--n", "5", "--r", "3", "--include-alpha"],
+    "verify-bs": ["verify-bs", "--group", "S4"],
+    "verify-bs-sweep": ["verify-bs-sweep", "--order-cap", "24"],
+}
+
+
+@pytest.mark.parametrize("command", list(REPEAT_ARGV))
+def test_repeat_runs_are_identical_modulo_timing(capsys, command):
+    """Two runs give byte-identical JSON apart from ``wall_time_s``."""
+    def once():
+        code, out, _ = run(capsys, *REPEAT_ARGV[command], "--format", "json")
+        assert code in (0, 3)
+        assert json.loads(out)["experiment"] == command
+        timed = re.compile(r'"wall_time_s": [0-9.e-]+')
+        assert len(timed.findall(out)) == 1
+        return timed.sub("", out)
+
+    assert once() == once()
 
 
 def test_out_flag_writes_file(capsys, tmp_path):

@@ -6,6 +6,7 @@ import pytest
 
 from piradical import (
     AlmostSimpleContext,
+    BudgetExhausted,
     CentralizesSocle,
     NotATransposition,
     NotNormalizing,
@@ -118,7 +119,7 @@ def test_unsatisfiable_predicate_saturates():
     res = min_width_search(
         ctx.element, ctx.conjugates, ctx.witnesses, lambda o: o % 7 == 0
     )
-    assert res.value is None
+    assert res.value is None and res.status == "absent"
     assert res.saturated and res.exhaustive
     assert not res.revalidate()
 
@@ -129,6 +130,57 @@ def test_width_budget_reports_honest_lower_bound():
     assert res.value is None
     assert res.explored_width == 2 and res.lower_bound == 3
     assert not res.saturated
+
+
+STATUS_CASES = {
+    # status: (socle degree, x, class cap, search budget, value)
+    "found": (5, "(1 2)", 100_000, SearchBudget(), 4),
+    # <x^L> is the Klein four-group, a proper normal subgroup of Alt(4)
+    "absent": (4, "(1 2)(3 4)", 100_000, SearchBudget(), None),
+    "width_budget": (5, "(1 2 3)", 100_000, SearchBudget(max_width=1), None),
+    "state_budget": (5, "(1 2)(3 4)", 100_000, SearchBudget(max_width=2, max_states=5), None),
+    "sampled_class": (6, "(1 2)(3 4)", 20, SearchBudget(), 3),
+}
+
+
+@pytest.mark.parametrize("status", list(STATUS_CASES))
+def test_each_status_through_the_library(status):
+    """One status per way a search ends; ``exhaustive`` only for found and
+    absent, ``saturated`` only for absent."""
+    n, x, cap, budget, value = STATUS_CASES[status]
+    ctx = AlmostSimpleContext.build(
+        alternating_group(n), P(x, n), budget=SearchBudget(max_class_size=cap)
+    )
+    res = alpha(ctx, budget)
+    assert res.status == status and res.value == value
+    assert res.exhaustive == (status in ("found", "absent"))
+    assert res.saturated == (status == "absent")
+    assert res.to_json_dict()["status"] == status
+    if value is not None:
+        assert res.revalidate(lambda o: o == ctx.ambient.order_int)
+
+
+def test_membership_checks_raise_only_when_nothing_was_searched_to_width():
+    """A width budget still searched every tuple up to m; a state budget or
+    a sampled class with no value did not, and raises."""
+    G = symmetric_group(5)
+    pi = PrimeSet.of(2, 3)
+    res = bs_membership(G, pi, 3)
+    transposition = next(r for r in res.records if r.representative.is_transposition())
+    assert transposition.violation_width is None and transposition.exhaustive
+    with pytest.raises(BudgetExhausted):
+        bs_membership(G, pi, 3, budget=SearchBudget(max_states=1))
+    with pytest.raises(BudgetExhausted):
+        bs_membership(G, pi, 3, budget=SearchBudget(max_class_size=3))
+    with pytest.raises(BudgetExhausted):
+        minimal_membership_width(G, pi, budget=SearchBudget(max_width=3))
+    with pytest.raises(BudgetExhausted):
+        baer_suzuki_check(G, 2, budget=SearchBudget(max_states=1))
+    # a value found over a sampled class is a real witness, not certified
+    sampled = bs_membership(G, PrimeSet.of(2), 2, budget=SearchBudget(max_class_size=5))
+    outside = [r for r in sampled.records if not r.in_radical]
+    assert any(r.violation_width is not None and not r.exhaustive for r in outside)
+    assert not sampled.exhaustive
 
 
 def test_first_conjugate_must_be_the_element():
@@ -178,12 +230,10 @@ def test_transposition_fast_path_matches_generic_search():
             if r <= n:
                 preds[f"beta[{r}]"] = lambda o, r=r: o % r == 0
         for kind, pred in preds.items():
-            fast = min_width_search(
-                ctx.element, ctx.conjugates, ctx.witnesses, pred, kind=kind
-            )
+            fast = min_width_search(ctx.element, ctx.conjugates, ctx.witnesses, pred)
             chains = _search(
                 _Chains(ctx.element, ctx.conjugates), ctx.conjugates,
-                ctx.witnesses, pred, SearchBudget(), True, kind, True,
+                ctx.witnesses, pred, SearchBudget(), True, True,
             )
             assert fast.value is not None and fast.exhaustive, (n, kind)
             assert dataclasses.replace(fast, states_visited=0) == dataclasses.replace(
@@ -218,11 +268,11 @@ def test_pair_scan_honours_the_state_budget():
     """The terminal dihedral pair scan counts against ``max_states`` like
     every other child: it stops at the first state past the cap."""
     res = alpha(ctx_a5("(1 2)(3 4)"), SearchBudget(max_width=2, max_states=5))
-    assert res.state_budget_hit and not res.exhaustive
+    assert res.status == "state_budget" and not res.exhaustive
     assert res.states_visited == 6
     assert res.value is None and res.explored_width == 1
     full = alpha(ctx_a5("(1 2)(3 4)"), SearchBudget(max_width=2))
-    assert not full.state_budget_hit and full.states_visited == 15
+    assert full.status == "width_budget" and full.states_visited == 15
 
 
 @pytest.mark.parametrize("field", ["max_width", "max_states", "max_class_size"])

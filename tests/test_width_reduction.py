@@ -37,10 +37,10 @@ from .test_acceptance import every_context
 P = Permutation.parse
 
 
-def unreduced_search(ctx: AlmostSimpleContext, pred, kind: str):
+def unreduced_search(ctx: AlmostSimpleContext, pred):
     return min_width_search(
         ctx.element, ctx.conjugates, ctx.witnesses, pred,
-        kind=kind, class_complete=ctx.class_complete,
+        class_complete=ctx.class_complete,
     )
 
 
@@ -73,7 +73,7 @@ def test_pruned_engine_agrees_with_unreduced_on_every_context():
         cases = [("alpha", alpha(ctx), lambda o: o == target)]
         cases += [(f"beta[{r}]", beta(ctx, r), lambda o, r=r: o % r == 0) for r in rs]
         for kind, pruned, pred in cases:
-            plain = unreduced_search(ctx, pred, kind)
+            plain = unreduced_search(ctx, pred)
             fields = ("value", "explored_width", "saturated", "exhaustive")
             assert [getattr(pruned, f) for f in fields] == [
                 getattr(plain, f) for f in fields
@@ -122,7 +122,7 @@ def test_states_visited_counts_are_pinned_on_the_unreduced_engine(monkeypatch):
         return AlmostSimpleContext.build(alternating_group(n), P(x, n))
 
     def count(c, pred):
-        return unreduced_search(c, pred, "width").states_visited
+        return unreduced_search(c, pred).states_visited
 
     def whole(c):
         return lambda o: o == c.ambient.order_int
@@ -151,7 +151,7 @@ def test_truncated_classes_are_searched_unreduced():
     target = ctx.ambient.order_int
     res = alpha(ctx)
     assert res.value is not None and res.value >= 3 and not res.exhaustive
-    assert res == unreduced_search(ctx, lambda o: o == target, "alpha")
+    assert res == unreduced_search(ctx, lambda o: o == target)
 
 
 # -- the centralizer ------------------------------------------------------------------
