@@ -421,6 +421,8 @@ def cmd_width_table(args) -> tuple[dict, int]:
         for r in r_given:
             if not is_prime(r) or r == 2:
                 raise _InputError(f"--r entries must be odd primes, got {r}")
+            if r > ns[-1]:
+                raise _InputError(f"--r entry {r} exceeds every degree in --n {args.n}")
     records: list[dict] = []
     any_uncertified = False
     any_violation = False
@@ -545,6 +547,8 @@ def cmd_verify_bs(args) -> tuple[dict, int]:
 
 
 def cmd_verify_bs_sweep(args) -> tuple[dict, int]:
+    if args.order_cap < 2:
+        raise _InputError(f"--order-cap must be >= 2 (C2 has order 2), got {args.order_cap}")
     budget = _budget(args)
     records: list[dict] = []
     for entry in catalog_groups(max_order=args.order_cap):

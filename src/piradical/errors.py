@@ -50,10 +50,6 @@ class TooLarge(PiradicalError):
     """An enumeration would exceed the configured cap."""
 
 
-class ClassTooLarge(TooLarge):
-    """A conjugacy class exceeds the configured class-size cap."""
-
-
 class BudgetExhausted(PiradicalError):
     """A search ran out of its state/width budget before reaching a
     definitive answer."""

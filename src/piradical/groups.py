@@ -290,7 +290,7 @@ class PermGroup:
 
     # -- enumeration and sampling ---------------------------------------------
 
-    def _element_images(self, cap: int) -> list[Images]:
+    def element_tuples(self, cap: int = 10**6) -> list[Images]:
         """Image tuples of all elements in the canonical transversal-product
         order (the identity comes first); :class:`TooLarge` above ``cap``."""
         if self.order_int > cap:
@@ -304,13 +304,8 @@ class PermGroup:
         return elems
 
     def elements(self, cap: int = 10**6) -> list[Permutation]:
-        """All elements, in the canonical transversal-product order (the
-        identity comes first).  Raises :class:`TooLarge` above ``cap``."""
-        return [Permutation(t) for t in self._element_images(cap)]
-
-    def element_tuples(self, cap: int = 10**6) -> set[Images]:
-        """Image tuples of all elements, as a set (order-free fast variant)."""
-        return set(self._element_images(cap))
+        """All elements, in the order of :meth:`element_tuples`."""
+        return [Permutation(t) for t in self.element_tuples(cap)]
 
     def random_element(self, rng: random.Random | int = 0) -> Permutation:
         """Exactly uniform element from the seeded generator: one transversal

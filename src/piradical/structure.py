@@ -1,5 +1,10 @@
 """Prime sets, conjugacy classes, normal closures, and the pi-radical.
 
+:class:`GroupClassData` is the one place a group's conjugacy classes are
+computed: its representatives and sizes from one scan of the element
+enumeration on image tuples, and each class table (members with their
+conjugating witnesses) once per representative, for the life of the object.
+
 For a set of primes pi, a pi-number has all its prime divisors in pi and a
 pi-group has pi-number order.  The pi-radical ``O_pi(G)`` is the largest
 normal pi-subgroup of G.  It is computed here from its element
@@ -22,12 +27,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
-from .errors import (
-    ClassTooLarge,
-    InvariantViolation,
-    NotAMember,
-    TooLarge,
-)
+from .errors import InvariantViolation, NotAMember, TooLarge
 from .factored import FactoredInteger, is_prime
 from .groups import PermGroup
 from .perms import Permutation, compose_images, conjugate_images
@@ -104,30 +104,27 @@ def is_pi_group(G: PermGroup, pi: PrimeSet) -> bool:
 # ---------------------------------------------------------------------------
 # conjugacy
 
+# (members, conjugating witnesses, complete)
+ClassTable = tuple[list[Permutation], list[Permutation], bool]
 
-def conjugation_orbit(
-    G: PermGroup,
-    x: Permutation,
-    cap: int = 10**5,
-    with_witnesses: bool = True,
-) -> tuple[list[Permutation], list[Permutation] | None, bool]:
+
+def conjugation_orbit(G: PermGroup, x: Permutation, cap: int = 10**5) -> ClassTable:
     """Orbit of ``x`` under G-conjugation by breadth-first search over the
     group's generators, with conjugating witnesses: ``x ** w[i] == orbit[i]``
     and ``orbit[0] == x``, ``w[0] == identity``.
 
     Returns ``(members, witnesses, complete)``.  If the orbit exceeds
-    ``cap`` the search stops early and ``complete`` is False (the truncated
-    prefix is still a genuine subset of the class, in deterministic order).
+    ``cap`` the search stops early and ``complete`` is False; the truncated
+    orbit is the first ``cap`` members of the full one, in the same order.
     """
-    ident = Permutation.identity(G.degree)
     members = [x]
-    witnesses = [ident] if with_witnesses else None
+    witnesses = [Permutation.identity(G.degree)]
     seen = {x.images}
     gens = [g.images for g in G.generators]
     queue_idx = 0
     while queue_idx < len(members):
         m = members[queue_idx].images
-        w = witnesses[queue_idx].images if with_witnesses else None
+        w = witnesses[queue_idx].images
         queue_idx += 1
         for g in gens:
             y = conjugate_images(m, g)
@@ -136,19 +133,8 @@ def conjugation_orbit(
                     return members, witnesses, False
                 seen.add(y)
                 members.append(Permutation(y))
-                if with_witnesses:
-                    witnesses.append(Permutation(compose_images(w, g)))
+                witnesses.append(Permutation(compose_images(w, g)))
     return members, witnesses, True
-
-
-def centralizer_order(G: PermGroup, x: Permutation, cap: int = 10**5) -> FactoredInteger:
-    """|C_G(x)| = |G| / |x^G| by orbit-stabilizer, in factored form."""
-    members, _, complete = conjugation_orbit(G, x, cap=cap, with_witnesses=False)
-    if not complete:
-        raise ClassTooLarge(f"class of {x} exceeds cap {cap}")
-    if not G.contains(x):
-        raise NotAMember(f"{x} is not in the group")
-    return G.order.exact_div(FactoredInteger.from_int(len(members)))
 
 
 def class_representatives(
@@ -156,19 +142,27 @@ def class_representatives(
 ) -> list[tuple[Permutation, int]]:
     """One representative per conjugacy class with its class size, found by a
     deterministic scan of the canonical element enumeration (first-seen
-    element of each class represents it).  The sizes summing to |G| is a
-    built-in coverage certificate.  Requires ``|G| <= cap``."""
+    element of each class represents it).  Each class is traced on image
+    tuples against one seen-set shared by the whole scan; only the
+    representatives become :class:`Permutation` objects.  The sizes summing
+    to |G| is a built-in coverage certificate.  Requires ``|G| <= cap``."""
     if G.order_int > cap:
         raise TooLarge(f"group order {G.order_int} exceeds cap {cap}")
+    gens = [g.images for g in G.generators]
     reps: list[tuple[Permutation, int]] = []
-    assigned: set[tuple[int, ...]] = set()
-    for e in G.elements(cap):
-        if e.images in assigned:
+    seen: set[tuple[int, ...]] = set()
+    for e in G.element_tuples(cap):
+        if e in seen:
             continue
-        members, _, complete = conjugation_orbit(G, e, cap=G.order_int, with_witnesses=False)
-        assert complete
-        assigned.update(m.images for m in members)
-        reps.append((e, len(members)))
+        seen.add(e)
+        orbit = [e]
+        for m in orbit:  # grows while it is read: a breadth-first search
+            for g in gens:
+                y = conjugate_images(m, g)
+                if y not in seen:
+                    seen.add(y)
+                    orbit.append(y)
+        reps.append((Permutation(e), len(orbit)))
     if sum(size for _, size in reps) != G.order_int:
         raise InvariantViolation("class sizes do not sum to the group order")
     return reps
@@ -178,10 +172,6 @@ def element_order_spectrum(G: PermGroup, cap: int = 10**5) -> frozenset[int]:
     """The set of element orders of G (orders are class functions, so class
     representatives suffice)."""
     return frozenset(rep.order() for rep, _ in class_representatives(G, cap))
-
-
-def has_element_of_order(G: PermGroup, n: int, cap: int = 10**5) -> bool:
-    return n in element_order_spectrum(G, cap)
 
 
 # ---------------------------------------------------------------------------
@@ -211,17 +201,21 @@ def normal_closure(G: PermGroup, elements: Sequence[Permutation]) -> PermGroup:
 
 
 class GroupClassData:
-    """Per-group cache: class representatives, class closures, radicals.
+    """Per-group cache: class representatives, class tables, class closures,
+    radicals.
 
-    The closures are pi-independent, so sweeps over many prime sets, and the
-    radical with its lattice crosscheck, reuse one instance; ``closures`` is
-    the one place they are computed.
+    The one place G's classes are computed: ``reps`` in one tuple scan,
+    ``class_table`` and ``closures`` once per representative.  All of it is
+    pi-independent, so sweeps over many prime sets, the radical with its
+    lattice crosscheck, and every width search over G's classes share one
+    instance.
     """
 
     def __init__(self, G: PermGroup, cap: int = 10**5):
         self.group = G
         self.cap = cap
         self._reps: list[tuple[Permutation, int]] | None = None
+        self._tables: dict[tuple[int, ...], ClassTable] = {}
         self._closures: list[tuple[Permutation, PermGroup]] | None = None
         self._radicals: dict[PrimeSet, PermGroup] = {}
 
@@ -230,6 +224,13 @@ class GroupClassData:
         if self._reps is None:
             self._reps = class_representatives(self.group, self.cap)
         return self._reps
+
+    def class_table(self, rep: Permutation) -> ClassTable:
+        """``conjugation_orbit(G, rep)``: the G-class of ``rep`` in
+        breadth-first order with conjugating witnesses, computed once."""
+        if rep.images not in self._tables:
+            self._tables[rep.images] = conjugation_orbit(self.group, rep, self.cap)
+        return self._tables[rep.images]
 
     @property
     def closures(self) -> list[tuple[Permutation, PermGroup]]:

@@ -105,6 +105,7 @@ from .factored import FactoredInteger, is_prime
 from .groups import PermGroup
 from .perms import Permutation, compose_images, conjugate_images, inverse_images
 from .structure import (
+    ClassTable,
     GroupClassData,
     PrimeSet,
     conjugation_orbit,
@@ -218,22 +219,19 @@ class WidthResult:
 # class tables
 
 
-def _class_table(
-    conjugating: PermGroup, x: Permutation, budget: SearchBudget
-) -> tuple[list[Permutation], list[Permutation], bool]:
-    """The orbit x^conjugating with witnesses, truncated to a seeded sample
-    of size ``max_class_size`` when larger (x itself always stays first)."""
-    members, wits, complete = conjugation_orbit(
-        conjugating, x, cap=budget.max_class_size, with_witnesses=True
-    )
-    if not complete:
-        rng = random.Random(budget.seed)
-        idx = list(range(1, len(members)))
-        rng.shuffle(idx)
-        order = [0] + idx
-        members = [members[i] for i in order]
-        wits = [wits[i] for i in order]
-    return members, wits, complete
+def _sampled(table: ClassTable, budget: SearchBudget) -> ClassTable:
+    """A class table cut to its first ``max_class_size`` members and shuffled
+    into a seeded sample when larger (x itself always stays first).  A
+    breadth-first orbit stopped at a cap is a prefix of the full one, so a
+    capped table and a complete one give the same sample."""
+    members, wits, complete = table
+    if complete and len(members) <= budget.max_class_size:
+        return table
+    rng = random.Random(budget.seed)
+    idx = list(range(1, min(len(members), budget.max_class_size)))
+    rng.shuffle(idx)
+    order = [0] + idx
+    return [members[i] for i in order], [wits[i] for i in order], False
 
 
 # ---------------------------------------------------------------------------
@@ -624,7 +622,9 @@ class AlmostSimpleContext:
                     f"ambient centralizer of the socle contains {witness}; "
                     "the context is not almost simple"
                 )
-        members, wits, complete = _class_table(socle, element, budget)
+        members, wits, complete = _sampled(
+            conjugation_orbit(socle, element, cap=budget.max_class_size), budget
+        )
         return cls(
             socle=socle,
             element=element,
@@ -754,14 +754,16 @@ def _non_pi_predicate(pi: PrimeSet) -> OrderPredicate:
 
 
 def _class_search(
-    G: PermGroup, rep: Permutation, pred: OrderPredicate, budget: SearchBudget
+    data: GroupClassData, rep: Permutation, pred: OrderPredicate, budget: SearchBudget
 ) -> WidthResult:
-    """The width search over the G-class of ``rep``.  Raises
-    :class:`BudgetExhausted` when it found nothing and was cut off before
-    every tuple up to ``budget.max_width`` was searched."""
-    members, wits, complete = _class_table(G, rep, budget)
+    """The width search over the G-class of ``rep`` (G is ``data.group``),
+    on the cached class table.  Raises :class:`BudgetExhausted` when it
+    found nothing and was cut off before every tuple up to
+    ``budget.max_width`` was searched."""
+    members, wits, complete = _sampled(data.class_table(rep), budget)
     res = min_width_search(
-        rep, members, wits, pred, budget=budget, class_complete=complete, group=G
+        rep, members, wits, pred,
+        budget=budget, class_complete=complete, group=data.group,
     )
     if res.value is None and res.status not in _SEARCHED_TO_WIDTH:
         raise BudgetExhausted(
@@ -811,7 +813,7 @@ def bs_membership(
                 )
             )
             continue
-        res = _class_search(G, rep, pred, replace(budget, max_width=m))
+        res = _class_search(data, rep, pred, replace(budget, max_width=m))
         searched = res.status in _SEARCHED_TO_WIDTH
         records.append(
             ClassMembershipRecord(
@@ -882,7 +884,7 @@ def minimal_membership_width(
     for rep, _size in data.reps:
         if radical.contains(rep):
             continue
-        res = _class_search(G, rep, pred, budget)
+        res = _class_search(data, rep, pred, budget)
         if res.value is None:
             raise BudgetExhausted(
                 f"no non-pi width found for {rep} within budget {budget}"
@@ -933,7 +935,7 @@ def baer_suzuki_check(
     records: list[ClassPairRecord] = []
     for rep, _size in data.reps:
         in_rad = radical.contains(rep)
-        res = _class_search(G, rep, pred, replace(budget, max_width=2))
+        res = _class_search(data, rep, pred, replace(budget, max_width=2))
         all_pairs = res.value is None
         witness_pair = None
         if res.value is not None:

@@ -35,14 +35,29 @@ ARGV = [
 ]
 
 
-def test_every_subcommand_runs_under_the_benchmark_spans():
+def run_traced(argvs: list[list[str]]) -> dict:
     env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(ROOT / "src"), str(ROOT / "perfbench")]))
     done = subprocess.run(
-        [sys.executable, "-c", SCRIPT, json.dumps(ARGV)],
+        [sys.executable, "-c", SCRIPT, json.dumps(argvs)],
         env=env, capture_output=True, text=True, timeout=120,
     )
     assert done.returncode == 0, done.stderr
     out = json.loads(done.stdout.splitlines()[-1])
-    assert out["codes"] == {argv[0]: 0 for argv in ARGV}
+    assert out["codes"] == {argv[0]: 0 for argv in argvs}
+    return out["metrics"]
+
+
+def test_every_subcommand_runs_under_the_benchmark_spans():
+    metrics = run_traced(ARGV)
     for name in ("width.searches", "structure.orbits", "groups.chain_builds"):
-        assert out["metrics"][name] > 0, name
+        assert metrics[name] > 0, name
+
+
+def test_no_class_table_is_traced_twice_in_one_question():
+    """Every width search over a group's classes reads one cached table."""
+    metrics = run_traced([
+        ["bs-check", "--group", "S5", "--pi", "2", "--m", "2", "--find-min"],
+        ["verify-bs", "--group", "S5"],
+    ])
+    assert metrics["structure.orbits"] > 0
+    assert metrics["structure.orbit_unique_ratio"] == 1.0

@@ -100,8 +100,12 @@ def test_width_budget_exhaustion_exits_three(capsys):
         ["alpha", "--group", "A5", "--aut", "(1 2)", "--budget-max-width", "0"],
         ["alpha", "--group", "A5", "--aut", "(1 2)", "--budget-max-class", "0"],
         ["transposition-sweep", "--r", "5", "--sample", "0"],
+        ["verify-bs-sweep", "--order-cap", "0"],
+        ["verify-bs-sweep", "--order-cap", "1"],
+        ["width-table", "--n", "5", "--r", "7"],
     ],
-    ids=["max-states", "max-width", "max-class", "sample"],
+    ids=["max-states", "max-width", "max-class", "sample", "order-cap-0", "order-cap-1",
+         "r-above-n"],
 )
 def test_degenerate_budget_is_an_input_error(capsys, argv):
     code, out, err = run(capsys, *argv)
@@ -161,6 +165,54 @@ def test_radical_enumerates_the_classes_once(capsys, monkeypatch):
     assert code == 0
     assert report["results"][0]["crosscheck"] == "agrees"
     assert len(calls) == 1
+
+
+@pytest.mark.parametrize(
+    "argv, orbits",
+    [
+        (["verify-bs", "--group", "S7"], 15),
+        (["bs-check", "--group", "S7", "--pi", "2,3", "--m", "2", "--find-min"], 14),
+        (["radical", "--group", "S8", "--pi", "2"], 0),
+    ],
+    ids=["verify-bs", "bs-check", "radical"],
+)
+def test_each_class_table_is_computed_once(capsys, monkeypatch, argv, orbits):
+    """verify-bs searches S7's 15 classes for each of 4 primes, and bs-check
+    searches each of the 14 classes outside the radical twice (m = 2, then
+    the minimal width); the class scan itself traces no orbit."""
+    import piradical.structure as structure
+    import piradical.width as width
+
+    calls = []
+    real = structure.conjugation_orbit
+
+    def counting(*args, **kwargs):
+        calls.append(args[1])
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(structure, "conjugation_orbit", counting)
+    monkeypatch.setattr(width, "conjugation_orbit", counting)
+    code, _ = run_json(capsys, *argv)
+    assert code == 0
+    assert len(calls) == orbits
+    assert len({x.images for x in calls}) == orbits
+
+
+def test_radical_wraps_only_what_leaves_the_class_scan(capsys, monkeypatch):
+    """S8 has 40,320 elements in 22 classes; the scan stays on image tuples."""
+    from piradical.perms import Permutation
+
+    built = [0]
+    real = Permutation.__init__
+
+    def counting(self, *args, **kwargs):
+        built[0] += 1
+        real(self, *args, **kwargs)
+
+    monkeypatch.setattr(Permutation, "__init__", counting)
+    code, report = run_json(capsys, "radical", "--group", "S8", "--pi", "2")
+    assert code == 0 and report["results"][0]["radical_order_int"] == 1
+    assert built[0] < 1000
 
 
 @pytest.mark.parametrize(
@@ -299,6 +351,14 @@ def test_width_table_single_degree(capsys):
     assert transposition_row["beta"] == 2
     assert transposition_row["expected"] == "= r-1"
     assert all(row["bound_ok"] for row in rows)
+
+
+def test_width_table_r_above_part_of_the_range_runs_where_it_fits(capsys):
+    code, report = run_json(capsys, "width-table", "--n", "5-8", "--r", "7")
+    assert code == 0
+    rows = report["results"]
+    assert rows and {row["socle"] for row in rows} == {"A7", "A8"}
+    assert all(row["r"] == 7 for row in rows)
 
 
 def test_width_table_includes_semilinear_row_at_six(capsys):

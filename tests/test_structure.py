@@ -3,16 +3,14 @@
 import pytest
 
 from piradical import (
-    NotAMember,
     PermGroup,
     Permutation,
     PrimeSet,
     TooLarge,
-    centralizer_order,
+    catalog_groups,
     class_representatives,
     conjugation_orbit,
     element_order_spectrum,
-    has_element_of_order,
     is_pi_group,
     is_pi_number,
     FactoredInteger,
@@ -110,14 +108,7 @@ def test_class_size_times_centralizer_is_group_order():
     elems = closure(G.generators, 4)
     for x in [P("(1 2)", 4), P("(1 2 3)", 4), P("(1 2 3 4)"), P("(1 2)(3 4)")]:
         members, _, _ = conjugation_orbit(G, x)
-        cz = centralizer_order(G, x)
-        assert len(members) * cz.value == 24
-        assert cz.value == centralizer_size(elems, x)
-
-
-def test_centralizer_requires_membership():
-    with pytest.raises(NotAMember):
-        centralizer_order(A5(), P("(1 2)", 5))
+        assert len(members) * centralizer_size(elems, x) == 24
 
 
 def test_class_representatives_of_s4():
@@ -130,6 +121,23 @@ def test_class_representatives_of_s4():
     assert types == {(), (2,), (2, 2), (3,), (4,)}
 
 
+def test_tuple_scan_matches_a_scan_of_orbits_over_elements():
+    """The first-seen element of each class, scanned over ``elements()`` with
+    one orbit per unseen element, is the reference for the tuple scan."""
+    for entry in catalog_groups(10**4):
+        G = entry.group
+        want = []
+        seen = set()
+        for e in G.elements():
+            if e.images in seen:
+                continue
+            members, _, complete = conjugation_orbit(G, e, cap=G.order_int)
+            assert complete
+            seen.update(m.images for m in members)
+            want.append((e, len(members)))
+        assert class_representatives(G) == want, entry.name
+
+
 def test_class_representatives_cap():
     with pytest.raises(TooLarge):
         class_representatives(A5(), cap=59)
@@ -138,8 +146,6 @@ def test_class_representatives_cap():
 def test_element_order_spectrum():
     assert element_order_spectrum(S4()) == frozenset({1, 2, 3, 4})
     assert element_order_spectrum(A5()) == frozenset({1, 2, 3, 5})
-    assert has_element_of_order(A5(), 5)
-    assert not has_element_of_order(A5(), 4)
 
 
 # -- normal closures and normal subgroups --------------------------------------

@@ -1,6 +1,7 @@
 """Width searches: generation counts, radical membership, pair checks."""
 
 import dataclasses
+import random
 
 import pytest
 
@@ -23,6 +24,7 @@ from piradical import (
     baer_suzuki_check,
     beta,
     bs_membership,
+    conjugation_orbit,
     cyclic_group,
     dihedral_group,
     involution_pair_orders,
@@ -34,6 +36,7 @@ from piradical import (
     symmetric_group,
     transposition_pi_sweep,
 )
+from piradical import width
 from piradical.width import _Chains, _search
 
 P = Permutation.parse
@@ -372,6 +375,34 @@ def test_group_class_data_reuses_radicals():
     assert data.radical(pi) is data.radical(pi)
     assert data.radical(pi).order_int == 4
     assert sum(size for _, size in data.reps) == 24
+
+
+def test_class_search_samples_the_cached_table_like_a_capped_orbit(monkeypatch):
+    """A capped breadth-first orbit is a prefix of the full one, so sampling
+    the cached table gives the capped orbit's seeded sample."""
+    G = symmetric_group(6)
+    data = GroupClassData(G)
+    searched = []
+    search = width.min_width_search
+
+    def recording(x, conjugates, witnesses, pred, **kwargs):
+        searched.append((list(conjugates), list(witnesses), kwargs["class_complete"]))
+        return search(x, conjugates, witnesses, pred, **kwargs)
+
+    monkeypatch.setattr(width, "min_width_search", recording)
+    for rep, size in data.reps:
+        for k in sorted({1, 2, size - 1, size, size + 1} - {0}):
+            budget = SearchBudget(max_width=1, max_class_size=k, seed=5)
+            res = width._class_search(data, rep, lambda o: True, budget)
+            members, wits, complete = conjugation_orbit(G, rep, cap=k)
+            if not complete:
+                idx = list(range(1, len(members)))
+                random.Random(budget.seed).shuffle(idx)
+                members = [members[i] for i in [0] + idx]
+                wits = [wits[i] for i in [0] + idx]
+            assert searched.pop() == (members, wits, complete), (rep, k)
+            assert (res.status == "sampled_class") == (k < size), (rep, k)
+    assert all(len(data.class_table(rep)[0]) == size for rep, size in data.reps)
 
 
 # -- pair checks -----------------------------------------------------------------
