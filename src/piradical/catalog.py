@@ -321,7 +321,6 @@ class ProjectiveSemilinear9:
     psigmal: PermGroup
     m10: PermGroup
     field_involution: Permutation
-    diagonal_involution: Permutation
     involution_outside_s6: Permutation
 
 
@@ -379,7 +378,6 @@ def projective_semilinear_9() -> ProjectiveSemilinear9:
         psigmal=psigmal,
         m10=m10,
         field_involution=sigma,
-        diagonal_involution=diag,
         involution_outside_s6=diag,
     )
 

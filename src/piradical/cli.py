@@ -161,6 +161,11 @@ def _add_output_flags(p: argparse.ArgumentParser) -> None:
 
 def _add_budget_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--budget-max-width", type=int, default=12)
+    _add_pair_budget_flags(p)
+
+
+def _add_pair_budget_flags(p: argparse.ArgumentParser) -> None:
+    """The budget of a search whose width is fixed (the pair checks)."""
     p.add_argument("--budget-max-states", type=int, default=100_000)
     p.add_argument("--budget-max-class", type=int, default=100_000)
     _add_seed_flag(p)
@@ -177,7 +182,7 @@ def _add_group_flags(p: argparse.ArgumentParser) -> None:
 
 def _budget(args) -> SearchBudget:
     return SearchBudget(
-        max_width=args.budget_max_width,
+        max_width=getattr(args, "budget_max_width", SearchBudget.max_width),
         max_states=args.budget_max_states,
         max_class_size=args.budget_max_class,
         seed=args.seed,
@@ -423,6 +428,8 @@ def cmd_width_table(args) -> tuple[dict, int]:
                 raise _InputError(f"--r entries must be odd primes, got {r}")
             if r > ns[-1]:
                 raise _InputError(f"--r entry {r} exceeds every degree in --n {args.n}")
+        if len(set(r_given)) != len(r_given):
+            raise _InputError(f"--r entries must be distinct, got {args.r}")
     records: list[dict] = []
     any_uncertified = False
     any_violation = False
@@ -661,7 +668,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     _add_group_flags(p)
     p.add_argument("--p", type=int, default=None, help="a prime; default: all dividing |G|")
-    _add_budget_flags(p)
+    _add_pair_budget_flags(p)
     _add_output_flags(p)
     p.set_defaults(func=cmd_verify_bs)
 
@@ -670,7 +677,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="pairwise-generation criterion across the whole catalog",
     )
     p.add_argument("--order-cap", type=int, default=2000)
-    _add_budget_flags(p)
+    _add_pair_budget_flags(p)
     _add_output_flags(p)
     p.set_defaults(func=cmd_verify_bs_sweep)
 

@@ -379,17 +379,6 @@ class PermGroup:
                     return False
         return True
 
-    def conjugated_by(self, g: Permutation) -> "PermGroup":
-        from .perms import conjugate_images
-
-        return PermGroup.from_generators(
-            tuple(
-                Permutation(conjugate_images(h.images, g.images))
-                for h in self.generators
-            ),
-            self.degree,
-        )
-
     # -- misc ------------------------------------------------------------------
 
     def __repr__(self) -> str:

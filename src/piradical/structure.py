@@ -3,7 +3,8 @@
 :class:`GroupClassData` is the one place a group's conjugacy classes are
 computed: its representatives and sizes from one scan of the element
 enumeration on image tuples, and each class table (members with their
-conjugating witnesses) once per representative, for the life of the object.
+conjugating witnesses, as image tuples) once per representative, for the
+life of the object.
 
 For a set of primes pi, a pi-number has all its prime divisors in pi and a
 pi-group has pi-number order.  The pi-radical ``O_pi(G)`` is the largest
@@ -29,7 +30,7 @@ from typing import Iterable, Sequence
 
 from .errors import InvariantViolation, NotAMember, TooLarge
 from .factored import FactoredInteger, is_prime
-from .groups import PermGroup
+from .groups import Images, PermGroup
 from .perms import Permutation, compose_images, conjugate_images
 
 # ---------------------------------------------------------------------------
@@ -104,27 +105,30 @@ def is_pi_group(G: PermGroup, pi: PrimeSet) -> bool:
 # ---------------------------------------------------------------------------
 # conjugacy
 
-# (members, conjugating witnesses, complete)
-ClassTable = tuple[list[Permutation], list[Permutation], bool]
+# (members, conjugating witnesses, complete), members and witnesses as image
+# tuples: the width engine reads them as tuples, and wraps a Permutation only
+# for what leaves it
+ClassTable = tuple[list[Images], list[Images], bool]
 
 
 def conjugation_orbit(G: PermGroup, x: Permutation, cap: int = 10**5) -> ClassTable:
     """Orbit of ``x`` under G-conjugation by breadth-first search over the
-    group's generators, with conjugating witnesses: ``x ** w[i] == orbit[i]``
-    and ``orbit[0] == x``, ``w[0] == identity``.
+    group's generators, with conjugating witnesses, all as image tuples:
+    ``conjugate_images(x.images, w[i]) == orbit[i]`` and
+    ``orbit[0] == x.images``, ``w[0]`` the identity.
 
     Returns ``(members, witnesses, complete)``.  If the orbit exceeds
     ``cap`` the search stops early and ``complete`` is False; the truncated
     orbit is the first ``cap`` members of the full one, in the same order.
     """
-    members = [x]
-    witnesses = [Permutation.identity(G.degree)]
+    members = [x.images]
+    witnesses = [tuple(range(G.degree))]
     seen = {x.images}
     gens = [g.images for g in G.generators]
     queue_idx = 0
     while queue_idx < len(members):
-        m = members[queue_idx].images
-        w = witnesses[queue_idx].images
+        m = members[queue_idx]
+        w = witnesses[queue_idx]
         queue_idx += 1
         for g in gens:
             y = conjugate_images(m, g)
@@ -132,8 +136,8 @@ def conjugation_orbit(G: PermGroup, x: Permutation, cap: int = 10**5) -> ClassTa
                 if len(members) >= cap:
                     return members, witnesses, False
                 seen.add(y)
-                members.append(Permutation(y))
-                witnesses.append(Permutation(compose_images(w, g)))
+                members.append(y)
+                witnesses.append(compose_images(w, g))
     return members, witnesses, True
 
 
@@ -227,7 +231,8 @@ class GroupClassData:
 
     def class_table(self, rep: Permutation) -> ClassTable:
         """``conjugation_orbit(G, rep)``: the G-class of ``rep`` in
-        breadth-first order with conjugating witnesses, computed once."""
+        breadth-first order with conjugating witnesses, as image tuples,
+        computed once."""
         if rep.images not in self._tables:
             self._tables[rep.images] = conjugation_orbit(self.group, rep, self.cap)
         return self._tables[rep.images]

@@ -71,9 +71,14 @@ Two exact state models, cross-checked against each other in the test suite:
   pair scan needs only a product order and builds a chain only on success;
 * partitions (all generators transpositions): <T> is the direct product of
   symmetric groups on the connected components of the edge graph of T (a
-  textbook fact, exposed separately as :class:`TranspositionGraph`), so a
-  state *is* the partition of points it glues together, and a chain is
-  built only for the witness.
+  textbook fact, also behind :func:`transposition_pi_sweep`), so a state
+  *is* the partition of points it glues together, and a chain is built only
+  for the witness.
+
+A class arrives as image tuples (the class table of
+:func:`~piradical.structure.conjugation_orbit`).  The engine reads it as
+tuples and wraps a :class:`Permutation` only where a chain is built from a
+conjugate and where a found result reports its witness and members.
 
 A state, as counted by ``states_visited`` and capped by ``max_states``, is
 every chain (or pair) child before deduplication, but only a partition not
@@ -102,7 +107,7 @@ from .errors import (
     RNotDividingOrder,
 )
 from .factored import FactoredInteger, is_prime
-from .groups import PermGroup
+from .groups import Images, PermGroup
 from .perms import Permutation, compose_images, conjugate_images, inverse_images
 from .structure import (
     ClassTable,
@@ -258,8 +263,8 @@ def _product_order(a: tuple[int, ...], b: tuple[int, ...]) -> int:
 
 def min_width_search(
     x: Permutation,
-    conjugates: Sequence[Permutation],
-    witnesses: Sequence[Permutation],
+    conjugates: Sequence[Images],
+    witnesses: Sequence[Images],
     order_predicate: OrderPredicate,
     *,
     budget: SearchBudget = SearchBudget(),
@@ -269,7 +274,8 @@ def min_width_search(
 ) -> WidthResult:
     """Minimal number of the given conjugates generating a subgroup whose
     order satisfies ``order_predicate`` (see the module docstring for the
-    search semantics).  ``conjugates[0]`` must be ``x`` itself and
+    search semantics).  The conjugates and witnesses are image tuples, as in
+    a class table: ``conjugates[0]`` must be ``x.images`` and
     ``witnesses[i]`` must conjugate ``x`` to ``conjugates[i]``.
     ``class_complete`` False marks the conjugates as a sample of the class.
 
@@ -277,7 +283,7 @@ def min_width_search(
     are.  When it is given and the search is pinned over a complete class,
     the level-2 states are reduced to one per C_group(x)-orbit before
     width 3 is searched; without it the search is unreduced."""
-    if not conjugates or conjugates[0] != x:
+    if not conjugates or conjugates[0] != x.images:
         raise ValueError("conjugates[0] must be x itself")
     model = _Partitions if x.is_transposition() else _Chains
     return _search(
@@ -304,8 +310,8 @@ def _search(
         ids = found[1] if found else ()
         return WidthResult(
             value=explored + 1 if found else None,
-            witness=tuple(witnesses[i] for i in ids) if found else None,
-            members=tuple(conjugates[i] for i in ids) if found else None,
+            witness=tuple(Permutation(witnesses[i]) for i in ids) if found else None,
+            members=tuple(Permutation(conjugates[i]) for i in ids) if found else None,
             certificate_order=subgroup.order if found else None,
             explored_width=explored,
             status=status,
@@ -346,10 +352,10 @@ def _search(
 
 def _centralizer_generators(
     group: PermGroup,
-    conjugates: Sequence[Permutation],
-    witnesses: Sequence[Permutation],
-    index: dict[tuple[int, ...], int],
-) -> list[tuple[int, ...]]:
+    conjugates: Sequence[Images],
+    witnesses: Sequence[Images],
+    index: dict[Images, int],
+) -> list[Images]:
     """Generators of C = C_group(x), x = conjugates[0], as image tuples.
 
     Each edge of the conjugation orbit, member i moved by a generator g of
@@ -358,24 +364,22 @@ def _centralizer_generators(
     it reaches |C| = |group| / |x^group|; a generator that moves x, a member
     mapped outside the class, or a chain that never reaches that order
     raises :class:`InvariantViolation`."""
-    x = conjugates[0].images
+    x = conjugates[0]
     target, rest = divmod(group.order_int, len(conjugates))
     if rest:
         raise InvariantViolation(
             f"class size {len(conjugates)} does not divide |group| = {group.order_int}"
         )
     C = PermGroup.trivial(group.degree)
-    gens: list[tuple[int, ...]] = []
+    gens: list[Images] = []
     edges = ((y, w, g) for y, w in zip(conjugates, witnesses) for g in group.generators)
     for y, w, g in edges:
         if C.order_int == target:
             break
-        j = index.get(conjugate_images(y.images, g.images))
+        j = index.get(conjugate_images(y, g.images))
         if j is None:
-            raise InvariantViolation(f"{y} ** {g} lies outside the class")
-        s = compose_images(
-            compose_images(w.images, g.images), inverse_images(witnesses[j].images)
-        )
+            raise InvariantViolation(f"{Permutation(y)} ** {g} lies outside the class")
+        s = compose_images(compose_images(w, g.images), inverse_images(witnesses[j]))
         if conjugate_images(x, s) != x:
             raise InvariantViolation("a Schreier generator does not centralize x")
         if not C._contains_tuple(s):
@@ -392,7 +396,7 @@ def _one_per_centralizer_orbit(frontier, group, conjugates, witnesses):
     """The level-2 frontier (states <x, y_j>, ids (0, j)) reduced to its
     first entry for each C_group(x)-orbit of j, in frontier order.  The
     orbits on the class indices are traced lazily, one per kept entry."""
-    index = {y.images: i for i, y in enumerate(conjugates)}
+    index = {y: i for i, y in enumerate(conjugates)}
     gens = _centralizer_generators(group, conjugates, witnesses, index)
     kept = []
     covered: set[int] = set()
@@ -404,9 +408,8 @@ def _one_per_centralizer_orbit(frontier, group, conjugates, witnesses):
         covered.add(j)
         orbit = [j]
         for k in orbit:
-            y = conjugates[k].images
             for c in gens:
-                i = index[conjugate_images(y, c)]
+                i = index[conjugate_images(conjugates[k], c)]
                 if i not in covered:
                     covered.add(i)
                     orbit.append(i)
@@ -418,17 +421,18 @@ class _DihedralPair(NamedTuple):
     order 2|xy|, so its order needs no chain until it is a witness."""
 
     parent: PermGroup
-    y: Permutation
+    y: Images
     order_int: int
 
 
 class _Chains:
     """States are subgroups with stabilizer chains (``None`` before the
-    roots); any class."""
+    roots); any class.  A conjugate becomes a :class:`Permutation` only
+    when a chain is built from it."""
 
     initial = None
 
-    def __init__(self, x: Permutation, conjugates: Sequence[Permutation]):
+    def __init__(self, x: Permutation, conjugates: Sequence[Images]):
         self.conjugates = conjugates
         self.degree = x.degree
         self.pair_scan = x.order() == 2
@@ -438,13 +442,13 @@ class _Chains:
         """<grp, y> for the idx-th conjugate y, or None when y lies in grp."""
         y = self.conjugates[idx]
         if grp is None:
-            return PermGroup.from_generators([y], self.degree)
-        if grp._contains_tuple(y.images):
+            return PermGroup.from_generators([Permutation(y)], self.degree)
+        if grp._contains_tuple(y):
             return None
         if terminal and self.pair_scan and grp.order_int == 2:
             base = grp.generators[0].images
-            return _DihedralPair(grp, y, 2 * _product_order(base, y.images))
-        return grp.extend(y)
+            return _DihedralPair(grp, y, 2 * _product_order(base, y))
+        return grp.extend(Permutation(y))
 
     def order(self, state) -> int:
         return state.order_int
@@ -464,51 +468,65 @@ class _Chains:
 
     def group(self, state, ids) -> PermGroup:
         if isinstance(state, _DihedralPair):
-            return state.parent.extend(state.y)
+            return state.parent.extend(Permutation(state.y))
         return state
+
+
+def _merged(labels: Images, a: int, b: int) -> Images | None:
+    """The point partition ``labels`` (each point labelled by the least point
+    of its block, a canonical key whatever the merge order) with the blocks
+    of points a and b merged; None when they already are one block."""
+    lo, hi = sorted((labels[a], labels[b]))
+    if lo == hi:
+        return None
+    return tuple(lo if label == hi else label for label in labels)
+
+
+def _partition_order(labels: Images) -> int:
+    """The order of the product of Sym(block) over the blocks of ``labels``:
+    the order of the group that transpositions gluing those blocks
+    generate."""
+    return math.prod(math.factorial(k) for k in Counter(labels).values())
 
 
 class _Partitions:
     """States for all-transposition classes: <T> is the product of
     Sym(component) over the edge-graph components of T, so a state *is* the
-    partition of points it glues together, each point labelled by the least
-    point of its block (a canonical key, whatever the merge order)."""
+    partition of points it glues together, as :func:`_merged` labels it."""
 
-    def __init__(self, x: Permutation, conjugates: Sequence[Permutation]):
+    def __init__(self, x: Permutation, conjugates: Sequence[Images]):
         self.conjugates = conjugates
         self.degree = x.degree
         self.initial = tuple(range(x.degree))
-        self.seen: set[tuple[int, ...]] = set()
-        self.edges: list[tuple[int, int]] = []
+        self.seen: set[Images] = set()
+        self.edges: list[tuple[int, ...]] = []
         for y in conjugates:
-            if not y.is_transposition():
+            moved = tuple(i for i, image in enumerate(y) if image != i)
+            if len(moved) != 2:
                 # conjugates of a transposition are transpositions; reaching
                 # this means the caller passed an inconsistent class
-                raise NotATransposition(f"{y} in the class of transposition {x}")
-            a, b = y.moved_points()
-            self.edges.append((a - 1, b - 1))
+                raise NotATransposition(f"{Permutation(y)} in the class of transposition {x}")
+            self.edges.append(moved)
 
     def child(self, labels, idx, terminal):
         """The partition with the idx-th edge's blocks merged, or None when
-        they already are one block or the merged partition was seen."""
-        a, b = self.edges[idx]
-        lo, hi = sorted((labels[a], labels[b]))
-        if lo == hi:
-            return None  # this conjugate already lies in the subgroup
-        merged = tuple(lo if label == hi else label for label in labels)
-        if merged in self.seen:
+        they already are one block (the conjugate lies in the subgroup) or
+        the merged partition was seen."""
+        merged = _merged(labels, *self.edges[idx])
+        if merged is None or merged in self.seen:
             return None
         self.seen.add(merged)
         return merged
 
-    def order(self, labels) -> int:
-        return math.prod(math.factorial(k) for k in Counter(labels).values())
+    order = staticmethod(_partition_order)
 
     def admit(self, labels) -> bool:
         return True  # ``child`` returns only partitions not seen before
 
     def group(self, labels, ids) -> PermGroup:
-        grp = PermGroup.from_generators([self.conjugates[i] for i in ids], self.degree)
+        grp = PermGroup.from_generators(
+            [Permutation(self.conjugates[i]) for i in ids], self.degree
+        )
         if grp.order_int != self.order(labels):  # engine self-check
             raise InvariantViolation("partition model disagrees with the built subgroup")
         return grp
@@ -573,7 +591,8 @@ def _nontrivial_centralizer_element(
 @dataclass
 class AlmostSimpleContext:
     """A socle L, an element x normalizing it, the ambient group <L, x>,
-    and the class x^L with conjugating witnesses (x first).
+    and the class x^L with conjugating witnesses (x first), both as image
+    tuples, as :func:`min_width_search` takes them.
 
     ``build`` validates: degrees match; x normalizes L (else
     :class:`NotNormalizing`); x does not centralize L (else
@@ -585,8 +604,8 @@ class AlmostSimpleContext:
     socle: PermGroup
     element: Permutation
     ambient: PermGroup
-    conjugates: tuple[Permutation, ...]
-    witnesses: tuple[Permutation, ...]
+    conjugates: tuple[Images, ...]
+    witnesses: tuple[Images, ...]
     class_complete: bool
     degenerate: bool = False
 
@@ -961,77 +980,7 @@ def baer_suzuki_check(
 
 
 # ---------------------------------------------------------------------------
-# transposition graphs and the small-sweep lower-bound experiment
-
-
-@dataclass
-class TranspositionGraph:
-    """A set of transpositions viewed as graph edges on 1..degree.
-
-    The generated subgroup is the direct product of the symmetric groups on
-    the connected components, so its order and pi-ness are read off the
-    component sizes; ``check_generated_matches`` confirms that against a
-    direct chain build.
-    """
-
-    degree: int
-    transpositions: tuple[Permutation, ...]
-    components: tuple[tuple[int, ...], ...]
-
-    @classmethod
-    def from_permutations(
-        cls, perms: Sequence[Permutation], degree: int | None = None
-    ) -> "TranspositionGraph":
-        perms = tuple(perms)
-        if degree is None:
-            if not perms:
-                raise ValueError("degree required for an empty transposition set")
-            degree = perms[0].degree
-        parent = list(range(degree))
-
-        def find(a: int) -> int:
-            while parent[a] != a:
-                parent[a] = parent[parent[a]]
-                a = parent[a]
-            return a
-
-        for t in perms:
-            if t.degree != degree:
-                raise DegreeMismatch(f"degree {t.degree} vs {degree}")
-            if not t.is_transposition():
-                raise NotATransposition(f"{t} is not a transposition")
-            a, b = t.moved_points()
-            ra, rb = find(a - 1), find(b - 1)
-            if ra != rb:
-                parent[rb] = ra
-        buckets: dict[int, list[int]] = {}
-        for i in range(degree):
-            buckets.setdefault(find(i), []).append(i + 1)
-        comps = tuple(tuple(v) for v in sorted(buckets.values(), key=lambda b: b[0]))
-        return cls(degree=degree, transpositions=perms, components=comps)
-
-    @property
-    def generated_order(self) -> FactoredInteger:
-        return FactoredInteger.from_product(
-            [math.factorial(len(c)) for c in self.components]
-        )
-
-    def is_pi(self, pi: PrimeSet) -> bool:
-        return is_pi_number(self.generated_order, pi)
-
-    def generated_group(self) -> PermGroup:
-        if not self.transpositions:
-            return PermGroup.trivial(self.degree)
-        return PermGroup.from_generators(self.transpositions, self.degree)
-
-    def check_generated_matches(self) -> bool:
-        """Cross-check the component model against a direct chain build:
-        equal orders and equal orbit partitions."""
-        G = self.generated_group()
-        return (
-            G.order_int == self.generated_order.value
-            and G.orbit_partition == self.components
-        )
+# the small-sweep lower-bound experiment on transpositions
 
 
 @dataclass
@@ -1063,66 +1012,69 @@ def transposition_pi_sweep(
     radical.  Exhaustive when ``sample`` is None; otherwise a seeded sample
     of that many subsets is checked and the report says so.
 
-    Every pi-ness verdict comes from the component model; every
-    ``crosscheck_stride``-th subset (and every non-pi verdict) is re-checked
-    by building the generated group directly.
+    Every pi-ness verdict comes from the partition model of the width
+    engine (:func:`_merged`, :func:`_partition_order`); every
+    ``crosscheck_stride``-th subset, every non-pi verdict and the star are
+    re-checked by building the generated group directly: the same order and
+    the blocks as its orbits.
     """
     if not is_prime(r) or r < 3:
         raise ValueError(f"r must be an odd prime >= 3, got {r}")
     if sample is not None and sample < 1:
         raise ValueError(f"sample must be >= 1, got {sample}")
     pi = PrimeSet.of(*[p for p in range(2, r) if is_prime(p)])
-    degree = r
-    all_transpositions = [
-        Permutation.from_cycles([(a, b)], degree=degree)
-        for a in range(1, degree + 1)
-        for b in range(a + 1, degree + 1)
-    ]
+    # the transposition (a+1 b+1) of Sym(r) for each point pair, in order
+    pairs = list(itertools.combinations(range(r), 2))
+    transpositions = [Permutation.from_cycles([(a + 1, b + 1)], degree=r) for a, b in pairs]
     k = r - 2
     if sample is None:
-        combos: Iterable[tuple[int, ...]] = itertools.combinations(
-            range(len(all_transpositions)), k
-        )
+        combos: Iterable[tuple[int, ...]] = itertools.combinations(range(len(pairs)), k)
         exhaustive = True
     else:
         rng = random.Random(seed)
-        idx = list(range(len(all_transpositions)))
+        idx = list(range(len(pairs)))
         combos = (tuple(sorted(rng.sample(idx, k))) for _ in range(sample))
         exhaustive = False
+
+    def partition(combo: Sequence[int]) -> tuple[Images, FactoredInteger]:
+        labels = tuple(range(r))
+        for i in combo:
+            labels = _merged(labels, *pairs[i]) or labels
+        return labels, FactoredInteger.from_int(_partition_order(labels))
+
+    def crosscheck(combo: Sequence[int], labels: Images, order: FactoredInteger) -> None:
+        G = PermGroup.from_generators([transpositions[i] for i in combo], r)
+        blocks: dict[int, list[int]] = {}
+        for point, label in enumerate(labels):
+            blocks.setdefault(label, []).append(point + 1)
+        if G.order_int != order.value or G.orbit_partition != tuple(map(tuple, blocks.values())):
+            raise InvariantViolation(
+                "transposition partition model disagreed with direct generation"
+            )
+
     checked = 0
     crosschecks = 0
-    all_pi = True
     failing: tuple[Permutation, ...] | None = None
     for combo in combos:
-        subset = [all_transpositions[i] for i in combo]
-        graph = TranspositionGraph.from_permutations(subset, degree)
-        verdict = graph.is_pi(pi)
+        labels, order = partition(combo)
+        verdict = is_pi_number(order, pi)
         if checked % crosscheck_stride == 0 or not verdict:
             crosschecks += 1
-            if not graph.check_generated_matches():
-                raise InvariantViolation(
-                    "transposition component model disagreed with direct generation"
-                )
+            crosscheck(combo, labels, order)
         checked += 1
-        if not verdict and all_pi:
-            all_pi = False
-            failing = tuple(subset)
-    # a witness (r-1)-subset that escapes pi: the star on all r points
-    star = [
-        Permutation.from_cycles([(1, b)], degree=degree) for b in range(2, degree + 1)
-    ]
-    star_graph = TranspositionGraph.from_permutations(star, degree)
-    if not star_graph.check_generated_matches():
-        raise InvariantViolation("star subset cross-check failed")
-    if star_graph.is_pi(pi):
+        if not verdict and failing is None:
+            failing = tuple(transpositions[i] for i in combo)
+    # a witness (r-1)-subset that escapes pi: the star (1 b), b = 2..r, the
+    # first r-1 point pairs
+    star = range(r - 1)
+    star_labels, star_order = partition(star)
+    crosscheck(star, star_labels, star_order)
+    if is_pi_number(star_order, pi):
         raise InvariantViolation(
             f"the star on {r} points generated a pi-group; sweep is inconsistent"
         )
     sym_r = PermGroup.from_generators(
-        [
-            Permutation.parse("(1 2)", degree=degree),
-            Permutation.from_cycles([tuple(range(1, degree + 1))], degree=degree),
-        ]
+        [transpositions[0], Permutation.from_cycles([tuple(range(1, r + 1))], degree=r)]
     )
     # Triviality of the radical: the prime-degree certificate applies for
     # every valid r (transitive, degree r prime, r outside pi); below the
@@ -1141,34 +1093,13 @@ def transposition_pi_sweep(
         r=r,
         pi=pi,
         subsets_checked=checked,
-        all_small_subsets_pi=all_pi,
+        all_small_subsets_pi=failing is None,
         failing_small_subset=failing,
-        witness_subset=tuple(star),
-        witness_order=star_graph.generated_order,
+        witness_subset=tuple(transpositions[i] for i in star),
+        witness_order=star_order,
         radical_order=radical_order,
         crosschecks=crosschecks,
         exhaustive=exhaustive,
         implied_lower_bound=r - 1,
     )
 
-
-# ---------------------------------------------------------------------------
-# involution pair tables (certificates for width-2 failures)
-
-
-def involution_pair_orders(
-    members: Sequence[Permutation],
-) -> list[tuple[int, int, int]]:
-    """Orders of <members[i], members[j]> for all unordered pairs of
-    involutions: the group is dihedral, so the order is 2*|m_i * m_j|
-    (and 2 on the diagonal-degenerate pairs where the product is trivial).
-    """
-    for m in members:
-        if m.order() != 2:
-            raise ValueError(f"{m} is not an involution")
-    out: list[tuple[int, int, int]] = []
-    for i in range(len(members)):
-        for j in range(i + 1, len(members)):
-            k = _product_order(members[i].images, members[j].images)
-            out.append((i, j, 2 * k if k > 1 else 2))
-    return out

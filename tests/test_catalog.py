@@ -191,6 +191,7 @@ def test_outer_involution_swaps_three_cycle_classes():
     while pool:
         seed = min(pool)
         members, _, _ = conjugation_orbit(nine.socle, seed)
+        members = [Permutation(m) for m in members]  # from image tuples
         classes.append(frozenset(members))
         pool -= set(members)
     assert len(classes) == 2 and all(len(c) == 40 for c in classes)

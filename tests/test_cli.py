@@ -103,9 +103,10 @@ def test_width_budget_exhaustion_exits_three(capsys):
         ["verify-bs-sweep", "--order-cap", "0"],
         ["verify-bs-sweep", "--order-cap", "1"],
         ["width-table", "--n", "5", "--r", "7"],
+        ["width-table", "--n", "5", "--r", "3,3"],
     ],
     ids=["max-states", "max-width", "max-class", "sample", "order-cap-0", "order-cap-1",
-         "r-above-n"],
+         "r-above-n", "r-repeated"],
 )
 def test_degenerate_budget_is_an_input_error(capsys, argv):
     code, out, err = run(capsys, *argv)
@@ -117,8 +118,11 @@ def test_degenerate_budget_is_an_input_error(capsys, argv):
     [
         ["radical", "--group", "S4", "--pi", "2", "--budget-max-states", "-1"],
         ["transposition-sweep", "--r", "5", "--budget-max-width", "3"],
+        # the pair checks search width 2 whatever the budget says
+        ["verify-bs", "--group", "S5", "--budget-max-width", "1"],
+        ["verify-bs-sweep", "--order-cap", "60", "--budget-max-width", "1"],
     ],
-    ids=["radical", "transposition-sweep"],
+    ids=["radical", "transposition-sweep", "verify-bs", "verify-bs-sweep"],
 )
 def test_subcommands_without_a_search_reject_budget_flags(capsys, argv):
     with pytest.raises(SystemExit) as exc:
@@ -139,6 +143,8 @@ def test_provenance_carries_a_budget_only_for_searches(capsys):
     _, report = run_json(capsys, "alpha", "--group", "A5", "--aut", "(1 2)")
     assert report["provenance"]["budget_max_states"] == 100_000
     assert report["provenance"]["seed"] == 0
+    _, report = run_json(capsys, "verify-bs", "--group", "S4")
+    assert report["provenance"].keys() & budget_keys == budget_keys - {"budget_max_width"}
 
 
 def test_radical_takes_no_seed(capsys):
@@ -198,8 +204,8 @@ def test_each_class_table_is_computed_once(capsys, monkeypatch, argv, orbits):
     assert len({x.images for x in calls}) == orbits
 
 
-def test_radical_wraps_only_what_leaves_the_class_scan(capsys, monkeypatch):
-    """S8 has 40,320 elements in 22 classes; the scan stays on image tuples."""
+def count_permutations(monkeypatch) -> list[int]:
+    """A counter of the Permutation objects built from here on."""
     from piradical.perms import Permutation
 
     built = [0]
@@ -210,8 +216,31 @@ def test_radical_wraps_only_what_leaves_the_class_scan(capsys, monkeypatch):
         real(self, *args, **kwargs)
 
     monkeypatch.setattr(Permutation, "__init__", counting)
+    return built
+
+
+def test_radical_wraps_only_what_leaves_the_class_scan(capsys, monkeypatch):
+    """S8 has 40,320 elements in 22 classes; the scan stays on image tuples."""
+    built = count_permutations(monkeypatch)
     code, report = run_json(capsys, "radical", "--group", "S8", "--pi", "2")
     assert code == 0 and report["results"][0]["radical_order_int"] == 1
+    assert built[0] < 1000
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["verify-bs", "--group", "S7"],
+        ["bs-check", "--group", "S7", "--pi", "2,3", "--m", "2", "--find-min"],
+    ],
+    ids=["verify-bs", "bs-check"],
+)
+def test_membership_wraps_only_what_leaves_the_width_engine(capsys, monkeypatch, argv):
+    """S7's class tables (up to 840 members each) stay image tuples; only
+    chain roots and children, and what a report prints, are wrapped."""
+    built = count_permutations(monkeypatch)
+    code, _ = run_json(capsys, *argv)
+    assert code == 0
     assert built[0] < 1000
 
 

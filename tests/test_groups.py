@@ -133,15 +133,6 @@ def test_is_normal_in():
     assert not PermGroup.from_generators([P("(1 2)", 4)]).is_normal_in(S4)
 
 
-def test_conjugated_by_moves_generated_subgroup():
-    H = PermGroup.from_generators([P("(1 2)", 3)])
-    K = H.conjugated_by(P("(1 3)", 3))
-    assert K.same_group_as(PermGroup.from_generators([P("(2 3)", 3)]))
-    S4 = PermGroup.from_generators(FIXTURES["S4"][0])
-    g = P("(1 4 2)", 4)
-    assert S4.conjugated_by(g).same_group_as(S4)
-
-
 gen_sets = st.lists(
     st.permutations(tuple(range(5))).map(lambda t: Permutation(tuple(t))),
     min_size=1,

@@ -9,6 +9,8 @@ from piradical import (
     AlmostSimpleContext,
     BudgetExhausted,
     CentralizesSocle,
+    FactoredInteger,
+    InvariantViolation,
     NotATransposition,
     NotNormalizing,
     PermGroup,
@@ -17,7 +19,6 @@ from piradical import (
     PrimeSet,
     RNotDividingOrder,
     SearchBudget,
-    TranspositionGraph,
     GroupClassData,
     alpha,
     alternating_group,
@@ -27,7 +28,8 @@ from piradical import (
     conjugation_orbit,
     cyclic_group,
     dihedral_group,
-    involution_pair_orders,
+    is_pi_group,
+    is_pi_number,
     min_width_search,
     minimal_membership_width,
     odd_pi_two_conjugates_check,
@@ -37,7 +39,7 @@ from piradical import (
     transposition_pi_sweep,
 )
 from piradical import width
-from piradical.width import _Chains, _search
+from piradical.width import _Chains, _Partitions, _merged, _partition_order, _search
 
 P = Permutation.parse
 
@@ -198,7 +200,8 @@ def test_witnesses_conjugate_the_element():
     ctx = ctx_a5("(1 2)(3 4)")
     assert len(ctx.conjugates) == 15
     assert all(
-        ctx.element**w == m for w, m in zip(ctx.witnesses, ctx.conjugates)
+        ctx.element ** Permutation(w) == Permutation(m)
+        for w, m in zip(ctx.witnesses, ctx.conjugates)
     )
 
 
@@ -446,50 +449,64 @@ def test_two_conjugate_check_rejects_even_prime_sets():
         odd_pi_two_conjugates_check(symmetric_group(4), PrimeSet.of(2, 3))
 
 
-# -- transposition graphs ----------------------------------------------------------
+# -- the transposition partition model ---------------------------------------------
+
+
+def partition_of(transpositions, degree):
+    """The engine's partition of the points that ``transpositions`` glue
+    together, folded with ``_merged``, and its blocks as 1-based tuples."""
+    labels = tuple(range(degree))
+    for t in transpositions:
+        a, b = (point - 1 for point in t.moved_points())
+        labels = _merged(labels, a, b) or labels
+    blocks = {}
+    for point, label in enumerate(labels):
+        blocks.setdefault(label, []).append(point + 1)
+    return labels, tuple(map(tuple, blocks.values()))
+
+
+def matches_chain_build(transpositions, degree, labels, blocks):
+    G = PermGroup.from_generators(transpositions, degree)
+    return G.order_int == _partition_order(labels) and G.orbit_partition == blocks
 
 
 def test_transposition_graph_components():
     T = [P("(1 2)", 5), P("(3 4)", 5)]
-    g = TranspositionGraph.from_permutations(T)
-    assert g.components == ((1, 2), (3, 4), (5,))
-    assert g.generated_order.value == 4
-    assert g.is_pi(PrimeSet.of(2))
-    assert g.check_generated_matches()
+    labels, blocks = partition_of(T, 5)
+    assert blocks == ((1, 2), (3, 4), (5,))
+    assert _partition_order(labels) == 4
+    assert is_pi_number(FactoredInteger.from_int(_partition_order(labels)), PrimeSet.of(2))
+    assert matches_chain_build(T, 5, labels, blocks)
 
 
 def test_transposition_graph_star_generates_everything():
     star = [P(f"(1 {k})", 5) for k in range(2, 6)]
-    g = TranspositionGraph.from_permutations(star)
-    assert g.components == ((1, 2, 3, 4, 5),)
-    assert g.generated_order.value == 120
-    assert not g.is_pi(PrimeSet.of(2, 3))
-    assert g.check_generated_matches()
+    labels, blocks = partition_of(star, 5)
+    assert blocks == ((1, 2, 3, 4, 5),)
+    assert _partition_order(labels) == 120
+    assert not is_pi_number(FactoredInteger.from_int(_partition_order(labels)), PrimeSet.of(2, 3))
+    assert matches_chain_build(star, 5, labels, blocks)
 
 
 def test_transposition_graph_empty_set():
-    g = TranspositionGraph.from_permutations([], degree=4)
-    assert g.components == ((1,), (2,), (3,), (4,))
-    assert g.generated_order.is_one()
-    assert g.generated_group().is_trivial()
+    labels, blocks = partition_of([], 4)
+    assert blocks == ((1,), (2,), (3,), (4,))
+    assert _partition_order(labels) == 1
+    assert matches_chain_build([], 4, labels, blocks)
+    assert _merged(labels, 2, 2) is None  # a point is one block with itself
     with pytest.raises(ValueError):
-        TranspositionGraph.from_permutations([])
+        min_width_search(P("(1 2)", 4), [], [], lambda o: True)
 
 
 def test_transposition_graph_rejects_non_transpositions():
     with pytest.raises(NotATransposition):
-        TranspositionGraph.from_permutations([P("(1 2 3)", 3)])
-
-
-def test_involution_pair_orders_are_dihedral():
-    members = [P("(1 2)(3 4)", 5), P("(1 3)(2 4)", 5), P("(1 2)(4 5)", 5)]
-    table = involution_pair_orders(members)
-    assert len(table) == 3
-    for i, j, order in table:
-        H = PermGroup.from_generators([members[i], members[j]])
-        assert H.order_int == order
-    with pytest.raises(ValueError):
-        involution_pair_orders([P("(1 2 3)", 3)])
+        _Partitions(P("(1 2)", 3), [P("(1 2 3)", 3).images])
+    # and through the search, which picks the partition model for x = (1 2)
+    x = P("(1 2)", 3)
+    with pytest.raises(NotATransposition):
+        min_width_search(
+            x, [x.images, P("(1 2 3)", 3).images], [x.images, x.images], lambda o: o > 2
+        )
 
 
 def test_transposition_sweep_small_prime_exact():
@@ -500,9 +517,28 @@ def test_transposition_sweep_small_prime_exact():
     assert report.failing_small_subset is None
     assert report.radical_order.is_one()
     assert report.implied_lower_bound == 4
-    assert not TranspositionGraph.from_permutations(report.witness_subset).is_pi(
-        report.pi
-    )
+    star = PermGroup.from_generators(report.witness_subset)
+    assert star.order_int == report.witness_order.value == 120
+    assert not is_pi_group(star, report.pi)
+
+
+def test_transposition_sweep_crosschecks_every_subset_at_stride_one():
+    report = transposition_pi_sweep(5, crosscheck_stride=1)
+    assert report.subsets_checked == report.crosschecks == 120
+
+
+def test_transposition_sweep_catches_a_wrong_merge(monkeypatch):
+    """The crosscheck against a direct chain build is live: a partition
+    model that skips one merge is caught."""
+    merges = [0]
+
+    def skips_the_first(labels, a, b):
+        merges[0] += 1
+        return labels if merges[0] == 1 else _merged(labels, a, b)
+
+    monkeypatch.setattr(width, "_merged", skips_the_first)
+    with pytest.raises(InvariantViolation):
+        transposition_pi_sweep(5)
 
 
 @pytest.mark.parametrize("sample", [0, -1])

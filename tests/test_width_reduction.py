@@ -160,7 +160,7 @@ def test_truncated_classes_are_searched_unreduced():
 def test_centralizer_of_a_double_transposition_in_alt8():
     """|C| = 20160 / 210 = 96, and C has 10 orbits on the 210 conjugates."""
     ctx = AlmostSimpleContext.build(alternating_group(8), P("(1 2)(3 4)", 8))
-    index = {y.images: i for i, y in enumerate(ctx.conjugates)}
+    index = {y: i for i, y in enumerate(ctx.conjugates)}
     gens = _centralizer_generators(ctx.socle, ctx.conjugates, ctx.witnesses, index)
     C = PermGroup.from_generators([Permutation(g) for g in gens])
     assert C.order_int == 96
@@ -174,7 +174,7 @@ def test_centralizer_of_a_double_transposition_in_alt8():
 
 def test_centralizer_order_check_raises_when_c_falls_short():
     ctx = AlmostSimpleContext.build(alternating_group(6), P("(1 2 3)", 6))
-    index = {y.images: i for i, y in enumerate(ctx.conjugates)}
+    index = {y: i for i, y in enumerate(ctx.conjugates)}
     # a group whose claimed order is twice the real one: the Schreier
     # generators close at |C_L(x)| and never reach the claimed order
     doubled = SimpleNamespace(
@@ -188,12 +188,12 @@ def test_centralizer_order_check_raises_when_c_falls_short():
 
 def test_centralizer_rejects_inconsistent_class_tables():
     ctx = AlmostSimpleContext.build(alternating_group(6), P("(1 2 3)", 6))
-    index = {y.images: i for i, y in enumerate(ctx.conjugates)}
+    index = {y: i for i, y in enumerate(ctx.conjugates)}
     swapped = list(ctx.witnesses)
     swapped[1], swapped[2] = swapped[2], swapped[1]
     with pytest.raises(InvariantViolation, match="does not centralize"):
         _centralizer_generators(ctx.socle, ctx.conjugates, swapped, index)
-    partial = {y.images: i for i, y in enumerate(ctx.conjugates[:10])}
+    partial = {y: i for i, y in enumerate(ctx.conjugates[:10])}
     with pytest.raises(InvariantViolation, match="outside the class"):
         _centralizer_generators(ctx.socle, ctx.conjugates, ctx.witnesses, partial)
 
@@ -229,7 +229,8 @@ def test_alpha_and_beta_match_the_brute_force_oracle(n, rep):
         res = min_width_search(
             ctx.element, ctx.conjugates, ctx.witnesses, pred, group=ctx.socle
         )
-        assert res.value == min_generating_width(ctx.conjugates, n, pred)
+        members = [Permutation(y) for y in ctx.conjugates]
+        assert res.value == min_generating_width(members, n, pred)
         if res.value is None:  # beta_7: absent at every width
             assert res.saturated and res.exhaustive
         else:
@@ -250,7 +251,8 @@ def test_non_pi_widths_match_the_brute_force_oracle(name):
             for sub in itertools.combinations(primes, k):
                 pred = non_pi(PrimeSet.of(*sub))
                 res = min_width_search(rep, members, wits, pred, group=G)
-                assert res.value == min_generating_width(members, G.degree, pred), (
+                as_perms = [Permutation(y) for y in members]
+                assert res.value == min_generating_width(as_perms, G.degree, pred), (
                     rep, sub,
                 )
                 if res.value is None:
