@@ -37,7 +37,7 @@ from .errors import (
 )
 from .factored import FactoredInteger, is_prime
 from .groups import PermGroup
-from .perms import Permutation
+from .perms import Permutation, compose_images
 from .structure import PrimeSet, element_order_spectrum
 
 # ---------------------------------------------------------------------------
@@ -333,8 +333,8 @@ def projective_semilinear_9() -> ProjectiveSemilinear9:
     sigma = Permutation(F.frobenius + (q,))  # z -> z^3, infinity fixed
     if sigma.order() != 2:
         raise InvariantViolation("the field automorphism of GF(9) must be an involution")
-    group = pgl.extend(sigma)
-    psigmal = socle.extend(sigma)
+    group = pgl.extend(sigma.images)
+    psigmal = socle.extend(sigma.images)
     if (group.order_int, socle.order_int, pgl.order_int, psigmal.order_int) != (
         1440,
         360,
@@ -344,14 +344,17 @@ def projective_semilinear_9() -> ProjectiveSemilinear9:
         raise InvariantViolation("PGammaL(2,9) tower orders are wrong")
     if not socle.is_normal_in(group):
         raise InvariantViolation("PSL(2,9) is not normal in PGammaL(2,9)")
+    identity = tuple(range(q + 1))
+
+    def involution_outside_socle(e: tuple[int, ...]) -> bool:
+        return e != identity and compose_images(e, e) == identity and not socle._contains_tuple(e)
+
     # least involution in the PGL coset
-    diag = min(
-        e for e in pgl.elements() if e.order() == 2 and not socle.contains(e)
-    )
+    diag = Permutation(min(filter(involution_outside_socle, pgl.element_tuples())))
     m = diag * sigma
     if pgl.contains(m) or psigmal.contains(m):
         raise InvariantViolation("coset representative for M_10 landed in a known coset")
-    m10 = socle.extend(m)
+    m10 = socle.extend(m.images)
     if m10.order_int != 720:
         raise InvariantViolation("M_10 must have order 720")
     overgroups = {"pgl": pgl, "psigmal": psigmal, "m10": m10}
@@ -368,9 +371,8 @@ def projective_semilinear_9() -> ProjectiveSemilinear9:
             f"order spectra do not identify the overgroups: 6 in {has6}, 10 in {has10}"
         )
     # the non-socle coset of M_10 carries no involutions
-    for e in m10.elements():
-        if e.order() == 2 and not socle.contains(e):
-            raise InvariantViolation("M_10 has an involution outside the socle")
+    if any(map(involution_outside_socle, m10.element_tuples())):
+        raise InvariantViolation("M_10 has an involution outside the socle")
     return ProjectiveSemilinear9(
         group=group,
         socle=socle,

@@ -73,11 +73,6 @@ class NotATransposition(PiradicalError, ValueError):
     """An element required to be a transposition is not one."""
 
 
-class PowerIsIdentity(PiradicalError, ValueError):
-    """A requested power of an element is the identity, so the comparison
-    it was needed for is vacuous."""
-
-
 class RNotDividingOrder(PiradicalError, ValueError):
     """The prime r does not divide the order of the ambient group, so no
     subgroup order can be divisible by r."""

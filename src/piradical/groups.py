@@ -20,21 +20,24 @@ Consequences used throughout the package:
   left-to-right composition), which yields canonical element enumeration and
   exactly uniform seeded random elements.
 
-``extend`` rebuilds a chain from an existing group's strong generators plus
-new ones, reusing the parent's base; most Schreier generators then sift
-instantly, which is what the width-search hot loop relies on.
+Elements are image tuples throughout: a group keeps its generating set as
+``gens``, and ``extend`` takes image tuples and rebuilds a chain from the
+parent's level-0 generators plus the new ones, reusing the parent's base;
+most Schreier generators then sift instantly, which is what the width-search
+hot loop relies on.  :class:`Permutation` appears only at the public edge:
+``from_generators`` takes permutations, and ``generators`` is a view that
+wraps ``gens`` the first time it is read.
 """
 
 from __future__ import annotations
 
 import math
 import random
-from functools import reduce
 from typing import Iterable
 
 from .errors import DegreeMismatch, TooLarge
 from .factored import FactoredInteger
-from .perms import Permutation, compose_images, inverse_images
+from .perms import Permutation, conjugate_images, inverse_images
 
 Images = tuple[int, ...]
 
@@ -181,16 +184,25 @@ class PermGroup:
     """A finite permutation group of fixed degree with a BSGS chain.
 
     Build with :meth:`from_generators` (or :meth:`trivial`); instances are
-    immutable.  ``generators`` records the generating set the chain was built
-    from (for a group made by :meth:`extend` this is the parent's strong
-    generators plus the new elements).
+    immutable.  ``gens`` holds, as image tuples, the generating set the chain
+    was built from (for a group made by :meth:`extend` this is the parent's
+    level-0 generators plus the new elements); ``generators`` is the same set
+    as :class:`Permutation` objects.
     """
 
-    def __init__(self, degree: int, generators: tuple[Permutation, ...], levels: list[_Level]):
+    def __init__(
+        self,
+        degree: int,
+        gens: tuple[Images, ...],
+        levels: list[_Level],
+        generators: tuple[Permutation, ...] | None = None,
+    ):
         self.degree = degree
-        self.generators = generators
+        self.gens = gens
         self._levels = levels
         self._identity: Images = tuple(range(degree))
+        if generators is not None:
+            self._generators = generators
 
     # -- constructors --------------------------------------------------------
 
@@ -201,30 +213,43 @@ class PermGroup:
         degree: int | None = None,
         seed_base: Iterable[int] = (),
     ) -> "PermGroup":
-        gens = tuple(generators)
+        generators = tuple(generators)
         if degree is None:
-            if not gens:
+            if not generators:
                 raise ValueError("degree is required for an empty generating set")
-            degree = gens[0].degree
-        for g in gens:
+            degree = generators[0].degree
+        for g in generators:
             if g.degree != degree:
                 raise DegreeMismatch(
                     f"generator degree {g.degree} != group degree {degree}"
                 )
-        levels = _build_levels(degree, (g.images for g in gens), seed_base)
-        return cls(degree, gens, levels)
+        gens = tuple(g.images for g in generators)
+        return cls(degree, gens, _build_levels(degree, gens, seed_base), generators)
 
     @classmethod
     def trivial(cls, degree: int) -> "PermGroup":
         return cls.from_generators((), degree)
 
-    def extend(self, *new_gens: Permutation) -> "PermGroup":
-        """Group generated by this group together with ``new_gens``,
-        rebuilt warm from this chain's strong generators and base."""
-        gens = self.strong_generators + tuple(new_gens)
-        return PermGroup.from_generators(
-            gens, self.degree, seed_base=[lev.point for lev in self._levels]
-        )
+    def extend(self, *new_gens: Images) -> "PermGroup":
+        """Group generated by this group together with the image tuples
+        ``new_gens``, rebuilt warm from this chain's level-0 generators and
+        base."""
+        for t in new_gens:
+            if len(t) != self.degree:
+                raise DegreeMismatch(f"degree {len(t)} vs group degree {self.degree}")
+        gens = (tuple(self._levels[0].gens) if self._levels else ()) + new_gens
+        levels = _build_levels(self.degree, gens, [lev.point for lev in self._levels])
+        return PermGroup(self.degree, gens, levels)
+
+    @property
+    def generators(self) -> tuple[Permutation, ...]:
+        """``gens`` as :class:`Permutation` objects (the ones given to
+        :meth:`from_generators`, or wrapped on first read)."""
+        try:
+            return self._generators
+        except AttributeError:
+            self._generators = tuple(Permutation(t) for t in self.gens)
+            return self._generators
 
     # -- chain data ----------------------------------------------------------
 
@@ -232,12 +257,6 @@ class PermGroup:
     def base(self) -> tuple[int, ...]:
         """Base points, 1-based."""
         return tuple(lev.point + 1 for lev in self._levels)
-
-    @property
-    def strong_generators(self) -> tuple[Permutation, ...]:
-        if not self._levels:
-            return ()
-        return tuple(Permutation(t) for t in self._levels[0].gens)
 
     @property
     def transversal_sizes(self) -> tuple[int, ...]:
@@ -336,8 +355,7 @@ class PermGroup:
                     a = parent[a]
                 return a
 
-            gens = self._levels[0].gens if self._levels else []
-            for g in gens:
+            for g in self.gens:
                 for i, gi in enumerate(g):
                     if gi != i:
                         ra, rb = find(i), find(gi)
@@ -357,7 +375,7 @@ class PermGroup:
     def is_subgroup_of(self, other: "PermGroup") -> bool:
         if self.degree != other.degree:
             raise DegreeMismatch(f"degree {self.degree} vs {other.degree}")
-        return all(other._contains_tuple(g.images) for g in self.generators)
+        return all(other._contains_tuple(g) for g in self.gens)
 
     def same_group_as(self, other: "PermGroup") -> bool:
         return (
@@ -371,13 +389,11 @@ class PermGroup:
         group lies back in this group (so normality, given containment)."""
         if not self.is_subgroup_of(other):
             return False
-        from .perms import conjugate_images
-
-        for h in self.generators:
-            for g in other.generators:
-                if not self._contains_tuple(conjugate_images(h.images, g.images)):
-                    return False
-        return True
+        return all(
+            self._contains_tuple(conjugate_images(h, g))
+            for h in self.gens
+            for g in other.gens
+        )
 
     # -- misc ------------------------------------------------------------------
 

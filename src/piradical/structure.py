@@ -124,13 +124,12 @@ def conjugation_orbit(G: PermGroup, x: Permutation, cap: int = 10**5) -> ClassTa
     members = [x.images]
     witnesses = [tuple(range(G.degree))]
     seen = {x.images}
-    gens = [g.images for g in G.generators]
     queue_idx = 0
     while queue_idx < len(members):
         m = members[queue_idx]
         w = witnesses[queue_idx]
         queue_idx += 1
-        for g in gens:
+        for g in G.gens:
             y = conjugate_images(m, g)
             if y not in seen:
                 if len(members) >= cap:
@@ -152,7 +151,6 @@ def class_representatives(
     to |G| is a built-in coverage certificate.  Requires ``|G| <= cap``."""
     if G.order_int > cap:
         raise TooLarge(f"group order {G.order_int} exceeds cap {cap}")
-    gens = [g.images for g in G.generators]
     reps: list[tuple[Permutation, int]] = []
     seen: set[tuple[int, ...]] = set()
     for e in G.element_tuples(cap):
@@ -161,7 +159,7 @@ def class_representatives(
         seen.add(e)
         orbit = [e]
         for m in orbit:  # grows while it is read: a breadth-first search
-            for g in gens:
+            for g in G.gens:
                 y = conjugate_images(m, g)
                 if y not in seen:
                     seen.add(y)
@@ -191,16 +189,14 @@ def normal_closure(G: PermGroup, elements: Sequence[Permutation]) -> PermGroup:
             raise NotAMember(f"{x} is not in the group")
     seedlist = [x for x in elements if not x.is_identity()]
     H = PermGroup.from_generators(seedlist, degree=G.degree)
-    queue = list(seedlist)
-    gens = [g.images for g in G.generators]
+    queue = [x.images for x in seedlist]
     while queue:
-        h = queue.pop().images
-        for g in gens:
+        h = queue.pop()
+        for g in G.gens:
             t = conjugate_images(h, g)
             if not H._contains_tuple(t):
-                tp = Permutation(t)
-                H = H.extend(tp)
-                queue.append(tp)
+                H = H.extend(t)
+                queue.append(t)
     return H
 
 

@@ -76,9 +76,11 @@ Two exact state models, cross-checked against each other in the test suite:
   for the witness.
 
 A class arrives as image tuples (the class table of
-:func:`~piradical.structure.conjugation_orbit`).  The engine reads it as
-tuples and wraps a :class:`Permutation` only where a chain is built from a
-conjugate and where a found result reports its witness and members.
+:func:`~piradical.structure.conjugation_orbit`), and the engine never leaves
+them: a chain is built from the root conjugate, then extended by image
+tuples (:meth:`PermGroup.extend`), and states are compared on their image
+tuple generators.  A :class:`Permutation` is wrapped only for the root of a
+chain search and for the witness and members of a found result.
 
 A state, as counted by ``states_visited`` and capped by ``max_states``, is
 every chain (or pair) child before deduplication, but only a partition not
@@ -103,7 +105,6 @@ from .errors import (
     NotATransposition,
     NotNormalizing,
     PiContainsTwo,
-    PowerIsIdentity,
     RNotDividingOrder,
 )
 from .factored import FactoredInteger, is_prime
@@ -372,18 +373,20 @@ def _centralizer_generators(
         )
     C = PermGroup.trivial(group.degree)
     gens: list[Images] = []
-    edges = ((y, w, g) for y, w in zip(conjugates, witnesses) for g in group.generators)
+    edges = ((y, w, g) for y, w in zip(conjugates, witnesses) for g in group.gens)
     for y, w, g in edges:
         if C.order_int == target:
             break
-        j = index.get(conjugate_images(y, g.images))
+        j = index.get(conjugate_images(y, g))
         if j is None:
-            raise InvariantViolation(f"{Permutation(y)} ** {g} lies outside the class")
-        s = compose_images(compose_images(w, g.images), inverse_images(witnesses[j]))
+            raise InvariantViolation(
+                f"{Permutation(y)} ** {Permutation(g)} lies outside the class"
+            )
+        s = compose_images(compose_images(w, g), inverse_images(witnesses[j]))
         if conjugate_images(x, s) != x:
             raise InvariantViolation("a Schreier generator does not centralize x")
         if not C._contains_tuple(s):
-            C = C.extend(Permutation(s))
+            C = C.extend(s)
             gens.append(s)
     if C.order_int != target:
         raise InvariantViolation(
@@ -427,8 +430,8 @@ class _DihedralPair(NamedTuple):
 
 class _Chains:
     """States are subgroups with stabilizer chains (``None`` before the
-    roots); any class.  A conjugate becomes a :class:`Permutation` only
-    when a chain is built from it."""
+    roots); any class.  Only the root conjugate becomes a
+    :class:`Permutation`; every child is an extension by an image tuple."""
 
     initial = None
 
@@ -446,9 +449,8 @@ class _Chains:
         if grp._contains_tuple(y):
             return None
         if terminal and self.pair_scan and grp.order_int == 2:
-            base = grp.generators[0].images
-            return _DihedralPair(grp, y, 2 * _product_order(base, y))
-        return grp.extend(Permutation(y))
+            return _DihedralPair(grp, y, 2 * _product_order(grp.gens[0], y))
+        return grp.extend(y)
 
     def order(self, state) -> int:
         return state.order_int
@@ -461,14 +463,14 @@ class _Chains:
             return True
         bucket = self.buckets.setdefault((state.order_int, state.orbit_partition), [])
         for t in bucket:
-            if all(t._contains_tuple(g.images) for g in state.generators):
+            if all(t._contains_tuple(g) for g in state.gens):
                 return False
         bucket.append(state)
         return True
 
     def group(self, state, ids) -> PermGroup:
         if isinstance(state, _DihedralPair):
-            return state.parent.extend(Permutation(state.y))
+            return state.parent.extend(state.y)
         return state
 
 
@@ -548,7 +550,7 @@ def _nontrivial_centralizer_element(
     ambient group's elements (TooLarge above the enumeration cap).
     """
     degree = ambient.degree
-    gens = [g.images for g in socle.generators]
+    gens = socle.gens
     if socle.is_transitive() and gens:
         for t in range(1, degree):
             c = [-1] * degree
@@ -577,14 +579,10 @@ def _nontrivial_centralizer_element(
             if ambient._contains_tuple(ct):
                 return Permutation(ct)
         return None
-    # intransitive fallback: direct scan
-    for e in ambient.elements(10**5):
-        if e.is_identity():
-            continue
-        if all(
-            compose_images(e.images, g) == compose_images(g, e.images) for g in gens
-        ):
-            return e
+    # intransitive fallback: direct scan (the identity comes first)
+    for e in ambient.element_tuples(10**5)[1:]:
+        if all(compose_images(e, g) == compose_images(g, e) for g in gens):
+            return Permutation(e)
     return None
 
 
@@ -617,7 +615,6 @@ class AlmostSimpleContext:
         *,
         allow_degenerate: bool = False,
         budget: SearchBudget = SearchBudget(),
-        check_centralizer: bool = True,
     ) -> "AlmostSimpleContext":
         if element.degree != socle.degree:
             raise DegreeMismatch(
@@ -633,8 +630,8 @@ class AlmostSimpleContext:
             raise CentralizesSocle(
                 f"{element} centralizes the socle; pass allow_degenerate=True to accept"
             )
-        ambient = socle.extend(element)
-        if check_centralizer and not centralizes:
+        ambient = socle.extend(element.images)
+        if not centralizes:
             witness = _nontrivial_centralizer_element(ambient, socle)
             if witness is not None:
                 raise InvariantViolation(
@@ -702,31 +699,6 @@ def beta(
     )
 
 
-def power_width_comparison(
-    ctx: AlmostSimpleContext,
-    r: int,
-    exponent: int,
-    budget: SearchBudget = SearchBudget(),
-) -> tuple[WidthResult, WidthResult]:
-    """beta of x against beta of the nontrivial power x^e.  Since conjugates
-    of x^e are the e-th powers of conjugates of x, any subgroup generated by
-    k conjugates of x^e embeds in one generated by k conjugates of x, so
-    beta(x) <= beta(x^e); an inversion is an engine bug and raises."""
-    y = ctx.element**exponent
-    if y.is_identity():
-        raise PowerIsIdentity(f"{ctx.element} ** {exponent} is the identity")
-    ctx2 = AlmostSimpleContext.build(
-        ctx.socle, y, allow_degenerate=True, budget=budget, check_centralizer=False
-    )
-    b1 = beta(ctx, r, budget)
-    b2 = beta(ctx2, r, budget)
-    if b1.value is not None and b2.value is not None and b1.value > b2.value:
-        raise InvariantViolation(
-            f"beta monotonicity under powers failed: {b1.value} > {b2.value}"
-        )
-    return b1, b2
-
-
 # ---------------------------------------------------------------------------
 # membership checks against the radical
 
@@ -754,15 +726,14 @@ class BSMembershipResult:
     element outside O_pi survives the m-tuple test).  When False,
     ``violating_element`` lies outside O_pi yet every one of its m-tuples
     generates a pi-group — its record carries the exhausted-search
-    certificate.  ``witness_tuple`` is None in that case by design: a
-    violation is certified by an exhaustive absence, not by a tuple.
+    certificate: a violation is certified by an exhaustive absence, not by
+    a tuple.
     """
 
     pi: PrimeSet
     m: int
     holds: bool
     violating_element: Permutation | None
-    witness_tuple: tuple[Permutation, ...] | None
     radical_order: FactoredInteger
     records: list[ClassMembershipRecord]
     exhaustive: bool
@@ -857,7 +828,6 @@ def bs_membership(
         m=m,
         holds=holds,
         violating_element=violating,
-        witness_tuple=None,
         radical_order=radical.order,
         records=records,
         exhaustive=all_exhaustive,
@@ -890,9 +860,11 @@ def minimal_membership_width(
     outside the radical; 1 when the radical is everything).
 
     Any representative outside the radical reaches a non-pi subgroup at some
-    width (its full class generates the non-pi normal closure), so the only
-    failure mode is the width/state budget, reported as
-    :class:`BudgetExhausted`.
+    width (its full class generates the non-pi normal closure), so every
+    width reported is a certified minimum: a search that ends with any
+    status but ``found`` -- a width or state budget, or a sampled class,
+    where a width found over the sample need not be the class's minimum --
+    raises :class:`BudgetExhausted`.
     """
     if data is None:
         data = GroupClassData(G)
@@ -904,9 +876,10 @@ def minimal_membership_width(
         if radical.contains(rep):
             continue
         res = _class_search(data, rep, pred, budget)
-        if res.value is None:
+        if res.status != "found":
             raise BudgetExhausted(
-                f"no non-pi width found for {rep} within budget {budget}"
+                f"no certified non-pi width for {rep}: the search ended with "
+                f"status {res.status} within budget {budget}"
             )
         per_rep.append((rep, res.value))
         overall = max(overall, res.value)
@@ -931,7 +904,6 @@ class BaerSuzukiReport:
     p: int
     radical_order: FactoredInteger
     records: list[ClassPairRecord]
-    consistent: bool
 
 
 def baer_suzuki_check(
@@ -974,9 +946,7 @@ def baer_suzuki_check(
                 witness_order=res.certificate_order,
             )
         )
-    return BaerSuzukiReport(
-        p=p, radical_order=radical.order, records=records, consistent=True
-    )
+    return BaerSuzukiReport(p=p, radical_order=radical.order, records=records)
 
 
 # ---------------------------------------------------------------------------

@@ -61,3 +61,11 @@ def test_no_class_table_is_traced_twice_in_one_question():
     ])
     assert metrics["structure.orbits"] > 0
     assert metrics["structure.orbit_unique_ratio"] == 1.0
+
+
+def test_the_program_enumerates_each_element_once():
+    """Building PGammaL(2,9) enumerates five groups of order 720: PGL(2,9)
+    and M10 for their involutions, and the three overgroups for their
+    element-order spectra.  Each element is counted once."""
+    metrics = run_traced([["width-table", "--n", "6", "--r", "3"]])
+    assert metrics["groups.enumerated"] == 3600

@@ -244,6 +244,15 @@ def test_membership_wraps_only_what_leaves_the_width_engine(capsys, monkeypatch,
     assert built[0] < 1000
 
 
+def test_width_search_extends_chains_on_image_tuples(capsys, monkeypatch):
+    """alpha(Alt(8), (1 2)(3 4)) extends thousands of chains; an extension
+    takes and keeps image tuples, so only the edges build Permutations."""
+    built = count_permutations(monkeypatch)
+    code, report = run_json(capsys, "alpha", "--group", "A8", "--aut", "(1 2)(3 4)")
+    assert code == 0 and report["results"][0]["value"] is not None
+    assert built[0] < 100
+
+
 @pytest.mark.parametrize(
     "argv",
     [
@@ -349,6 +358,17 @@ def test_bs_check_reports_violation_and_minimum(capsys):
     ]
     assert transposition_rows[0]["violation_width"] is None
     assert transposition_rows[0]["exhaustive"] is True
+
+
+def test_find_min_over_a_sampled_class_exits_three(capsys):
+    """A minimal width over a seeded sample of a class is not certified: S6's
+    (1 5 2 4)(3 6) reads 3 over a 6-member sample but 2 over its class."""
+    argv = ["bs-check", "--group", "S6", "--pi", "2,3", "--m", "4", "--find-min"]
+    code, report = run_json(capsys, *argv)
+    assert code == 0
+    assert report["summary"]["minimal_m_per_class"]["(1 5 2 4)(3 6)"] == 2
+    code, out, err = run(capsys, *argv, "--budget-max-class", "6")
+    assert code == 3 and out == "" and "sampled_class" in err
 
 
 def test_verify_bs_all_primes(capsys):

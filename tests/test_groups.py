@@ -89,10 +89,32 @@ def test_trivial_group():
 def test_extend_warm_start_equals_cold_build():
     gens = [P("(1 2 3)", 5), P("(3 4 5)")]
     A = PermGroup.from_generators(gens)
-    S = A.extend(P("(1 2)", 5))
+    S = A.extend(P("(1 2)", 5).images)
     assert S.order_int == 120
     assert S.same_group_as(PermGroup.from_generators(gens + [P("(1 2)", 5)]))
-    assert A.extend(P("(1 2 3)", 5)).order_int == 60  # redundant generator
+    assert A.extend(P("(1 2 3)", 5).images).order_int == 60  # redundant generator
+
+
+def test_extend_rejects_a_tuple_of_another_degree():
+    A = PermGroup.from_generators(FIXTURES["A5"][0])
+    with pytest.raises(DegreeMismatch):
+        A.extend((1, 0, 2, 3))
+
+
+def test_generators_of_an_extension_are_the_parent_chain_then_the_new_ones():
+    A = PermGroup.from_generators(FIXTURES["A5"][0])
+    S = A.extend(P("(1 2)", 5).images, P("(4 5)", 5).images)
+    assert S.gens == tuple(A._levels[0].gens) + (P("(1 2)", 5).images, P("(4 5)", 5).images)
+    assert S.generators == tuple(Permutation(t) for t in S.gens)
+    assert all(isinstance(g, Permutation) for g in S.generators)
+    assert S.generators is S.generators  # wrapped once
+
+
+def test_from_generators_keeps_the_given_permutations():
+    gens = FIXTURES["S4"][0]
+    G = PermGroup.from_generators(gens)
+    assert all(a is b for a, b in zip(G.generators, gens, strict=True))
+    assert G.gens == tuple(g.images for g in gens)
 
 
 def test_random_element_is_uniform_and_seeded():

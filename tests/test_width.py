@@ -33,7 +33,6 @@ from piradical import (
     min_width_search,
     minimal_membership_width,
     odd_pi_two_conjugates_check,
-    power_width_comparison,
     projective_semilinear_9,
     symmetric_group,
     transposition_pi_sweep,
@@ -290,16 +289,6 @@ def test_search_budget_rejects_limits_below_one(field):
     assert getattr(SearchBudget(**{field: 1}), field) == 1
 
 
-def test_power_width_monotonicity():
-    ctx7 = AlmostSimpleContext.build(alternating_group(7), P("(1 2 3 4 5 6 7)"))
-    b1, b2 = power_width_comparison(ctx7, 3, 2)
-    assert b1.value is not None and b2.value is not None
-    assert b1.value <= b2.value
-    ctx5 = ctx_a5("(1 2 3 4 5)")
-    c1, c2 = power_width_comparison(ctx5, 3, 4)
-    assert c1.value == c2.value  # x and x^4 = x^-1 lie in one socle class
-
-
 # -- context construction guards ------------------------------------------------
 
 
@@ -332,7 +321,6 @@ def test_membership_width_three_fails_on_five_points():
     res = bs_membership(G, PrimeSet.of(2, 3), 3)
     assert not res.holds
     assert res.violating_element.is_transposition()
-    assert res.witness_tuple is None
     assert res.radical_order.is_one()
     assert res.exhaustive
 
@@ -361,6 +349,25 @@ def test_minimal_membership_width_on_five_points():
     assert widths["(1 2)"] == 4
     assert max(widths.values()) == m
     assert all(w >= 1 for w in widths.values())
+
+
+@pytest.mark.parametrize("max_class_size", [6, 8])
+def test_minimal_membership_width_refuses_a_sampled_class(max_class_size):
+    """A width found over a sample of a class is a witness, not the class's
+    minimum: on S6, (1 5 2 4)(3 6) reaches a non-{2,3} subgroup at width 2
+    over its whole class but only at width 3 over every seeded sample."""
+    G = symmetric_group(6)
+    pi = PrimeSet.of(2, 3)
+    data = GroupClassData(G)
+    _, per_rep = minimal_membership_width(G, pi, data=data)
+    rep = next(r for r, _ in per_rep if str(r) == "(1 5 2 4)(3 6)")
+    assert dict(per_rep)[rep] == 2
+    for seed in range(4):
+        budget = SearchBudget(max_class_size=max_class_size, seed=seed)
+        res = width._class_search(data, rep, width._non_pi_predicate(pi), budget)
+        assert (res.value, res.status) == (3, "sampled_class")
+        with pytest.raises(BudgetExhausted, match="sampled_class"):
+            minimal_membership_width(G, pi, budget, data=data)
 
 
 def test_membership_width_one_when_radical_is_everything():
@@ -416,7 +423,6 @@ def test_classical_pair_equivalence_on_fixtures():
         data = GroupClassData(G)
         for p in sorted(G.order.prime_support):
             report = baer_suzuki_check(G, p, data=data)
-            assert report.consistent
             for rec in report.records:
                 assert rec.in_radical == rec.all_pairs_p_groups
                 if rec.witness_pair is not None:
@@ -424,6 +430,17 @@ def test_classical_pair_equivalence_on_fixtures():
                     H = PermGroup.from_generators([a, b])
                     assert H.order_int == rec.witness_order.value
                     assert H.order_int % p == 0 or not H.order.prime_support <= {p}
+
+
+def test_baer_suzuki_check_raises_on_a_failed_equivalence():
+    """The raise is the check's only certificate: with O_2(S4) = V4 replaced
+    by the trivial group, the class of (1 2)(3 4) is outside the "radical"
+    yet all its pairs generate 2-groups."""
+    G = symmetric_group(4)
+    data = GroupClassData(G)
+    data._radicals[PrimeSet.of(2)] = PermGroup.trivial(4)
+    with pytest.raises(InvariantViolation, match="Baer-Suzuki equivalence failed"):
+        baer_suzuki_check(G, 2, data=data)
 
 
 def test_pair_check_on_p_group_marks_everything_in_radical():

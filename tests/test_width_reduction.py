@@ -178,7 +178,7 @@ def test_centralizer_order_check_raises_when_c_falls_short():
     # a group whose claimed order is twice the real one: the Schreier
     # generators close at |C_L(x)| and never reach the claimed order
     doubled = SimpleNamespace(
-        generators=ctx.socle.generators,
+        gens=ctx.socle.gens,
         order_int=2 * ctx.socle.order_int,
         degree=ctx.socle.degree,
     )
