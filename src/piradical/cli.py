@@ -46,7 +46,7 @@ from .errors import BudgetExhausted, InvariantViolation, PiradicalError
 from .factored import is_prime
 from .groups import PermGroup
 from .perms import Permutation
-from .structure import GroupClassData, PrimeSet, normal_subgroups, pi_radical
+from .structure import PrimeSet, normal_subgroups, pi_radical
 from .width import (
     AlmostSimpleContext,
     SearchBudget,
@@ -160,14 +160,14 @@ def _add_output_flags(p: argparse.ArgumentParser) -> None:
 
 
 def _add_budget_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--budget-max-width", type=int, default=12)
+    p.add_argument("--budget-max-width", type=int, default=SearchBudget.max_width)
     _add_pair_budget_flags(p)
 
 
 def _add_pair_budget_flags(p: argparse.ArgumentParser) -> None:
     """The budget of a search whose width is fixed (the pair checks)."""
-    p.add_argument("--budget-max-states", type=int, default=100_000)
-    p.add_argument("--budget-max-class", type=int, default=100_000)
+    p.add_argument("--budget-max-states", type=int, default=SearchBudget.max_states)
+    p.add_argument("--budget-max-class", type=int, default=SearchBudget.max_class_size)
     _add_seed_flag(p)
 
 
@@ -256,13 +256,12 @@ def _resolve_pi(args, spec) -> PrimeSet:
 def cmd_radical(args) -> tuple[dict, int]:
     name, G, spec = _resolve_group(args)
     pi = _resolve_pi(args, spec)
-    data = GroupClassData(G)
-    radical = pi_radical(G, pi, data.closures)
+    radical = pi_radical(G, pi)
     crosscheck = "skipped"
     if G.order_int <= args.crosscheck_cap:
         # independent route: the largest pi-member of the full normal
         # subgroup lattice must be the radical itself
-        lattice = normal_subgroups(G, closures=data.closures)
+        lattice = normal_subgroups(G)
         best = max(
             (N for N in lattice if all(p in pi for p in N.order.prime_support)),
             key=lambda N: N.order_int,
@@ -326,8 +325,7 @@ def cmd_bs_check(args) -> tuple[dict, int]:
     pi = _resolve_pi(args, spec)
     if args.m < 1:
         raise _InputError(f"--m must be >= 1, got {args.m}")
-    data = GroupClassData(G)
-    res = bs_membership(G, pi, args.m, budget=budget, data=data)
+    res = bs_membership(G, pi, args.m, budget=budget)
     records = [
         {
             "representative": str(r.representative),
@@ -351,7 +349,7 @@ def cmd_bs_check(args) -> tuple[dict, int]:
         "exhaustive": res.exhaustive,
     }
     if args.find_min:
-        m_min, per_rep = minimal_membership_width(G, pi, budget=budget, data=data)
+        m_min, per_rep = minimal_membership_width(G, pi, budget=budget)
         summary["minimal_m"] = m_min
         summary["minimal_m_per_class"] = {str(rep): w for rep, w in per_rep}
     return dict(
@@ -525,10 +523,9 @@ def cmd_verify_bs(args) -> tuple[dict, int]:
     primes = [args.p] if args.p is not None else sorted(G.order.prime_support)
     if not primes:
         raise _InputError("the trivial group has no primes to verify")
-    data = GroupClassData(G)
     records: list[dict] = []
     for p in primes:
-        rep = baer_suzuki_check(G, p, budget=budget, data=data)
+        rep = baer_suzuki_check(G, p, budget=budget)
         for r in rep.records:
             records.append(
                 {
@@ -562,9 +559,8 @@ def cmd_verify_bs_sweep(args) -> tuple[dict, int]:
         G = entry.group
         if G.order_int == 1:
             continue
-        data = GroupClassData(G)
         for p in sorted(G.order.prime_support):
-            rep = baer_suzuki_check(G, p, budget=budget, data=data)
+            rep = baer_suzuki_check(G, p, budget=budget)
             records.append(
                 {
                     "group": entry.name,

@@ -65,8 +65,7 @@ class NotNormalizing(PiradicalError, ValueError):
 
 class CentralizesSocle(PiradicalError, ValueError):
     """The candidate automorphism centralizes the socle (acts trivially),
-    so it induces no automorphism worth studying; pass
-    ``allow_degenerate=True`` to accept it anyway."""
+    so it induces no automorphism worth studying."""
 
 
 class NotATransposition(PiradicalError, ValueError):

@@ -211,7 +211,6 @@ class PermGroup:
         cls,
         generators: Iterable[Permutation],
         degree: int | None = None,
-        seed_base: Iterable[int] = (),
     ) -> "PermGroup":
         generators = tuple(generators)
         if degree is None:
@@ -224,7 +223,7 @@ class PermGroup:
                     f"generator degree {g.degree} != group degree {degree}"
                 )
         gens = tuple(g.images for g in generators)
-        return cls(degree, gens, _build_levels(degree, gens, seed_base), generators)
+        return cls(degree, gens, _build_levels(degree, gens), generators)
 
     @classmethod
     def trivial(cls, degree: int) -> "PermGroup":

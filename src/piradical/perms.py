@@ -215,7 +215,7 @@ class Permutation:
         return tuple(sorted((len(c) for c in self.cycles()), reverse=True))
 
     def order(self) -> int:
-        return math.lcm(*(len(c) for c in self.cycles())) if self.cycles() else 1
+        return math.lcm(*map(len, self.cycles()))
 
     def moved_points(self) -> tuple[int, ...]:
         """1-based points not fixed by this permutation."""

@@ -1,10 +1,12 @@
 """Prime sets, conjugacy classes, normal closures, and the pi-radical.
 
-:class:`GroupClassData` is the one place a group's conjugacy classes are
-computed: its representatives and sizes from one scan of the element
-enumeration on image tuples, and each class table (members with their
-conjugating witnesses, as image tuples) once per representative, for the
-life of the object.
+A group's class data is part of the group: :func:`class_data` builds one
+:class:`GroupClassData` for G on first use and keeps it on G, and every
+radical, lattice and membership question about G reads it from there.  It
+holds G's class representatives and sizes, from one scan of the element
+enumeration on image tuples, each class table (members with their
+conjugating witnesses, as image tuples), each class closure and each
+pi-radical, every one computed once per group object.
 
 For a set of primes pi, a pi-number has all its prime divisors in pi and a
 pi-group has pi-number order.  The pi-radical ``O_pi(G)`` is the largest
@@ -25,6 +27,7 @@ join enumerates all normal subgroups exactly.
 
 from __future__ import annotations
 
+import weakref
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
@@ -201,28 +204,33 @@ def normal_closure(G: PermGroup, elements: Sequence[Permutation]) -> PermGroup:
 
 
 class GroupClassData:
-    """Per-group cache: class representatives, class tables, class closures,
-    radicals.
+    """G's class data: class representatives, class tables, class closures
+    and radicals, each computed once.  Obtain it with :func:`class_data`.
 
-    The one place G's classes are computed: ``reps`` in one tuple scan,
-    ``class_table`` and ``closures`` once per representative.  All of it is
-    pi-independent, so sweeps over many prime sets, the radical with its
-    lattice crosscheck, and every width search over G's classes share one
-    instance.
+    ``reps`` comes from one tuple scan, ``class_table`` and ``closures``
+    once per representative, and :func:`pi_radical` stores each prime set's
+    radical here.  The class data refers to G only weakly, so the two are
+    freed together by reference counting when G goes.
     """
 
-    def __init__(self, G: PermGroup, cap: int = 10**5):
-        self.group = G
-        self.cap = cap
+    def __init__(self, G: PermGroup):
+        self._group = weakref.ref(G)
         self._reps: list[tuple[Permutation, int]] | None = None
         self._tables: dict[tuple[int, ...], ClassTable] = {}
         self._closures: list[tuple[Permutation, PermGroup]] | None = None
         self._radicals: dict[PrimeSet, PermGroup] = {}
 
     @property
+    def group(self) -> PermGroup:
+        G = self._group()
+        if G is None:
+            raise ReferenceError("the group of this class data has been freed")
+        return G
+
+    @property
     def reps(self) -> list[tuple[Permutation, int]]:
         if self._reps is None:
-            self._reps = class_representatives(self.group, self.cap)
+            self._reps = class_representatives(self.group)
         return self._reps
 
     def class_table(self, rep: Permutation) -> ClassTable:
@@ -230,7 +238,7 @@ class GroupClassData:
         breadth-first order with conjugating witnesses, as image tuples,
         computed once."""
         if rep.images not in self._tables:
-            self._tables[rep.images] = conjugation_orbit(self.group, rep, self.cap)
+            self._tables[rep.images] = conjugation_orbit(self.group, rep)
         return self._tables[rep.images]
 
     @property
@@ -242,10 +250,14 @@ class GroupClassData:
             ]
         return self._closures
 
-    def radical(self, pi: PrimeSet) -> PermGroup:
-        if pi not in self._radicals:
-            self._radicals[pi] = pi_radical(self.group, pi, self.closures)
-        return self._radicals[pi]
+
+def class_data(G: PermGroup) -> GroupClassData:
+    """G's :class:`GroupClassData`, built on first use and kept on G."""
+    try:
+        return G._class_data
+    except AttributeError:
+        G._class_data = GroupClassData(G)
+        return G._class_data
 
 
 def _join(G: PermGroup, parts: Sequence[PermGroup]) -> PermGroup:
@@ -255,19 +267,15 @@ def _join(G: PermGroup, parts: Sequence[PermGroup]) -> PermGroup:
     return PermGroup.from_generators(gens, degree=G.degree)
 
 
-def pi_radical(
-    G: PermGroup,
-    pi: PrimeSet,
-    closures: Sequence[tuple[Permutation, PermGroup]] | None = None,
-    cap: int = 10**5,
-) -> PermGroup:
+def pi_radical(G: PermGroup, pi: PrimeSet) -> PermGroup:
     """The largest normal pi-subgroup ``O_pi(G)``, as the join of the class
     closures that are pi-groups (see the module docstring for why this is
-    exact).  Pass precomputed ``closures`` (``GroupClassData.closures``)
-    when sweeping many prime sets over one group."""
-    if closures is None:
-        closures = GroupClassData(G, cap).closures
-    kept = [cl for _, cl in closures if is_pi_group(cl, pi)]
+    exact).  The closures come from ``class_data(G)``, which also keeps the
+    radical, so each prime set's radical is computed once per group."""
+    data = class_data(G)
+    if pi in data._radicals:
+        return data._radicals[pi]
+    kept = [cl for _, cl in data.closures if is_pi_group(cl, pi)]
     radical = _join(G, kept)
     if not is_pi_group(radical, pi):
         raise InvariantViolation(
@@ -275,22 +283,16 @@ def pi_radical(
         )
     if not radical.is_normal_in(G):
         raise InvariantViolation("pi-radical candidate is not normal")
+    data._radicals[pi] = radical
     return radical
 
 
-def normal_subgroups(
-    G: PermGroup,
-    cap: int = 10**5,
-    closures: Sequence[tuple[Permutation, PermGroup]] | None = None,
-) -> list[PermGroup]:
-    """All normal subgroups of G (|G| <= cap), as the join-closure of the
+def normal_subgroups(G: PermGroup) -> list[PermGroup]:
+    """All normal subgroups of G (|G| <= 10^5), as the join-closure of the
     conjugacy-class normal closures, sorted by order.  Independent of
-    :func:`pi_radical` except for sharing the class closures; pass
-    precomputed ``closures`` (``GroupClassData.closures``) to compute them
-    once for both."""
-    if closures is None:
-        closures = GroupClassData(G, cap).closures
-    closures = [cl for _, cl in closures]
+    :func:`pi_radical` except for sharing the class closures of
+    ``class_data(G)``."""
+    closures = [cl for _, cl in class_data(G).closures]
     found: list[PermGroup] = [PermGroup.trivial(G.degree)]
 
     def known(H: PermGroup) -> bool:

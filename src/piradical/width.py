@@ -112,8 +112,8 @@ from .groups import Images, PermGroup
 from .perms import Permutation, compose_images, conjugate_images, inverse_images
 from .structure import (
     ClassTable,
-    GroupClassData,
     PrimeSet,
+    class_data,
     conjugation_orbit,
     is_pi_number,
     pi_radical,
@@ -594,9 +594,9 @@ class AlmostSimpleContext:
 
     ``build`` validates: degrees match; x normalizes L (else
     :class:`NotNormalizing`); x does not centralize L (else
-    :class:`CentralizesSocle`, unless ``allow_degenerate``); and the ambient
-    centralizer of L is trivial (else :class:`InvariantViolation`), which is
-    the almost-simplicity certificate for a simple socle.
+    :class:`CentralizesSocle`); and the ambient centralizer of L is trivial
+    (else :class:`InvariantViolation`), which is the almost-simplicity
+    certificate for a simple socle.
     """
 
     socle: PermGroup
@@ -605,7 +605,6 @@ class AlmostSimpleContext:
     conjugates: tuple[Images, ...]
     witnesses: tuple[Images, ...]
     class_complete: bool
-    degenerate: bool = False
 
     @classmethod
     def build(
@@ -613,7 +612,6 @@ class AlmostSimpleContext:
         socle: PermGroup,
         element: Permutation,
         *,
-        allow_degenerate: bool = False,
         budget: SearchBudget = SearchBudget(),
     ) -> "AlmostSimpleContext":
         if element.degree != socle.degree:
@@ -623,21 +621,17 @@ class AlmostSimpleContext:
         for s in socle.generators:
             if not socle.contains(s ** element):
                 raise NotNormalizing(f"{element} does not normalize the socle")
-        centralizes = element.is_identity() or all(
+        if element.is_identity() or all(
             (s ** element) == s for s in socle.generators
-        )
-        if centralizes and not allow_degenerate:
-            raise CentralizesSocle(
-                f"{element} centralizes the socle; pass allow_degenerate=True to accept"
-            )
+        ):
+            raise CentralizesSocle(f"{element} centralizes the socle")
         ambient = socle.extend(element.images)
-        if not centralizes:
-            witness = _nontrivial_centralizer_element(ambient, socle)
-            if witness is not None:
-                raise InvariantViolation(
-                    f"ambient centralizer of the socle contains {witness}; "
-                    "the context is not almost simple"
-                )
+        witness = _nontrivial_centralizer_element(ambient, socle)
+        if witness is not None:
+            raise InvariantViolation(
+                f"ambient centralizer of the socle contains {witness}; "
+                "the context is not almost simple"
+            )
         members, wits, complete = _sampled(
             conjugation_orbit(socle, element, cap=budget.max_class_size), budget
         )
@@ -648,15 +642,10 @@ class AlmostSimpleContext:
             conjugates=tuple(members),
             witnesses=tuple(wits),
             class_complete=complete,
-            degenerate=centralizes,
         )
 
 
-def alpha(
-    ctx: AlmostSimpleContext,
-    budget: SearchBudget = SearchBudget(),
-    pinned: bool = True,
-) -> WidthResult:
+def alpha(ctx: AlmostSimpleContext, budget: SearchBudget = SearchBudget()) -> WidthResult:
     """Minimal number of socle-conjugates of x generating the whole ambient
     group (generated subgroups always lie inside it, so order equality is
     group equality)."""
@@ -667,7 +656,6 @@ def alpha(
         ctx.witnesses,
         lambda o: o == target,
         budget=budget,
-        pinned=pinned,
         class_complete=ctx.class_complete,
         group=ctx.socle,
     )
@@ -677,7 +665,6 @@ def beta(
     ctx: AlmostSimpleContext,
     r: int,
     budget: SearchBudget = SearchBudget(),
-    pinned: bool = True,
 ) -> WidthResult:
     """Minimal number of socle-conjugates of x generating a subgroup of
     order divisible by the prime r."""
@@ -693,7 +680,6 @@ def beta(
         ctx.witnesses,
         lambda o: o % r == 0,
         budget=budget,
-        pinned=pinned,
         class_complete=ctx.class_complete,
         group=ctx.socle,
     )
@@ -744,16 +730,16 @@ def _non_pi_predicate(pi: PrimeSet) -> OrderPredicate:
 
 
 def _class_search(
-    data: GroupClassData, rep: Permutation, pred: OrderPredicate, budget: SearchBudget
+    G: PermGroup, rep: Permutation, pred: OrderPredicate, budget: SearchBudget
 ) -> WidthResult:
-    """The width search over the G-class of ``rep`` (G is ``data.group``),
-    on the cached class table.  Raises :class:`BudgetExhausted` when it
+    """The width search over the G-class of ``rep``, on the class table
+    kept in ``class_data(G)``.  Raises :class:`BudgetExhausted` when it
     found nothing and was cut off before every tuple up to
     ``budget.max_width`` was searched."""
-    members, wits, complete = _sampled(data.class_table(rep), budget)
+    members, wits, complete = _sampled(class_data(G).class_table(rep), budget)
     res = min_width_search(
         rep, members, wits, pred,
-        budget=budget, class_complete=complete, group=data.group,
+        budget=budget, class_complete=complete, group=G,
     )
     if res.value is None and res.status not in _SEARCHED_TO_WIDTH:
         raise BudgetExhausted(
@@ -767,7 +753,6 @@ def bs_membership(
     pi: PrimeSet,
     m: int,
     budget: SearchBudget = SearchBudget(),
-    data: GroupClassData | None = None,
 ) -> BSMembershipResult:
     """Does width m suffice for membership testing against O_pi(G)?
 
@@ -777,18 +762,20 @@ def bs_membership(
     radical, which are pi-groups).  Raises :class:`BudgetExhausted` if some
     representative's search found nothing and was cut off before every
     tuple up to width m was searched.
+
+    The radical (:func:`pi_radical`), the classes and their tables come from
+    ``class_data(G)``, so every membership call on one group object shares
+    them.
     """
     if m < 1:
         raise ValueError(f"width m must be >= 1, got {m}")
-    if data is None:
-        data = GroupClassData(G)
-    radical = data.radical(pi)
+    radical = pi_radical(G, pi)
     pred = _non_pi_predicate(pi)
     records: list[ClassMembershipRecord] = []
     holds = True
     violating: Permutation | None = None
     all_exhaustive = True
-    for rep, size in data.reps:
+    for rep, size in class_data(G).reps:
         if radical.contains(rep):
             records.append(
                 ClassMembershipRecord(
@@ -803,7 +790,7 @@ def bs_membership(
                 )
             )
             continue
-        res = _class_search(data, rep, pred, replace(budget, max_width=m))
+        res = _class_search(G, rep, pred, replace(budget, max_width=m))
         searched = res.status in _SEARCHED_TO_WIDTH
         records.append(
             ClassMembershipRecord(
@@ -838,7 +825,6 @@ def odd_pi_two_conjugates_check(
     G: PermGroup,
     pi: PrimeSet,
     budget: SearchBudget = SearchBudget(),
-    data: GroupClassData | None = None,
 ) -> BSMembershipResult:
     """Width 2 suffices for every prime set avoiding 2: any element outside
     O_pi has a conjugate pair generating a non-pi subgroup.  Raises
@@ -846,14 +832,13 @@ def odd_pi_two_conjugates_check(
     argument fails there)."""
     if 2 in pi:
         raise PiContainsTwo(f"prime set {pi} contains 2")
-    return bs_membership(G, pi, 2, budget=budget, data=data)
+    return bs_membership(G, pi, 2, budget=budget)
 
 
 def minimal_membership_width(
     G: PermGroup,
     pi: PrimeSet,
     budget: SearchBudget = SearchBudget(),
-    data: GroupClassData | None = None,
 ) -> tuple[int, list[tuple[Permutation, int]]]:
     """The least m for which :func:`bs_membership` holds, with the per-class
     minimal non-pi widths that determine it (max over representatives
@@ -864,18 +849,17 @@ def minimal_membership_width(
     width reported is a certified minimum: a search that ends with any
     status but ``found`` -- a width or state budget, or a sampled class,
     where a width found over the sample need not be the class's minimum --
-    raises :class:`BudgetExhausted`.
+    raises :class:`BudgetExhausted`.  Reads the radical and the classes of
+    ``class_data(G)``, as :func:`bs_membership` does.
     """
-    if data is None:
-        data = GroupClassData(G)
-    radical = data.radical(pi)
+    radical = pi_radical(G, pi)
     pred = _non_pi_predicate(pi)
     per_rep: list[tuple[Permutation, int]] = []
     overall = 1
-    for rep, _size in data.reps:
+    for rep, _size in class_data(G).reps:
         if radical.contains(rep):
             continue
-        res = _class_search(data, rep, pred, budget)
+        res = _class_search(G, rep, pred, budget)
         if res.status != "found":
             raise BudgetExhausted(
                 f"no certified non-pi width for {rep}: the search ended with "
@@ -910,23 +894,22 @@ def baer_suzuki_check(
     G: PermGroup,
     p: int,
     budget: SearchBudget = SearchBudget(),
-    data: GroupClassData | None = None,
 ) -> BaerSuzukiReport:
     """The Baer-Suzuki theorem, verified per conjugacy class: x lies in
     O_p(G) exactly when every pair <x, x^g> is a p-group.  A failed
     equivalence is an implementation bug and raises
-    :class:`InvariantViolation` — it is never a returned result.
+    :class:`InvariantViolation` — it is never a returned result.  Reads the
+    radical and the classes of ``class_data(G)``, as :func:`bs_membership`
+    does.
     """
     if not is_prime(p):
         raise ValueError(f"p must be prime, got {p}")
-    if data is None:
-        data = GroupClassData(G)
-    radical = data.radical(PrimeSet.of(p))
+    radical = pi_radical(G, PrimeSet.of(p))
     pred = _non_pi_predicate(PrimeSet.of(p))  # order has a prime other than p
     records: list[ClassPairRecord] = []
-    for rep, _size in data.reps:
+    for rep, _size in class_data(G).reps:
         in_rad = radical.contains(rep)
-        res = _class_search(data, rep, pred, replace(budget, max_width=2))
+        res = _class_search(G, rep, pred, replace(budget, max_width=2))
         all_pairs = res.value is None
         witness_pair = None
         if res.value is not None:

@@ -23,7 +23,6 @@ from functools import lru_cache
 
 from piradical import (
     AlmostSimpleContext,
-    GroupClassData,
     Permutation,
     PrimeSet,
     SearchBudget,
@@ -91,15 +90,6 @@ def nontransposition_reps(n: int) -> tuple[str, ...]:
         for rep, p, k in prime_order_class_representatives(n)
         if not (p == 2 and k == 1)
     )
-
-
-_DATA: dict[str, GroupClassData] = {}
-
-
-def data_for(name: str, group) -> GroupClassData:
-    if name not in _DATA:
-        _DATA[name] = GroupClassData(group)
-    return _DATA[name]
 
 
 def every_context() -> list[tuple[str, AlmostSimpleContext, tuple[int, ...]]]:
@@ -325,9 +315,8 @@ def test_c05_transposition_subset_sweeps():
 def test_c06_pairwise_p_group_criterion_catalog():
     checks = 0
     for entry in catalog_groups(2000):
-        data = data_for(entry.name, entry.group)
         for p in sorted(entry.group.order.prime_support):
-            report = baer_suzuki_check(entry.group, p, data=data)
+            report = baer_suzuki_check(entry.group, p)
             checks += 1
     ok = verdict(
         "6",
@@ -345,13 +334,10 @@ def test_c07_two_conjugates_suffice_for_odd_prime_sets():
     failures = []
     checks = 0
     for entry in catalog_groups(2000):
-        data = data_for(entry.name, entry.group)
         odd = sorted(p for p in entry.group.order.prime_support if p != 2)
         for k in range(len(odd) + 1):
             for subset in itertools.combinations(odd, k):
-                res = odd_pi_two_conjugates_check(
-                    entry.group, PrimeSet.of(*subset), data=data
-                )
+                res = odd_pi_two_conjugates_check(entry.group, PrimeSet.of(*subset))
                 checks += 1
                 if not res.holds:
                     failures.append((entry.name, subset))
@@ -417,11 +403,10 @@ def test_c09_radical_matches_normal_subgroup_lattice():
     failures = []
     groups = comparisons = 0
     for entry in catalog_groups(10**4):
-        data = data_for(entry.name, entry.group)
         lattice = normal_subgroups(entry.group)
         groups += 1
         for pi in sampled_prime_sets(rng):
-            radical = data.radical(pi)
+            radical = pi_radical(entry.group, pi)
             best = max(
                 (H for H in lattice if is_pi_group(H, pi)),
                 key=lambda H: H.order_int,
@@ -471,12 +456,11 @@ def test_c10_chain_orders_match_closed_forms_and_closures():
 def test_c11_five_point_membership_threshold():
     G = symmetric_group(5)
     pi = PrimeSet.of(2, 3)
-    data = data_for("S5", G)
-    at3 = bs_membership(G, pi, 3, data=data)
-    at11 = bs_membership(G, pi, 11, data=data)
-    m_min, per_rep = minimal_membership_width(G, pi, data=data)
-    below = bs_membership(G, pi, m_min - 1, data=data)
-    exact = bs_membership(G, pi, m_min, data=data)
+    at3 = bs_membership(G, pi, 3)
+    at11 = bs_membership(G, pi, 11)
+    m_min, per_rep = minimal_membership_width(G, pi)
+    below = bs_membership(G, pi, m_min - 1)
+    exact = bs_membership(G, pi, m_min)
     ok = verdict(
         "11",
         (not at3.holds)

@@ -1,7 +1,9 @@
 """Width searches: generation counts, radical membership, pair checks."""
 
 import dataclasses
+import gc
 import random
+import weakref
 
 import pytest
 
@@ -19,12 +21,12 @@ from piradical import (
     PrimeSet,
     RNotDividingOrder,
     SearchBudget,
-    GroupClassData,
     alpha,
     alternating_group,
     baer_suzuki_check,
     beta,
     bs_membership,
+    class_data,
     conjugation_orbit,
     cyclic_group,
     dihedral_group,
@@ -32,12 +34,14 @@ from piradical import (
     is_pi_number,
     min_width_search,
     minimal_membership_width,
+    normal_subgroups,
     odd_pi_two_conjugates_check,
+    pi_radical,
     projective_semilinear_9,
     symmetric_group,
     transposition_pi_sweep,
 )
-from piradical import width
+from piradical import structure, width
 from piradical.width import _Chains, _Partitions, _merged, _partition_order, _search
 
 P = Permutation.parse
@@ -302,8 +306,6 @@ def test_build_rejects_centralizing_element():
     socle = PermGroup.from_generators([P("(1 2 3)", 7), P("(3 4 5)", 7)])
     with pytest.raises(CentralizesSocle):
         AlmostSimpleContext.build(socle, P("(6 7)", 7))
-    ctx = AlmostSimpleContext.build(socle, P("(6 7)", 7), allow_degenerate=True)
-    assert ctx.degenerate
 
 
 def test_ambient_is_socle_extended_by_element():
@@ -333,9 +335,8 @@ def test_membership_width_eleven_holds_on_five_points():
 
 def test_membership_width_is_monotone_in_m():
     G = symmetric_group(5)
-    data = GroupClassData(G)
     pi = PrimeSet.of(2, 3)
-    verdicts = [bs_membership(G, pi, m, data=data).holds for m in (1, 2, 3, 4, 5)]
+    verdicts = [bs_membership(G, pi, m).holds for m in (1, 2, 3, 4, 5)]
     assert verdicts == [False, False, False, True, True]
     for earlier, later in zip(verdicts, verdicts[1:]):
         assert later or not earlier  # holds never reverts as m grows
@@ -358,16 +359,15 @@ def test_minimal_membership_width_refuses_a_sampled_class(max_class_size):
     over its whole class but only at width 3 over every seeded sample."""
     G = symmetric_group(6)
     pi = PrimeSet.of(2, 3)
-    data = GroupClassData(G)
-    _, per_rep = minimal_membership_width(G, pi, data=data)
+    _, per_rep = minimal_membership_width(G, pi)
     rep = next(r for r, _ in per_rep if str(r) == "(1 5 2 4)(3 6)")
     assert dict(per_rep)[rep] == 2
     for seed in range(4):
         budget = SearchBudget(max_class_size=max_class_size, seed=seed)
-        res = width._class_search(data, rep, width._non_pi_predicate(pi), budget)
+        res = width._class_search(G, rep, width._non_pi_predicate(pi), budget)
         assert (res.value, res.status) == (3, "sampled_class")
         with pytest.raises(BudgetExhausted, match="sampled_class"):
-            minimal_membership_width(G, pi, budget, data=data)
+            minimal_membership_width(G, pi, budget)
 
 
 def test_membership_width_one_when_radical_is_everything():
@@ -380,18 +380,86 @@ def test_membership_width_one_when_radical_is_everything():
 
 def test_group_class_data_reuses_radicals():
     G = symmetric_group(4)
-    data = GroupClassData(G)
+    data = class_data(G)
     pi = PrimeSet.of(2)
-    assert data.radical(pi) is data.radical(pi)
-    assert data.radical(pi).order_int == 4
+    assert pi_radical(G, pi) is pi_radical(G, pi)
+    assert pi_radical(G, pi).order_int == 4
     assert sum(size for _, size in data.reps) == 24
+
+
+def test_class_data_is_computed_once_per_group_object(monkeypatch):
+    """Every radical, lattice and membership call on one group object reads
+    the classes of ``class_data(G)``; an equal but distinct group object
+    has its own."""
+    calls = []
+    real = structure.class_representatives
+
+    def counting(*args, **kwargs):
+        calls.append(args[0])
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(structure, "class_representatives", counting)
+    G = symmetric_group(5)
+    pi = PrimeSet.of(2, 3)
+    pi_radical(G, pi)
+    normal_subgroups(G)
+    bs_membership(G, pi, 2)
+    minimal_membership_width(G, pi)
+    baer_suzuki_check(G, 2)
+    assert calls == [G]
+    H = symmetric_group(5)
+    bs_membership(H, pi, 2)
+    assert calls == [G, H]
+
+
+def test_a_group_is_never_answered_from_another_groups_classes():
+    """With Alt(5)'s class data computed, Sym(5) still gets Sym(5)'s
+    answers, and no call takes class data or closures as an argument."""
+    A5 = alternating_group(5)
+    data = class_data(A5)
+    data.closures
+    S5 = symmetric_group(5)
+    pi = PrimeSet.of(2, 3)
+    assert not bs_membership(S5, pi, 3).holds
+    assert minimal_membership_width(S5, pi)[0] == 4
+    assert pi_radical(S5, PrimeSet.of(2, 3, 5)).order_int == 120
+    assert class_data(S5) is not data and class_data(S5).group is S5
+    for call in [
+        lambda: bs_membership(S5, pi, 3, data=data),
+        lambda: odd_pi_two_conjugates_check(S5, PrimeSet.of(3), data=data),
+        lambda: minimal_membership_width(S5, pi, data=data),
+        lambda: baer_suzuki_check(S5, 2, data=data),
+        lambda: pi_radical(S5, pi, closures=data.closures),
+        lambda: normal_subgroups(S5, closures=data.closures),
+    ]:
+        with pytest.raises(TypeError):
+            call()
+
+
+def test_class_data_is_freed_with_its_group_without_the_collector():
+    """The class data refers to its group weakly, so reference counting
+    alone frees both."""
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        G = symmetric_group(5)
+        pi_radical(G, PrimeSet.of(2))
+        bs_membership(G, PrimeSet.of(2, 3), 2)
+        baer_suzuki_check(G, 3)
+        group_ref, data_ref = weakref.ref(G), weakref.ref(class_data(G))
+        del G
+        assert group_ref() is None
+        assert data_ref() is None
+    finally:
+        if enabled:
+            gc.enable()
 
 
 def test_class_search_samples_the_cached_table_like_a_capped_orbit(monkeypatch):
     """A capped breadth-first orbit is a prefix of the full one, so sampling
     the cached table gives the capped orbit's seeded sample."""
     G = symmetric_group(6)
-    data = GroupClassData(G)
+    data = class_data(G)
     searched = []
     search = width.min_width_search
 
@@ -403,7 +471,7 @@ def test_class_search_samples_the_cached_table_like_a_capped_orbit(monkeypatch):
     for rep, size in data.reps:
         for k in sorted({1, 2, size - 1, size, size + 1} - {0}):
             budget = SearchBudget(max_width=1, max_class_size=k, seed=5)
-            res = width._class_search(data, rep, lambda o: True, budget)
+            res = width._class_search(G, rep, lambda o: True, budget)
             members, wits, complete = conjugation_orbit(G, rep, cap=k)
             if not complete:
                 idx = list(range(1, len(members)))
@@ -420,9 +488,8 @@ def test_class_search_samples_the_cached_table_like_a_capped_orbit(monkeypatch):
 
 def test_classical_pair_equivalence_on_fixtures():
     for G in [symmetric_group(4), alternating_group(5), dihedral_group(6)]:
-        data = GroupClassData(G)
         for p in sorted(G.order.prime_support):
-            report = baer_suzuki_check(G, p, data=data)
+            report = baer_suzuki_check(G, p)
             for rec in report.records:
                 assert rec.in_radical == rec.all_pairs_p_groups
                 if rec.witness_pair is not None:
@@ -437,10 +504,9 @@ def test_baer_suzuki_check_raises_on_a_failed_equivalence():
     by the trivial group, the class of (1 2)(3 4) is outside the "radical"
     yet all its pairs generate 2-groups."""
     G = symmetric_group(4)
-    data = GroupClassData(G)
-    data._radicals[PrimeSet.of(2)] = PermGroup.trivial(4)
+    class_data(G)._radicals[PrimeSet.of(2)] = PermGroup.trivial(4)
     with pytest.raises(InvariantViolation, match="Baer-Suzuki equivalence failed"):
-        baer_suzuki_check(G, 2, data=data)
+        baer_suzuki_check(G, 2)
 
 
 def test_pair_check_on_p_group_marks_everything_in_radical():

@@ -11,7 +11,6 @@ import pytest
 from piradical import (
     AlmostSimpleContext,
     FactoredInteger,
-    GroupClassData,
     InvariantViolation,
     PermGroup,
     Permutation,
@@ -88,7 +87,6 @@ def test_pruned_engine_agrees_with_unreduced_on_every_context():
 @pytest.mark.parametrize("name", ["S5", "A6", "S6", "S7", "psl2(7)"])
 def test_pruned_engine_agrees_with_unreduced_on_membership_and_pairs(name, monkeypatch):
     G = group_by_name(name)
-    data = GroupClassData(G)
     primes = sorted(G.order.prime_support)
     prime_sets = [
         PrimeSet.of(*sub)
@@ -98,9 +96,9 @@ def test_pruned_engine_agrees_with_unreduced_on_membership_and_pairs(name, monke
 
     def run():
         return (
-            [bs_membership(G, pi, 2, data=data) for pi in prime_sets],
-            [minimal_membership_width(G, pi, data=data) for pi in prime_sets],
-            [baer_suzuki_check(G, p, data=data) for p in primes],
+            [bs_membership(G, pi, 2) for pi in prime_sets],
+            [minimal_membership_width(G, pi) for pi in prime_sets],
+            [baer_suzuki_check(G, p) for p in primes],
         )
 
     pruned = run()
