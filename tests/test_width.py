@@ -438,7 +438,7 @@ def test_a_group_is_never_answered_from_another_groups_classes():
 
 def test_class_data_is_freed_with_its_group_without_the_collector():
     """The class data refers to its group weakly, so reference counting
-    alone frees both."""
+    alone frees both; class data kept past its group says so."""
     enabled = gc.isenabled()
     gc.disable()
     try:
@@ -450,6 +450,9 @@ def test_class_data_is_freed_with_its_group_without_the_collector():
         del G
         assert group_ref() is None
         assert data_ref() is None
+        kept = class_data(symmetric_group(3))
+        with pytest.raises(ReferenceError):
+            kept.reps
     finally:
         if enabled:
             gc.enable()
