@@ -37,7 +37,7 @@ from .errors import (
 )
 from .factored import FactoredInteger, is_prime
 from .groups import PermGroup
-from .perms import Permutation, compose_images
+from .perms import TAIL, Permutation, check_degree
 from .structure import PrimeSet, element_order_spectrum
 
 # ---------------------------------------------------------------------------
@@ -344,10 +344,10 @@ def projective_semilinear_9() -> ProjectiveSemilinear9:
         raise InvariantViolation("PGammaL(2,9) tower orders are wrong")
     if not socle.is_normal_in(group):
         raise InvariantViolation("PSL(2,9) is not normal in PGammaL(2,9)")
-    identity = tuple(range(q + 1))
+    identity, tail = TAIL[: q + 1], TAIL[q + 1 :]
 
-    def involution_outside_socle(e: tuple[int, ...]) -> bool:
-        return e != identity and compose_images(e, e) == identity and not socle._contains_tuple(e)
+    def involution_outside_socle(e: bytes) -> bool:
+        return e != identity and e.translate(e + tail) == identity and not socle._contains_tuple(e)
 
     # least involution in the PGL coset
     diag = Permutation(min(filter(involution_outside_socle, pgl.element_tuples())))
@@ -546,6 +546,7 @@ def load_spec(path: str | Path) -> GroupSpec:
                 raise ParseError(f"degree must be an integer, got {rest!r}", lineno, col)
             if degree < 1:
                 raise ParseError(f"degree must be positive, got {degree}", lineno, col)
+            check_degree(degree)
         elif key == "gen":
             sub = rest.split(None, 1)
             if len(sub) != 2:

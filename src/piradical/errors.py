@@ -33,6 +33,11 @@ class RepeatedPoint(CycleError):
     """A point appears twice within one cycle expression."""
 
 
+class DegreeTooLarge(PiradicalError, ValueError):
+    """A permutation, group or spec acts on more points than the package
+    supports (a point is stored in one byte, so at most 256)."""
+
+
 class DegreeMismatch(PiradicalError, ValueError):
     """Two permutations (or a permutation and a group) act on different
     numbers of points."""

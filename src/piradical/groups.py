@@ -20,8 +20,13 @@ Consequences used throughout the package:
   left-to-right composition), which yields canonical element enumeration and
   exactly uniform seeded random elements.
 
-Elements are image tuples throughout: a group keeps its generating set as
-``gens``, and ``extend`` takes image tuples and rebuilds a chain from the
+Elements are ``bytes`` throughout, one byte per point, as
+:class:`Permutation` stores them: every product in the chain, the sifts and
+the enumeration is one ``bytes.translate`` call against a table padded to
+256 bytes (see :mod:`piradical.perms`).  Transversal inverses are kept at
+the group's degree and padded where they are used, which keeps a chain's
+memory at one byte per point.  A group keeps its generating set as ``gens``,
+and ``extend`` takes ``bytes`` elements and rebuilds a chain from the
 parent's level-0 generators plus the new ones, reusing the parent's base;
 most Schreier generators then sift instantly, which is what the width-search
 hot loop relies on.  :class:`Permutation` appears only at the public edge:
@@ -37,9 +42,9 @@ from typing import Iterable
 
 from .errors import DegreeMismatch, TooLarge
 from .factored import FactoredInteger
-from .perms import Permutation, conjugate_images, inverse_images
+from .perms import TAIL, Permutation, check_degree, conjugate_images, with_tables
 
-Images = tuple[int, ...]
+Images = bytes
 
 
 class _Level:
@@ -61,26 +66,28 @@ class _Level:
 
     def recompute(self, identity: Images) -> None:
         b = self.point
+        n = len(identity)
         orbit = self.orbit = [b]
         trans = self.trans = {b: identity}
         trans_inv = self.trans_inv = {b: identity}
+        tables = with_tables(self.gens)
         i = 0
-        gens = self.gens
         while i < len(orbit):
             p = orbit[i]
             u = trans[p]
-            for s in gens:
+            for s, table in tables:
                 q = s[p]
                 if q not in trans:
-                    w = tuple(s[j] for j in u)  # apply u, then s
+                    w = u.translate(table)  # apply u, then s
                     trans[q] = w
-                    trans_inv[q] = inverse_images(w)
+                    trans_inv[q] = bytes.maketrans(w, identity)[:n]
                     orbit.append(q)
             i += 1
 
 
-def _strip(h: Images, levels: list[_Level], start: int) -> tuple[Images, int]:
-    """Sift ``h`` through levels ``start..``; return (residue, stop level)."""
+def _strip(h: Images, levels: list[_Level], start: int, tail: bytes) -> tuple[Images, int]:
+    """Sift ``h`` through levels ``start..``; return (residue, stop level).
+    ``tail`` is ``TAIL[degree:]``, which pads an n-byte inverse to a table."""
     for j in range(start, len(levels)):
         lev = levels[j]
         beta = h[lev.point]
@@ -89,7 +96,7 @@ def _strip(h: Images, levels: list[_Level], start: int) -> tuple[Images, int]:
         uinv = lev.trans_inv.get(beta)
         if uinv is None:
             return h, j
-        h = tuple(uinv[i] for i in h)
+        h = h.translate(uinv + tail)
     return h, len(levels)
 
 
@@ -101,11 +108,12 @@ def _first_moved(g: Images) -> int:
 
 
 def _build_levels(
-    degree: int, gen_tuples: Iterable[Images], seed_base: Iterable[int] = ()
+    degree: int, gen_images: Iterable[Images], seed_base: Iterable[int] = ()
 ) -> list[_Level]:
     """Deterministic Schreier-Sims.  ``seed_base`` pre-installs base points
     (0-based) so extensions of an existing chain stay aligned with it."""
-    identity = tuple(range(degree))
+    identity = TAIL[:degree]
+    tail = TAIL[degree:]
     levels: list[_Level] = []
     base_points: set[int] = set()
 
@@ -119,7 +127,7 @@ def _build_levels(
 
     clean: list[Images] = []
     seen: set[Images] = set()
-    for g in gen_tuples:
+    for g in gen_images:
         if g != identity and g not in seen:
             seen.add(g)
             clean.append(g)
@@ -147,19 +155,20 @@ def _build_levels(
             dirty.discard(i)
         jump = -1
         bpt = lev.point
+        tables = [x + tail for x in lev.gens]  # a new generator goes deeper only
         for beta in lev.orbit:
             u = lev.trans[beta]
-            for x in lev.gens:
-                w = tuple(x[j] for j in u)  # u then x
+            for table in tables:
+                w = u.translate(table)  # u then x
                 tgt = w[bpt]
                 if tgt != bpt:
                     uinv = lev.trans_inv[tgt]  # orbit is closed under gens
-                    sg = tuple(uinv[j] for j in w)
+                    sg = w.translate(uinv + tail)
                 else:
                     sg = w
                 if sg == identity:
                     continue
-                h, j = _strip(sg, levels, i + 1)
+                h, j = _strip(sg, levels, i + 1, tail)
                 if h == identity:
                     continue
                 # h fixes base points 0..j-1 and cannot be sifted at level j
@@ -184,7 +193,7 @@ class PermGroup:
     """A finite permutation group of fixed degree with a BSGS chain.
 
     Build with :meth:`from_generators` (or :meth:`trivial`); instances are
-    immutable.  ``gens`` holds, as image tuples, the generating set the chain
+    immutable.  ``gens`` holds, as ``bytes``, the generating set the chain
     was built from (for a group made by :meth:`extend` this is the parent's
     level-0 generators plus the new elements); ``generators`` is the same set
     as :class:`Permutation` objects.
@@ -200,7 +209,7 @@ class PermGroup:
         self.degree = degree
         self.gens = gens
         self._levels = levels
-        self._identity: Images = tuple(range(degree))
+        self._identity: Images = TAIL[:degree]
         if generators is not None:
             self._generators = generators
 
@@ -217,6 +226,7 @@ class PermGroup:
             if not generators:
                 raise ValueError("degree is required for an empty generating set")
             degree = generators[0].degree
+        check_degree(degree)
         for g in generators:
             if g.degree != degree:
                 raise DegreeMismatch(
@@ -230,12 +240,14 @@ class PermGroup:
         return cls.from_generators((), degree)
 
     def extend(self, *new_gens: Images) -> "PermGroup":
-        """Group generated by this group together with the image tuples
-        ``new_gens``, rebuilt warm from this chain's level-0 generators and
-        base."""
+        """Group generated by this group together with the ``bytes``
+        elements ``new_gens``, rebuilt warm from this chain's level-0
+        generators and base."""
         for t in new_gens:
             if len(t) != self.degree:
                 raise DegreeMismatch(f"degree {len(t)} vs group degree {self.degree}")
+            if not isinstance(t, bytes):
+                raise TypeError(f"extend takes bytes elements, not {type(t).__name__}")
         gens = (tuple(self._levels[0].gens) if self._levels else ()) + new_gens
         levels = _build_levels(self.degree, gens, [lev.point for lev in self._levels])
         return PermGroup(self.degree, gens, levels)
@@ -285,10 +297,12 @@ class PermGroup:
     # -- membership ----------------------------------------------------------
 
     def _sift_tuple(self, t: Images) -> Images:
-        residue, _ = _strip(t, self._levels, 0)
+        residue, _ = _strip(t, self._levels, 0, TAIL[self.degree:])
         return residue
 
     def _contains_tuple(self, t: Images) -> bool:
+        """Membership of the ``bytes`` element ``t`` (the name predates the
+        element type; the benchmark's tracer counts sifts under it)."""
         return self._sift_tuple(t) == self._identity
 
     def sift(self, p: Permutation) -> Permutation:
@@ -309,16 +323,15 @@ class PermGroup:
     # -- enumeration and sampling ---------------------------------------------
 
     def element_tuples(self, cap: int = 10**6) -> list[Images]:
-        """Image tuples of all elements in the canonical transversal-product
+        """All elements as ``bytes``, in the canonical transversal-product
         order (the identity comes first); :class:`TooLarge` above ``cap``."""
         if self.order_int > cap:
             raise TooLarge(f"group order {self.order_int} exceeds cap {cap}")
+        tail = TAIL[self.degree:]
         elems: list[Images] = [self._identity]
         for lev in reversed(self._levels):
-            trans = lev.trans
-            elems = [
-                tuple(u[i] for i in e) for e in elems for u in map(trans.__getitem__, lev.orbit)
-            ]
+            tables = [lev.trans[p] + tail for p in lev.orbit]
+            elems = [e.translate(t) for e in elems for t in tables]
         return elems
 
     def elements(self, cap: int = 10**6) -> list[Permutation]:
@@ -334,7 +347,7 @@ class PermGroup:
         picks = [lev.trans[lev.orbit[rng.randrange(len(lev.orbit))]] for lev in self._levels]
         g = self._identity
         for u in reversed(picks):  # deepest level applies first
-            g = tuple(u[i] for i in g)
+            g = g.translate(u + TAIL[self.degree:])
         return Permutation(g)
 
     # -- structure helpers -----------------------------------------------------

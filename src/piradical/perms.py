@@ -1,7 +1,8 @@
 """Permutations of {1, ..., n} with GAP-style left-to-right composition.
 
-Internally a permutation is an image tuple on 0-based points: ``images[i]``
-is where point ``i`` goes.  Externally (parsing, printing, the CLI) points
+Internally a permutation is a ``bytes`` object on 0-based points, one byte
+per point: ``images[i]`` is where point ``i`` goes, so the degree is at most
+:data:`MAX_DEGREE` = 256.  Externally (parsing, printing, the CLI) points
 are 1-based and permutations are written in disjoint cycle notation, the
 identity as ``()``.
 
@@ -9,41 +10,64 @@ Composition is left-to-right: ``(p * q)(i) == q(p(i))`` — apply ``p`` first.
 Under this convention ``parse("(1 2)") * parse("(1 3)") == parse("(1 2 3)")``
 and conjugation ``x ** g == g**-1 * x * g`` satisfies
 ``(x ** g) ** h == x ** (g * h)``, i.e. conjugation is a right action.
+
+Because a permutation is a byte string, composing is one
+``bytes.translate`` call: "apply p, then q" is ``p.translate(q + TAIL[n:])``,
+``q`` padded to the 256-byte table ``translate`` wants by the identity on
+the points beyond the degree.  ``bytes.maketrans(p, identity)`` is the
+padded table of the inverse, and ``bytes.maketrans(g, x.translate(...))``
+the padded table of a conjugate.  Hot loops pad a table once and reuse it.
 """
 
 from __future__ import annotations
 
 import math
 import re
+from typing import Iterable
 
 from .errors import (
     DegreeMismatch,
+    DegreeTooLarge,
     MalformedCycle,
     PointOutOfRange,
     RepeatedPoint,
 )
 
-# -- raw image-tuple helpers (hot paths in the chain code use these) ---------
+MAX_DEGREE = 256
+# the identity on every point a byte can name: TAIL[:n] is the identity of
+# degree n, and TAIL[n:] pads an image string of degree n to a table
+TAIL = bytes(range(MAX_DEGREE))
 
 
-def compose_images(p: tuple[int, ...], q: tuple[int, ...]) -> tuple[int, ...]:
-    """Image tuple of "apply p, then q"."""
-    return tuple(q[i] for i in p)
+def check_degree(degree: int) -> None:
+    """Raise :class:`DegreeTooLarge` above :data:`MAX_DEGREE` points."""
+    if degree > MAX_DEGREE:
+        raise DegreeTooLarge(
+            f"degree {degree} exceeds the limit of {MAX_DEGREE} points"
+        )
 
 
-def inverse_images(p: tuple[int, ...]) -> tuple[int, ...]:
-    inv = [0] * len(p)
-    for i, pi in enumerate(p):
-        inv[pi] = i
-    return tuple(inv)
+# -- raw image helpers (hot paths in the chain code use these) ---------------
 
 
-def conjugate_images(x: tuple[int, ...], g: tuple[int, ...]) -> tuple[int, ...]:
-    """Image tuple of g^-1 * x * g (without materializing g^-1)."""
-    res = [0] * len(x)
-    for i, gi in enumerate(g):
-        res[gi] = g[x[i]]
-    return tuple(res)
+def compose_images(p: bytes, q: bytes) -> bytes:
+    """Images of "apply p, then q"."""
+    return p.translate(q + TAIL[len(q):])
+
+
+def inverse_images(p: bytes) -> bytes:
+    return bytes.maketrans(p, TAIL[: len(p)])[: len(p)]
+
+
+def conjugate_images(x: bytes, g: bytes) -> bytes:
+    """Images of g^-1 * x * g (without materializing g^-1)."""
+    return bytes.maketrans(g, x.translate(g + TAIL[len(g):]))[: len(g)]
+
+
+def with_tables(elements: Iterable[bytes]) -> list[tuple[bytes, bytes]]:
+    """Each element with its padded ``translate`` table, built once for a
+    loop that composes with the element many times."""
+    return [(e, e + TAIL[len(e):]) for e in elements]
 
 
 _TOKEN_RE = re.compile(r"\(([^()]*)\)")
@@ -54,19 +78,29 @@ class Permutation:
 
     __slots__ = ("images", "_hash")
 
-    images: tuple[int, ...]
+    images: bytes
 
-    def __init__(self, images: tuple[int, ...]):
-        object.__setattr__(self, "images", tuple(images))
-        object.__setattr__(self, "_hash", hash(self.images))
-        n = len(self.images)
-        seen = [False] * n
-        for i in self.images:
-            if not isinstance(i, int) or not 0 <= i < n:
-                raise PointOutOfRange(f"image {i} outside 0..{n - 1}")
-            if seen[i]:
-                raise RepeatedPoint(f"image {i} repeated; not a bijection")
-            seen[i] = True
+    def __init__(self, images: Iterable[int]):
+        if not isinstance(images, bytes):
+            images = tuple(images)
+            check_degree(len(images))
+            try:
+                images = bytes(images)
+            except (TypeError, ValueError):
+                bad = next(i for i in images if not (isinstance(i, int) and 0 <= i < 256))
+                raise PointOutOfRange(f"image {bad} outside 0..{len(images) - 1}")
+        n = len(images)
+        check_degree(n)
+        if len(set(images)) != n or (n and max(images) >= n):
+            seen = set()
+            for i in images:
+                if i >= n:
+                    raise PointOutOfRange(f"image {i} outside 0..{n - 1}")
+                if i in seen:
+                    raise RepeatedPoint(f"image {i} repeated; not a bijection")
+                seen.add(i)
+        object.__setattr__(self, "images", images)
+        object.__setattr__(self, "_hash", hash(images))
 
     def __setattr__(self, name, value):  # immutability guard
         raise AttributeError("Permutation is immutable")
@@ -75,7 +109,7 @@ class Permutation:
 
     @classmethod
     def identity(cls, degree: int) -> "Permutation":
-        return cls(tuple(range(degree)))
+        return cls(range(degree))
 
     @classmethod
     def from_cycles(
@@ -89,6 +123,7 @@ class Permutation:
         maxpt = max((p for c in cycles for p in c), default=0)
         if degree is None:
             degree = maxpt
+        check_degree(degree)
         for c in cycles:
             for p in c:
                 if not isinstance(p, int) or p < 1:
@@ -171,7 +206,7 @@ class Permutation:
         ``x ** g == g.inverse() * x * g``."""
         if isinstance(n, Permutation):
             return self.conjugate(n)
-        result = tuple(range(self.degree))
+        result = TAIL[: self.degree]
         base = self.images if n >= 0 else inverse_images(self.images)
         k = abs(n)
         while k:
@@ -189,7 +224,7 @@ class Permutation:
     # -- structure -----------------------------------------------------------
 
     def is_identity(self) -> bool:
-        return all(i == j for j, i in enumerate(self.images))
+        return self.images == TAIL[: self.degree]
 
     def cycles(self) -> list[tuple[int, ...]]:
         """Nontrivial cycles as 1-based tuples, each starting at its least
@@ -232,7 +267,7 @@ class Permutation:
             raise DegreeMismatch(
                 f"cannot shrink degree {self.degree} to {degree}"
             )
-        return Permutation(self.images + tuple(range(self.degree, degree)))
+        return Permutation([*self.images, *range(self.degree, degree)])
 
     # -- formatting -----------------------------------------------------------
 

@@ -4,9 +4,12 @@ A group's class data is part of the group: :func:`class_data` builds one
 :class:`GroupClassData` for G on first use and keeps it on G, and every
 radical, lattice and membership question about G reads it from there.  It
 holds G's class representatives and sizes, from one scan of the element
-enumeration on image tuples, each class table (members with their
-conjugating witnesses, as image tuples), each class closure and each
-pi-radical, every one computed once per group object.
+enumeration, each class table (members with their conjugating witnesses),
+each class closure and each pi-radical, every one computed once per group
+object.  Elements are ``bytes``, one byte per point, as in
+:mod:`piradical.groups`: a conjugate g^-1 m g is
+``bytes.maketrans(g, m.translate(table))[:n]``, where ``table`` is g padded
+to 256 bytes once per scan, so each conjugation runs in C.
 
 For a set of primes pi, a pi-number has all its prime divisors in pi and a
 pi-group has pi-number order.  The pi-radical ``O_pi(G)`` is the largest
@@ -29,12 +32,15 @@ from __future__ import annotations
 
 import weakref
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import TYPE_CHECKING, Iterable, Sequence
 
 from .errors import InvariantViolation, NotAMember, TooLarge
 from .factored import FactoredInteger, is_prime
 from .groups import Images, PermGroup
-from .perms import Permutation, compose_images, conjugate_images
+from .perms import TAIL, Permutation, with_tables
+
+if TYPE_CHECKING:
+    from .width import WidthResult
 
 # ---------------------------------------------------------------------------
 # prime sets
@@ -108,62 +114,66 @@ def is_pi_group(G: PermGroup, pi: PrimeSet) -> bool:
 # ---------------------------------------------------------------------------
 # conjugacy
 
-# (members, conjugating witnesses, complete), members and witnesses as image
-# tuples: the width engine reads them as tuples, and wraps a Permutation only
-# for what leaves it
+# (members, conjugating witnesses, complete), members and witnesses as bytes:
+# the width engine reads them as they are, and wraps a Permutation only for
+# what leaves it
 ClassTable = tuple[list[Images], list[Images], bool]
 
 
 def conjugation_orbit(G: PermGroup, x: Permutation, cap: int = 10**5) -> ClassTable:
     """Orbit of ``x`` under G-conjugation by breadth-first search over the
-    group's generators, with conjugating witnesses, all as image tuples:
-    ``conjugate_images(x.images, w[i]) == orbit[i]`` and
+    group's generators, with conjugating witnesses, all as ``bytes``:
+    ``x ** Permutation(w[i]) == Permutation(orbit[i])`` and
     ``orbit[0] == x.images``, ``w[0]`` the identity.
 
     Returns ``(members, witnesses, complete)``.  If the orbit exceeds
     ``cap`` the search stops early and ``complete`` is False; the truncated
     orbit is the first ``cap`` members of the full one, in the same order.
     """
+    n = G.degree
+    gens = with_tables(G.gens)
     members = [x.images]
-    witnesses = [tuple(range(G.degree))]
+    witnesses = [TAIL[:n]]
     seen = {x.images}
     queue_idx = 0
     while queue_idx < len(members):
         m = members[queue_idx]
         w = witnesses[queue_idx]
         queue_idx += 1
-        for g in G.gens:
-            y = conjugate_images(m, g)
+        for g, table in gens:
+            y = bytes.maketrans(g, m.translate(table))[:n]  # g^-1 m g
             if y not in seen:
                 if len(members) >= cap:
                     return members, witnesses, False
                 seen.add(y)
                 members.append(y)
-                witnesses.append(compose_images(w, g))
+                witnesses.append(w.translate(table))  # w then g
     return members, witnesses, True
 
 
 def class_representatives(
-    G: PermGroup, cap: int = 10**5
+    G: PermGroup, cap: int = 10**6
 ) -> list[tuple[Permutation, int]]:
     """One representative per conjugacy class with its class size, found by a
     deterministic scan of the canonical element enumeration (first-seen
-    element of each class represents it).  Each class is traced on image
-    tuples against one seen-set shared by the whole scan; only the
+    element of each class represents it).  Each class is traced on ``bytes``
+    elements against one seen-set shared by the whole scan; only the
     representatives become :class:`Permutation` objects.  The sizes summing
     to |G| is a built-in coverage certificate.  Requires ``|G| <= cap``."""
     if G.order_int > cap:
         raise TooLarge(f"group order {G.order_int} exceeds cap {cap}")
+    n = G.degree
+    gens = with_tables(G.gens)
     reps: list[tuple[Permutation, int]] = []
-    seen: set[tuple[int, ...]] = set()
+    seen: set[Images] = set()
     for e in G.element_tuples(cap):
         if e in seen:
             continue
         seen.add(e)
         orbit = [e]
         for m in orbit:  # grows while it is read: a breadth-first search
-            for g in G.gens:
-                y = conjugate_images(m, g)
+            for g, table in gens:
+                y = bytes.maketrans(g, m.translate(table))[:n]  # g^-1 m g
                 if y not in seen:
                     seen.add(y)
                     orbit.append(y)
@@ -173,7 +183,7 @@ def class_representatives(
     return reps
 
 
-def element_order_spectrum(G: PermGroup, cap: int = 10**5) -> frozenset[int]:
+def element_order_spectrum(G: PermGroup, cap: int = 10**6) -> frozenset[int]:
     """The set of element orders of G (orders are class functions, so class
     representatives suffice)."""
     return frozenset(rep.order() for rep, _ in class_representatives(G, cap))
@@ -192,11 +202,13 @@ def normal_closure(G: PermGroup, elements: Sequence[Permutation]) -> PermGroup:
             raise NotAMember(f"{x} is not in the group")
     seedlist = [x for x in elements if not x.is_identity()]
     H = PermGroup.from_generators(seedlist, degree=G.degree)
+    n = G.degree
+    gens = with_tables(G.gens)
     queue = [x.images for x in seedlist]
     while queue:
         h = queue.pop()
-        for g in G.gens:
-            t = conjugate_images(h, g)
+        for g, table in gens:
+            t = bytes.maketrans(g, h.translate(table))[:n]  # g^-1 h g
             if not H._contains_tuple(t):
                 H = H.extend(t)
                 queue.append(t)
@@ -207,18 +219,22 @@ class GroupClassData:
     """G's class data: class representatives, class tables, class closures
     and radicals, each computed once.  Obtain it with :func:`class_data`.
 
-    ``reps`` comes from one tuple scan, ``class_table`` and ``closures``
-    once per representative, and :func:`pi_radical` stores each prime set's
-    radical here.  The class data refers to G only weakly, so the two are
-    freed together by reference counting when G goes.
+    ``reps`` comes from one scan of the elements, ``class_table`` and
+    ``closures`` once per representative, and :func:`pi_radical` stores each
+    prime set's radical here.  ``searches`` keeps the width engine's
+    ``found`` searches for a non-pi subgroup over a class, keyed by
+    (representative images, pi), so that a second question about the same
+    class reads the first answer.  The class data refers to G only weakly,
+    so the two are freed together by reference counting when G goes.
     """
 
     def __init__(self, G: PermGroup):
         self._group = weakref.ref(G)
         self._reps: list[tuple[Permutation, int]] | None = None
-        self._tables: dict[tuple[int, ...], ClassTable] = {}
+        self._tables: dict[Images, ClassTable] = {}
         self._closures: list[tuple[Permutation, PermGroup]] | None = None
         self._radicals: dict[PrimeSet, PermGroup] = {}
+        self.searches: dict[tuple[Images, PrimeSet], WidthResult] = {}
 
     @property
     def group(self) -> PermGroup:
@@ -235,7 +251,7 @@ class GroupClassData:
 
     def class_table(self, rep: Permutation) -> ClassTable:
         """``conjugation_orbit(G, rep)``: the G-class of ``rep`` in
-        breadth-first order with conjugating witnesses, as image tuples,
+        breadth-first order with conjugating witnesses, as ``bytes``,
         computed once."""
         if rep.images not in self._tables:
             self._tables[rep.images] = conjugation_orbit(self.group, rep)
@@ -288,7 +304,7 @@ def pi_radical(G: PermGroup, pi: PrimeSet) -> PermGroup:
 
 
 def normal_subgroups(G: PermGroup) -> list[PermGroup]:
-    """All normal subgroups of G (|G| <= 10^5), as the join-closure of the
+    """All normal subgroups of G (|G| <= 10^6), as the join-closure of the
     conjugacy-class normal closures, sorted by order.  Independent of
     :func:`pi_radical` except for sharing the class closures of
     ``class_data(G)``."""

@@ -75,12 +75,12 @@ Two exact state models, cross-checked against each other in the test suite:
   *is* the partition of points it glues together, and a chain is built only
   for the witness.
 
-A class arrives as image tuples (the class table of
-:func:`~piradical.structure.conjugation_orbit`), and the engine never leaves
-them: a chain is built from the root conjugate, then extended by image
-tuples (:meth:`PermGroup.extend`), and states are compared on their image
-tuple generators.  A :class:`Permutation` is wrapped only for the root of a
-chain search and for the witness and members of a found result.
+A class arrives as ``bytes`` elements, one byte per point (the class table
+of :func:`~piradical.structure.conjugation_orbit`), and the engine never
+leaves them: a chain is built from the root conjugate, then extended by
+``bytes`` elements (:meth:`PermGroup.extend`), and states are compared on
+their ``bytes`` generators.  A :class:`Permutation` is wrapped only for the
+root of a chain search and for the witness and members of a found result.
 
 A state, as counted by ``states_visited`` and capped by ``max_states``, is
 every chain (or pair) child before deduplication, but only a partition not
@@ -109,7 +109,7 @@ from .errors import (
 )
 from .factored import FactoredInteger, is_prime
 from .groups import Images, PermGroup
-from .perms import Permutation, compose_images, conjugate_images, inverse_images
+from .perms import TAIL, Permutation, conjugate_images, with_tables
 from .structure import (
     ClassTable,
     PrimeSet,
@@ -244,7 +244,7 @@ def _sampled(table: ClassTable, budget: SearchBudget) -> ClassTable:
 # the search: one breadth-first driver over two state models
 
 
-def _product_order(a: tuple[int, ...], b: tuple[int, ...]) -> int:
+def _product_order(a: Images, b: Images) -> int:
     """Order of the product permutation (apply a, then b), via cycle lengths."""
     n = len(a)
     seen = [False] * n
@@ -275,8 +275,8 @@ def min_width_search(
 ) -> WidthResult:
     """Minimal number of the given conjugates generating a subgroup whose
     order satisfies ``order_predicate`` (see the module docstring for the
-    search semantics).  The conjugates and witnesses are image tuples, as in
-    a class table: ``conjugates[0]`` must be ``x.images`` and
+    search semantics).  The conjugates and witnesses are ``bytes``, as in a
+    class table: ``conjugates[0]`` must be ``x.images`` and
     ``witnesses[i]`` must conjugate ``x`` to ``conjugates[i]``.
     ``class_complete`` False marks the conjugates as a sample of the class.
 
@@ -357,7 +357,7 @@ def _centralizer_generators(
     witnesses: Sequence[Images],
     index: dict[Images, int],
 ) -> list[Images]:
-    """Generators of C = C_group(x), x = conjugates[0], as image tuples.
+    """Generators of C = C_group(x), x = conjugates[0], as ``bytes``.
 
     Each edge of the conjugation orbit, member i moved by a generator g of
     ``group`` to member j, gives the Schreier generator w_i g w_j^-1 of the
@@ -371,18 +371,22 @@ def _centralizer_generators(
         raise InvariantViolation(
             f"class size {len(conjugates)} does not divide |group| = {group.order_int}"
         )
-    C = PermGroup.trivial(group.degree)
+    n = group.degree
+    identity = TAIL[:n]
+    tables = with_tables(group.gens)
+    C = PermGroup.trivial(n)
     gens: list[Images] = []
-    edges = ((y, w, g) for y, w in zip(conjugates, witnesses) for g in group.gens)
-    for y, w, g in edges:
+    edges = ((y, w, g, table) for y, w in zip(conjugates, witnesses) for g, table in tables)
+    for y, w, g, table in edges:
         if C.order_int == target:
             break
-        j = index.get(conjugate_images(y, g))
+        j = index.get(bytes.maketrans(g, y.translate(table))[:n])  # g^-1 y g
         if j is None:
             raise InvariantViolation(
                 f"{Permutation(y)} ** {Permutation(g)} lies outside the class"
             )
-        s = compose_images(compose_images(w, g), inverse_images(witnesses[j]))
+        # w, then g, then the inverse of w_j, whose table maketrans gives
+        s = w.translate(table).translate(bytes.maketrans(witnesses[j], identity))
         if conjugate_images(x, s) != x:
             raise InvariantViolation("a Schreier generator does not centralize x")
         if not C._contains_tuple(s):
@@ -400,7 +404,8 @@ def _one_per_centralizer_orbit(frontier, group, conjugates, witnesses):
     first entry for each C_group(x)-orbit of j, in frontier order.  The
     orbits on the class indices are traced lazily, one per kept entry."""
     index = {y: i for i, y in enumerate(conjugates)}
-    gens = _centralizer_generators(group, conjugates, witnesses, index)
+    n = group.degree
+    gens = with_tables(_centralizer_generators(group, conjugates, witnesses, index))
     kept = []
     covered: set[int] = set()
     for entry in frontier:
@@ -411,8 +416,8 @@ def _one_per_centralizer_orbit(frontier, group, conjugates, witnesses):
         covered.add(j)
         orbit = [j]
         for k in orbit:
-            for c in gens:
-                i = index[conjugate_images(conjugates[k], c)]
+            for c, table in gens:
+                i = index[bytes.maketrans(c, conjugates[k].translate(table))[:n]]
                 if i not in covered:
                     covered.add(i)
                     orbit.append(i)
@@ -431,7 +436,7 @@ class _DihedralPair(NamedTuple):
 class _Chains:
     """States are subgroups with stabilizer chains (``None`` before the
     roots); any class.  Only the root conjugate becomes a
-    :class:`Permutation`; every child is an extension by an image tuple."""
+    :class:`Permutation`; every child is an extension by a ``bytes`` element."""
 
     initial = None
 
@@ -474,7 +479,10 @@ class _Chains:
         return state
 
 
-def _merged(labels: Images, a: int, b: int) -> Images | None:
+Labels = tuple[int, ...]  # a point partition, not a permutation
+
+
+def _merged(labels: Labels, a: int, b: int) -> Labels | None:
     """The point partition ``labels`` (each point labelled by the least point
     of its block, a canonical key whatever the merge order) with the blocks
     of points a and b merged; None when they already are one block."""
@@ -484,7 +492,7 @@ def _merged(labels: Images, a: int, b: int) -> Images | None:
     return tuple(lo if label == hi else label for label in labels)
 
 
-def _partition_order(labels: Images) -> int:
+def _partition_order(labels: Labels) -> int:
     """The order of the product of Sym(block) over the blocks of ``labels``:
     the order of the group that transpositions gluing those blocks
     generate."""
@@ -500,7 +508,7 @@ class _Partitions:
         self.conjugates = conjugates
         self.degree = x.degree
         self.initial = tuple(range(x.degree))
-        self.seen: set[Images] = set()
+        self.seen: set[Labels] = set()
         self.edges: list[tuple[int, ...]] = []
         for y in conjugates:
             moved = tuple(i for i, image in enumerate(y) if image != i)
@@ -572,7 +580,7 @@ def _nontrivial_centralizer_element(
                 continue
             if len(set(c)) != degree:
                 continue
-            ct = tuple(c)
+            ct = bytes(c)
             # propagation used a spanning tree; verify every constraint
             if any(g[c[i]] != c[g[i]] for g in gens for i in range(degree)):
                 continue
@@ -580,8 +588,10 @@ def _nontrivial_centralizer_element(
                 return Permutation(ct)
         return None
     # intransitive fallback: direct scan (the identity comes first)
+    tables = with_tables(gens)
     for e in ambient.element_tuples(10**5)[1:]:
-        if all(compose_images(e, g) == compose_images(g, e) for g in gens):
+        padded = e + TAIL[degree:]
+        if all(e.translate(table) == g.translate(padded) for g, table in tables):  # eg == ge
             return Permutation(e)
     return None
 
@@ -589,8 +599,8 @@ def _nontrivial_centralizer_element(
 @dataclass
 class AlmostSimpleContext:
     """A socle L, an element x normalizing it, the ambient group <L, x>,
-    and the class x^L with conjugating witnesses (x first), both as image
-    tuples, as :func:`min_width_search` takes them.
+    and the class x^L with conjugating witnesses (x first), both as tuples
+    of ``bytes`` elements, as :func:`min_width_search` takes them.
 
     ``build`` validates: degrees match; x normalizes L (else
     :class:`NotNormalizing`); x does not centralize L (else
@@ -730,17 +740,36 @@ def _non_pi_predicate(pi: PrimeSet) -> OrderPredicate:
 
 
 def _class_search(
-    G: PermGroup, rep: Permutation, pred: OrderPredicate, budget: SearchBudget
+    G: PermGroup, rep: Permutation, pi: PrimeSet, budget: SearchBudget
 ) -> WidthResult:
-    """The width search over the G-class of ``rep``, on the class table
-    kept in ``class_data(G)``.  Raises :class:`BudgetExhausted` when it
-    found nothing and was cut off before every tuple up to
-    ``budget.max_width`` was searched."""
-    members, wits, complete = _sampled(class_data(G).class_table(rep), budget)
+    """The search for a non-pi subgroup over the G-class of ``rep``, on the
+    class table kept in ``class_data(G)``.  Raises :class:`BudgetExhausted`
+    when it found nothing and was cut off before every tuple up to
+    ``budget.max_width`` was searched.
+
+    A ``found`` result is kept in ``class_data(G)`` under (rep, pi) and
+    returned again whenever ``budget`` lets a new search reach it: its
+    value is within ``max_width``, its states within ``max_states`` and the
+    whole class within ``max_class_size``.  The breadth-first search meets
+    the same states in the same order under any such budget, so it would
+    return the same result."""
+    data = class_data(G)
+    table = data.class_table(rep)
+    kept = data.searches.get((rep.images, pi))
+    if (
+        kept is not None
+        and kept.value <= budget.max_width
+        and kept.states_visited <= budget.max_states
+        and len(table[0]) <= budget.max_class_size
+    ):
+        return kept
+    members, wits, complete = _sampled(table, budget)
     res = min_width_search(
-        rep, members, wits, pred,
+        rep, members, wits, _non_pi_predicate(pi),
         budget=budget, class_complete=complete, group=G,
     )
+    if res.status == "found":
+        data.searches[(rep.images, pi)] = res
     if res.value is None and res.status not in _SEARCHED_TO_WIDTH:
         raise BudgetExhausted(
             f"search for {rep} ended with status {res.status} before certification"
@@ -770,7 +799,6 @@ def bs_membership(
     if m < 1:
         raise ValueError(f"width m must be >= 1, got {m}")
     radical = pi_radical(G, pi)
-    pred = _non_pi_predicate(pi)
     records: list[ClassMembershipRecord] = []
     holds = True
     violating: Permutation | None = None
@@ -790,7 +818,7 @@ def bs_membership(
                 )
             )
             continue
-        res = _class_search(G, rep, pred, replace(budget, max_width=m))
+        res = _class_search(G, rep, pi, replace(budget, max_width=m))
         searched = res.status in _SEARCHED_TO_WIDTH
         records.append(
             ClassMembershipRecord(
@@ -853,13 +881,12 @@ def minimal_membership_width(
     ``class_data(G)``, as :func:`bs_membership` does.
     """
     radical = pi_radical(G, pi)
-    pred = _non_pi_predicate(pi)
     per_rep: list[tuple[Permutation, int]] = []
     overall = 1
     for rep, _size in class_data(G).reps:
         if radical.contains(rep):
             continue
-        res = _class_search(G, rep, pred, budget)
+        res = _class_search(G, rep, pi, budget)
         if res.status != "found":
             raise BudgetExhausted(
                 f"no certified non-pi width for {rep}: the search ended with "
@@ -904,12 +931,13 @@ def baer_suzuki_check(
     """
     if not is_prime(p):
         raise ValueError(f"p must be prime, got {p}")
-    radical = pi_radical(G, PrimeSet.of(p))
-    pred = _non_pi_predicate(PrimeSet.of(p))  # order has a prime other than p
+    pi = PrimeSet.of(p)
+    radical = pi_radical(G, pi)
     records: list[ClassPairRecord] = []
     for rep, _size in class_data(G).reps:
         in_rad = radical.contains(rep)
-        res = _class_search(G, rep, pred, replace(budget, max_width=2))
+        # a pair whose order has a prime other than p
+        res = _class_search(G, rep, pi, replace(budget, max_width=2))
         all_pairs = res.value is None
         witness_pair = None
         if res.value is not None:
@@ -989,13 +1017,13 @@ def transposition_pi_sweep(
         combos = (tuple(sorted(rng.sample(idx, k))) for _ in range(sample))
         exhaustive = False
 
-    def partition(combo: Sequence[int]) -> tuple[Images, FactoredInteger]:
+    def partition(combo: Sequence[int]) -> tuple[Labels, FactoredInteger]:
         labels = tuple(range(r))
         for i in combo:
             labels = _merged(labels, *pairs[i]) or labels
         return labels, FactoredInteger.from_int(_partition_order(labels))
 
-    def crosscheck(combo: Sequence[int], labels: Images, order: FactoredInteger) -> None:
+    def crosscheck(combo: Sequence[int], labels: Labels, order: FactoredInteger) -> None:
         G = PermGroup.from_generators([transpositions[i] for i in combo], r)
         blocks: dict[int, list[int]] = {}
         for point, label in enumerate(labels):

@@ -2,11 +2,16 @@
 (``perfbench/spans.py``).  A renamed function would silently drop out of the
 per-layer counts, so every subcommand is run here under those wrappers."""
 
+import hashlib
 import json
 import os
 import subprocess
 import sys
 from pathlib import Path
+
+import pytest
+
+from piradical.cli import main
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -69,3 +74,37 @@ def test_the_program_enumerates_each_element_once():
     element-order spectra.  Each element is counted once."""
     metrics = run_traced([["width-table", "--n", "6", "--r", "3"]])
     assert metrics["groups.enumerated"] == 3600
+
+
+# the counts of a build before permutations were stored as bytes: a change of
+# element type changes what each step costs, never how many steps there are
+PINNED_COUNTS = {
+    ("radical", "--group", "S5", "--pi", "2"): {
+        "groups.chain_builds": 13, "groups.extends": 10,
+        "groups.sifts": 61, "groups.enumerated": 120,
+    },
+    ("verify-bs", "--group", "S5"): {
+        "groups.chain_builds": 32, "groups.extends": 14,
+        "groups.sifts": 72, "groups.enumerated": 120,
+    },
+}
+
+
+@pytest.mark.parametrize("argv", list(PINNED_COUNTS))
+def test_the_work_of_a_question_is_pinned(argv):
+    metrics = run_traced([list(argv)])
+    assert {name: metrics[name] for name in PINNED_COUNTS[argv]} == PINNED_COUNTS[argv]
+
+
+def test_find_min_searches_each_class_once(capsys):
+    """``bs-check --find-min`` reuses the width-m search of every class whose
+    minimum it found: S5 has six classes outside its trivial 2-radical, and
+    the report is the one that searching each class again gave (its SHA-256
+    without the wall time)."""
+    argv = ["bs-check", "--group", "S5", "--pi", "2", "--m", "2", "--find-min"]
+    assert run_traced([argv])["width.searches"] <= 6
+    assert main(argv + ["--format", "json"]) == 0
+    report = json.loads(capsys.readouterr().out)
+    del report["provenance"]["wall_time_s"]
+    digest = hashlib.sha256(json.dumps(report, indent=2).encode()).hexdigest()
+    assert digest == "598b441a8881a0e7a3b04fd49e6cc5b306fc7df289bf6b822a28e01bd86f5de2"

@@ -551,3 +551,24 @@ def test_out_flag_writes_file(capsys, tmp_path):
     assert code == 0 and out == ""
     report = json.loads(target.read_text(encoding="utf-8"))
     assert report["results"][0]["radical_order_int"] == 4
+
+
+def test_degree_above_256_is_an_input_error(capsys, tmp_path):
+    """A point is one byte: a group or spec on more than 256 points is
+    refused at once, with a message that names the limit."""
+    code, _, err = run(capsys, "radical", "--group", "S257", "--pi", "2")
+    assert code == 2 and "limit of 256 points" in err
+    spec = tmp_path / "wide.spec"
+    spec.write_text("degree 257\ngen a (1 257)\n", encoding="utf-8")
+    code, _, err = run(capsys, "radical", "--spec", str(spec), "--pi", "2")
+    assert code == 2 and "limit of 256 points" in err
+
+
+def test_degree_nine_groups_finish(capsys):
+    code, report = run_json(
+        capsys, "radical", "--group", "S9", "--pi", "2", "--crosscheck-cap", "0"
+    )
+    assert code == 0
+    assert report["results"][0]["radical_order_int"] == 1
+    code, report = run_json(capsys, "verify-bs", "--group", "A9")
+    assert code == 0 and report["summary"]["primes"] == [2, 3, 5, 7]

@@ -5,11 +5,14 @@ from hypothesis import given, strategies as st
 
 from piradical import (
     DegreeMismatch,
+    DegreeTooLarge,
     MalformedCycle,
+    PermGroup,
     Permutation,
     PointOutOfRange,
     RepeatedPoint,
 )
+from piradical.perms import compose_images, conjugate_images, inverse_images
 
 
 def P(text: str, degree: int | None = None) -> Permutation:
@@ -192,3 +195,100 @@ def test_power_of_order_is_identity(triple):
 def test_str_round_trip_random(triple):
     a, _, _ = triple
     assert Permutation.parse(str(a), degree=a.degree) == a
+
+
+# -- the degree limit ------------------------------------------------------------
+
+
+def test_degree_above_the_byte_limit_is_refused():
+    with pytest.raises(DegreeTooLarge, match="limit of 256 points"):
+        Permutation(range(257))
+    with pytest.raises(DegreeTooLarge, match="limit of 256 points"):
+        Permutation.parse("(1 257)")
+    with pytest.raises(DegreeTooLarge, match="limit of 256 points"):
+        Permutation.identity(300)
+    with pytest.raises(DegreeTooLarge, match="limit of 256 points"):
+        P("(1 2)", 256).extended(257)
+
+
+def test_degree_256_round_trips():
+    ident = Permutation(range(256))
+    assert ident.is_identity() and ident.degree == 256
+    assert Permutation.parse(str(ident), degree=256) == ident
+    rev = Permutation(range(255, -1, -1))
+    assert Permutation.parse(str(rev), degree=256) == rev
+    assert rev * rev == ident and rev.inverse() == rev
+
+
+# -- bytes arithmetic against tuple comprehensions --------------------------------
+
+
+def ref_compose(p, q):
+    return tuple(q[i] for i in p)
+
+
+def ref_inverse(p):
+    inv = [0] * len(p)
+    for i, image in enumerate(p):
+        inv[image] = i
+    return tuple(inv)
+
+
+def ref_conjugate(x, g):
+    return ref_compose(ref_compose(ref_inverse(g), x), g)
+
+
+@st.composite
+def wide_perm_triples(draw):
+    """Three permutations of one degree in 1..256, often 255 or 256, where
+    the padding tail of a translate table is one byte long or empty."""
+    n = draw(st.one_of(st.sampled_from([1, 2, 255, 256]), st.integers(1, 256)))
+    imgs = lambda: tuple(draw(st.permutations(range(n))))
+    return imgs(), imgs(), imgs()
+
+
+@given(wide_perm_triples())
+def test_image_helpers_match_tuple_comprehensions(triple):
+    p, q, g = triple
+    bp, bq, bg = map(bytes, triple)
+    assert compose_images(bp, bq) == bytes(ref_compose(p, q))
+    assert inverse_images(bp) == bytes(ref_inverse(p))
+    assert conjugate_images(bp, bg) == bytes(ref_conjugate(p, g))
+
+
+@given(wide_perm_triples(), st.integers(-3, 3))
+def test_permutation_arithmetic_matches_tuple_comprehensions(triple, k):
+    p, q, g = triple
+    a, b, c = map(Permutation, triple)
+    assert tuple((a * b).images) == ref_compose(p, q)
+    assert tuple(a.inverse().images) == ref_inverse(p)
+    assert tuple((a**c).images) == ref_conjugate(p, g)
+    power = tuple(range(len(p)))
+    for _ in range(abs(k)):
+        power = ref_compose(power, p if k > 0 else ref_inverse(p))
+    assert tuple((a**k).images) == power
+
+
+@given(wide_perm_triples())
+def test_sift_matches_a_tuple_strip(triple):
+    """Sift through a small group moving the first and the last points of
+    the degree, against the same strip written on tuples."""
+    p, _, _ = triple
+    n = len(p)
+    gens = [Permutation.from_cycles([tuple(range(1, min(n, 4) + 1))], degree=n)]
+    if n >= 6:
+        gens.append(Permutation.from_cycles([(n - 1, n)], degree=n))
+    G = PermGroup.from_generators(gens, n)
+    h = p
+    for lev in G._levels:
+        beta = h[lev.point]
+        if beta == lev.point:
+            continue
+        if beta not in lev.trans_inv:
+            break
+        h = ref_compose(h, tuple(lev.trans_inv[beta]))
+    residue = G.sift(Permutation(p))
+    assert tuple(residue.images) == h
+    assert G.contains(Permutation(p)) == residue.is_identity()
+    member = gens[0] * gens[-1] ** 2
+    assert G.sift(member).is_identity()

@@ -1,5 +1,7 @@
 """Prime sets, conjugacy classes, normal closures, and pi-radicals."""
 
+import itertools
+
 import pytest
 
 from piradical import (
@@ -11,6 +13,7 @@ from piradical import (
     class_representatives,
     conjugation_orbit,
     element_order_spectrum,
+    group_by_name,
     is_pi_group,
     is_pi_number,
     FactoredInteger,
@@ -231,3 +234,23 @@ def test_prime_degree_triviality_certificate():
     S5 = PermGroup.from_generators([P("(1 2)", 5), P("(1 2 3 4 5)")])
     assert radical_is_trivial_by_prime_degree(S5, PrimeSet.of(2, 3))
     assert pi_radical(S5, PrimeSet.of(2, 3)).is_trivial()
+
+
+# -- degree 9: past the old 10^5 cap --------------------------------------------
+
+
+@pytest.mark.parametrize("name, classes", [("S9", 30), ("A9", 18)])
+def test_degree_nine_classes_and_radicals(name, classes):
+    """S9 and A9 have 30 and 18 classes, whose sizes sum to |G|.  Their only
+    nontrivial normal subgroups are A9 and G, and both orders are divisible
+    by 2, 3, 5 and 7, so the radical is trivial unless pi contains all four
+    primes, and then it is the whole group."""
+    G = group_by_name(name)
+    reps = class_representatives(G)
+    assert len(reps) == classes
+    assert sum(size for _, size in reps) == G.order_int
+    for k in range(1, 5):
+        for primes in itertools.combinations((2, 3, 5, 7), k):
+            radical = pi_radical(G, PrimeSet.of(*primes))
+            want = G.order_int if primes == (2, 3, 5, 7) else 1
+            assert radical.order_int == want, (name, primes)

@@ -364,7 +364,7 @@ def test_minimal_membership_width_refuses_a_sampled_class(max_class_size):
     assert dict(per_rep)[rep] == 2
     for seed in range(4):
         budget = SearchBudget(max_class_size=max_class_size, seed=seed)
-        res = width._class_search(G, rep, width._non_pi_predicate(pi), budget)
+        res = width._class_search(G, rep, pi, budget)
         assert (res.value, res.status) == (3, "sampled_class")
         with pytest.raises(BudgetExhausted, match="sampled_class"):
             minimal_membership_width(G, pi, budget)
@@ -474,14 +474,18 @@ def test_class_search_samples_the_cached_table_like_a_capped_orbit(monkeypatch):
     for rep, size in data.reps:
         for k in sorted({1, 2, size - 1, size, size + 1} - {0}):
             budget = SearchBudget(max_width=1, max_class_size=k, seed=5)
-            res = width._class_search(G, rep, lambda o: True, budget)
+            # every subgroup but the trivial one is a non-{}-group
+            res = width._class_search(G, rep, PrimeSet.of(), budget)
             members, wits, complete = conjugation_orbit(G, rep, cap=k)
             if not complete:
                 idx = list(range(1, len(members)))
                 random.Random(budget.seed).shuffle(idx)
                 members = [members[i] for i in [0] + idx]
                 wits = [wits[i] for i in [0] + idx]
-            assert searched.pop() == (members, wits, complete), (rep, k)
+            if searched:
+                assert searched.pop() == (members, wits, complete), (rep, k)
+            else:  # the found search of the whole class, kept at k = size
+                assert complete and k > size and res.status == "found", (rep, k)
             assert (res.status == "sampled_class") == (k < size), (rep, k)
     assert all(len(data.class_table(rep)[0]) == size for rep, size in data.reps)
 
