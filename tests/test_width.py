@@ -370,6 +370,28 @@ def test_minimal_membership_width_refuses_a_sampled_class(max_class_size):
             minimal_membership_width(G, pi, budget)
 
 
+@pytest.mark.parametrize(
+    "budget", [SearchBudget(), SearchBudget(max_states=4), SearchBudget(max_class_size=20)]
+)
+def test_a_kept_class_search_answers_as_a_new_search_would(budget):
+    """``minimal_membership_width`` keeps a found search for every class of
+    S5 outside O_{2,3}; a later membership check reuses one only where a new
+    search under its own budget would return the same result, so every
+    width m reads the same on that group as on a fresh copy."""
+    pi = PrimeSet.of(2, 3)
+    G = symmetric_group(5)
+    minimal_membership_width(G, pi)
+
+    def check(group, m):
+        try:
+            return bs_membership(group, pi, m, budget)
+        except BudgetExhausted as e:
+            return str(e)
+
+    for m in (1, 2, 3, 4, 5):
+        assert check(G, m) == check(symmetric_group(5), m), m
+
+
 def test_membership_width_one_when_radical_is_everything():
     G = symmetric_group(4)
     res = bs_membership(G, PrimeSet.of(2, 3), 1)
