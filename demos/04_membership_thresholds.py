@@ -35,7 +35,7 @@ def main() -> None:
     print(
         f"  every {report.r - 2}-subset of the {report.r * (report.r - 1) // 2} "
         f"transpositions of Sym({report.r}) generates a pi-group "
-        f"({report.subsets_checked} subsets checked, pi = {report.pi}),"
+        f"({report.subsets_checked} subsets, counted by partition shape, pi = {report.pi}),"
     )
     print(
         f"  while the star subset {[str(t) for t in report.witness_subset]} "

@@ -82,11 +82,6 @@ class RNotDividingOrder(PiradicalError, ValueError):
     subgroup order can be divisible by r."""
 
 
-class PiContainsTwo(PiradicalError, ValueError):
-    """A check that requires 2 to lie outside the prime set was called
-    with a set containing 2."""
-
-
 # ---------------------------------------------------------------------------
 # catalog / parsing errors
 

@@ -90,12 +90,13 @@ pruning, so they are children of the kept level-2 states only.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 import random
 from collections import Counter
 from dataclasses import dataclass, field, replace
-from typing import Callable, Iterable, Literal, NamedTuple, Sequence
+from typing import Callable, Iterator, Literal, NamedTuple, Sequence
 
 from .errors import (
     BudgetExhausted,
@@ -104,7 +105,6 @@ from .errors import (
     InvariantViolation,
     NotATransposition,
     NotNormalizing,
-    PiContainsTwo,
     RNotDividingOrder,
 )
 from .factored import FactoredInteger, is_prime
@@ -849,20 +849,6 @@ def bs_membership(
     )
 
 
-def odd_pi_two_conjugates_check(
-    G: PermGroup,
-    pi: PrimeSet,
-    budget: SearchBudget = SearchBudget(),
-) -> BSMembershipResult:
-    """Width 2 suffices for every prime set avoiding 2: any element outside
-    O_pi has a conjugate pair generating a non-pi subgroup.  Raises
-    :class:`PiContainsTwo` when 2 in pi (the premise of the two-conjugate
-    argument fails there)."""
-    if 2 in pi:
-        raise PiContainsTwo(f"prime set {pi} contains 2")
-    return bs_membership(G, pi, 2, budget=budget)
-
-
 def minimal_membership_width(
     G: PermGroup,
     pi: PrimeSet,
@@ -961,7 +947,54 @@ def baer_suzuki_check(
 
 
 # ---------------------------------------------------------------------------
-# the small-sweep lower-bound experiment on transpositions
+# the small-subset lower bound on transpositions, counted by partition shape
+
+# The sweep builds one chain per partition shape of r, so its time grows with
+# the number of partitions: r = 23 (1,103 shapes with subsets) takes about
+# 3 s on one core of a 2-core Intel Xeon VM under CPython 3.11, and there are
+# p(29) = 4,565 and p(31) = 6,842 shapes beyond it.
+SWEEP_MAX_R = 23
+
+
+@functools.cache
+def _connected_graphs(k: int, e: int) -> int:
+    """c(k, e), the number of labelled connected graphs on k vertices with e
+    edges, by the standard recurrence (Harary & Palmer, *Graphical
+    Enumeration*, ch. 1): all graphs, less those in which vertex 1 lies in a
+    component of j < k vertices."""
+    total = math.comb(math.comb(k, 2), e)
+    for j in range(1, k):
+        outside = math.comb(k - j, 2)  # the possible edges off that component
+        total -= math.comb(k - 1, j - 1) * sum(
+            _connected_graphs(j, f) * math.comb(outside, e - f) for f in range(j - 1, e + 1)
+        )
+    return total
+
+
+def _shapes(n: int, largest: int) -> Iterator[tuple[int, ...]]:
+    """The partitions of n into parts of at most ``largest``, largest part
+    first."""
+    if n == 0:
+        yield ()
+    for k in range(min(n, largest), 0, -1):
+        for rest in _shapes(n - k, k):
+            yield (k, *rest)
+
+
+def _subsets_of_shape(shape: tuple[int, ...], edges: int) -> int:
+    """The number of sets of ``edges`` transpositions on sum(shape) points
+    whose edge graph has components of exactly the sizes in ``shape``: the
+    set partitions of that shape, times the ways to put a connected graph
+    on each block with ``edges`` edges in all."""
+    ways = [1] + [0] * edges  # ways[e]: e edges in all on the blocks so far
+    for k in shape:
+        ways = [
+            sum(ways[e - f] * _connected_graphs(k, f) for f in range(k - 1, e + 1))
+            for e in range(edges + 1)
+        ]
+    blocks = math.prod(math.factorial(k) for k in shape)
+    repeats = math.prod(math.factorial(m) for m in Counter(shape).values())
+    return math.factorial(sum(shape)) // (blocks * repeats) * ways[edges]
 
 
 @dataclass
@@ -969,93 +1002,89 @@ class TranspositionSweepReport:
     r: int
     pi: PrimeSet
     subsets_checked: int
+    shape_counts: dict[tuple[int, ...], int]  # block sizes, largest first -> subsets
     all_small_subsets_pi: bool
-    failing_small_subset: tuple[Permutation, ...] | None
     witness_subset: tuple[Permutation, ...]
     witness_order: FactoredInteger
     radical_order: FactoredInteger
-    crosschecks: int
+    crosschecks: int  # chains built: one per shape, and the star
     exhaustive: bool
     implied_lower_bound: int  # width r-2 cannot separate transpositions from O_pi
 
 
-def transposition_pi_sweep(
-    r: int,
-    *,
-    sample: int | None = None,
-    seed: int = 0,
-    crosscheck_stride: int = 97,
-) -> TranspositionSweepReport:
-    """Sweep (r-2)-subsets of the transpositions of Sym(r) for the prime set
-    pi = {primes < r}: each such subset must generate a pi-group, while some
-    (r-1)-subset does not, and O_pi(Sym(r)) is trivial — together giving the
-    lower bound r-1 on the width needed for membership testing against the
-    radical.  Exhaustive when ``sample`` is None; otherwise a seeded sample
-    of that many subsets is checked and the report says so.
+def transposition_pi_sweep(r: int) -> TranspositionSweepReport:
+    """The lower bound r-1 on the width that membership in O_pi needs, for
+    pi = {primes < r}: every (r-2)-subset of the transpositions of Sym(r)
+    generates a pi-group, the star of r-1 transpositions does not, and
+    O_pi(Sym(r)) is trivial.  r is a prime from 3 to ``SWEEP_MAX_R``, else
+    ``ValueError``.
 
-    Every pi-ness verdict comes from the partition model of the width
-    engine (:func:`_merged`, :func:`_partition_order`); every
-    ``crosscheck_stride``-th subset, every non-pi verdict and the star are
-    re-checked by building the generated group directly: the same order and
-    the blocks as its orbits.
+    The subsets are counted, not listed.  A set of transpositions generates
+    the product of Sym(block) over the components of its edge graph, so the
+    subsets are grouped by the shape (block sizes) of that point partition.
+    The subsets of one shape number its set partitions times a product of
+    connected-graph counts (:func:`_connected_graphs`).  Each shape with
+    subsets is checked against pi by its order prod k_i!
+    (:func:`_partition_order`), and that order is crosschecked by building
+    the chain of one spanning forest of the shape (a path on each block):
+    the same order and the blocks as its orbits.  The sweep is exhaustive
+    because the shape counts sum to C(r(r-1)/2, r-2).  A shortfall, a shape
+    outside pi or a failed crosscheck is a bug and raises
+    :class:`InvariantViolation`.
     """
-    if not is_prime(r) or r < 3:
-        raise ValueError(f"r must be an odd prime >= 3, got {r}")
-    if sample is not None and sample < 1:
-        raise ValueError(f"sample must be >= 1, got {sample}")
+    if not is_prime(r) or not 3 <= r <= SWEEP_MAX_R:
+        raise ValueError(f"r must be a prime from 3 to {SWEEP_MAX_R}, got {r}")
     pi = PrimeSet.of(*[p for p in range(2, r) if is_prime(p)])
-    # the transposition (a+1 b+1) of Sym(r) for each point pair, in order
-    pairs = list(itertools.combinations(range(r), 2))
-    transpositions = [Permutation.from_cycles([(a + 1, b + 1)], degree=r) for a, b in pairs]
-    k = r - 2
-    if sample is None:
-        combos: Iterable[tuple[int, ...]] = itertools.combinations(range(len(pairs)), k)
-        exhaustive = True
-    else:
-        rng = random.Random(seed)
-        idx = list(range(len(pairs)))
-        combos = (tuple(sorted(rng.sample(idx, k))) for _ in range(sample))
-        exhaustive = False
 
-    def partition(combo: Sequence[int]) -> tuple[Labels, FactoredInteger]:
+    def transpositions(edges: list[tuple[int, int]]) -> tuple[Permutation, ...]:
+        return tuple(Permutation.from_cycles([(a + 1, b + 1)], degree=r) for a, b in edges)
+
+    def generated_order(edges: list[tuple[int, int]]) -> FactoredInteger:
+        """The order of the group that the transpositions on ``edges``
+        generate, from the partition model, crosschecked against a chain
+        built from them."""
         labels = tuple(range(r))
-        for i in combo:
-            labels = _merged(labels, *pairs[i]) or labels
-        return labels, FactoredInteger.from_int(_partition_order(labels))
-
-    def crosscheck(combo: Sequence[int], labels: Labels, order: FactoredInteger) -> None:
-        G = PermGroup.from_generators([transpositions[i] for i in combo], r)
+        for a, b in edges:
+            labels = _merged(labels, a, b) or labels
+        order = _partition_order(labels)
+        G = PermGroup.from_generators(transpositions(edges), r)
         blocks: dict[int, list[int]] = {}
         for point, label in enumerate(labels):
             blocks.setdefault(label, []).append(point + 1)
-        if G.order_int != order.value or G.orbit_partition != tuple(map(tuple, blocks.values())):
+        if G.order_int != order or G.orbit_partition != tuple(map(tuple, blocks.values())):
             raise InvariantViolation(
                 "transposition partition model disagreed with direct generation"
             )
+        return FactoredInteger.from_int(order)
 
-    checked = 0
-    crosschecks = 0
-    failing: tuple[Permutation, ...] | None = None
-    for combo in combos:
-        labels, order = partition(combo)
-        verdict = is_pi_number(order, pi)
-        if checked % crosscheck_stride == 0 or not verdict:
-            crosschecks += 1
-            crosscheck(combo, labels, order)
-        checked += 1
-        if not verdict and failing is None:
-            failing = tuple(transpositions[i] for i in combo)
-    # a witness (r-1)-subset that escapes pi: the star (1 b), b = 2..r, the
-    # first r-1 point pairs
-    star = range(r - 1)
-    star_labels, star_order = partition(star)
-    crosscheck(star, star_labels, star_order)
+    shape_counts: dict[tuple[int, ...], int] = {}
+    for shape in _shapes(r, r):
+        count = _subsets_of_shape(shape, r - 2)
+        if count == 0:
+            continue
+        starts = itertools.accumulate(shape, initial=0)
+        forest = [(s + i, s + i + 1) for s, k in zip(starts, shape) for i in range(k - 1)]
+        order = generated_order(forest)
+        if not is_pi_number(order, pi):
+            raise InvariantViolation(
+                f"{count} subsets of shape {shape} generate order {order}, outside pi={pi}"
+            )
+        shape_counts[shape] = count
+    subsets = math.comb(r * (r - 1) // 2, r - 2)
+    covered = sum(shape_counts.values())
+    if covered != subsets:
+        raise InvariantViolation(
+            f"the shape counts cover {covered} of the {subsets} (r-2)-subsets at r={r}"
+        )
+    # a witness (r-1)-subset that escapes pi: the star (1 b), b = 2..r
+    star = [(0, b) for b in range(1, r)]
+    star_order = generated_order(star)
     if is_pi_number(star_order, pi):
         raise InvariantViolation(
             f"the star on {r} points generated a pi-group; sweep is inconsistent"
         )
     sym_r = PermGroup.from_generators(
-        [transpositions[0], Permutation.from_cycles([tuple(range(1, r + 1))], degree=r)]
+        [*transpositions(star[:1]), Permutation.from_cycles([tuple(range(1, r + 1))], degree=r)]
     )
     # Triviality of the radical: the prime-degree certificate applies for
     # every valid r (transitive, degree r prime, r outside pi); below the
@@ -1073,14 +1102,13 @@ def transposition_pi_sweep(
     return TranspositionSweepReport(
         r=r,
         pi=pi,
-        subsets_checked=checked,
-        all_small_subsets_pi=failing is None,
-        failing_small_subset=failing,
-        witness_subset=tuple(transpositions[i] for i in star),
+        subsets_checked=covered,
+        shape_counts=shape_counts,
+        all_small_subsets_pi=True,
+        witness_subset=transpositions(star),
         witness_order=star_order,
         radical_order=radical_order,
-        crosschecks=crosschecks,
-        exhaustive=exhaustive,
+        crosschecks=len(shape_counts) + 1,
+        exhaustive=True,
         implied_lower_bound=r - 1,
     )
-

@@ -8,7 +8,9 @@ two-route check.  Only :class:`piradical.Permutation` arithmetic is shared
 
 from __future__ import annotations
 
-from itertools import combinations_with_replacement, count
+from collections import Counter
+from functools import lru_cache
+from itertools import combinations, combinations_with_replacement, count
 from typing import Callable, Sequence
 
 from sympy import factorint
@@ -53,12 +55,14 @@ def is_normal(elements: frozenset[Permutation], sub: frozenset[Permutation]) -> 
     return all(g.inverse() * n * g in sub for g in elements for n in sub)
 
 
+@lru_cache(maxsize=None)
 def all_subgroups_two_generated(
     elements: frozenset[Permutation], degree: int
 ) -> set[frozenset[Permutation]]:
     """Subgroups arising as closures of one or two elements.  Complete for
-    the fixture groups here (S_4, A_4, A_5, dihedral, cyclic), whose
-    subgroups are all 2-generated."""
+    every group of degree at most 5, since every subgroup of S_5 is
+    2-generated.  Kept per group, as the radical and the normal subgroups
+    of one group both filter this list."""
     elems = sorted(elements)
     subs: set[frozenset[Permutation]] = set()
     for i, a in enumerate(elems):
@@ -108,3 +112,23 @@ def min_generating_width(
         for combo in combinations_with_replacement(members, k):
             if order_predicate(len(closure(list(combo), degree))):
                 return k
+
+
+def transposition_shape_histogram(r: int) -> Counter[tuple[int, ...]]:
+    """For each shape (component sizes, largest first) of an edge graph,
+    the number of (r-2)-subsets of the transpositions of Sym(r) whose edge
+    graph has it, by listing every subset: 20,349 subsets at r = 7."""
+    histogram: Counter[tuple[int, ...]] = Counter()
+    for subset in combinations(combinations(range(r), 2), r - 2):
+        root = list(range(r))
+
+        def find(a: int) -> int:
+            while root[a] != a:
+                a = root[a]
+            return a
+
+        for a, b in subset:
+            root[find(a)] = find(b)
+        sizes = Counter(find(point) for point in range(r)).values()
+        histogram[tuple(sorted(sizes, reverse=True))] += 1
+    return histogram

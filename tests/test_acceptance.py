@@ -35,7 +35,6 @@ from piradical import (
     is_pi_group,
     minimal_membership_width,
     normal_subgroups,
-    odd_pi_two_conjugates_check,
     pi_radical,
     prime_order_class_representatives,
     projective_semilinear_9,
@@ -288,7 +287,7 @@ def test_c05_transposition_subset_sweeps():
         good = (
             rep.exhaustive
             and rep.all_small_subsets_pi
-            and rep.failing_small_subset is None
+            and rep.subsets_checked == math.comb(r * (r - 1) // 2, r - 2)
             and rep.radical_order.is_one()
             and rep.implied_lower_bound == r - 1
             and len(rep.witness_subset) == r - 1
@@ -337,7 +336,7 @@ def test_c07_two_conjugates_suffice_for_odd_prime_sets():
         odd = sorted(p for p in entry.group.order.prime_support if p != 2)
         for k in range(len(odd) + 1):
             for subset in itertools.combinations(odd, k):
-                res = odd_pi_two_conjugates_check(entry.group, PrimeSet.of(*subset))
+                res = bs_membership(entry.group, PrimeSet.of(*subset), 2)
                 checks += 1
                 if not res.holds:
                     failures.append((entry.name, subset))

@@ -60,20 +60,26 @@ def test_r_not_dividing_order_is_an_input_error(capsys):
     assert code == 2
 
 
+def test_a_context_that_is_not_almost_simple_is_an_input_error(capsys):
+    """Bad input, not an implementation bug: the ambient centralizer of the
+    socle D8 is nontrivial."""
+    code, out, err = run(capsys, "alpha", "--group", "D8", "--aut", "(1 2 3 4 5 6 7 8)")
+    assert code == 2 and out == ""
+    assert "not almost simple" in err and "INVARIANT VIOLATION" not in err
+
+
 def test_even_r_sweep_is_an_input_error(capsys):
     code, _, err = run(capsys, "transposition-sweep", "--r", "4")
     assert code == 2
 
 
-def test_sampled_sweep_exits_three(capsys):
-    code, out, _ = run(
-        capsys, "transposition-sweep", "--r", "5", "--sample", "30",
-        "--format", "json",
-    )
-    assert code == 3
-    report = json.loads(out)
-    assert report["results"][0]["exhaustive"] is False
-    assert report["results"][0]["subsets_checked"] == 30
+@pytest.mark.parametrize("flag", ["--sample", "--seed"])
+def test_sweep_takes_no_sample_or_seed(capsys, flag):
+    """The sweep is exact at every supported r, so it has nothing to sample."""
+    with pytest.raises(SystemExit) as exc:
+        main(["transposition-sweep", "--r", "5", flag, "30"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
 
 
 def test_exhaustive_sweep_exits_zero(capsys):
@@ -83,6 +89,14 @@ def test_exhaustive_sweep_exits_zero(capsys):
     assert rec["all_small_subsets_pi"] is True
     assert rec["exhaustive"] is True
     assert rec["implied_lower_bound"] == 4
+
+
+def test_sweep_at_r_11_is_exact(capsys):
+    code, report = run_json(capsys, "transposition-sweep", "--r", "11")
+    assert code == 0
+    rec = report["results"][0]
+    assert rec["exhaustive"] is True and rec["all_small_subsets_pi"] is True
+    assert rec["subsets_checked"] == 6_358_402_050  # C(55, 9)
 
 
 def test_width_budget_exhaustion_exits_three(capsys):
@@ -99,13 +113,13 @@ def test_width_budget_exhaustion_exits_three(capsys):
         ["alpha", "--group", "A5", "--aut", "(1 2)", "--budget-max-states", "-1"],
         ["alpha", "--group", "A5", "--aut", "(1 2)", "--budget-max-width", "0"],
         ["alpha", "--group", "A5", "--aut", "(1 2)", "--budget-max-class", "0"],
-        ["transposition-sweep", "--r", "5", "--sample", "0"],
+        ["transposition-sweep", "--r", "29"],
         ["verify-bs-sweep", "--order-cap", "0"],
         ["verify-bs-sweep", "--order-cap", "1"],
         ["width-table", "--n", "5", "--r", "7"],
         ["width-table", "--n", "5", "--r", "3,3"],
     ],
-    ids=["max-states", "max-width", "max-class", "sample", "order-cap-0", "order-cap-1",
+    ids=["max-states", "max-width", "max-class", "sweep-r", "order-cap-0", "order-cap-1",
          "r-above-n", "r-repeated"],
 )
 def test_degenerate_budget_is_an_input_error(capsys, argv):
@@ -137,9 +151,9 @@ def test_provenance_carries_a_budget_only_for_searches(capsys):
     _, report = run_json(capsys, "radical", "--group", "S4", "--pi", "2")
     assert not (budget_keys | {"seed"}) & report["provenance"].keys()
     assert "seed" not in report["inputs"]
-    _, report = run_json(capsys, "transposition-sweep", "--r", "5", "--seed", "4")
-    assert not budget_keys & report["provenance"].keys()
-    assert report["provenance"]["seed"] == 4
+    _, report = run_json(capsys, "transposition-sweep", "--r", "5")
+    assert not (budget_keys | {"seed"}) & report["provenance"].keys()
+    assert report["inputs"] == {"r": 5}
     _, report = run_json(capsys, "alpha", "--group", "A5", "--aut", "(1 2)")
     assert report["provenance"]["budget_max_states"] == 100_000
     assert report["provenance"]["seed"] == 0
@@ -521,7 +535,7 @@ REPEAT_ARGV = {
         "--budget-max-class", "20", "--seed", "3",
     ],
     "bs-check": ["bs-check", "--group", "S5", "--pi", "2,3", "--m", "4"],
-    "transposition-sweep": ["transposition-sweep", "--r", "5", "--sample", "30", "--seed", "2"],
+    "transposition-sweep": ["transposition-sweep", "--r", "7"],
     "width-table": ["width-table", "--n", "5", "--r", "3", "--include-alpha"],
     "verify-bs": ["verify-bs", "--group", "S4"],
     "verify-bs-sweep": ["verify-bs-sweep", "--order-cap", "24"],

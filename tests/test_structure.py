@@ -3,6 +3,7 @@
 import itertools
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from piradical import (
     PermGroup,
@@ -213,6 +214,26 @@ def test_pi_radical_matches_oracle():
             want = pi_radical_set(elems, G.degree, set(pi.primes))
             assert got.order_int == len(want)
             assert set(got.elements()) == want
+
+
+small_generating_sets = st.integers(1, 5).flatmap(
+    lambda n: st.lists(
+        st.permutations(range(n)).map(lambda t: Permutation(tuple(t))), min_size=1, max_size=2
+    )
+)
+
+
+@settings(max_examples=30, deadline=None)
+@given(small_generating_sets, st.sets(st.sampled_from([2, 3, 5])))
+def test_radical_and_normal_subgroups_match_the_oracles_on_random_groups(gens, primes):
+    degree = gens[0].degree
+    G = PermGroup.from_generators(gens, degree=degree)
+    elems = closure(gens, degree)
+    subs = [frozenset(H.elements()) for H in normal_subgroups(G)]
+    oracle = normal_subgroup_sets(elems, degree)
+    assert len(subs) == len(oracle) and set(subs) == set(oracle)
+    radical = pi_radical(G, PrimeSet.of(*primes))
+    assert frozenset(radical.elements()) == pi_radical_set(elems, degree, primes)
 
 
 def test_pi_radical_properties():

@@ -2,6 +2,7 @@
 
 import dataclasses
 import gc
+import math
 import random
 import weakref
 
@@ -17,7 +18,6 @@ from piradical import (
     NotNormalizing,
     PermGroup,
     Permutation,
-    PiContainsTwo,
     PrimeSet,
     RNotDividingOrder,
     SearchBudget,
@@ -32,10 +32,10 @@ from piradical import (
     dihedral_group,
     is_pi_group,
     is_pi_number,
+    is_prime,
     min_width_search,
     minimal_membership_width,
     normal_subgroups,
-    odd_pi_two_conjugates_check,
     pi_radical,
     projective_semilinear_9,
     symmetric_group,
@@ -43,6 +43,8 @@ from piradical import (
 )
 from piradical import structure, width
 from piradical.width import _Chains, _Partitions, _merged, _partition_order, _search
+
+from .oracles import transposition_shape_histogram
 
 P = Permutation.parse
 
@@ -308,6 +310,13 @@ def test_build_rejects_centralizing_element():
         AlmostSimpleContext.build(socle, P("(6 7)", 7))
 
 
+def test_build_rejects_a_context_that_is_not_almost_simple():
+    """The 8-cycle is D8's own rotation, so the ambient group is D8, whose
+    centre holds the half-turn (1 5)(2 6)(3 7)(4 8)."""
+    with pytest.raises(InvariantViolation, match=r"contains \(1 5\)\(2 6\)\(3 7\)\(4 8\)"):
+        AlmostSimpleContext.build(dihedral_group(8), P("(1 2 3 4 5 6 7 8)"))
+
+
 def test_ambient_is_socle_extended_by_element():
     ctx = ctx_a5("(1 2)")
     assert ctx.ambient.order_int == 120
@@ -448,7 +457,6 @@ def test_a_group_is_never_answered_from_another_groups_classes():
     assert class_data(S5) is not data and class_data(S5).group is S5
     for call in [
         lambda: bs_membership(S5, pi, 3, data=data),
-        lambda: odd_pi_two_conjugates_check(S5, PrimeSet.of(3), data=data),
         lambda: minimal_membership_width(S5, pi, data=data),
         lambda: baer_suzuki_check(S5, 2, data=data),
         lambda: pi_radical(S5, pi, closures=data.closures),
@@ -552,13 +560,8 @@ def test_two_conjugates_suffice_for_odd_prime_sets():
         (symmetric_group(5), PrimeSet.of(5)),
     ]
     for G, pi in cases:
-        res = odd_pi_two_conjugates_check(G, pi)
+        res = bs_membership(G, pi, 2)
         assert res.holds and res.m == 2
-
-
-def test_two_conjugate_check_rejects_even_prime_sets():
-    with pytest.raises(PiContainsTwo):
-        odd_pi_two_conjugates_check(symmetric_group(4), PrimeSet.of(2, 3))
 
 
 # -- the transposition partition model ---------------------------------------------
@@ -626,7 +629,9 @@ def test_transposition_sweep_small_prime_exact():
     assert report.r == 5 and report.exhaustive
     assert report.all_small_subsets_pi
     assert report.subsets_checked == 120  # C(10, 3) triples of the 10 transpositions
-    assert report.failing_small_subset is None
+    # 5 x 16 trees on four points, 10 x 3 paths with an edge, 10 triangles
+    assert report.shape_counts == {(4, 1): 80, (3, 2): 30, (3, 1, 1): 10}
+    assert report.crosschecks == len(report.shape_counts) + 1  # and the star
     assert report.radical_order.is_one()
     assert report.implied_lower_bound == 4
     star = PermGroup.from_generators(report.witness_subset)
@@ -634,33 +639,42 @@ def test_transposition_sweep_small_prime_exact():
     assert not is_pi_group(star, report.pi)
 
 
-def test_transposition_sweep_crosschecks_every_subset_at_stride_one():
-    report = transposition_pi_sweep(5, crosscheck_stride=1)
-    assert report.subsets_checked == report.crosschecks == 120
+@pytest.mark.parametrize("r", [3, 5, 7])
+def test_transposition_sweep_shape_counts_match_the_enumerating_oracle(r):
+    histogram = transposition_shape_histogram(r)
+    assert transposition_pi_sweep(r).shape_counts == histogram
+    assert max(max(shape) for shape in histogram) < r  # so every order is a pi-number
 
 
-def test_transposition_sweep_catches_a_wrong_merge(monkeypatch):
-    """The crosscheck against a direct chain build is live: a partition
-    model that skips one merge is caught."""
-    merges = [0]
+def test_transposition_sweep_is_exhaustive_at_every_supported_prime():
+    for r in [p for p in range(3, width.SWEEP_MAX_R + 1) if is_prime(p)]:
+        report = transposition_pi_sweep(r)
+        assert report.exhaustive and report.all_small_subsets_pi
+        assert report.subsets_checked == math.comb(r * (r - 1) // 2, r - 2)
+        assert report.implied_lower_bound == r - 1
 
-    def skips_the_first(labels, a, b):
-        merges[0] += 1
-        return labels if merges[0] == 1 else _merged(labels, a, b)
 
-    monkeypatch.setattr(width, "_merged", skips_the_first)
-    with pytest.raises(InvariantViolation):
+def test_transposition_sweep_catches_a_wrong_connected_graph_count(monkeypatch):
+    """A wrong c(k, e) changes a shape count, so the counts no longer cover
+    every subset."""
+    # the right values first: the cached recurrence must never see the wrong one
+    right = {(k, e): width._connected_graphs(k, e) for k in range(1, 6) for e in range(4)}
+    monkeypatch.setattr(
+        width, "_connected_graphs", lambda k, e: right[k, e] + ((k, e) == (3, 2))
+    )
+    with pytest.raises(InvariantViolation, match="cover"):
         transposition_pi_sweep(5)
 
 
-@pytest.mark.parametrize("sample", [0, -1])
-def test_transposition_sweep_rejects_empty_samples(sample):
-    with pytest.raises(ValueError, match="sample"):
-        transposition_pi_sweep(5, sample=sample)
+def test_transposition_sweep_catches_a_wrong_partition_order(monkeypatch):
+    """The chain built for each shape is a live crosscheck of the partition
+    model's order."""
+    monkeypatch.setattr(width, "_partition_order", lambda labels: 2 * _partition_order(labels))
+    with pytest.raises(InvariantViolation, match="disagreed with direct generation"):
+        transposition_pi_sweep(5)
 
 
-def test_transposition_sweep_sampled_mode():
-    report = transposition_pi_sweep(11, sample=200, seed=1)
-    assert not report.exhaustive
-    assert report.subsets_checked == 200
-    assert report.all_small_subsets_pi
+@pytest.mark.parametrize("r", [-1, 0, 2, 9, 29])
+def test_transposition_sweep_rejects_r_outside_its_range(r):
+    with pytest.raises(ValueError, match="prime from 3 to 23"):
+        transposition_pi_sweep(r)
