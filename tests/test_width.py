@@ -2,6 +2,7 @@
 
 import dataclasses
 import gc
+import itertools
 import math
 import random
 import weakref
@@ -637,6 +638,25 @@ def test_transposition_sweep_small_prime_exact():
     star = PermGroup.from_generators(report.witness_subset)
     assert star.order_int == report.witness_order.value == 120
     assert not is_pi_group(star, report.pi)
+
+
+def test_transposition_sweep_crosschecks_every_subset_at_stride_one():
+    """Every one of the 120 triples of transpositions of Sym(5), generated
+    directly: its order is that of its shape, a pi-number, and the shapes
+    tally to the sweep's counts."""
+    report = transposition_pi_sweep(5)
+    edges = [(a, b) for a in range(1, 6) for b in range(a + 1, 6)]
+    tally: dict[tuple[int, ...], int] = {}
+    for subset in itertools.combinations(edges, 3):
+        G = PermGroup.from_generators(
+            [Permutation.from_cycles([edge], degree=5) for edge in subset], 5
+        )
+        shape = tuple(sorted(map(len, G.orbit_partition), reverse=True))
+        assert G.order_int == math.prod(map(math.factorial, shape))
+        assert is_pi_group(G, report.pi)
+        tally[shape] = tally.get(shape, 0) + 1
+    assert tally == report.shape_counts
+    assert report.subsets_checked == sum(tally.values()) == 120
 
 
 @pytest.mark.parametrize("r", [3, 5, 7])
