@@ -32,6 +32,7 @@ from typing import Iterable
 
 from .errors import (
     InvariantViolation,
+    NotNormalizing,
     ParseError,
     UnsupportedQ,
 )
@@ -601,14 +602,14 @@ def _validate_spec(spec: GroupSpec) -> None:
     G = spec.group()
     socle = spec.socle()
     if socle is not None and not socle.is_normal_in(G):
-        raise InvariantViolation(
+        raise NotNormalizing(
             f"declared socle of {spec.name} is not normal in the group"
         )
     aut = spec.aut()
     if aut is not None and socle is not None:
         for s in socle.generators:
             if not socle.contains(s**aut):
-                raise InvariantViolation(
+                raise NotNormalizing(
                     f"declared aut of {spec.name} does not normalize the socle"
                 )
 

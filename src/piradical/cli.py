@@ -2,21 +2,23 @@
 
 Every subcommand computes the echoed inputs, a flat list of result records
 and a summary; :func:`main` wraps them once in an :class:`ExperimentReport`
-with provenance (version, the seed and budgets of the subcommands that take
-them, wall time) and renders it as text, JSON, or CSV.  Result records are
-plain JSON scalars/arrays, so the JSON and CSV renderings of one run carry
-identical records; re-running with the echoed inputs reproduces the report
-bit-identically except for the wall-time field.
+with provenance (version, the budgets of the subcommands that take them,
+wall time) and renders it as text, JSON, or CSV.  Result records are plain
+JSON scalars/arrays, so the JSON and CSV renderings of one run carry
+identical records; nothing is drawn at random, so re-running with the
+echoed inputs reproduces the report bit-identically except for the
+wall-time field.
 
 A width result (``alpha``, ``beta``, the cells of ``width-table``) carries a
 ``status``: ``found`` (the value is certified minimal), ``absent`` (no width
-at all succeeds), ``width_budget`` or ``state_budget`` (a budget cut the
-search short) or ``sampled_class`` (the class was a seeded sample).  Only
-the first two are ``exhaustive``.
+at all succeeds), or ``width_budget`` or ``state_budget`` (a budget cut the
+search short).  Only the first two are ``exhaustive``.
 
 Exit codes: 0 success; 1 a verified mathematical invariant failed (an
 implementation bug, never an input problem); 2 input/validation errors;
-3 budget exhaustion or a printed width result that is not exhaustive.
+3 budget exhaustion (among it a class larger than ``--budget-max-class``,
+refused before any search, with nothing printed) or a printed width result
+that is not exhaustive.
 """
 
 from __future__ import annotations
@@ -41,7 +43,7 @@ from .catalog import (
     projective_semilinear_9,
     socle_by_name,
 )
-from .errors import BudgetExhausted, InvariantViolation, PiradicalError
+from .errors import BudgetExhausted, InvariantViolation, NotAlmostSimple, PiradicalError
 from .factored import is_prime
 from .groups import PermGroup
 from .perms import Permutation
@@ -140,10 +142,10 @@ class ExperimentReport:
 
 
 def _provenance(args, t0: float) -> dict:
-    """Package, the seed and search budget (for subcommands that take them)
-    and wall time."""
+    """Package, the search budget (for subcommands that take one) and wall
+    time."""
     prov = {"package": "piradical", "version": __version__}
-    for key in ("seed", "budget_max_width", "budget_max_states", "budget_max_class"):
+    for key in ("budget_max_width", "budget_max_states", "budget_max_class"):
         if hasattr(args, key):
             prov[key] = getattr(args, key)
     prov["wall_time_s"] = round(time.monotonic() - t0, 3)
@@ -168,7 +170,6 @@ def _add_pair_budget_flags(p: argparse.ArgumentParser) -> None:
     """The budget of a search whose width is fixed (the pair checks)."""
     p.add_argument("--budget-max-states", type=int, default=SearchBudget.max_states)
     p.add_argument("--budget-max-class", type=int, default=SearchBudget.max_class_size)
-    p.add_argument("--seed", type=int, default=0)
 
 
 def _add_group_flags(p: argparse.ArgumentParser) -> None:
@@ -181,7 +182,6 @@ def _budget(args) -> SearchBudget:
         max_width=getattr(args, "budget_max_width", SearchBudget.max_width),
         max_states=args.budget_max_states,
         max_class_size=args.budget_max_class,
-        seed=args.seed,
     )
 
 
@@ -225,10 +225,9 @@ def _resolve_context(args, budget: SearchBudget) -> tuple[str, AlmostSimpleConte
         raise
     except (PiradicalError, ValueError, OSError) as e:
         raise _InputError(str(e))
-    try:
-        return name, AlmostSimpleContext.build(socle, aut, budget=budget)
-    except (PiradicalError, ValueError) as e:
-        raise _InputError(str(e))
+    # main maps a context that fails validation to exit 2, and a class over
+    # the class budget (BudgetExhausted) to exit 3
+    return name, AlmostSimpleContext.build(socle, aut, budget=budget)
 
 
 def _resolve_pi(args, spec) -> PrimeSet:
@@ -306,7 +305,6 @@ def cmd_width(args) -> tuple[dict, int]:
             "spec": getattr(args, "spec", None),
             "aut": args.aut,
             **({"r": args.r} if with_r else {}),
-            "seed": args.seed,
         },
         results=[record],
         summary={"value": res.value, "status": res.status, "exhaustive": res.exhaustive},
@@ -347,7 +345,7 @@ def cmd_bs_check(args) -> tuple[dict, int]:
         summary["minimal_m"] = m_min
         summary["minimal_m_per_class"] = {str(rep): w for rep, w in per_rep}
     return dict(
-        inputs={"group": name, "pi": str(pi), "m": args.m, "seed": args.seed},
+        inputs={"group": name, "pi": str(pi), "m": args.m},
         results=records,
         summary=summary,
     ), 0
@@ -414,6 +412,13 @@ def cmd_width_table(args) -> tuple[dict, int]:
     any_uncertified = False
     any_violation = False
 
+    def context(socle: PermGroup, x: Permutation) -> AlmostSimpleContext:
+        """A catalog context; one that is not almost simple is a bug here."""
+        try:
+            return AlmostSimpleContext.build(socle, x, budget=budget)
+        except NotAlmostSimple as e:
+            raise InvariantViolation(f"catalog context: {e}") from e
+
     def run_cell(label: str, ctx: AlmostSimpleContext, r: int, expected: str, a) -> None:
         nonlocal any_uncertified, any_violation
         res = beta(ctx, r, budget)
@@ -462,16 +467,14 @@ def cmd_width_table(args) -> tuple[dict, int]:
         r_list = [r for r in r_list if r <= n]
         # alpha does not depend on r: once per context
         for x, p, _k in prime_order_class_representatives(n):
-            ctx = AlmostSimpleContext.build(socle, x, budget=budget)
+            ctx = context(socle, x)
             a = alpha(ctx, budget) if args.include_alpha and r_list else None
             for r in r_list:
                 expected = "eq-r-1" if x.is_transposition() else "le-r-1"
                 run_cell(f"A{n}", ctx, r, expected, a)
         if n == 6:
             pg = projective_semilinear_9()
-            ctx = AlmostSimpleContext.build(
-                pg.socle, pg.involution_outside_s6, budget=budget
-            )
+            ctx = context(pg.socle, pg.involution_outside_s6)
             rs = [r for r in r_list if r in (3, 5)]
             a = alpha(ctx, budget) if args.include_alpha and rs else None
             for r in rs:
@@ -486,7 +489,6 @@ def cmd_width_table(args) -> tuple[dict, int]:
             "n": args.n,
             "r": args.r,
             "include_alpha": args.include_alpha,
-            "seed": args.seed,
         },
         results=records,
         summary={
@@ -526,7 +528,7 @@ def cmd_verify_bs(args) -> tuple[dict, int]:
                 }
             )
     return dict(
-        inputs={"group": name, "p": args.p, "seed": args.seed},
+        inputs={"group": name, "p": args.p},
         results=records,
         summary={"consistent": True, "primes": primes},
     ), 0
@@ -554,7 +556,7 @@ def cmd_verify_bs_sweep(args) -> tuple[dict, int]:
                 }
             )
     return dict(
-        inputs={"order_cap": args.order_cap, "seed": args.seed},
+        inputs={"order_cap": args.order_cap},
         results=records,
         summary={"groups_and_primes": len(records), "consistent": True},
     ), 0

@@ -56,8 +56,9 @@ class TooLarge(PiradicalError):
 
 
 class BudgetExhausted(PiradicalError):
-    """A search ran out of its state/width budget before reaching a
-    definitive answer."""
+    """A search ran out of its budget before reaching a definitive answer:
+    its states or widths, or a class larger than the class budget, which is
+    refused before any search starts."""
 
 
 # ---------------------------------------------------------------------------
@@ -71,6 +72,11 @@ class NotNormalizing(PiradicalError, ValueError):
 class CentralizesSocle(PiradicalError, ValueError):
     """The candidate automorphism centralizes the socle (acts trivially),
     so it induces no automorphism worth studying."""
+
+
+class NotAlmostSimple(PiradicalError, ValueError):
+    """The ambient group <socle, x> has a nontrivial element centralizing
+    the socle, so the context is not almost simple."""
 
 
 class NotATransposition(PiradicalError, ValueError):
@@ -102,5 +108,6 @@ class ParseError(PiradicalError, ValueError):
 
 
 class InvariantViolation(PiradicalError):
-    """A structural promise made by an input file or constructor does not
-    hold (e.g. a declared socle is not normal)."""
+    """A result the package computed failed its own check (e.g. class sizes
+    that do not sum to the group order): an implementation bug, never a
+    property of the input."""

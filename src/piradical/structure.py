@@ -34,7 +34,7 @@ import weakref
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Iterable, Sequence
 
-from .errors import InvariantViolation, NotAMember, TooLarge
+from .errors import BudgetExhausted, InvariantViolation, NotAMember, TooLarge
 from .factored import FactoredInteger, is_prime
 from .groups import Images, PermGroup
 from .perms import TAIL, Permutation, with_tables
@@ -114,10 +114,10 @@ def is_pi_group(G: PermGroup, pi: PrimeSet) -> bool:
 # ---------------------------------------------------------------------------
 # conjugacy
 
-# (members, conjugating witnesses, complete), members and witnesses as bytes:
-# the width engine reads them as they are, and wraps a Permutation only for
-# what leaves it
-ClassTable = tuple[list[Images], list[Images], bool]
+# (members, conjugating witnesses) of a whole class, as bytes: the width
+# engine reads them as they are, and wraps a Permutation only for what
+# leaves it
+ClassTable = tuple[list[Images], list[Images]]
 
 
 def conjugation_orbit(G: PermGroup, x: Permutation, cap: int = 10**5) -> ClassTable:
@@ -126,9 +126,8 @@ def conjugation_orbit(G: PermGroup, x: Permutation, cap: int = 10**5) -> ClassTa
     ``x ** Permutation(w[i]) == Permutation(orbit[i])`` and
     ``orbit[0] == x.images``, ``w[0]`` the identity.
 
-    Returns ``(members, witnesses, complete)``.  If the orbit exceeds
-    ``cap`` the search stops early and ``complete`` is False; the truncated
-    orbit is the first ``cap`` members of the full one, in the same order.
+    Returns ``(members, witnesses)``.  Raises :class:`BudgetExhausted` as
+    soon as the orbit passes ``cap`` members.
     """
     n = G.degree
     gens = with_tables(G.gens)
@@ -144,11 +143,13 @@ def conjugation_orbit(G: PermGroup, x: Permutation, cap: int = 10**5) -> ClassTa
             y = bytes.maketrans(g, m.translate(table))[:n]  # g^-1 m g
             if y not in seen:
                 if len(members) >= cap:
-                    return members, witnesses, False
+                    raise BudgetExhausted(
+                        f"the class of {x} has more members than its cap of {cap}"
+                    )
                 seen.add(y)
                 members.append(y)
                 witnesses.append(w.translate(table))  # w then g
-    return members, witnesses, True
+    return members, witnesses
 
 
 def class_representatives(
@@ -250,11 +251,12 @@ class GroupClassData:
         return self._reps
 
     def class_table(self, rep: Permutation) -> ClassTable:
-        """``conjugation_orbit(G, rep)``: the G-class of ``rep`` in
+        """``conjugation_orbit(G, rep)``: the whole G-class of ``rep`` in
         breadth-first order with conjugating witnesses, as ``bytes``,
         computed once."""
         if rep.images not in self._tables:
-            self._tables[rep.images] = conjugation_orbit(self.group, rep)
+            G = self.group
+            self._tables[rep.images] = conjugation_orbit(G, rep, G.order_int)
         return self._tables[rep.images]
 
     @property

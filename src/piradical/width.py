@@ -40,7 +40,7 @@ Three soundness notes justify the pruning:
   failures up to the explored width and an emptied frontier certify what
   they certify without the pruning.  C is built only then, from the
   Schreier generators of the class-table orbit, and checked to reach order
-  |L| / |x^L|.  This needs a pinned search (x fixed), a complete class (C
+  |L| / |x^L|.  This needs a pinned search (x fixed), the whole class (C
   acts on it) and a predicate that depends only on the order; without the
   group L the search is unreduced.
 
@@ -54,13 +54,12 @@ result certifies:
 * ``width_budget``: every width up to the explored one failed, and
   ``max_width`` stopped the search there;
 * ``state_budget``: ``max_states`` stopped the search part-way through a
-  width;
-* ``sampled_class``: the class was truncated to a seeded sample, so neither
-  a value nor its absence speaks for the whole class.
+  width.
 
 Only ``found`` and ``absent`` are exhaustive.  The membership checks ask
 less: every tuple up to their width m was searched, which ``width_budget``
-also gives.
+also gives.  A search always runs over the whole class: a class larger than
+``max_class_size`` raises :class:`BudgetExhausted` before any search starts.
 
 Two exact state models, cross-checked against each other in the test suite:
 
@@ -93,7 +92,6 @@ from __future__ import annotations
 import functools
 import itertools
 import math
-import random
 from collections import Counter
 from dataclasses import dataclass, field, replace
 from typing import Callable, Iterator, Literal, NamedTuple, Sequence
@@ -103,6 +101,7 @@ from .errors import (
     CentralizesSocle,
     DegreeMismatch,
     InvariantViolation,
+    NotAlmostSimple,
     NotATransposition,
     NotNormalizing,
     RNotDividingOrder,
@@ -111,7 +110,6 @@ from .factored import FactoredInteger, is_prime
 from .groups import Images, PermGroup
 from .perms import TAIL, Permutation, conjugate_images, with_tables
 from .structure import (
-    ClassTable,
     PrimeSet,
     class_data,
     conjugation_orbit,
@@ -121,9 +119,7 @@ from .structure import (
 )
 
 OrderPredicate = Callable[[int], bool]
-Status = Literal["found", "absent", "width_budget", "state_budget", "sampled_class"]
-# the statuses of a search that tried every tuple up to its width budget
-_SEARCHED_TO_WIDTH = frozenset({"found", "absent", "width_budget"})
+Status = Literal["found", "absent", "width_budget", "state_budget"]
 
 
 # ---------------------------------------------------------------------------
@@ -136,16 +132,14 @@ class SearchBudget:
 
     ``max_width``: deepest tuple width explored.
     ``max_states``: cap on subgroup states created across all levels.
-    ``max_class_size``: conjugacy classes larger than this are truncated to a
-    seeded sample and every result derived from them has status
-    ``sampled_class``.
+    ``max_class_size``: a conjugacy class larger than this is not searched;
+    asking about it raises :class:`BudgetExhausted`.
     Each limit must be at least 1 (``ValueError`` otherwise).
     """
 
     max_width: int = 12
     max_states: int = 100_000
     max_class_size: int = 100_000
-    seed: int = 0
 
     def __post_init__(self):
         for name in ("max_width", "max_states", "max_class_size"):
@@ -222,25 +216,6 @@ class WidthResult:
 
 
 # ---------------------------------------------------------------------------
-# class tables
-
-
-def _sampled(table: ClassTable, budget: SearchBudget) -> ClassTable:
-    """A class table cut to its first ``max_class_size`` members and shuffled
-    into a seeded sample when larger (x itself always stays first).  A
-    breadth-first orbit stopped at a cap is a prefix of the full one, so a
-    capped table and a complete one give the same sample."""
-    members, wits, complete = table
-    if complete and len(members) <= budget.max_class_size:
-        return table
-    rng = random.Random(budget.seed)
-    idx = list(range(1, min(len(members), budget.max_class_size)))
-    rng.shuffle(idx)
-    order = [0] + idx
-    return [members[i] for i in order], [wits[i] for i in order], False
-
-
-# ---------------------------------------------------------------------------
 # the search: one breadth-first driver over two state models
 
 
@@ -270,7 +245,6 @@ def min_width_search(
     *,
     budget: SearchBudget = SearchBudget(),
     pinned: bool = True,
-    class_complete: bool = True,
     group: PermGroup | None = None,
 ) -> WidthResult:
     """Minimal number of the given conjugates generating a subgroup whose
@@ -278,24 +252,22 @@ def min_width_search(
     search semantics).  The conjugates and witnesses are ``bytes``, as in a
     class table: ``conjugates[0]`` must be ``x.images`` and
     ``witnesses[i]`` must conjugate ``x`` to ``conjugates[i]``.
-    ``class_complete`` False marks the conjugates as a sample of the class.
 
-    ``group`` is the group whose conjugation orbit of ``x`` the conjugates
-    are.  When it is given and the search is pinned over a complete class,
-    the level-2 states are reduced to one per C_group(x)-orbit before
-    width 3 is searched; without it the search is unreduced."""
+    ``group`` is the group whose whole conjugation orbit of ``x`` the
+    conjugates are.  When it is given and the search is pinned, the level-2
+    states are reduced to one per C_group(x)-orbit before width 3 is
+    searched; without it the search is unreduced."""
     if not conjugates or conjugates[0] != x.images:
         raise ValueError("conjugates[0] must be x itself")
     model = _Partitions if x.is_transposition() else _Chains
     return _search(
         model(x, conjugates), conjugates, witnesses, order_predicate,
-        budget, pinned, class_complete,
-        group if pinned and class_complete else None,
+        budget, pinned, group if pinned else None,
     )
 
 
 def _search(
-    model, conjugates, witnesses, pred, budget, pinned, class_complete, group=None,
+    model, conjugates, witnesses, pred, budget, pinned, group=None,
 ) -> WidthResult:
     """The breadth-first search over ``model``'s states.  Level 1 holds the
     children of ``model.initial`` (<x> alone when ``pinned``); a child is
@@ -305,8 +277,6 @@ def _search(
     states = 0
 
     def result(explored, status, found=None):
-        if not class_complete and status != "state_budget":
-            status = "sampled_class"
         subgroup = model.group(*found) if found else None
         ids = found[1] if found else ()
         return WidthResult(
@@ -604,9 +574,11 @@ class AlmostSimpleContext:
 
     ``build`` validates: degrees match; x normalizes L (else
     :class:`NotNormalizing`); x does not centralize L (else
-    :class:`CentralizesSocle`); and the ambient centralizer of L is trivial
-    (else :class:`InvariantViolation`), which is the almost-simplicity
-    certificate for a simple socle.
+    :class:`CentralizesSocle`); the ambient centralizer of L is trivial
+    (else :class:`NotAlmostSimple`), which is the almost-simplicity
+    certificate for a simple socle; and x^L has at most
+    ``budget.max_class_size`` members (else :class:`BudgetExhausted`, as
+    soon as the class trace passes that size).
     """
 
     socle: PermGroup
@@ -614,7 +586,6 @@ class AlmostSimpleContext:
     ambient: PermGroup
     conjugates: tuple[Images, ...]
     witnesses: tuple[Images, ...]
-    class_complete: bool
 
     @classmethod
     def build(
@@ -638,20 +609,17 @@ class AlmostSimpleContext:
         ambient = socle.extend(element.images)
         witness = _nontrivial_centralizer_element(ambient, socle)
         if witness is not None:
-            raise InvariantViolation(
+            raise NotAlmostSimple(
                 f"ambient centralizer of the socle contains {witness}; "
                 "the context is not almost simple"
             )
-        members, wits, complete = _sampled(
-            conjugation_orbit(socle, element, cap=budget.max_class_size), budget
-        )
+        members, wits = conjugation_orbit(socle, element, cap=budget.max_class_size)
         return cls(
             socle=socle,
             element=element,
             ambient=ambient,
             conjugates=tuple(members),
             witnesses=tuple(wits),
-            class_complete=complete,
         )
 
 
@@ -666,7 +634,6 @@ def alpha(ctx: AlmostSimpleContext, budget: SearchBudget = SearchBudget()) -> Wi
         ctx.witnesses,
         lambda o: o == target,
         budget=budget,
-        class_complete=ctx.class_complete,
         group=ctx.socle,
     )
 
@@ -690,7 +657,6 @@ def beta(
         ctx.witnesses,
         lambda o: o % r == 0,
         budget=budget,
-        class_complete=ctx.class_complete,
         group=ctx.socle,
     )
 
@@ -709,7 +675,9 @@ class ClassMembershipRecord:
     violation_width: int | None
     witness: tuple[Permutation, ...] | None
     witness_order: FactoredInteger | None
-    exhaustive: bool  # every tuple up to width m was searched, over the whole class
+    # every tuple up to width m was searched: always true, since a class
+    # search that could not do so raises BudgetExhausted
+    exhaustive: bool
     states_visited: int
 
 
@@ -732,7 +700,7 @@ class BSMembershipResult:
     violating_element: Permutation | None
     radical_order: FactoredInteger
     records: list[ClassMembershipRecord]
-    exhaustive: bool
+    exhaustive: bool  # always true, as for every record
 
 
 def _non_pi_predicate(pi: PrimeSet) -> OrderPredicate:
@@ -740,37 +708,40 @@ def _non_pi_predicate(pi: PrimeSet) -> OrderPredicate:
 
 
 def _class_search(
-    G: PermGroup, rep: Permutation, pi: PrimeSet, budget: SearchBudget
+    G: PermGroup, rep: Permutation, size: int, pi: PrimeSet, budget: SearchBudget
 ) -> WidthResult:
-    """The search for a non-pi subgroup over the G-class of ``rep``, on the
-    class table kept in ``class_data(G)``.  Raises :class:`BudgetExhausted`
-    when it found nothing and was cut off before every tuple up to
+    """The search for a non-pi subgroup over the G-class of ``rep``, of
+    ``size`` members (as ``class_data(G).reps`` gives it), on the class
+    table kept in ``class_data(G)``.  Raises :class:`BudgetExhausted` before
+    any search when the class is larger than ``budget.max_class_size``, and
+    when the search found nothing and was cut off before every tuple up to
     ``budget.max_width`` was searched.
 
     A ``found`` result is kept in ``class_data(G)`` under (rep, pi) and
     returned again whenever ``budget`` lets a new search reach it: its
-    value is within ``max_width``, its states within ``max_states`` and the
-    whole class within ``max_class_size``.  The breadth-first search meets
-    the same states in the same order under any such budget, so it would
-    return the same result."""
+    value is within ``max_width`` and its states within ``max_states``.  The
+    breadth-first search meets the same states in the same order under any
+    such budget, so it would return the same result."""
+    if size > budget.max_class_size:
+        raise BudgetExhausted(
+            f"the class of {rep} has {size} members, more than the class "
+            f"budget of {budget.max_class_size}"
+        )
     data = class_data(G)
-    table = data.class_table(rep)
     kept = data.searches.get((rep.images, pi))
     if (
         kept is not None
         and kept.value <= budget.max_width
         and kept.states_visited <= budget.max_states
-        and len(table[0]) <= budget.max_class_size
     ):
         return kept
-    members, wits, complete = _sampled(table, budget)
+    members, wits = data.class_table(rep)
     res = min_width_search(
-        rep, members, wits, _non_pi_predicate(pi),
-        budget=budget, class_complete=complete, group=G,
+        rep, members, wits, _non_pi_predicate(pi), budget=budget, group=G,
     )
     if res.status == "found":
         data.searches[(rep.images, pi)] = res
-    if res.value is None and res.status not in _SEARCHED_TO_WIDTH:
+    if res.status == "state_budget":  # the only end short of max_width
         raise BudgetExhausted(
             f"search for {rep} ended with status {res.status} before certification"
         )
@@ -789,8 +760,9 @@ def bs_membership(
     <=m-tuple of G-conjugates of x generating a non-pi subgroup (elements of
     the radical need no search: their conjugates generate subgroups of the
     radical, which are pi-groups).  Raises :class:`BudgetExhausted` if some
-    representative's search found nothing and was cut off before every
-    tuple up to width m was searched.
+    representative's class is larger than the class budget, or its search
+    found nothing and was cut off before every tuple up to width m was
+    searched.
 
     The radical (:func:`pi_radical`), the classes and their tables come from
     ``class_data(G)``, so every membership call on one group object shares
@@ -802,7 +774,6 @@ def bs_membership(
     records: list[ClassMembershipRecord] = []
     holds = True
     violating: Permutation | None = None
-    all_exhaustive = True
     for rep, size in class_data(G).reps:
         if radical.contains(rep):
             records.append(
@@ -818,8 +789,7 @@ def bs_membership(
                 )
             )
             continue
-        res = _class_search(G, rep, pi, replace(budget, max_width=m))
-        searched = res.status in _SEARCHED_TO_WIDTH
+        res = _class_search(G, rep, size, pi, replace(budget, max_width=m))
         records.append(
             ClassMembershipRecord(
                 representative=rep,
@@ -828,7 +798,7 @@ def bs_membership(
                 violation_width=res.value,
                 witness=res.members,
                 witness_order=res.certificate_order,
-                exhaustive=searched,
+                exhaustive=True,
                 states_visited=res.states_visited,
             )
         )
@@ -837,7 +807,6 @@ def bs_membership(
             if holds:
                 violating = rep
             holds = False
-        all_exhaustive = all_exhaustive and searched
     return BSMembershipResult(
         pi=pi,
         m=m,
@@ -845,7 +814,7 @@ def bs_membership(
         violating_element=violating,
         radical_order=radical.order,
         records=records,
-        exhaustive=all_exhaustive,
+        exhaustive=True,
     )
 
 
@@ -861,18 +830,18 @@ def minimal_membership_width(
     Any representative outside the radical reaches a non-pi subgroup at some
     width (its full class generates the non-pi normal closure), so every
     width reported is a certified minimum: a search that ends with any
-    status but ``found`` -- a width or state budget, or a sampled class,
-    where a width found over the sample need not be the class's minimum --
-    raises :class:`BudgetExhausted`.  Reads the radical and the classes of
-    ``class_data(G)``, as :func:`bs_membership` does.
+    status but ``found`` (a width or state budget) raises
+    :class:`BudgetExhausted`, as does a class larger than the class budget.
+    Reads the radical and the classes of ``class_data(G)``, as
+    :func:`bs_membership` does.
     """
     radical = pi_radical(G, pi)
     per_rep: list[tuple[Permutation, int]] = []
     overall = 1
-    for rep, _size in class_data(G).reps:
+    for rep, size in class_data(G).reps:
         if radical.contains(rep):
             continue
-        res = _class_search(G, rep, pi, budget)
+        res = _class_search(G, rep, size, pi, budget)
         if res.status != "found":
             raise BudgetExhausted(
                 f"no certified non-pi width for {rep}: the search ended with "
@@ -920,10 +889,10 @@ def baer_suzuki_check(
     pi = PrimeSet.of(p)
     radical = pi_radical(G, pi)
     records: list[ClassPairRecord] = []
-    for rep, _size in class_data(G).reps:
+    for rep, size in class_data(G).reps:
         in_rad = radical.contains(rep)
         # a pair whose order has a prime other than p
-        res = _class_search(G, rep, pi, replace(budget, max_width=2))
+        res = _class_search(G, rep, size, pi, replace(budget, max_width=2))
         all_pairs = res.value is None
         witness_pair = None
         if res.value is not None:

@@ -2,8 +2,10 @@
 
 Everything here works on explicit element sets via breadth-first closure —
 no stabilizer chains, no sifting — so agreement with the library is a real
-two-route check.  Only :class:`piradical.Permutation` arithmetic is shared
-(and that layer is itself tested against hand-computed products).
+two-route check.  Closures compose plain tuples of integers; only the
+conjugation and commutation checks use :class:`piradical.Permutation`
+arithmetic (and that layer is itself tested against hand-computed
+products).
 """
 
 from __future__ import annotations
@@ -18,21 +20,32 @@ from sympy import factorint
 from piradical import Permutation
 
 
-def closure(gens: list[Permutation], degree: int) -> frozenset[Permutation]:
-    """All products of the generators: breadth-first over right multiplication."""
-    ident = Permutation.identity(degree)
+Images = tuple[int, ...]
+
+
+def _tuple_closure(gens: list[Images], degree: int) -> frozenset[Images]:
+    """All products of the generators, as plain image tuples: breadth-first
+    over right multiplication (a, then g is ``g[a[i]]``)."""
+    ident = tuple(range(degree))
     seen = {ident}
     frontier = [ident]
     while frontier:
         nxt = []
         for a in frontier:
             for g in gens:
-                b = a * g
+                b = tuple([g[i] for i in a])
                 if b not in seen:
                     seen.add(b)
                     nxt.append(b)
         frontier = nxt
     return frozenset(seen)
+
+
+def closure(gens: list[Permutation], degree: int) -> frozenset[Permutation]:
+    """All products of the generators (:func:`_tuple_closure`)."""
+    return frozenset(
+        Permutation(t) for t in _tuple_closure([tuple(g.images) for g in gens], degree)
+    )
 
 
 def conjugacy_classes(elements: frozenset[Permutation]) -> list[frozenset[Permutation]]:
@@ -62,14 +75,21 @@ def all_subgroups_two_generated(
     """Subgroups arising as closures of one or two elements.  Complete for
     every group of degree at most 5, since every subgroup of S_5 is
     2-generated.  Kept per group, as the radical and the normal subgroups
-    of one group both filter this list."""
-    elems = sorted(elements)
-    subs: set[frozenset[Permutation]] = set()
-    for i, a in enumerate(elems):
-        subs.add(closure([a], degree))
-        for b in elems[i + 1 :]:
-            subs.add(closure([a, b], degree))
-    return subs
+    of one group both filter this list.
+
+    Closed on image tuples: <a, b> is the join of the cyclic subgroups <a>
+    and <b>, so only pairs of distinct cyclic subgroups, neither inside the
+    other, are closed, and each distinct subgroup is wrapped once, in the
+    given permutations."""
+    wrap = {tuple(p.images): p for p in elements}
+    cyclic = {_tuple_closure([a], degree): a for a in sorted(wrap)}  # <a> -> a
+    subs = set(cyclic)
+    pairs = list(cyclic.items())
+    for i, (A, a) in enumerate(pairs):
+        for B, b in pairs[i + 1 :]:
+            if a not in B and b not in A:
+                subs.add(_tuple_closure([a, b], degree))
+    return {frozenset(wrap[t] for t in H) for H in subs}
 
 
 def pi_radical_set(

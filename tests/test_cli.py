@@ -27,6 +27,19 @@ def strip_timing(report: dict) -> dict:
     return report
 
 
+# one run of every subcommand
+REPEAT_ARGV = {
+    "radical": ["radical", "--group", "S4", "--pi", "2"],
+    "alpha": ["alpha", "--group", "A5", "--aut", "(1 2)"],
+    "beta": ["beta", "--group", "A6", "--aut", "(1 2)(3 4)", "--r", "5"],
+    "bs-check": ["bs-check", "--group", "S5", "--pi", "2,3", "--m", "4"],
+    "transposition-sweep": ["transposition-sweep", "--r", "7"],
+    "width-table": ["width-table", "--n", "5", "--r", "3", "--include-alpha"],
+    "verify-bs": ["verify-bs", "--group", "S4"],
+    "verify-bs-sweep": ["verify-bs-sweep", "--order-cap", "24"],
+}
+
+
 # -- exit codes --------------------------------------------------------------
 
 
@@ -73,9 +86,10 @@ def test_even_r_sweep_is_an_input_error(capsys):
     assert code == 2
 
 
-@pytest.mark.parametrize("flag", ["--sample", "--seed"])
+@pytest.mark.parametrize("flag", ["--sample"])
 def test_sweep_takes_no_sample_or_seed(capsys, flag):
-    """The sweep is exact at every supported r, so it has nothing to sample."""
+    """The sweep is exact at every supported r, so it has nothing to sample
+    (no subcommand takes a seed: see test_no_subcommand_takes_a_seed)."""
     with pytest.raises(SystemExit) as exc:
         main(["transposition-sweep", "--r", "5", flag, "30"])
     assert exc.value.code == 2
@@ -146,25 +160,25 @@ def test_subcommands_without_a_search_reject_budget_flags(capsys, argv):
 
 
 def test_provenance_carries_a_budget_only_for_searches(capsys):
-    """And a seed only for the subcommands that take one."""
+    """And no report carries a seed: nothing is drawn at random."""
     budget_keys = {"budget_max_width", "budget_max_states", "budget_max_class"}
-    _, report = run_json(capsys, "radical", "--group", "S4", "--pi", "2")
-    assert not (budget_keys | {"seed"}) & report["provenance"].keys()
-    assert "seed" not in report["inputs"]
-    _, report = run_json(capsys, "transposition-sweep", "--r", "5")
-    assert not (budget_keys | {"seed"}) & report["provenance"].keys()
-    assert report["inputs"] == {"r": 5}
-    _, report = run_json(capsys, "alpha", "--group", "A5", "--aut", "(1 2)")
-    assert report["provenance"]["budget_max_states"] == 100_000
-    assert report["provenance"]["seed"] == 0
-    _, report = run_json(capsys, "verify-bs", "--group", "S4")
-    assert report["provenance"].keys() & budget_keys == budget_keys - {"budget_max_width"}
+    reports = {command: run_json(capsys, *argv)[1] for command, argv in REPEAT_ARGV.items()}
+    for report in reports.values():
+        assert "seed" not in report["inputs"] and "seed" not in report["provenance"]
+    assert not budget_keys & reports["radical"]["provenance"].keys()
+    assert not budget_keys & reports["transposition-sweep"]["provenance"].keys()
+    assert reports["transposition-sweep"]["inputs"] == {"r": 7}
+    assert reports["alpha"]["provenance"]["budget_max_states"] == 100_000
+    assert reports["verify-bs"]["provenance"].keys() & budget_keys == budget_keys - {
+        "budget_max_width"
+    }
 
 
-def test_radical_takes_no_seed(capsys):
-    """Nothing in the radical computation is random."""
+@pytest.mark.parametrize("command", list(REPEAT_ARGV))
+def test_no_subcommand_takes_a_seed(capsys, command):
+    """No subcommand draws anything at random, so none takes a seed."""
     with pytest.raises(SystemExit) as exc:
-        main(["radical", "--group", "S4", "--pi", "2", "--seed", "7"])
+        main([*REPEAT_ARGV[command], "--seed", "7"])
     assert exc.value.code == 2
     assert "unrecognized arguments" in capsys.readouterr().err
 
@@ -299,15 +313,13 @@ STATUS_ARGV = {
         "--group", "A5", "--aut", "(1 2)(3 4)",
         "--budget-max-width", "2", "--budget-max-states", "1",
     ],
-    "sampled_class": ["--group", "A6", "--aut", "(1 2)(3 4)", "--budget-max-class", "20"],
 }
 
 
 @pytest.mark.parametrize("status", list(STATUS_ARGV))
 def test_each_status_through_the_cli(capsys, status):
     """The record and the summary carry the status; only found and absent
-    are exhaustive and exit 0.  A value found over a sampled class is not a
-    certified minimum, so it exits 3 too."""
+    are exhaustive and exit 0."""
     code, report = run_json(capsys, "alpha", *STATUS_ARGV[status])
     certified = status in ("found", "absent")
     assert code == (0 if certified else 3)
@@ -315,16 +327,45 @@ def test_each_status_through_the_cli(capsys, status):
     assert rec["status"] == summary["status"] == status
     assert rec["exhaustive"] is summary["exhaustive"] is certified
     assert rec["saturated"] is (status == "absent")
-    assert (rec["value"] is not None) == (status in ("found", "sampled_class"))
+    assert (rec["value"] is not None) == (status == "found")
 
 
-def test_width_table_over_a_sampled_class_exits_three(capsys):
-    code, report = run_json(
-        capsys, "width-table", "--n", "5", "--r", "3", "--budget-max-class", "5"
-    )
-    assert code == 3
-    assert report["summary"]["unknown"] == 0  # every cell has a value ...
-    assert not all(row["exhaustive"] for row in report["results"])  # ... not all certified
+OVER_THE_CLASS_BUDGET = {
+    # command: (argv, the class budget, whether the class over it is the first
+    # one searched; verify-bs first searches the identity's class of 1)
+    "alpha": (["alpha", "--group", "A6", "--aut", "(1 2)(3 4)"], 20, True),
+    "beta": (["beta", "--group", "A6", "--aut", "(1 2)(3 4)", "--r", "5"], 20, True),
+    "width-table": (["width-table", "--n", "5", "--r", "3"], 5, True),
+    "bs-check": (["bs-check", "--group", "S6", "--pi", "2,3", "--m", "4"], 6, True),
+    "bs-check-find-min": (
+        ["bs-check", "--group", "S6", "--pi", "2,3", "--m", "4", "--find-min"], 6, True,
+    ),
+    "verify-bs": (["verify-bs", "--group", "S5"], 5, False),
+}
+
+
+@pytest.mark.parametrize("case", list(OVER_THE_CLASS_BUDGET))
+def test_a_class_over_the_budget_exits_three(capsys, monkeypatch, case):
+    """A class larger than --budget-max-class is refused before it is
+    searched, and nothing is printed: a width over part of a class need not
+    be its minimum (S6's (1 5 2 4)(3 6) reads 3 over some 6-member subsets
+    of its class, but 2 over the whole class)."""
+    import piradical.width as width
+
+    argv, cap, first = OVER_THE_CLASS_BUDGET[case]
+    search = width.min_width_search
+    searched = []
+
+    def recording(x, conjugates, *args, **kwargs):
+        searched.append(len(conjugates))
+        return search(x, conjugates, *args, **kwargs)
+
+    monkeypatch.setattr(width, "min_width_search", recording)
+    code, out, err = run(capsys, *argv, "--budget-max-class", str(cap))
+    assert code == 3 and out == ""
+    assert err.startswith("budget exhausted: the class of") and err.endswith(f" of {cap}\n")
+    assert all(size <= cap for size in searched)
+    assert (not searched) == first
 
 
 # -- computed values through the CLI ------------------------------------------
@@ -372,17 +413,6 @@ def test_bs_check_reports_violation_and_minimum(capsys):
     ]
     assert transposition_rows[0]["violation_width"] is None
     assert transposition_rows[0]["exhaustive"] is True
-
-
-def test_find_min_over_a_sampled_class_exits_three(capsys):
-    """A minimal width over a seeded sample of a class is not certified: S6's
-    (1 5 2 4)(3 6) reads 3 over a 6-member sample but 2 over its class."""
-    argv = ["bs-check", "--group", "S6", "--pi", "2,3", "--m", "4", "--find-min"]
-    code, report = run_json(capsys, *argv)
-    assert code == 0
-    assert report["summary"]["minimal_m_per_class"]["(1 5 2 4)(3 6)"] == 2
-    code, out, err = run(capsys, *argv, "--budget-max-class", "6")
-    assert code == 3 and out == "" and "sampled_class" in err
 
 
 def test_verify_bs_all_primes(capsys):
@@ -524,22 +554,6 @@ def test_csv_format_matches_json_records(capsys):
     for row, rec in zip(rows, json_report["results"]):
         assert row["representative"] == rec["representative"]
         assert row["in_radical"] == ("true" if rec["in_radical"] else "false")
-
-
-REPEAT_ARGV = {
-    "radical": ["radical", "--group", "S4", "--pi", "2"],
-    "alpha": ["alpha", "--group", "A5", "--aut", "(1 2)"],
-    # a seeded sample of the class
-    "beta": [
-        "beta", "--group", "A6", "--aut", "(1 2)(3 4)", "--r", "5",
-        "--budget-max-class", "20", "--seed", "3",
-    ],
-    "bs-check": ["bs-check", "--group", "S5", "--pi", "2,3", "--m", "4"],
-    "transposition-sweep": ["transposition-sweep", "--r", "7"],
-    "width-table": ["width-table", "--n", "5", "--r", "3", "--include-alpha"],
-    "verify-bs": ["verify-bs", "--group", "S4"],
-    "verify-bs-sweep": ["verify-bs-sweep", "--order-cap", "24"],
-}
 
 
 @pytest.mark.parametrize("command", list(REPEAT_ARGV))

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from piradical import (
+    BudgetExhausted,
     PermGroup,
     Permutation,
     PrimeSet,
@@ -92,8 +93,8 @@ def test_is_pi_number_and_group():
 
 
 def test_conjugation_orbit_of_transposition_in_s4():
-    members, wits, complete = conjugation_orbit(S4(), P("(1 2)", 4))
-    assert complete and len(members) == 6
+    members, wits = conjugation_orbit(S4(), P("(1 2)", 4))
+    assert len(members) == 6
     # the class table holds image tuples
     members = [Permutation(m) for m in members]
     wits = [Permutation(w) for w in wits]
@@ -104,17 +105,20 @@ def test_conjugation_orbit_of_transposition_in_s4():
 
 
 def test_conjugation_orbit_cap_truncates():
-    members, _, complete = conjugation_orbit(A5(), P("(1 2 3 4 5)"), cap=5)
-    assert not complete and len(members) == 5
+    """The trace stops as soon as the orbit passes its cap, and refuses the
+    class: a class table always holds the whole class."""
+    with pytest.raises(BudgetExhausted, match="more members than its cap of 5"):
+        conjugation_orbit(A5(), P("(1 2 3 4 5)"), cap=5)
+    members, _ = conjugation_orbit(A5(), P("(1 2 3 4 5)"), cap=12)
     elems = closure([P("(1 2 3)", 5), P("(3 4 5)")], 5)
-    assert {Permutation(m) for m in members} <= elems
+    assert len(members) == 12 and {Permutation(m) for m in members} <= elems
 
 
 def test_class_size_times_centralizer_is_group_order():
     G = S4()
     elems = closure(G.generators, 4)
     for x in [P("(1 2)", 4), P("(1 2 3)", 4), P("(1 2 3 4)"), P("(1 2)(3 4)")]:
-        members, _, _ = conjugation_orbit(G, x)
+        members, _ = conjugation_orbit(G, x)
         assert len(members) * centralizer_size(elems, x) == 24
 
 
@@ -138,8 +142,7 @@ def test_tuple_scan_matches_a_scan_of_orbits_over_elements():
         for e in G.elements():
             if e.images in seen:
                 continue
-            members, _, complete = conjugation_orbit(G, e, cap=G.order_int)
-            assert complete
+            members, _ = conjugation_orbit(G, e, cap=G.order_int)
             seen.update(members)
             want.append((e, len(members)))
         assert class_representatives(G) == want, entry.name

@@ -4,10 +4,10 @@ import dataclasses
 import gc
 import itertools
 import math
-import random
 import weakref
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from piradical import (
     AlmostSimpleContext,
@@ -15,6 +15,7 @@ from piradical import (
     CentralizesSocle,
     FactoredInteger,
     InvariantViolation,
+    NotAlmostSimple,
     NotATransposition,
     NotNormalizing,
     PermGroup,
@@ -28,7 +29,6 @@ from piradical import (
     beta,
     bs_membership,
     class_data,
-    conjugation_orbit,
     cyclic_group,
     dihedral_group,
     is_pi_group,
@@ -144,13 +144,12 @@ def test_width_budget_reports_honest_lower_bound():
 
 
 STATUS_CASES = {
-    # status: (socle degree, x, class cap, search budget, value)
-    "found": (5, "(1 2)", 100_000, SearchBudget(), 4),
+    # status: (socle degree, x, search budget, value)
+    "found": (5, "(1 2)", SearchBudget(), 4),
     # <x^L> is the Klein four-group, a proper normal subgroup of Alt(4)
-    "absent": (4, "(1 2)(3 4)", 100_000, SearchBudget(), None),
-    "width_budget": (5, "(1 2 3)", 100_000, SearchBudget(max_width=1), None),
-    "state_budget": (5, "(1 2)(3 4)", 100_000, SearchBudget(max_width=2, max_states=5), None),
-    "sampled_class": (6, "(1 2)(3 4)", 20, SearchBudget(), 3),
+    "absent": (4, "(1 2)(3 4)", SearchBudget(), None),
+    "width_budget": (5, "(1 2 3)", SearchBudget(max_width=1), None),
+    "state_budget": (5, "(1 2)(3 4)", SearchBudget(max_width=2, max_states=5), None),
 }
 
 
@@ -158,10 +157,8 @@ STATUS_CASES = {
 def test_each_status_through_the_library(status):
     """One status per way a search ends; ``exhaustive`` only for found and
     absent, ``saturated`` only for absent."""
-    n, x, cap, budget, value = STATUS_CASES[status]
-    ctx = AlmostSimpleContext.build(
-        alternating_group(n), P(x, n), budget=SearchBudget(max_class_size=cap)
-    )
+    n, x, budget, value = STATUS_CASES[status]
+    ctx = AlmostSimpleContext.build(alternating_group(n), P(x, n))
     res = alpha(ctx, budget)
     assert res.status == status and res.value == value
     assert res.exhaustive == (status in ("found", "absent"))
@@ -171,9 +168,14 @@ def test_each_status_through_the_library(status):
         assert res.revalidate(lambda o: o == ctx.ambient.order_int)
 
 
-def test_membership_checks_raise_only_when_nothing_was_searched_to_width():
-    """A width budget still searched every tuple up to m; a state budget or
-    a sampled class with no value did not, and raises."""
+def no_search(*args, **kwargs):
+    raise AssertionError("a class over the class budget was searched")
+
+
+def test_membership_checks_raise_only_when_nothing_was_searched_to_width(monkeypatch):
+    """A width budget still searched every tuple up to m; a state budget did
+    not, and raises.  A class over the class budget is refused before any
+    search, even where a search of part of it would find a value."""
     G = symmetric_group(5)
     pi = PrimeSet.of(2, 3)
     res = bs_membership(G, pi, 3)
@@ -187,11 +189,11 @@ def test_membership_checks_raise_only_when_nothing_was_searched_to_width():
         minimal_membership_width(G, pi, budget=SearchBudget(max_width=3))
     with pytest.raises(BudgetExhausted):
         baer_suzuki_check(G, 2, budget=SearchBudget(max_states=1))
-    # a value found over a sampled class is a real witness, not certified
-    sampled = bs_membership(G, PrimeSet.of(2), 2, budget=SearchBudget(max_class_size=5))
-    outside = [r for r in sampled.records if not r.in_radical]
-    assert any(r.violation_width is not None and not r.exhaustive for r in outside)
-    assert not sampled.exhaustive
+    # O_2(S5) is trivial, so the first class searched is the 10 transpositions
+    monkeypatch.setattr(width, "min_width_search", no_search)
+    H = symmetric_group(5)
+    with pytest.raises(BudgetExhausted, match="10 members, more than the class budget of 5"):
+        bs_membership(H, PrimeSet.of(2), 2, budget=SearchBudget(max_class_size=5))
 
 
 def test_first_conjugate_must_be_the_element():
@@ -245,7 +247,7 @@ def test_transposition_fast_path_matches_generic_search():
             fast = min_width_search(ctx.element, ctx.conjugates, ctx.witnesses, pred)
             chains = _search(
                 _Chains(ctx.element, ctx.conjugates), ctx.conjugates,
-                ctx.witnesses, pred, SearchBudget(), True, True,
+                ctx.witnesses, pred, SearchBudget(), True,
             )
             assert fast.value is not None and fast.exhaustive, (n, kind)
             assert dataclasses.replace(fast, states_visited=0) == dataclasses.replace(
@@ -313,9 +315,13 @@ def test_build_rejects_centralizing_element():
 
 def test_build_rejects_a_context_that_is_not_almost_simple():
     """The 8-cycle is D8's own rotation, so the ambient group is D8, whose
-    centre holds the half-turn (1 5)(2 6)(3 7)(4 8)."""
-    with pytest.raises(InvariantViolation, match=r"contains \(1 5\)\(2 6\)\(3 7\)\(4 8\)"):
+    centre holds the half-turn (1 5)(2 6)(3 7)(4 8).  That is the caller's
+    input, not a bug of the package, so it is a ValueError and not an
+    InvariantViolation."""
+    with pytest.raises(NotAlmostSimple, match=r"contains \(1 5\)\(2 6\)\(3 7\)\(4 8\)") as exc:
         AlmostSimpleContext.build(dihedral_group(8), P("(1 2 3 4 5 6 7 8)"))
+    assert isinstance(exc.value, ValueError)
+    assert not isinstance(exc.value, InvariantViolation)
 
 
 def test_ambient_is_socle_extended_by_element():
@@ -352,6 +358,27 @@ def test_membership_width_is_monotone_in_m():
         assert later or not earlier  # holds never reverts as m grows
 
 
+small_generating_sets = st.integers(1, 6).flatmap(
+    lambda n: st.lists(
+        st.permutations(range(n)).map(lambda t: Permutation(tuple(t))), min_size=1, max_size=2
+    )
+)
+
+
+@settings(max_examples=50, deadline=None)
+@given(small_generating_sets, st.sets(st.sampled_from([2, 3, 5])))
+def test_membership_verdict_turns_true_once_at_the_minimal_width(gens, primes):
+    """On random groups of degree at most 6, as m goes from 1 to 4, the
+    verdict of bs_membership never turns false again, and it turns true
+    exactly at minimal_membership_width (never, when that exceeds 4)."""
+    G = PermGroup.from_generators(gens, degree=gens[0].degree)
+    pi = PrimeSet.of(*primes)
+    verdicts = [bs_membership(G, pi, m).holds for m in (1, 2, 3, 4)]
+    assert verdicts == sorted(verdicts)  # False before True
+    m_min, _ = minimal_membership_width(G, pi)
+    assert verdicts == [m >= m_min for m in (1, 2, 3, 4)]
+
+
 def test_minimal_membership_width_on_five_points():
     G = symmetric_group(5)
     m, per_rep = minimal_membership_width(G, PrimeSet.of(2, 3))
@@ -363,21 +390,24 @@ def test_minimal_membership_width_on_five_points():
 
 
 @pytest.mark.parametrize("max_class_size", [6, 8])
-def test_minimal_membership_width_refuses_a_sampled_class(max_class_size):
-    """A width found over a sample of a class is a witness, not the class's
-    minimum: on S6, (1 5 2 4)(3 6) reaches a non-{2,3} subgroup at width 2
-    over its whole class but only at width 3 over every seeded sample."""
+def test_minimal_membership_width_refuses_a_class_over_the_budget(max_class_size, monkeypatch):
+    """A width found over part of a class need not be the class's minimum:
+    on S6, (1 5 2 4)(3 6) reaches a non-{2,3} subgroup at width 2 over its
+    90 conjugates, but only at width 3 over some of their subsets.  So a
+    class over the class budget is refused before any search, even one whose
+    minimum is already kept."""
     G = symmetric_group(6)
     pi = PrimeSet.of(2, 3)
     _, per_rep = minimal_membership_width(G, pi)
     rep = next(r for r, _ in per_rep if str(r) == "(1 5 2 4)(3 6)")
     assert dict(per_rep)[rep] == 2
-    for seed in range(4):
-        budget = SearchBudget(max_class_size=max_class_size, seed=seed)
-        res = width._class_search(G, rep, pi, budget)
-        assert (res.value, res.status) == (3, "sampled_class")
-        with pytest.raises(BudgetExhausted, match="sampled_class"):
-            minimal_membership_width(G, pi, budget)
+    monkeypatch.setattr(width, "min_width_search", no_search)
+    budget = SearchBudget(max_class_size=max_class_size)
+    message = f"90 members, more than the class budget of {max_class_size}"
+    with pytest.raises(BudgetExhausted, match=message):
+        width._class_search(G, rep, 90, pi, budget)
+    with pytest.raises(BudgetExhausted, match="more than the class budget"):
+        minimal_membership_width(symmetric_group(6), pi, budget)
 
 
 @pytest.mark.parametrize(
@@ -417,6 +447,8 @@ def test_group_class_data_reuses_radicals():
     assert pi_radical(G, pi) is pi_radical(G, pi)
     assert pi_radical(G, pi).order_int == 4
     assert sum(size for _, size in data.reps) == 24
+    # every class table holds the whole class
+    assert all(len(data.class_table(rep)[0]) == size for rep, size in data.reps)
 
 
 def test_class_data_is_computed_once_per_group_object(monkeypatch):
@@ -487,38 +519,6 @@ def test_class_data_is_freed_with_its_group_without_the_collector():
     finally:
         if enabled:
             gc.enable()
-
-
-def test_class_search_samples_the_cached_table_like_a_capped_orbit(monkeypatch):
-    """A capped breadth-first orbit is a prefix of the full one, so sampling
-    the cached table gives the capped orbit's seeded sample."""
-    G = symmetric_group(6)
-    data = class_data(G)
-    searched = []
-    search = width.min_width_search
-
-    def recording(x, conjugates, witnesses, pred, **kwargs):
-        searched.append((list(conjugates), list(witnesses), kwargs["class_complete"]))
-        return search(x, conjugates, witnesses, pred, **kwargs)
-
-    monkeypatch.setattr(width, "min_width_search", recording)
-    for rep, size in data.reps:
-        for k in sorted({1, 2, size - 1, size, size + 1} - {0}):
-            budget = SearchBudget(max_width=1, max_class_size=k, seed=5)
-            # every subgroup but the trivial one is a non-{}-group
-            res = width._class_search(G, rep, PrimeSet.of(), budget)
-            members, wits, complete = conjugation_orbit(G, rep, cap=k)
-            if not complete:
-                idx = list(range(1, len(members)))
-                random.Random(budget.seed).shuffle(idx)
-                members = [members[i] for i in [0] + idx]
-                wits = [wits[i] for i in [0] + idx]
-            if searched:
-                assert searched.pop() == (members, wits, complete), (rep, k)
-            else:  # the found search of the whole class, kept at k = size
-                assert complete and k > size and res.status == "found", (rep, k)
-            assert (res.status == "sampled_class") == (k < size), (rep, k)
-    assert all(len(data.class_table(rep)[0]) == size for rep, size in data.reps)
 
 
 # -- pair checks -----------------------------------------------------------------

@@ -37,10 +37,7 @@ P = Permutation.parse
 
 
 def unreduced_search(ctx: AlmostSimpleContext, pred):
-    return min_width_search(
-        ctx.element, ctx.conjugates, ctx.witnesses, pred,
-        class_complete=ctx.class_complete,
-    )
+    return min_width_search(ctx.element, ctx.conjugates, ctx.witnesses, pred)
 
 
 @contextmanager
@@ -139,19 +136,6 @@ def test_states_visited_counts_are_pinned_on_the_unreduced_engine(monkeypatch):
     ]
 
 
-def test_truncated_classes_are_searched_unreduced():
-    """C_L(x) does not act on a sampled class, so such searches are never
-    pruned: the result equals the unreduced one field for field."""
-    ctx = AlmostSimpleContext.build(
-        alternating_group(6), P("(1 2)(3 4)", 6), budget=width.SearchBudget(max_class_size=20)
-    )
-    assert not ctx.class_complete
-    target = ctx.ambient.order_int
-    res = alpha(ctx)
-    assert res.value is not None and res.value >= 3 and not res.exhaustive
-    assert res == unreduced_search(ctx, lambda o: o == target)
-
-
 # -- the centralizer ------------------------------------------------------------------
 
 
@@ -243,8 +227,7 @@ def test_non_pi_widths_match_the_brute_force_oracle(name):
     primes = sorted(G.order.prime_support)
     absent = 0
     for rep, _ in class_representatives(G):
-        members, wits, complete = conjugation_orbit(G, rep)
-        assert complete
+        members, wits = conjugation_orbit(G, rep)
         for k in range(len(primes) + 1):
             for sub in itertools.combinations(primes, k):
                 pred = non_pi(PrimeSet.of(*sub))
