@@ -25,6 +25,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import io
 import json
 import sys
@@ -566,7 +567,11 @@ def cmd_verify_bs_sweep(args) -> tuple[dict, int]:
 # parser assembly
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The CLI parser, built on the first call and shared by every later
+    one: ``parse_args`` keeps no state between calls, and building it costs
+    more than answering a small question."""
     parser = argparse.ArgumentParser(
         prog="piradical",
         description="Exact width and radical experiments on small permutation groups.",

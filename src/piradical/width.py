@@ -20,7 +20,7 @@ level k+1 is obtained by adjoining one conjugate not already inside a
 level-k state.  The driver owns the levels, the width and state budgets, the
 terminal level, saturation and the result record; a state model says what a
 state is, how a conjugate extends it, and when two states are one subgroup.
-Three soundness notes justify the pruning:
+Four soundness notes justify the pruning:
 
 * Pinning: a tuple (y_1, ..., y_m) of conjugates may be conjugated (by an
   element of L) so that its first entry is x; the generated subgroup maps to
@@ -43,6 +43,23 @@ Three soundness notes justify the pruning:
   |L| / |x^L|.  This needs a pinned search (x fixed), the whole class (C
   acts on it) and a predicate that depends only on the order; without the
   group L the search is unreduced.
+* Normaliser orbits (the cheap form of canonical augmentation; McKay,
+  "Isomorph-free exhaustive generation", *J. Algorithms* 26, 1998): from
+  width 2 on, a chain state H = <x, y_2, ..., y_k> is extended only by the
+  least conjugate of each orbit, on x^L, of a subgroup N of N_C(H).  For c
+  in N, <H, y^c> = <H, y>^c, and conjugation by C keeps orders and the
+  least number of pinned conjugates that generate a subgroup, so the
+  centralizer note's argument holds state by state.  The frontier may empty
+  a width later than without it (a state C-conjugate to an earlier one is
+  new to the exact deduplication; for pgl2(7), x = (1 8)(2 7)(3 4)(5 6) and
+  a predicate that never holds, both prunings end absent at width 5, not
+  4), but the absence is the same.  N is found by filtering a list: c in C
+  normalises H exactly when each y_i^c lies in H, because c fixes x.  A
+  level-2 state filters the elements of C, listed only when |C| is within
+  ``max_class_size`` (the bound on any list of elements the engine holds;
+  above it, this note does not apply), and a deeper state filters its
+  parent's list by its newest generator, leaving the group N_parent ∩
+  N_C(H).  The partitions model keeps the level-2 pruning only.
 
 Exhausting every level below k certifies minimality of a level-k success;
 an emptied frontier certifies that no width at all succeeds.  A result's
@@ -84,7 +101,9 @@ root of a chain search and for the witness and members of a found result.
 A state, as counted by ``states_visited`` and capped by ``max_states``, is
 every chain (or pair) child before deduplication, but only a partition not
 seen before.  States after width 2 are counted after the centralizer
-pruning, so they are children of the kept level-2 states only.
+pruning, so they are children of the kept level-2 states only, and a chain
+state's children are counted only for the conjugates it is extended by:
+the reductions change the count, never the value.
 """
 
 from __future__ import annotations
@@ -273,7 +292,11 @@ def _search(
     children of ``model.initial`` (<x> alone when ``pinned``); a child is
     counted as a state when the model returns it, and searched further when
     the model admits it.  With ``group``, the level-2 frontier is pruned by
-    :func:`_one_per_centralizer_orbit` before it grows."""
+    :func:`_one_per_centralizer_orbit` before it grows, and from then on a
+    state is extended by :func:`_orbit_representatives` when it lists a
+    normaliser.  A frontier entry is (state, ids, listed): ``listed`` is
+    every element of a subgroup of C that normalises the parent state, or
+    None when the state is extended by every conjugate."""
     states = 0
 
     def result(explored, status, found=None):
@@ -290,16 +313,26 @@ def _search(
             subgroup=subgroup,
         )
 
-    frontier = [(model.initial, ())]
+    frontier = [(model.initial, (), None)]
+    every = range(len(conjugates))
     width = 0
     saw_terminal_child = False
     while frontier and width < budget.max_width:
         if width == 2 and group is not None:
-            frontier = _one_per_centralizer_orbit(frontier, group, conjugates, witnesses)
+            index = {y: i for i, y in enumerate(conjugates)}
+            C = _centralizer(group, conjugates, witnesses, index)
+            frontier = _one_per_centralizer_orbit(frontier, C, conjugates, index)
+            if model.per_state_reduction and C.order_int <= budget.max_class_size:
+                listed = C.element_tuples()  # C normalises <x>, the parent
+                frontier = [(state, ids, listed) for state, ids, _ in frontier]
         terminal = width + 1 == budget.max_width
-        candidates = (0,) if pinned and width == 0 else range(len(conjugates))
         next_frontier = []
-        for state, ids in frontier:
+        for state, ids, listed in frontier:
+            if listed is None:
+                candidates = (0,) if pinned and width == 0 else every
+            else:
+                listed = _normalising(state, conjugates[ids[-1]], listed)
+                candidates = _orbit_representatives(listed, conjugates, index)
             for idx in candidates:
                 child = model.child(state, idx, terminal)
                 if child is None:
@@ -315,19 +348,20 @@ def _search(
                 if terminal:
                     saw_terminal_child = True
                 else:
-                    next_frontier.append(entry)
+                    next_frontier.append((*entry, listed))
         frontier = next_frontier
         width += 1
     return result(width, "width_budget" if frontier or saw_terminal_child else "absent")
 
 
-def _centralizer_generators(
+def _centralizer(
     group: PermGroup,
     conjugates: Sequence[Images],
     witnesses: Sequence[Images],
     index: dict[Images, int],
-) -> list[Images]:
-    """Generators of C = C_group(x), x = conjugates[0], as ``bytes``.
+) -> PermGroup:
+    """C = C_group(x), x = conjugates[0], with its chain; its ``gens`` are
+    Schreier generators.
 
     Each edge of the conjugation orbit, member i moved by a generator g of
     ``group`` to member j, gives the Schreier generator w_i g w_j^-1 of the
@@ -345,7 +379,6 @@ def _centralizer_generators(
     identity = TAIL[:n]
     tables = with_tables(group.gens)
     C = PermGroup.trivial(n)
-    gens: list[Images] = []
     edges = ((y, w, g, table) for y, w in zip(conjugates, witnesses) for g, table in tables)
     for y, w, g, table in edges:
         if C.order_int == target:
@@ -361,21 +394,20 @@ def _centralizer_generators(
             raise InvariantViolation("a Schreier generator does not centralize x")
         if not C._contains_tuple(s):
             C = C.extend(s)
-            gens.append(s)
     if C.order_int != target:
         raise InvariantViolation(
             f"the centralizer reached order {C.order_int}, not |group| / |class| = {target}"
         )
-    return gens
+    return C
 
 
-def _one_per_centralizer_orbit(frontier, group, conjugates, witnesses):
+def _one_per_centralizer_orbit(frontier, C, conjugates, index):
     """The level-2 frontier (states <x, y_j>, ids (0, j)) reduced to its
-    first entry for each C_group(x)-orbit of j, in frontier order.  The
-    orbits on the class indices are traced lazily, one per kept entry."""
-    index = {y: i for i, y in enumerate(conjugates)}
-    n = group.degree
-    gens = with_tables(_centralizer_generators(group, conjugates, witnesses, index))
+    first entry for each C-orbit of j, in frontier order.  The orbits on the
+    class indices are traced lazily from C's generators, one per kept
+    entry."""
+    n = C.degree
+    gens = with_tables(C.gens)
     kept = []
     covered: set[int] = set()
     for entry in frontier:
@@ -394,6 +426,34 @@ def _one_per_centralizer_orbit(frontier, group, conjugates, witnesses):
     return kept
 
 
+def _normalising(H: PermGroup, y: Images, listed: Sequence[Images]) -> list[Images]:
+    """The elements c of ``listed`` with y^c in H.  When every c normalises
+    the parent state and fixes x, and H is that parent with y adjoined, these
+    are exactly the c that normalise H: one sift each."""
+    return [c for c in listed if H._contains_tuple(conjugate_images(y, c))]
+
+
+def _orbit_representatives(
+    listed: Sequence[Images], conjugates: Sequence[Images], index: dict[Images, int]
+) -> Sequence[int]:
+    """The least class index of each orbit of the group whose every element
+    is ``listed`` (the identity first): the orbit of i is {i^c : c listed},
+    with no closure to take."""
+    if len(listed) == 1:
+        return range(len(conjugates))
+    n = len(conjugates[0])
+    tables = with_tables(listed[1:])
+    covered = bytearray(len(conjugates))
+    reps = []
+    for i, y in enumerate(conjugates):
+        if covered[i]:
+            continue
+        reps.append(i)
+        for c, table in tables:
+            covered[index[bytes.maketrans(c, y.translate(table))[:n]]] = 1
+    return reps
+
+
 class _DihedralPair(NamedTuple):
     """<parent, y> for a parent of order 2 and an involution y: dihedral of
     order 2|xy|, so its order needs no chain until it is a witness."""
@@ -409,6 +469,7 @@ class _Chains:
     :class:`Permutation`; every child is an extension by a ``bytes`` element."""
 
     initial = None
+    per_state_reduction = True
 
     def __init__(self, x: Permutation, conjugates: Sequence[Images]):
         self.conjugates = conjugates
@@ -472,7 +533,10 @@ def _partition_order(labels: Labels) -> int:
 class _Partitions:
     """States for all-transposition classes: <T> is the product of
     Sym(component) over the edge-graph components of T, so a state *is* the
-    partition of points it glues together, as :func:`_merged` labels it."""
+    partition of points it glues together, as :func:`_merged` labels it.
+    Only the level-2 frontier is reduced by C."""
+
+    per_state_reduction = False
 
     def __init__(self, x: Permutation, conjugates: Sequence[Images]):
         self.conjugates = conjugates

@@ -7,7 +7,7 @@ import re
 
 import pytest
 
-from piradical.cli import main
+from piradical.cli import build_parser, main
 
 
 def run(capsys, *argv: str) -> tuple[int, str, str]:
@@ -568,6 +568,21 @@ def test_repeat_runs_are_identical_modulo_timing(capsys, command):
         return timed.sub("", out)
 
     assert once() == once()
+
+
+def test_one_parser_serves_every_call(capsys):
+    """The parser is built once per process: a call after another
+    subcommand, or after a parse error (exit 2), reports what it reports
+    alone."""
+    first, second = REPEAT_ARGV["width-table"], REPEAT_ARGV["bs-check"]
+    reports = [strip_timing(run_json(capsys, *argv)[1]) for argv in (first, second, first)]
+    assert reports[0] == reports[2] != reports[1]
+    with pytest.raises(SystemExit) as exc:
+        main(["width-table", "--n", "5", "--no-such-flag"])
+    assert exc.value.code == 2
+    capsys.readouterr()
+    assert strip_timing(run_json(capsys, *first)[1]) == reports[0]
+    assert build_parser() is build_parser()
 
 
 def test_out_flag_writes_file(capsys, tmp_path):

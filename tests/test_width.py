@@ -258,20 +258,26 @@ def test_transposition_fast_path_matches_generic_search():
 
 def test_states_visited_counts_are_pinned():
     """A state is every chain child before deduplication, but only a new
-    partition, and after width 2 only the states kept by the C_L(x)
-    reduction are extended; these counts guard both rules across refactors
-    (the unreduced counts are pinned in test_width_reduction).  alpha on
-    (Alt(7), (1 2)(3 4)) finds its witness before the first dropped state
-    would have grown, and the S7 pair scans end at width 2, so those counts
-    equal the unreduced ones."""
+    partition; after width 2 only the states kept by the C_L(x) reduction
+    are extended, and a chain state from width 2 on only by the least
+    conjugate of each orbit of its listed normaliser.  These counts guard
+    those rules across refactors (the unreduced counts are pinned in
+    test_width_reduction).  The transposition classes run on partitions,
+    which keep the level-2 reduction only, and the S7 pair scans end at
+    width 2, so those counts are the ones the level-2 reduction alone
+    gives."""
     def ctx(n, x):
         return AlmostSimpleContext.build(alternating_group(n), P(x, n))
 
     assert alpha(ctx(9, "(1 2)")).states_visited == 1578
     assert alpha(ctx(8, "(1 2)")).states_visited == 374
     assert beta(ctx(8, "(1 2)"), 7).states_visited == 327
-    assert alpha(ctx(7, "(1 2)(3 4)")).states_visited == 223
-    assert alpha(ctx(6, "(1 2)(3 4)(5 6)")).states_visited == 157
+    assert alpha(ctx(8, "(1 2)(3 4)")).states_visited == 537
+    assert beta(ctx(8, "(1 2)(3 4)(5 6)(7 8)"), 5).states_visited == 205
+    assert alpha(ctx(8, "(1 2 3)")).states_visited == 151
+    assert beta(ctx(8, "(1 2)(3 4)"), 7).states_visited == 226
+    assert alpha(ctx(7, "(1 2)(3 4)")).states_visited == 123
+    assert alpha(ctx(6, "(1 2)(3 4)(5 6)")).states_visited == 52
     res = bs_membership(symmetric_group(7), PrimeSet.of(2, 3), 2)
     assert [r.states_visited for r in res.records] == [
         0, 16, 2, 2, 1, 1, 3, 3, 2, 1, 6, 3, 2, 2, 4

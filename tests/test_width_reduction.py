@@ -4,6 +4,7 @@ closure oracle over unpinned tuples with repetition."""
 
 import itertools
 from contextlib import contextmanager
+from dataclasses import replace
 from types import SimpleNamespace
 
 import pytest
@@ -15,6 +16,7 @@ from piradical import (
     PermGroup,
     Permutation,
     PrimeSet,
+    SearchBudget,
     alpha,
     alternating_group,
     baer_suzuki_check,
@@ -28,7 +30,13 @@ from piradical import (
     minimal_membership_width,
 )
 from piradical import width
-from piradical.width import _centralizer_generators, _one_per_centralizer_orbit
+from piradical.perms import conjugate_images
+from piradical.width import (
+    _centralizer,
+    _normalising,
+    _one_per_centralizer_orbit,
+    _orbit_representatives,
+)
 
 from .oracles import min_generating_width
 from .test_acceptance import every_context
@@ -143,13 +151,13 @@ def test_centralizer_of_a_double_transposition_in_alt8():
     """|C| = 20160 / 210 = 96, and C has 10 orbits on the 210 conjugates."""
     ctx = AlmostSimpleContext.build(alternating_group(8), P("(1 2)(3 4)", 8))
     index = {y: i for i, y in enumerate(ctx.conjugates)}
-    gens = _centralizer_generators(ctx.socle, ctx.conjugates, ctx.witnesses, index)
-    C = PermGroup.from_generators([Permutation(g) for g in gens])
+    C = _centralizer(ctx.socle, ctx.conjugates, ctx.witnesses, index)
     assert C.order_int == 96
+    assert PermGroup.from_generators(C.generators).order_int == 96
     assert C.is_subgroup_of(ctx.socle)
     assert all(ctx.element ** c == ctx.element for c in C.generators)
     everything = [(None, (0, j)) for j in range(len(ctx.conjugates))]
-    kept = _one_per_centralizer_orbit(everything, ctx.socle, ctx.conjugates, ctx.witnesses)
+    kept = _one_per_centralizer_orbit(everything, C, ctx.conjugates, index)
     assert len(kept) == 10
     assert kept[0] == (None, (0, 0))  # x is its own orbit
 
@@ -165,7 +173,7 @@ def test_centralizer_order_check_raises_when_c_falls_short():
         degree=ctx.socle.degree,
     )
     with pytest.raises(InvariantViolation, match="centralizer reached order"):
-        _centralizer_generators(doubled, ctx.conjugates, ctx.witnesses, index)
+        _centralizer(doubled, ctx.conjugates, ctx.witnesses, index)
 
 
 def test_centralizer_rejects_inconsistent_class_tables():
@@ -174,22 +182,91 @@ def test_centralizer_rejects_inconsistent_class_tables():
     swapped = list(ctx.witnesses)
     swapped[1], swapped[2] = swapped[2], swapped[1]
     with pytest.raises(InvariantViolation, match="does not centralize"):
-        _centralizer_generators(ctx.socle, ctx.conjugates, swapped, index)
+        _centralizer(ctx.socle, ctx.conjugates, swapped, index)
     partial = {y: i for i, y in enumerate(ctx.conjugates[:10])}
     with pytest.raises(InvariantViolation, match="outside the class"):
-        _centralizer_generators(ctx.socle, ctx.conjugates, ctx.witnesses, partial)
+        _centralizer(ctx.socle, ctx.conjugates, ctx.witnesses, partial)
 
 
 def test_searches_ending_by_width_two_never_build_the_centralizer(monkeypatch):
     def fail(*_args):
         raise AssertionError("centralizer built for a width <= 2 search")
 
-    monkeypatch.setattr(width, "_one_per_centralizer_orbit", fail)
+    monkeypatch.setattr(width, "_centralizer", fail)
     ctx = AlmostSimpleContext.build(alternating_group(7), P("(1 2 3)", 7))
     res = width.beta(ctx, 5)
     assert res.value == 2
     bs_membership(group_by_name("S6"), PrimeSet.of(2, 3), 2)
     baer_suzuki_check(group_by_name("S6"), 3)
+
+
+# -- the per-state reduction below level 2 ---------------------------------------------
+
+
+def test_three_cycles_of_alt9_agree_with_the_unreduced_engine():
+    """The gain grows at degree 9: alpha takes 237 states where the
+    unreduced engine takes 9,491 (and the level-2 reduction alone 3,663)."""
+    ctx = AlmostSimpleContext.build(alternating_group(9), P("(1 2 3)", 9))
+    target = ctx.ambient.order_int
+    for pred, states in [(lambda o: o == target, (237, 9491)), (lambda o: o % 7 == 0, (178, 331))]:
+        pruned = min_width_search(
+            ctx.element, ctx.conjugates, ctx.witnesses, pred, group=ctx.socle
+        )
+        plain = unreduced_search(ctx, pred)
+        assert (pruned.value, pruned.explored_width, pruned.status) == (
+            plain.value, plain.explored_width, plain.status
+        )
+        assert (pruned.states_visited, plain.states_visited) == states
+        assert_witness_is_sound(pruned, ctx.element, pred)
+
+
+def test_a_centralizer_over_the_class_budget_keeps_only_the_level_two_reduction():
+    """|x^L| = 112 and |C| = 180 for (Alt(8), (1 2 3)): a class budget
+    between them searches the class but lists no element of C, so the
+    search takes the 525 states of the level-2 reduction alone."""
+    ctx = AlmostSimpleContext.build(alternating_group(8), P("(1 2 3)", 8))
+    default = alpha(ctx)
+    capped = alpha(ctx, SearchBudget(max_class_size=150))
+    assert capped.states_visited == 525 and default.states_visited == 151
+    assert replace(capped, states_visited=default.states_visited) == default
+    assert [str(m) for m in capped.members] == [str(m) for m in default.members]
+
+
+@pytest.mark.parametrize("n,rep", [(6, "(1 2)(3 4)"), (7, "(1 2 3)"), (6, "(1 2 3)(4 5 6)")])
+def test_orbit_representatives_reach_every_order(n, rep):
+    """For states at widths 2 and 3, the orders of <H, y> over the kept
+    representatives are those over every conjugate.  At width 2 the listed
+    normaliser is all of N_C(H); at width 3 it is a subgroup of N_C(H)."""
+    ctx = AlmostSimpleContext.build(alternating_group(n), P(rep, n))
+    conjugates = ctx.conjugates
+    index = {y: i for i, y in enumerate(conjugates)}
+    elements = _centralizer(ctx.socle, conjugates, ctx.witnesses, index).element_tuples()
+    root = PermGroup.from_generators([ctx.element])
+
+    def normalises(c, H):
+        return all(H._contains_tuple(conjugate_images(g, c)) for g in H.gens)
+
+    kept = []
+
+    def same_orders(H, listed):
+        reps = _orbit_representatives(listed, conjugates, index)
+        kept.append(len(reps))
+        orders = [H.extend(y).order_int for y in conjugates]
+        return {orders[i] for i in reps} == set(orders)
+
+    for j in range(1, len(conjugates), 7):
+        H = root.extend(conjugates[j])
+        listed = _normalising(H, conjugates[j], elements)
+        assert sorted(listed) == sorted(c for c in elements if normalises(c, H))
+        assert same_orders(H, listed)
+        for i in range(j % 5, len(conjugates), 23):
+            K = H.extend(conjugates[i])
+            deeper = _normalising(K, conjugates[i], listed)
+            assert all(normalises(c, K) for c in deeper)
+            as_group = PermGroup.from_generators([Permutation(c) for c in deeper], n)
+            assert as_group.order_int == len(deeper)  # listed as a whole subgroup
+            assert same_orders(K, deeper)
+    assert len(kept) >= 10 and min(kept) < len(conjugates)
 
 
 # -- pruned against the brute-force oracle -------------------------------------------
