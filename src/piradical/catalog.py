@@ -527,6 +527,10 @@ def load_spec(path: str | Path) -> GroupSpec:
     aut_name: str | None = None
     pi: PrimeSet | None = None
     pending_gens: list[tuple[str, str, int, int]] = []  # parse after degree is known
+    # (directive, identifier, line, column) of each socle and aut name,
+    # checked once every generator is known
+    named: list[tuple[str, str, int, int]] = []
+    seen: set[str] = set()
 
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].rstrip()
@@ -536,6 +540,11 @@ def load_spec(path: str | Path) -> GroupSpec:
         key = parts[0]
         rest = parts[1].strip() if len(parts) > 1 else ""
         col = line.index(key) + len(key) + 2 if rest else 1
+        if key != "gen" and key in seen:
+            raise ParseError(f"repeated {key!r} line", lineno, 1)
+        seen.add(key)
+        # each word after the directive, with its column
+        words = [(m.group(), m.start() + 1) for m in re.finditer(r"\S+", line)][1:]
         if key == "name":
             if not rest:
                 raise ParseError("name requires a value", lineno, col)
@@ -557,14 +566,15 @@ def load_spec(path: str | Path) -> GroupSpec:
                 raise ParseError(f"generator {ident!r} defined twice", lineno, col)
             pending_gens.append((ident, cyc, lineno, line.find(cyc) + 1))
         elif key == "socle":
-            idents = rest.split()
-            if not idents:
+            if not words:
                 raise ParseError("socle requires at least one identifier", lineno, col)
-            socle_names = tuple(idents)
+            socle_names = tuple(ident for ident, _ in words)
+            named += [("socle", ident, lineno, c) for ident, c in words]
         elif key == "aut":
-            if not rest or len(rest.split()) != 1:
+            if len(words) != 1:
                 raise ParseError("aut requires exactly one identifier", lineno, col)
             aut_name = rest
+            named += [("aut", ident, lineno, c) for ident, c in words]
         elif key == "pi":
             try:
                 pi = PrimeSet.parse(rest)
@@ -580,12 +590,9 @@ def load_spec(path: str | Path) -> GroupSpec:
             gens[ident] = Permutation.parse(cyc, degree=degree)
         except ValueError as e:
             raise ParseError(f"bad cycles for {ident}: {e}", lineno, col)
-    if socle_names:
-        for ident in socle_names:
-            if ident not in gens:
-                raise ParseError(f"socle names unknown generator {ident!r}", 1, 1)
-    if aut_name and aut_name not in gens:
-        raise ParseError(f"aut names unknown generator {aut_name!r}", 1, 1)
+    for directive, ident, lineno, col in named:
+        if ident not in gens:
+            raise ParseError(f"{directive} names unknown generator {ident!r}", lineno, col)
     spec = GroupSpec(
         name=name or Path(path).stem,
         degree=degree,

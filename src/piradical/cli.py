@@ -3,9 +3,11 @@
 Every subcommand computes the echoed inputs, a flat list of result records
 and a summary; :func:`main` wraps them once in an :class:`ExperimentReport`
 with provenance (version, the budgets of the subcommands that take them,
-wall time) and renders it as text, JSON, or CSV.  Result records are plain
-JSON scalars/arrays, so the JSON and CSV renderings of one run carry
-identical records; nothing is drawn at random, so re-running with the
+wall time) and renders it as text, JSON, or CSV.  Records and summaries
+hold the library's values as they are; one renderer writes a permutation,
+a factored order or a prime set as its ``str`` (cycle notation, ``2^3·3``,
+``2,3``) in every format, so the JSON and CSV renderings of one run carry
+identical records.  Nothing is drawn at random, so re-running with the
 echoed inputs reproduces the report bit-identically except for the
 wall-time field.
 
@@ -15,10 +17,12 @@ at all succeeds), or ``width_budget`` or ``state_budget`` (a budget cut the
 search short).  Only the first two are ``exhaustive``.
 
 Exit codes: 0 success; 1 a verified mathematical invariant failed (an
-implementation bug, never an input problem); 2 input/validation errors;
+implementation bug, never an input problem, also when a catalog or spec
+self-check fails while the input is read); 2 input/validation errors;
 3 budget exhaustion (among it a class larger than ``--budget-max-class``,
 refused before any search, with nothing printed) or a printed width result
-that is not exhaustive.
+that is not exhaustive.  Subcommands raise; :func:`main` alone maps an
+exception to its exit code.
 """
 
 from __future__ import annotations
@@ -45,7 +49,7 @@ from .catalog import (
     socle_by_name,
 )
 from .errors import BudgetExhausted, InvariantViolation, NotAlmostSimple, PiradicalError
-from .factored import is_prime
+from .factored import FactoredInteger, is_prime
 from .groups import PermGroup
 from .perms import Permutation
 from .structure import PrimeSet, normal_subgroups, pi_radical
@@ -62,24 +66,32 @@ from .width import (
 )
 
 
-class _InputError(Exception):
-    """Invalid user input (bad name, unreadable spec, missing flag)."""
-
-
 # ---------------------------------------------------------------------------
 # reports
 
 
+LIBRARY_VALUES = (Permutation, FactoredInteger, PrimeSet)
+
+
+def render_value(value) -> str:
+    """A library value as a report writes it (the JSON encoder's fallback):
+    its ``str``.  Any other type is a ``TypeError``."""
+    if isinstance(value, LIBRARY_VALUES):
+        return str(value)
+    raise TypeError(f"a report cannot hold a {type(value).__name__}")
+
+
 def csv_cell(value) -> str:
-    """Canonical CSV rendering of a JSON value: None -> empty, booleans in
-    JSON spelling, containers as compact JSON."""
+    """Canonical CSV rendering of a record value: None -> empty, booleans in
+    JSON spelling, library values by :func:`render_value`, containers as
+    compact JSON."""
     if value is None:
         return ""
     if isinstance(value, bool):
         return "true" if value else "false"
-    if isinstance(value, (int, float, str)):
+    if isinstance(value, (int, float, str, *LIBRARY_VALUES)):
         return str(value)
-    return json.dumps(value, separators=(",", ":"))
+    return json.dumps(value, separators=(",", ":"), default=render_value)
 
 
 @dataclass
@@ -100,6 +112,7 @@ class ExperimentReport:
                 "provenance": self.provenance,
             },
             indent=2,
+            default=render_value,
         )
 
     def to_csv(self) -> str:
@@ -174,8 +187,9 @@ def _add_pair_budget_flags(p: argparse.ArgumentParser) -> None:
 
 
 def _add_group_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--group", help="catalog name: S5, A6, D8, psl2(7), pgammal2(9), ...")
-    p.add_argument("--spec", help="path to a group-spec file")
+    g = p.add_mutually_exclusive_group()
+    g.add_argument("--group", help="catalog name: S5, A6, D8, psl2(7), pgammal2(9), ...")
+    g.add_argument("--spec", help="path to a group-spec file")
 
 
 def _budget(args) -> SearchBudget:
@@ -187,59 +201,42 @@ def _budget(args) -> SearchBudget:
 
 
 def _resolve_group(args) -> tuple[str, PermGroup, "object"]:
-    """(name, group, spec-or-None), mapping all load problems to _InputError."""
-    try:
-        if getattr(args, "spec", None):
-            spec = load_spec(args.spec)
-            return spec.name, spec.group(), spec
-        if getattr(args, "group", None):
-            return args.group, group_by_name(args.group), None
-    except (PiradicalError, ValueError, OSError) as e:
-        raise _InputError(str(e))
-    raise _InputError("one of --group or --spec is required")
+    """(name, group, spec-or-None)."""
+    if args.spec:
+        spec = load_spec(args.spec)
+        return spec.name, spec.group(), spec
+    if args.group:
+        return args.group, group_by_name(args.group), None
+    raise ValueError("one of --group or --spec is required")
 
 
 def _resolve_context(args, budget: SearchBudget) -> tuple[str, AlmostSimpleContext]:
-    try:
-        if getattr(args, "spec", None):
-            spec = load_spec(args.spec)
-            socle = spec.socle()
-            if socle is None:
-                raise _InputError(f"{args.spec} has no 'socle' line")
-            aut = (
-                Permutation.parse(args.aut, degree=socle.degree)
-                if args.aut
-                else spec.aut()
-            )
-            if aut is None:
-                raise _InputError("no automorphism: pass --aut or add an 'aut' line")
-            name = spec.name
-        else:
-            if not getattr(args, "group", None):
-                raise _InputError("one of --group or --spec is required")
-            if not args.aut:
-                raise _InputError("--aut is required with --group")
-            socle = socle_by_name(args.group)
-            aut = automorphism_by_name(args.aut, socle.degree)
-            name = args.group
-    except _InputError:
-        raise
-    except (PiradicalError, ValueError, OSError) as e:
-        raise _InputError(str(e))
-    # main maps a context that fails validation to exit 2, and a class over
-    # the class budget (BudgetExhausted) to exit 3
+    if args.spec:
+        spec = load_spec(args.spec)
+        socle = spec.socle()
+        if socle is None:
+            raise ValueError(f"{args.spec} has no 'socle' line")
+        aut = Permutation.parse(args.aut, degree=socle.degree) if args.aut else spec.aut()
+        if aut is None:
+            raise ValueError("no automorphism: pass --aut or add an 'aut' line")
+        name = spec.name
+    else:
+        if not args.group:
+            raise ValueError("one of --group or --spec is required")
+        if not args.aut:
+            raise ValueError("--aut is required with --group")
+        socle = socle_by_name(args.group)
+        aut = automorphism_by_name(args.aut, socle.degree)
+        name = args.group
     return name, AlmostSimpleContext.build(socle, aut, budget=budget)
 
 
 def _resolve_pi(args, spec) -> PrimeSet:
-    if getattr(args, "pi", None):
-        try:
-            return PrimeSet.parse(args.pi)
-        except ValueError as e:
-            raise _InputError(str(e))
+    if args.pi:
+        return PrimeSet.parse(args.pi)
     if spec is not None and spec.pi is not None:
         return spec.pi
-    raise _InputError("--pi is required (or a 'pi' line in the spec file)")
+    raise ValueError("--pi is required (or a 'pi' line in the spec file)")
 
 
 # ---------------------------------------------------------------------------
@@ -267,20 +264,26 @@ def cmd_radical(args) -> tuple[dict, int]:
             )
         crosscheck = "agrees"
     return dict(
-        inputs={"group": name, "pi": str(pi), "crosscheck_cap": args.crosscheck_cap},
+        inputs={"group": name, "pi": pi, "crosscheck_cap": args.crosscheck_cap},
         results=[
             {
                 "group": name,
                 "group_order": G.order_int,
-                "pi": str(pi),
-                "radical_order": str(radical.order),
+                "pi": pi,
+                "radical_order": radical.order,
                 "radical_order_int": radical.order_int,
-                "radical_generators": [str(g) for g in radical.generators],
+                "radical_generators": radical.generators,
                 "crosscheck": crosscheck,
             }
         ],
         summary={"radical_order_int": radical.order_int},
     ), 0
+
+
+WIDTH_RECORD_KEYS = (
+    "value", "witness", "members", "certificate_order", "explored_width",
+    "status", "saturated", "exhaustive", "states_visited",
+)
 
 
 def cmd_width(args) -> tuple[dict, int]:
@@ -294,16 +297,16 @@ def cmd_width(args) -> tuple[dict, int]:
         "socle": name,
         "socle_order": ctx.socle.order_int,
         "ambient_order": ctx.ambient.order_int,
-        "aut": str(ctx.element),
+        "aut": ctx.element,
         "class_size": len(ctx.conjugates),
         **({"r": args.r} if with_r else {}),
-        **res.to_json_dict(),
+        **{key: getattr(res, key) for key in WIDTH_RECORD_KEYS},
         "revalidated": res.revalidate() if res.value is not None else None,
     }
     return dict(
         inputs={
-            "group": getattr(args, "group", None),
-            "spec": getattr(args, "spec", None),
+            "group": args.group,
+            "spec": args.spec,
             "aut": args.aut,
             **({"r": args.r} if with_r else {}),
         },
@@ -317,28 +320,13 @@ def cmd_bs_check(args) -> tuple[dict, int]:
     name, G, spec = _resolve_group(args)
     pi = _resolve_pi(args, spec)
     if args.m < 1:
-        raise _InputError(f"--m must be >= 1, got {args.m}")
+        raise ValueError(f"--m must be >= 1, got {args.m}")
     res = bs_membership(G, pi, args.m, budget=budget)
-    records = [
-        {
-            "representative": str(r.representative),
-            "class_size": r.class_size,
-            "in_radical": r.in_radical,
-            "violation_width": r.violation_width,
-            "witness": [str(w) for w in r.witness] if r.witness else None,
-            "witness_order": str(r.witness_order) if r.witness_order else None,
-            "exhaustive": r.exhaustive,
-            "states_visited": r.states_visited,
-        }
-        for r in res.records
-    ]
     summary = {
         "holds": res.holds,
         "m": args.m,
-        "violating_element": str(res.violating_element)
-        if res.violating_element
-        else None,
-        "radical_order": str(res.radical_order),
+        "violating_element": res.violating_element,
+        "radical_order": res.radical_order,
         "exhaustive": res.exhaustive,
     }
     if args.find_min:
@@ -346,8 +334,8 @@ def cmd_bs_check(args) -> tuple[dict, int]:
         summary["minimal_m"] = m_min
         summary["minimal_m_per_class"] = {str(rep): w for rep, w in per_rep}
     return dict(
-        inputs={"group": name, "pi": str(pi), "m": args.m},
-        results=records,
+        inputs={"group": name, "pi": pi, "m": args.m},
+        results=[dict(vars(r)) for r in res.records],
         summary=summary,
     ), 0
 
@@ -359,13 +347,13 @@ def cmd_transposition_sweep(args) -> tuple[dict, int]:
         results=[
             {
                 "r": rep.r,
-                "pi": str(rep.pi),
+                "pi": rep.pi,
                 "subset_width": rep.r - 2,
                 "subsets_checked": rep.subsets_checked,
                 "all_small_subsets_pi": rep.all_small_subsets_pi,
-                "witness_subset": [str(t) for t in rep.witness_subset],
-                "witness_order": str(rep.witness_order),
-                "radical_order": str(rep.radical_order),
+                "witness_subset": rep.witness_subset,
+                "witness_order": rep.witness_order,
+                "radical_order": rep.radical_order,
                 "crosschecks": rep.crosschecks,
                 "exhaustive": rep.exhaustive,
                 "implied_lower_bound": rep.implied_lower_bound,
@@ -386,7 +374,7 @@ def _parse_n_range(text: str) -> list[int]:
     else:
         lo = hi = int(text)
     if not 5 <= lo <= hi <= 9:
-        raise _InputError(f"--n must lie within 5..9, got {text!r}")
+        raise ValueError(f"--n must lie within 5..9, got {text!r}")
     return list(range(lo, hi + 1))
 
 
@@ -394,21 +382,16 @@ def cmd_width_table(args) -> tuple[dict, int]:
     """Exits 1 on a bound violation, else 3 when a cell has no beta or a
     printed alpha or beta is not exhaustive."""
     budget = _budget(args)
-    try:
-        ns = _parse_n_range(args.n)
-        r_given = (
-            [int(tok) for tok in args.r.split(",")] if args.r else None
-        )
-    except ValueError as e:
-        raise _InputError(str(e))
+    ns = _parse_n_range(args.n)
+    r_given = [int(tok) for tok in args.r.split(",")] if args.r else None
     if r_given is not None:
         for r in r_given:
             if not is_prime(r) or r == 2:
-                raise _InputError(f"--r entries must be odd primes, got {r}")
+                raise ValueError(f"--r entries must be odd primes, got {r}")
             if r > ns[-1]:
-                raise _InputError(f"--r entry {r} exceeds every degree in --n {args.n}")
+                raise ValueError(f"--r entry {r} exceeds every degree in --n {args.n}")
         if len(set(r_given)) != len(r_given):
-            raise _InputError(f"--r entries must be distinct, got {args.r}")
+            raise ValueError(f"--r entries must be distinct, got {args.r}")
     records: list[dict] = []
     any_uncertified = False
     any_violation = False
@@ -437,7 +420,7 @@ def cmd_width_table(args) -> tuple[dict, int]:
             any_violation = True
         rec = {
             "socle": label,
-            "aut": str(ctx.element),
+            "aut": ctx.element,
             "aut_order": ctx.element.order(),
             "r": r,
             "beta": res.value,
@@ -446,10 +429,8 @@ def cmd_width_table(args) -> tuple[dict, int]:
             ],
             "bound_ok": ok,
             "exhaustive": res.exhaustive,
-            "witness": [str(w) for w in res.witness] if res.witness else None,
-            "certificate_order": str(res.certificate_order)
-            if res.certificate_order
-            else None,
+            "witness": res.witness,
+            "certificate_order": res.certificate_order,
         }
         if a is not None:
             rec["alpha"] = a.value
@@ -504,29 +485,16 @@ def cmd_verify_bs(args) -> tuple[dict, int]:
     budget = _budget(args)
     name, G, spec = _resolve_group(args)
     if args.p is not None and not is_prime(args.p):
-        raise _InputError(f"--p must be prime, got {args.p}")
+        raise ValueError(f"--p must be prime, got {args.p}")
     primes = [args.p] if args.p is not None else sorted(G.order.prime_support)
     if not primes:
-        raise _InputError("the trivial group has no primes to verify")
+        raise ValueError("the trivial group has no primes to verify")
     records: list[dict] = []
     for p in primes:
         rep = baer_suzuki_check(G, p, budget=budget)
         for r in rep.records:
             records.append(
-                {
-                    "group": name,
-                    "p": p,
-                    "representative": str(r.representative),
-                    "in_radical": r.in_radical,
-                    "all_pairs_p_groups": r.all_pairs_p_groups,
-                    "witness_pair": [str(w) for w in r.witness_pair]
-                    if r.witness_pair
-                    else None,
-                    "witness_order": str(r.witness_order)
-                    if r.witness_order
-                    else None,
-                    "radical_order": str(rep.radical_order),
-                }
+                {"group": name, "p": p, **vars(r), "radical_order": rep.radical_order}
             )
     return dict(
         inputs={"group": name, "p": args.p},
@@ -537,7 +505,7 @@ def cmd_verify_bs(args) -> tuple[dict, int]:
 
 def cmd_verify_bs_sweep(args) -> tuple[dict, int]:
     if args.order_cap < 2:
-        raise _InputError(f"--order-cap must be >= 2 (C2 has order 2), got {args.order_cap}")
+        raise ValueError(f"--order-cap must be >= 2 (C2 has order 2), got {args.order_cap}")
     budget = _budget(args)
     records: list[dict] = []
     for entry in catalog_groups(max_order=args.order_cap):
@@ -552,7 +520,7 @@ def cmd_verify_bs_sweep(args) -> tuple[dict, int]:
                     "order": G.order_int,
                     "p": p,
                     "classes_checked": len(rep.records),
-                    "radical_order": str(rep.radical_order),
+                    "radical_order": rep.radical_order,
                     "consistent": True,
                 }
             )
@@ -677,9 +645,6 @@ def main(argv: list[str] | None = None) -> int:
         else:
             sys.stdout.write(text)
         return code
-    except _InputError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 2
     except BudgetExhausted as e:
         print(f"budget exhausted: {e}", file=sys.stderr)
         return 3

@@ -40,9 +40,9 @@ Four soundness notes justify the pruning:
   failures up to the explored width and an emptied frontier certify what
   they certify without the pruning.  C is built only then, from the
   Schreier generators of the class-table orbit, and checked to reach order
-  |L| / |x^L|.  This needs a pinned search (x fixed), the whole class (C
-  acts on it) and a predicate that depends only on the order; without the
-  group L the search is unreduced.
+  |L| / |x^L|.  This needs x fixed (every search is pinned), the whole
+  class (C acts on it) and a predicate that depends only on the order;
+  without the group L the search is unreduced.
 * Normaliser orbits (the cheap form of canonical augmentation; McKay,
   "Isomorph-free exhaustive generation", *J. Algorithms* 26, 1998): from
   width 2 on, a chain state H = <x, y_2, ..., y_k> is extended only by the
@@ -112,7 +112,7 @@ import functools
 import itertools
 import math
 from collections import Counter
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from typing import Callable, Iterator, Literal, NamedTuple, Sequence
 
 from .errors import (
@@ -187,7 +187,6 @@ class WidthResult:
     explored_width: int
     status: Status
     states_visited: int
-    subgroup: PermGroup | None = field(default=None, repr=False, compare=False)
 
     @property
     def exhaustive(self) -> bool:
@@ -217,21 +216,6 @@ class WidthResult:
         if order_predicate is not None and not order_predicate(H.order_int):
             return False
         return True
-
-    def to_json_dict(self) -> dict:
-        return {
-            "value": self.value,
-            "witness": [str(w) for w in self.witness] if self.witness else None,
-            "members": [str(m) for m in self.members] if self.members else None,
-            "certificate_order": str(self.certificate_order)
-            if self.certificate_order
-            else None,
-            "explored_width": self.explored_width,
-            "status": self.status,
-            "saturated": self.saturated,
-            "exhaustive": self.exhaustive,
-            "states_visited": self.states_visited,
-        }
 
 
 # ---------------------------------------------------------------------------
@@ -263,7 +247,6 @@ def min_width_search(
     order_predicate: OrderPredicate,
     *,
     budget: SearchBudget = SearchBudget(),
-    pinned: bool = True,
     group: PermGroup | None = None,
 ) -> WidthResult:
     """Minimal number of the given conjugates generating a subgroup whose
@@ -273,23 +256,20 @@ def min_width_search(
     ``witnesses[i]`` must conjugate ``x`` to ``conjugates[i]``.
 
     ``group`` is the group whose whole conjugation orbit of ``x`` the
-    conjugates are.  When it is given and the search is pinned, the level-2
-    states are reduced to one per C_group(x)-orbit before width 3 is
-    searched; without it the search is unreduced."""
+    conjugates are.  When it is given, the level-2 states are reduced to one
+    per C_group(x)-orbit before width 3 is searched; without it the search
+    is unreduced."""
     if not conjugates or conjugates[0] != x.images:
         raise ValueError("conjugates[0] must be x itself")
     model = _Partitions if x.is_transposition() else _Chains
     return _search(
-        model(x, conjugates), conjugates, witnesses, order_predicate,
-        budget, pinned, group if pinned else None,
+        model(x, conjugates), conjugates, witnesses, order_predicate, budget, group
     )
 
 
-def _search(
-    model, conjugates, witnesses, pred, budget, pinned, group=None,
-) -> WidthResult:
-    """The breadth-first search over ``model``'s states.  Level 1 holds the
-    children of ``model.initial`` (<x> alone when ``pinned``); a child is
+def _search(model, conjugates, witnesses, pred, budget, group=None) -> WidthResult:
+    """The breadth-first search over ``model``'s states.  Level 1 holds
+    <x> alone, the child of ``model.initial`` by conjugate 0; a child is
     counted as a state when the model returns it, and searched further when
     the model admits it.  With ``group``, the level-2 frontier is pruned by
     :func:`_one_per_centralizer_orbit` before it grows, and from then on a
@@ -300,17 +280,15 @@ def _search(
     states = 0
 
     def result(explored, status, found=None):
-        subgroup = model.group(*found) if found else None
         ids = found[1] if found else ()
         return WidthResult(
             value=explored + 1 if found else None,
             witness=tuple(Permutation(witnesses[i]) for i in ids) if found else None,
             members=tuple(Permutation(conjugates[i]) for i in ids) if found else None,
-            certificate_order=subgroup.order if found else None,
+            certificate_order=model.group(*found).order if found else None,
             explored_width=explored,
             status=status,
             states_visited=states,
-            subgroup=subgroup,
         )
 
     frontier = [(model.initial, (), None)]
@@ -329,7 +307,7 @@ def _search(
         next_frontier = []
         for state, ids, listed in frontier:
             if listed is None:
-                candidates = (0,) if pinned and width == 0 else every
+                candidates = (0,) if width == 0 else every
             else:
                 listed = _normalising(state, conjugates[ids[-1]], listed)
                 candidates = _orbit_representatives(listed, conjugates, index)

@@ -317,6 +317,44 @@ def test_spec_parse_errors_carry_positions(tmp_path):
         assert exc.value.line >= 1
 
 
+def test_unknown_generator_names_are_reported_where_they_stand(tmp_path):
+    """A socle or aut name that no gen line defines is reported at its own
+    line and column, not at the start of the file."""
+    body = "name g\n# comment\ndegree 5\ngen a (1 2 3)\ngen b (1 2)\nsocle a  c\naut d\n"
+    path = tmp_path / "g.spec"
+    path.write_text(body, encoding="utf-8")
+    with pytest.raises(ParseError, match="socle names unknown generator 'c'") as exc:
+        load_spec(path)
+    assert (exc.value.line, exc.value.column) == (6, 10)
+    path.write_text(body.replace("socle a  c", "socle a"), encoding="utf-8")
+    with pytest.raises(ParseError, match="aut names unknown generator 'd'") as exc:
+        load_spec(path)
+    assert (exc.value.line, exc.value.column) == (7, 5)
+
+
+@pytest.mark.parametrize(
+    "first, again",
+    [
+        ("name g", "name h"),
+        ("degree 4", "degree 5"),
+        ("socle a", "socle a"),
+        ("aut b", "aut a"),
+        ("pi 2", "pi 3"),
+    ],
+)
+def test_a_repeated_directive_is_a_parse_error(tmp_path, first, again):
+    """Every directive but gen appears at most once: a second one is refused
+    at its line instead of replacing the first."""
+    lines = ["degree 4", "gen a (1 2)(3 4)", "gen b (1 2 3 4)"]
+    lines = [l for l in lines if l != first] + [first, again]
+    path = tmp_path / "g.spec"
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    key = first.split()[0]
+    with pytest.raises(ParseError, match=f"repeated '{key}' line") as exc:
+        load_spec(path)
+    assert exc.value.line == len(lines)
+
+
 def test_spec_validation_rejects_non_normal_socle(tmp_path):
     bodies = [
         "degree 4\ngen a (1 2)\ngen b (1 2 3 4)\nsocle a\n",

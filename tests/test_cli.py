@@ -7,7 +7,8 @@ import re
 
 import pytest
 
-from piradical.cli import build_parser, main
+from piradical import InvariantViolation, cli
+from piradical.cli import ExperimentReport, build_parser, csv_cell, main
 
 
 def run(capsys, *argv: str) -> tuple[int, str, str]:
@@ -79,6 +80,28 @@ def test_a_context_that_is_not_almost_simple_is_an_input_error(capsys):
     code, out, err = run(capsys, "alpha", "--group", "D8", "--aut", "(1 2 3 4 5 6 7 8)")
     assert code == 2 and out == ""
     assert "not almost simple" in err and "INVARIANT VIOLATION" not in err
+
+
+@pytest.mark.parametrize(
+    "name, argv",
+    [
+        ("group_by_name", ["radical", "--group", "S4", "--pi", "2"]),
+        ("socle_by_name", ["alpha", "--group", "A5", "--aut", "(1 2)"]),
+    ],
+    ids=["group_by_name", "socle_by_name"],
+)
+def test_a_self_check_failing_while_the_group_is_read_exits_one(
+    capsys, monkeypatch, name, argv
+):
+    """A catalog self-check that fails while --group is resolved is a bug,
+    not bad input: exit 1, not 2."""
+    def broken(*args, **kwargs):
+        raise InvariantViolation("order formula disagrees with the chain")
+
+    monkeypatch.setattr(cli, name, broken)
+    code, out, err = run(capsys, *argv)
+    assert code == 1 and out == ""
+    assert err.startswith("INVARIANT VIOLATION") and "order formula" in err
 
 
 def test_even_r_sweep_is_an_input_error(capsys):
@@ -512,6 +535,16 @@ def test_spec_file_route(capsys, tmp_path):
     assert report["results"][0]["socle"] == "five-sym"
 
 
+def test_group_and_spec_exclude_each_other(capsys, tmp_path):
+    """Given both, the CLI refuses rather than answer about one of them."""
+    spec = tmp_path / "g.spec"
+    spec.write_text(SPEC_TEXT, encoding="utf-8")
+    with pytest.raises(SystemExit) as exc:
+        main(["radical", "--group", "A5", "--spec", str(spec), "--pi", "2"])
+    assert exc.value.code == 2
+    assert "not allowed with argument" in capsys.readouterr().err
+
+
 def test_bad_spec_file_is_an_input_error(capsys, tmp_path):
     spec = tmp_path / "bad.spec"
     spec.write_text("degree 3\ngen a (1 5)\n", encoding="utf-8")
@@ -540,20 +573,39 @@ def test_json_format_carries_provenance(capsys):
     assert report["experiment"] == "radical"
 
 
-def test_csv_format_matches_json_records(capsys):
-    code, json_report = run_json(capsys, "bs-check", "--group", "S4", "--pi", "2", "--m", "2")
-    assert code == 0
-    code, out, _ = run(
-        capsys, "bs-check", "--group", "S4", "--pi", "2", "--m", "2",
-        "--format", "csv",
-    )
-    assert code == 0
+@pytest.mark.parametrize("command", list(REPEAT_ARGV))
+def test_csv_format_matches_json_records(capsys, command):
+    """Every CSV cell, and every input and summary line, is csv_cell of the
+    JSON value: one renderer serves both formats."""
+    code, json_report = run_json(capsys, *REPEAT_ARGV[command])
+    assert code in (0, 3)
+    code_csv, out, _ = run(capsys, *REPEAT_ARGV[command], "--format", "csv")
+    assert code_csv == code
+    comments = [l for l in out.splitlines() if l.startswith("#")]
     data_lines = [l for l in out.splitlines() if not l.startswith("#")]
+    assert comments == [
+        f"# {key}={csv_cell(value)}"
+        for key, value in [("experiment", command)]
+        + sorted(json_report["inputs"].items())
+        + sorted(json_report["summary"].items())
+    ]
     rows = list(csv.DictReader(io.StringIO("\n".join(data_lines))))
-    assert len(rows) == len(json_report["results"])
+    assert len(rows) == len(json_report["results"]) > 0
     for row, rec in zip(rows, json_report["results"]):
-        assert row["representative"] == rec["representative"]
-        assert row["in_radical"] == ("true" if rec["in_radical"] else "false")
+        assert rec.keys() <= row.keys()
+        for key, cell in row.items():
+            assert cell == csv_cell(rec.get(key)), (key, cell, rec.get(key))
+
+
+def test_a_value_of_unknown_type_is_refused():
+    """The renderer knows the library's value types and JSON's; anything
+    else raises instead of being written some ad hoc way."""
+    report = ExperimentReport("x", {}, [{"value": {1, 2}}])
+    for fmt in ("json", "csv", "text"):
+        with pytest.raises(TypeError, match="set"):
+            report.render(fmt)
+    with pytest.raises(TypeError):
+        csv_cell(object())
 
 
 @pytest.mark.parametrize("command", list(REPEAT_ARGV))

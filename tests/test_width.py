@@ -163,7 +163,6 @@ def test_each_status_through_the_library(status):
     assert res.status == status and res.value == value
     assert res.exhaustive == (status in ("found", "absent"))
     assert res.saturated == (status == "absent")
-    assert res.to_json_dict()["status"] == status
     if value is not None:
         assert res.revalidate(lambda o: o == ctx.ambient.order_int)
 
@@ -213,23 +212,6 @@ def test_witnesses_conjugate_the_element():
     )
 
 
-def test_pinned_matches_unpinned_on_small_classes():
-    for x_text, pred in [
-        ("(1 2)", lambda o: o % 5 == 0),
-        ("(1 2 3)", lambda o: o % 5 == 0),
-        ("(1 2 3 4 5)", lambda o: o % 3 == 0),
-    ]:
-        ctx = ctx_a5(x_text)
-        assert len(ctx.conjugates) <= 60
-        pinned = min_width_search(
-            ctx.element, ctx.conjugates, ctx.witnesses, pred, pinned=True
-        )
-        free = min_width_search(
-            ctx.element, ctx.conjugates, ctx.witnesses, pred, pinned=False
-        )
-        assert pinned.value == free.value
-
-
 def test_transposition_fast_path_matches_generic_search():
     """The partition states of a transposition class (the fast path) against
     the chain states that serve every class, through the same driver: every
@@ -247,13 +229,15 @@ def test_transposition_fast_path_matches_generic_search():
             fast = min_width_search(ctx.element, ctx.conjugates, ctx.witnesses, pred)
             chains = _search(
                 _Chains(ctx.element, ctx.conjugates), ctx.conjugates,
-                ctx.witnesses, pred, SearchBudget(), True,
+                ctx.witnesses, pred, SearchBudget(),
             )
             assert fast.value is not None and fast.exhaustive, (n, kind)
             assert dataclasses.replace(fast, states_visited=0) == dataclasses.replace(
                 chains, states_visited=0
             ), (n, kind)
-            assert fast.subgroup.same_group_as(chains.subgroup)
+            assert PermGroup.from_generators(fast.members).same_group_as(
+                PermGroup.from_generators(chains.members)
+            )
 
 
 def test_states_visited_counts_are_pinned():
