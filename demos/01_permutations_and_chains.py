@@ -27,9 +27,6 @@ def main() -> None:
     A5 = PermGroup.from_generators([P("(1 2 3)", 5), P("(3 4 5)")])
     print(f"  odd permutations stay out: (1 2) in Alt(5)? {P('(1 2)', 5) in A5}")
 
-    print("\n== exactly uniform random elements (seeded) ==")
-    print(" ", ", ".join(str(G.random_element(seed)) for seed in range(5)))
-
 
 if __name__ == "__main__":
     main()

@@ -539,12 +539,12 @@ def load_spec(path: str | Path) -> GroupSpec:
         parts = line.split(None, 1)
         key = parts[0]
         rest = parts[1].strip() if len(parts) > 1 else ""
-        col = line.index(key) + len(key) + 2 if rest else 1
         if key != "gen" and key in seen:
             raise ParseError(f"repeated {key!r} line", lineno, 1)
         seen.add(key)
         # each word after the directive, with its column
         words = [(m.group(), m.start() + 1) for m in re.finditer(r"\S+", line)][1:]
+        col = words[0][1] if words else 1  # where the value starts
         if key == "name":
             if not rest:
                 raise ParseError("name requires a value", lineno, col)

@@ -17,8 +17,7 @@ Consequences used throughout the package:
 * membership testing is sifting;
 * every element has a unique decomposition ``u^(k) u^(k-1) ... u^(1)`` into
   transversal representatives (deepest first under the package's
-  left-to-right composition), which yields canonical element enumeration and
-  exactly uniform seeded random elements.
+  left-to-right composition), which yields canonical element enumeration.
 
 Elements are ``bytes`` throughout, one byte per point, as
 :class:`Permutation` stores them: every product in the chain, the sifts and
@@ -37,7 +36,6 @@ wraps ``gens`` the first time it is read.
 from __future__ import annotations
 
 import math
-import random
 from typing import Iterable
 
 from .errors import DegreeMismatch, TooLarge
@@ -337,18 +335,6 @@ class PermGroup:
     def elements(self, cap: int = 10**6) -> list[Permutation]:
         """All elements, in the order of :meth:`element_tuples`."""
         return [Permutation(t) for t in self.element_tuples(cap)]
-
-    def random_element(self, rng: random.Random | int = 0) -> Permutation:
-        """Exactly uniform element from the seeded generator: one transversal
-        representative is chosen per level and the unique-decomposition
-        product is returned."""
-        if isinstance(rng, int):
-            rng = random.Random(rng)
-        picks = [lev.trans[lev.orbit[rng.randrange(len(lev.orbit))]] for lev in self._levels]
-        g = self._identity
-        for u in reversed(picks):  # deepest level applies first
-            g = g.translate(u + TAIL[self.degree:])
-        return Permutation(g)
 
     # -- structure helpers -----------------------------------------------------
 

@@ -5,9 +5,9 @@ A group's class data is part of the group: :func:`class_data` builds one
 radical, lattice and membership question about G reads it from there.  It
 holds G's class representatives and sizes, from one scan of the element
 enumeration, each class table (members with their conjugating witnesses),
-each class closure and each pi-radical, every one computed once per group
-object.  Elements are ``bytes``, one byte per point, as in
-:mod:`piradical.groups`: a conjugate g^-1 m g is
+each class closure and each pi-radical, every one computed at most once per
+group object, when a question first reads it.  Elements are ``bytes``, one
+byte per point, as in :mod:`piradical.groups`: a conjugate g^-1 m g is
 ``bytes.maketrans(g, m.translate(table))[:n]``, where ``table`` is g padded
 to 256 bytes once per scan, so each conjugation runs in C.
 
@@ -22,10 +22,12 @@ characterization: x lies in ``O_pi(G)`` exactly when the normal closure
 
 (The join of normal pi-subgroups is again a normal pi-subgroup, every
 element of O_pi contributes its whole class, and conversely each kept
-closure is normal and pi, hence inside O_pi.)  ``normal_subgroups`` uses the
-same building blocks: every normal subgroup is a union of classes, hence a
-join of class closures, so closing the set of class closures under pairwise
-join enumerates all normal subgroups exactly.
+closure is normal and pi, hence inside O_pi.)  A closure contains x, so
+only a representative of pi-number order can have a pi closure: the others
+are never closed for the radical.  ``normal_subgroups`` uses the same
+building blocks: every normal subgroup is a union of classes, hence a join
+of class closures, so closing the set of class closures under pairwise join
+enumerates all normal subgroups exactly.
 """
 
 from __future__ import annotations
@@ -109,6 +111,11 @@ def is_pi_number(n: FactoredInteger, pi: PrimeSet) -> bool:
 
 def is_pi_group(G: PermGroup, pi: PrimeSet) -> bool:
     return is_pi_number(G.order, pi)
+
+
+def is_pi_element(x: Permutation, pi: PrimeSet) -> bool:
+    """True when the order of ``x`` is a pi-number."""
+    return is_pi_number(FactoredInteger.from_int(x.order()), pi)
 
 
 # ---------------------------------------------------------------------------
@@ -218,10 +225,13 @@ def normal_closure(G: PermGroup, elements: Sequence[Permutation]) -> PermGroup:
 
 class GroupClassData:
     """G's class data: class representatives, class tables, class closures
-    and radicals, each computed once.  Obtain it with :func:`class_data`.
+    and radicals, each computed once, when first asked for.  Obtain it with
+    :func:`class_data`.
 
-    ``reps`` comes from one scan of the elements, ``class_table`` and
-    ``closures`` once per representative, and :func:`pi_radical` stores each
+    ``reps`` comes from one scan of the elements, a ``class_table`` or
+    ``closure`` from the first request for its representative (the width
+    engine and :func:`pi_radical` ask only for classes of pi-number order;
+    ``closures`` lists every class's), and :func:`pi_radical` stores each
     prime set's radical here.  ``searches`` keeps the width engine's
     ``found`` searches for a non-pi subgroup over a class, keyed by
     (representative images, pi), so that a second question about the same
@@ -233,7 +243,7 @@ class GroupClassData:
         self._group = weakref.ref(G)
         self._reps: list[tuple[Permutation, int]] | None = None
         self._tables: dict[Images, ClassTable] = {}
-        self._closures: list[tuple[Permutation, PermGroup]] | None = None
+        self._closures: dict[Images, PermGroup] = {}
         self._radicals: dict[PrimeSet, PermGroup] = {}
         self.searches: dict[tuple[Images, PrimeSet], WidthResult] = {}
 
@@ -259,14 +269,17 @@ class GroupClassData:
             self._tables[rep.images] = conjugation_orbit(G, rep, G.order_int)
         return self._tables[rep.images]
 
+    def closure(self, rep: Permutation) -> PermGroup:
+        """``normal_closure(G, [rep])``, the normal closure of the class of
+        ``rep``, computed once."""
+        if rep.images not in self._closures:
+            self._closures[rep.images] = normal_closure(self.group, [rep])
+        return self._closures[rep.images]
+
     @property
     def closures(self) -> list[tuple[Permutation, PermGroup]]:
         """(representative, normal closure of its class) for every class."""
-        if self._closures is None:
-            self._closures = [
-                (rep, normal_closure(self.group, [rep])) for rep, _ in self.reps
-            ]
-        return self._closures
+        return [(rep, self.closure(rep)) for rep, _ in self.reps]
 
 
 def class_data(G: PermGroup) -> GroupClassData:
@@ -288,12 +301,15 @@ def _join(G: PermGroup, parts: Sequence[PermGroup]) -> PermGroup:
 def pi_radical(G: PermGroup, pi: PrimeSet) -> PermGroup:
     """The largest normal pi-subgroup ``O_pi(G)``, as the join of the class
     closures that are pi-groups (see the module docstring for why this is
-    exact).  The closures come from ``class_data(G)``, which also keeps the
-    radical, so each prime set's radical is computed once per group."""
+    exact).  Only a class whose representative has pi-number order can have
+    a pi closure, so only those closures are asked for.  They come from
+    ``class_data(G)``, which also keeps the radical, so each prime set's
+    radical is computed once per group."""
     data = class_data(G)
     if pi in data._radicals:
         return data._radicals[pi]
-    kept = [cl for _, cl in data.closures if is_pi_group(cl, pi)]
+    pi_order = [rep for rep, _ in data.reps if is_pi_element(rep, pi)]
+    kept = [cl for cl in map(data.closure, pi_order) if is_pi_group(cl, pi)]
     radical = _join(G, kept)
     if not is_pi_group(radical, pi):
         raise InvariantViolation(
@@ -309,27 +325,38 @@ def normal_subgroups(G: PermGroup) -> list[PermGroup]:
     """All normal subgroups of G (|G| <= 10^6), as the join-closure of the
     conjugacy-class normal closures, sorted by order.  Independent of
     :func:`pi_radical` except for sharing the class closures of
-    ``class_data(G)``."""
+    ``class_data(G)``.
+
+    The closure is semi-naive: each pass joins only the pairs that include
+    a subgroup found by the pass before (the other pairs were joined then),
+    and skips a pair when one member contains the other, whose join is the
+    larger one.  Both skip only joins that are already known, so the
+    subgroups are found in the order that joining every pair in every pass
+    finds them."""
     closures = [cl for _, cl in class_data(G).closures]
     found: list[PermGroup] = [PermGroup.trivial(G.degree)]
 
     def known(H: PermGroup) -> bool:
         return any(H.same_group_as(K) for K in found if K.order_int == H.order_int)
 
+    def nested(A: PermGroup, B: PermGroup) -> bool:
+        small, large = sorted((A, B), key=lambda H: H.order_int)
+        return large.order_int % small.order_int == 0 and small.is_subgroup_of(large)
+
     for cl in closures:
         if not known(cl):
             found.append(cl)
-    while True:
-        added = False
+    new = 0  # found[new:] are the subgroups the last pass added
+    while new < len(found):
         snapshot = list(found)
         for i, A in enumerate(snapshot):
-            for B in snapshot[i + 1 :]:
+            for B in snapshot[max(i + 1, new) :]:
+                if nested(A, B):
+                    continue
                 J = _join(G, [A, B])
                 if not known(J):
                     found.append(J)
-                    added = True
-        if not added:
-            break
+        new = len(snapshot)
     return sorted(found, key=lambda H: (H.order_int, H.orbit_partition))
 
 

@@ -132,6 +132,7 @@ from .structure import (
     PrimeSet,
     class_data,
     conjugation_orbit,
+    is_pi_element,
     is_pi_number,
     pi_radical,
     radical_is_trivial_by_prime_degree,
@@ -754,7 +755,9 @@ def _class_search(
 ) -> WidthResult:
     """The search for a non-pi subgroup over the G-class of ``rep``, of
     ``size`` members (as ``class_data(G).reps`` gives it), on the class
-    table kept in ``class_data(G)``.  Raises :class:`BudgetExhausted` before
+    table kept in ``class_data(G)``.  A representative whose order is not a
+    pi-number is found at width 1 by <rep> alone, so its search reads no
+    class table, only rep itself.  Raises :class:`BudgetExhausted` before
     any search when the class is larger than ``budget.max_class_size``, and
     when the search found nothing and was cut off before every tuple up to
     ``budget.max_width`` was searched.
@@ -777,10 +780,12 @@ def _class_search(
         and kept.states_visited <= budget.max_states
     ):
         return kept
-    members, wits = data.class_table(rep)
-    res = min_width_search(
-        rep, members, wits, _non_pi_predicate(pi), budget=budget, group=G,
-    )
+    pred = _non_pi_predicate(pi)
+    if is_pi_element(rep, pi):
+        members, wits = data.class_table(rep)
+        res = min_width_search(rep, members, wits, pred, budget=budget, group=G)
+    else:  # <rep> is not pi: found at width 1 by rep alone, with no class table
+        res = min_width_search(rep, [rep.images], [TAIL[: rep.degree]], pred, budget=budget)
     if res.status == "found":
         data.searches[(rep.images, pi)] = res
     if res.status == "state_budget":  # the only end short of max_width

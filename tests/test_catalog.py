@@ -317,6 +317,26 @@ def test_spec_parse_errors_carry_positions(tmp_path):
         assert exc.value.line >= 1
 
 
+@pytest.mark.parametrize(
+    "body, line, column",
+    [
+        ("degree   x\n", 1, 10),
+        ("degree x\n", 1, 8),
+        ("degree 3\n  degree 4\n", 2, 1),
+        ("degree 3\ngen a (1 2)\npi    2,4\n", 3, 7),
+        ("name\n", 1, 1),
+    ],
+)
+def test_a_bad_value_is_reported_at_its_own_column(tmp_path, body, line, column):
+    """The column of a value is where its first word stands, however many
+    spaces follow the directive."""
+    path = tmp_path / "bad.spec"
+    path.write_text(body, encoding="utf-8")
+    with pytest.raises(ParseError) as exc:
+        load_spec(path)
+    assert (exc.value.line, exc.value.column) == (line, column)
+
+
 def test_unknown_generator_names_are_reported_where_they_stand(tmp_path):
     """A socle or aut name that no gen line defines is reported at its own
     line and column, not at the start of the file."""

@@ -227,8 +227,8 @@ def test_radical_enumerates_the_classes_once(capsys, monkeypatch):
 @pytest.mark.parametrize(
     "argv, orbits",
     [
-        (["verify-bs", "--group", "S7"], 15),
-        (["bs-check", "--group", "S7", "--pi", "2,3", "--m", "2", "--find-min"], 14),
+        (["verify-bs", "--group", "S7"], 10),
+        (["bs-check", "--group", "S7", "--pi", "2,3", "--m", "2", "--find-min"], 11),
         (["radical", "--group", "S8", "--pi", "2"], 0),
     ],
     ids=["verify-bs", "bs-check", "radical"],
@@ -236,7 +236,10 @@ def test_radical_enumerates_the_classes_once(capsys, monkeypatch):
 def test_each_class_table_is_computed_once(capsys, monkeypatch, argv, orbits):
     """verify-bs searches S7's 15 classes for each of 4 primes, and bs-check
     searches each of the 14 classes outside the radical twice (m = 2, then
-    the minimal width); the class scan itself traces no orbit."""
+    the minimal width).  Only a class whose order is a pi-number reads its
+    table: for verify-bs, the identity and the 5 + 2 + 1 + 1 classes of
+    2-, 3-, 5- and 7-elements; for bs-check, the 11 classes of {2,3}-order
+    outside the trivial radical.  The class scan itself traces no orbit."""
     import piradical.structure as structure
     import piradical.width as width
 

@@ -1,7 +1,4 @@
-"""Stabilizer-chain groups: orders, membership, enumeration, sampling."""
-
-import random
-from collections import Counter
+"""Stabilizer-chain groups: orders, membership, enumeration."""
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -115,19 +112,6 @@ def test_from_generators_keeps_the_given_permutations():
     G = PermGroup.from_generators(gens)
     assert all(a is b for a, b in zip(G.generators, gens, strict=True))
     assert G.gens == tuple(g.images for g in gens)
-
-
-def test_random_element_is_uniform_and_seeded():
-    G = PermGroup.from_generators(FIXTURES["S4"][0])
-    draws = 10_000
-    rng = random.Random(7)
-    counts = Counter(G.random_element(rng) for _ in range(draws))
-    assert set(counts) <= set(G.elements())
-    expect = draws / 24
-    assert all(abs(c - expect) < 100 for c in counts.values())
-    # same integer seed, same element
-    assert G.random_element(3) == G.random_element(3)
-    assert all(G.random_element(s) in G for s in range(50))
 
 
 def test_orbit_partition_and_transitivity():

@@ -1,0 +1,132 @@
+"""Each piece of structure work an answer can skip gives that answer unchanged.
+
+Three shortcuts are checked against the full route they replace:
+
+* a class whose representative's order is not a pi-number is searched on
+  the representative alone, with no class table: its width is 1;
+* the pi-radical joins the pi closures of the pi-order classes only;
+* ``normal_subgroups`` joins each pair of subgroups once, and not at all
+  when one contains the other.
+"""
+
+import dataclasses
+import itertools
+
+import pytest
+
+from piradical import (
+    PermGroup,
+    Permutation,
+    PrimeSet,
+    class_data,
+    conjugation_orbit,
+    group_by_name,
+    is_pi_group,
+    min_width_search,
+    normal_closure,
+    normal_subgroups,
+    pi_radical,
+)
+from piradical.structure import is_pi_element
+from piradical.width import SearchBudget, _class_search, _non_pi_predicate
+
+# the catalog groups, and direct products whose lattices take several passes
+PRODUCTS = {
+    "C2^3": ["(1 2)", "(3 4)", "(5 6)"],
+    "C3^2": ["(1 2 3)", "(4 5 6)"],
+    "S3xS3": ["(1 2)", "(1 2 3)", "(4 5)", "(4 5 6)"],
+    "D8xC2": ["(1 2 3 4)", "(1 3)", "(5 6)"],
+}
+GROUPS = ["S4", "D12", "S5", "S6", "A7", "psl2(7)", "pgl2(7)", *PRODUCTS]
+
+
+def make(name: str) -> PermGroup:
+    """A new group object, whose class data has computed nothing yet (the
+    catalog keeps the groups it builds)."""
+    if name in PRODUCTS:
+        return PermGroup.from_generators([Permutation.parse(c, 6) for c in PRODUCTS[name]])
+    return PermGroup.from_generators(group_by_name(name).generators)
+
+
+def proper_prime_sets(G: PermGroup) -> list[PrimeSet]:
+    primes = sorted(G.order.prime_support)
+    return [
+        PrimeSet.of(*chosen)
+        for k in range(1, len(primes))
+        for chosen in itertools.combinations(primes, k)
+    ]
+
+
+def all_pairs_normal_subgroups(G: PermGroup) -> list[PermGroup]:
+    """The join-closure of the class closures, joining every pair of known
+    subgroups in every pass until a pass adds nothing."""
+    found = [PermGroup.trivial(G.degree)]
+
+    def known(H: PermGroup) -> bool:
+        return any(H.same_group_as(K) for K in found if K.order_int == H.order_int)
+
+    for _, cl in class_data(G).closures:
+        if not known(cl):
+            found.append(cl)
+    added = True
+    while added:
+        added = False
+        snapshot = list(found)
+        for i, A in enumerate(snapshot):
+            for B in snapshot[i + 1 :]:
+                J = PermGroup.from_generators(
+                    list(A.generators) + list(B.generators), degree=G.degree
+                )
+                if not known(J):
+                    found.append(J)
+                    added = True
+    return sorted(found, key=lambda H: (H.order_int, H.orbit_partition))
+
+
+@pytest.mark.parametrize("name", GROUPS)
+def test_a_class_of_non_pi_order_is_answered_as_its_whole_table_answers(name):
+    G = make(name)
+    data = class_data(G)
+    budget = SearchBudget()
+    shortcuts = 0
+    for pi in proper_prime_sets(G):
+        for rep, size in data.reps:
+            if is_pi_element(rep, pi):
+                continue
+            short = _class_search(G, rep, size, pi, budget)
+            assert rep.images not in data._tables  # no class table was read
+            members, wits = conjugation_orbit(G, rep, G.order_int)
+            full = min_width_search(
+                rep, members, wits, _non_pi_predicate(pi), budget=budget, group=G
+            )
+            for field in dataclasses.fields(full):
+                assert getattr(short, field.name) == getattr(full, field.name), field.name
+            assert short.value == 1
+            shortcuts += 1
+    assert shortcuts > 0 or len(G.order.prime_support) == 1  # a p-group has no proper pi
+
+
+@pytest.mark.parametrize("name", GROUPS)
+def test_the_radical_is_the_join_of_the_pi_closures_of_every_class(name):
+    G = make(name)
+    reps = [rep for rep, _ in class_data(G).reps]
+    every_closure = [normal_closure(G, [rep]) for rep in reps]
+    for pi in proper_prime_sets(G):
+        kept = [cl for cl in every_closure if is_pi_group(cl, pi)]
+        reference = PermGroup.from_generators(
+            [g for cl in kept for g in cl.generators], degree=G.degree
+        )
+        fresh = make(name)
+        radical = pi_radical(fresh, pi)
+        assert radical.same_group_as(reference)
+        assert radical.gens == reference.gens  # the report's generators too
+        pi_reps = [rep for rep, _ in class_data(fresh).reps if is_pi_element(rep, pi)]
+        assert set(class_data(fresh)._closures) == {rep.images for rep in pi_reps}
+
+
+@pytest.mark.parametrize("name", GROUPS)
+def test_normal_subgroups_are_those_of_the_all_pairs_loop_in_its_order(name):
+    G = make(name)
+    got = normal_subgroups(G)
+    reference = all_pairs_normal_subgroups(G)
+    assert [H.gens for H in got] == [H.gens for H in reference]
