@@ -52,7 +52,7 @@ from .errors import BudgetExhausted, InvariantViolation, NotAlmostSimple, Piradi
 from .factored import FactoredInteger, is_prime
 from .groups import PermGroup
 from .perms import Permutation
-from .structure import PrimeSet, normal_subgroups, pi_radical
+from .structure import PrimeSet, is_pi_group, normal_subgroups, pi_radical
 from .width import (
     SWEEP_MAX_R,
     AlmostSimpleContext,
@@ -253,10 +253,7 @@ def cmd_radical(args) -> tuple[dict, int]:
         # independent route: the largest pi-member of the full normal
         # subgroup lattice must be the radical itself
         lattice = normal_subgroups(G)
-        best = max(
-            (N for N in lattice if all(p in pi for p in N.order.prime_support)),
-            key=lambda N: N.order_int,
-        )
+        best = max((N for N in lattice if is_pi_group(N, pi)), key=lambda N: N.order_int)
         if not best.same_group_as(radical):
             raise InvariantViolation(
                 f"radical(order {radical.order_int}) disagrees with the normal-"

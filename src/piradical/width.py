@@ -17,9 +17,9 @@ Engine.  All predicates used here depend only on the *order* of the generated
 subgroup and are therefore invariant under conjugation.  The search is one
 breadth-first driver over subgroup states: level 1 is <x>, and a state at
 level k+1 is obtained by adjoining one conjugate not already inside a
-level-k state.  The driver owns the levels, the width and state budgets, the
-terminal level, saturation and the result record; a state model says what a
-state is, how a conjugate extends it, and when two states are one subgroup.
+level-k state.  The driver owns the levels, the width and state budgets,
+saturation and the result record; a state model says what a state is, how a
+conjugate extends it, and when two states are one subgroup.
 Four soundness notes justify the pruning:
 
 * Pinning: a tuple (y_1, ..., y_m) of conjugates may be conjugated (by an
@@ -81,10 +81,8 @@ also gives.  A search always runs over the whole class: a class larger than
 Two exact state models, cross-checked against each other in the test suite:
 
 * chains (any class): a state is a subgroup with its stabilizer chain,
-  deduplicated exactly: bucket by (order, orbit partition), then confirm
-  equality by sifting generators, so distinct subgroups are never merged.
-  A pair of involutions <x, y> is dihedral of order 2*|xy|, so a terminal
-  pair scan needs only a product order and builds a chain only on success;
+  deduplicated exactly: bucket by order, then confirm by sifting
+  generators, so distinct subgroups are never merged;
 * partitions (all generators transpositions): <T> is the direct product of
   symmetric groups on the connected components of the edge graph of T (a
   textbook fact, also behind :func:`transposition_pi_sweep`), so a state
@@ -99,11 +97,11 @@ their ``bytes`` generators.  A :class:`Permutation` is wrapped only for the
 root of a chain search and for the witness and members of a found result.
 
 A state, as counted by ``states_visited`` and capped by ``max_states``, is
-every chain (or pair) child before deduplication, but only a partition not
-seen before.  States after width 2 are counted after the centralizer
-pruning, so they are children of the kept level-2 states only, and a chain
-state's children are counted only for the conjugates it is extended by:
-the reductions change the count, never the value.
+every chain child before deduplication, but only a partition not seen
+before.  States after width 2 are counted after the centralizer pruning, so
+they are children of the kept level-2 states only, and a chain state's
+children are counted only for the conjugates it is extended by: the
+reductions change the count, never the value.
 """
 
 from __future__ import annotations
@@ -113,7 +111,7 @@ import itertools
 import math
 from collections import Counter
 from dataclasses import dataclass, replace
-from typing import Callable, Iterator, Literal, NamedTuple, Sequence
+from typing import Callable, Iterator, Literal, Sequence
 
 from .errors import (
     BudgetExhausted,
@@ -223,24 +221,6 @@ class WidthResult:
 # the search: one breadth-first driver over two state models
 
 
-def _product_order(a: Images, b: Images) -> int:
-    """Order of the product permutation (apply a, then b), via cycle lengths."""
-    n = len(a)
-    seen = [False] * n
-    result = 1
-    for s in range(n):
-        if seen[s]:
-            continue
-        length = 0
-        p = s
-        while not seen[p]:
-            seen[p] = True
-            p = b[a[p]]
-            length += 1
-        result = math.lcm(result, length)
-    return result
-
-
 def min_width_search(
     x: Permutation,
     conjugates: Sequence[Images],
@@ -295,7 +275,6 @@ def _search(model, conjugates, witnesses, pred, budget, group=None) -> WidthResu
     frontier = [(model.initial, (), None)]
     every = range(len(conjugates))
     width = 0
-    saw_terminal_child = False
     while frontier and width < budget.max_width:
         if width == 2 and group is not None:
             index = {y: i for i, y in enumerate(conjugates)}
@@ -304,7 +283,6 @@ def _search(model, conjugates, witnesses, pred, budget, group=None) -> WidthResu
             if model.per_state_reduction and C.order_int <= budget.max_class_size:
                 listed = C.element_tuples()  # C normalises <x>, the parent
                 frontier = [(state, ids, listed) for state, ids, _ in frontier]
-        terminal = width + 1 == budget.max_width
         next_frontier = []
         for state, ids, listed in frontier:
             if listed is None:
@@ -313,7 +291,7 @@ def _search(model, conjugates, witnesses, pred, budget, group=None) -> WidthResu
                 listed = _normalising(state, conjugates[ids[-1]], listed)
                 candidates = _orbit_representatives(listed, conjugates, index)
             for idx in candidates:
-                child = model.child(state, idx, terminal)
+                child = model.child(state, idx)
                 if child is None:
                     continue
                 states += 1
@@ -324,13 +302,10 @@ def _search(model, conjugates, witnesses, pred, budget, group=None) -> WidthResu
                 entry = (child, ids + (idx,))
                 if pred(model.order(child)):
                     return result(width, "found", entry)
-                if terminal:
-                    saw_terminal_child = True
-                else:
-                    next_frontier.append((*entry, listed))
+                next_frontier.append((*entry, listed))
         frontier = next_frontier
         width += 1
-    return result(width, "width_budget" if frontier or saw_terminal_child else "absent")
+    return result(width, "width_budget" if frontier else "absent")
 
 
 def _centralizer(
@@ -433,15 +408,6 @@ def _orbit_representatives(
     return reps
 
 
-class _DihedralPair(NamedTuple):
-    """<parent, y> for a parent of order 2 and an involution y: dihedral of
-    order 2|xy|, so its order needs no chain until it is a witness."""
-
-    parent: PermGroup
-    y: Images
-    order_int: int
-
-
 class _Chains:
     """States are subgroups with stabilizer chains (``None`` before the
     roots); any class.  Only the root conjugate becomes a
@@ -453,30 +419,25 @@ class _Chains:
     def __init__(self, x: Permutation, conjugates: Sequence[Images]):
         self.conjugates = conjugates
         self.degree = x.degree
-        self.pair_scan = x.order() == 2
-        self.buckets: dict[tuple, list[PermGroup]] = {}
+        self.buckets: dict[int, list[PermGroup]] = {}
 
-    def child(self, grp, idx, terminal):
+    def child(self, grp, idx):
         """<grp, y> for the idx-th conjugate y, or None when y lies in grp."""
         y = self.conjugates[idx]
         if grp is None:
             return PermGroup.from_generators([Permutation(y)], self.degree)
         if grp._contains_tuple(y):
             return None
-        if terminal and self.pair_scan and grp.order_int == 2:
-            return _DihedralPair(grp, y, 2 * _product_order(grp.gens[0], y))
         return grp.extend(y)
 
     def order(self, state) -> int:
         return state.order_int
 
     def admit(self, state) -> bool:
-        """Record a new subgroup; False when it is already known (exact test:
-        equal order bucket + generator containment).  Pairs are terminal and
-        never recorded."""
-        if isinstance(state, _DihedralPair):
-            return True
-        bucket = self.buckets.setdefault((state.order_int, state.orbit_partition), [])
+        """Record a new subgroup; False when it is already known.  The test is
+        exact: a known subgroup of the same order that contains every
+        generator of ``state`` is ``state``."""
+        bucket = self.buckets.setdefault(state.order_int, [])
         for t in bucket:
             if all(t._contains_tuple(g) for g in state.gens):
                 return False
@@ -484,8 +445,6 @@ class _Chains:
         return True
 
     def group(self, state, ids) -> PermGroup:
-        if isinstance(state, _DihedralPair):
-            return state.parent.extend(state.y)
         return state
 
 
@@ -531,7 +490,7 @@ class _Partitions:
                 raise NotATransposition(f"{Permutation(y)} in the class of transposition {x}")
             self.edges.append(moved)
 
-    def child(self, labels, idx, terminal):
+    def child(self, labels, idx):
         """The partition with the idx-th edge's blocks merged, or None when
         they already are one block (the conjugate lies in the subgroup) or
         the merged partition was seen."""

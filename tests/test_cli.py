@@ -321,6 +321,8 @@ def test_huge_prime_candidate_is_an_input_error(capsys, argv):
 
 
 def test_pair_scan_past_the_state_budget_exits_three(capsys):
+    """A width-2 search over the pairs <x, y> that passes the state budget
+    is not exhaustive: the CLI prints it and exits 3."""
     code, report = run_json(
         capsys, "alpha", "--group", "A5", "--aut", "(1 2)(3 4)",
         "--budget-max-width", "2", "--budget-max-states", "1",

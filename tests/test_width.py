@@ -247,9 +247,9 @@ def test_states_visited_counts_are_pinned():
     conjugate of each orbit of its listed normaliser.  These counts guard
     those rules across refactors (the unreduced counts are pinned in
     test_width_reduction).  The transposition classes run on partitions,
-    which keep the level-2 reduction only, and the S7 pair scans end at
-    width 2, so those counts are the ones the level-2 reduction alone
-    gives."""
+    which keep the level-2 reduction only, and the S7 membership searches
+    at m = 2 end at width 2, before either reduction applies, so their
+    counts are the unreduced ones."""
     def ctx(n, x):
         return AlmostSimpleContext.build(alternating_group(n), P(x, n))
 
@@ -269,14 +269,57 @@ def test_states_visited_counts_are_pinned():
 
 
 def test_pair_scan_honours_the_state_budget():
-    """The terminal dihedral pair scan counts against ``max_states`` like
-    every other child: it stops at the first state past the cap."""
+    """A search that ends at width 2, over the pairs <x, y>, counts each
+    pair against ``max_states`` like any other child: it stops at the first
+    state past the cap."""
     res = alpha(ctx_a5("(1 2)(3 4)"), SearchBudget(max_width=2, max_states=5))
     assert res.status == "state_budget" and not res.exhaustive
     assert res.states_visited == 6
     assert res.value is None and res.explored_width == 1
     full = alpha(ctx_a5("(1 2)(3 4)"), SearchBudget(max_width=2))
     assert full.status == "width_budget" and full.states_visited == 15
+
+
+@pytest.mark.parametrize(
+    "max_width, status, explored, states",
+    [
+        (1, "width_budget", 1, 1),
+        (2, "width_budget", 2, 3),
+        (3, "absent", 3, 3),
+        (4, "absent", 3, 3),
+    ],
+)
+def test_a_search_ends_at_its_last_width_as_its_frontier_says(max_width, status, explored, states):
+    """The frontier of (Alt(4), (1 2)(3 4)) is <x>, then the Klein
+    four-group, then empty at width 3.  A search stopped by ``max_width``
+    with states left to extend reports ``width_budget``; one whose last
+    width added no state reports ``absent``, at the width where it
+    emptied."""
+    ctx = AlmostSimpleContext.build(alternating_group(4), P("(1 2)(3 4)", 4))
+    res = alpha(ctx, SearchBudget(max_width=max_width))
+    assert (res.status, res.explored_width, res.states_visited) == (status, explored, states)
+
+
+def test_chain_buckets_by_order_never_merge_two_subgroups():
+    """Subgroups of one order share a bucket whatever their orbits; the
+    generator sifts alone tell them apart, and a known subgroup built from
+    other generators is refused."""
+    def grp(*gens):
+        return PermGroup.from_generators([P(g, 4) for g in gens], 4)
+
+    x = P("(1 2)", 4)
+    chains = _Chains(x, [x.images])
+    for H in (
+        grp("(1 2)"),
+        grp("(3 4)"),
+        grp("(1 2)", "(3 4)"),  # orbits {1, 2}, {3, 4}
+        grp("(1 2)(3 4)", "(1 3)(2 4)"),  # transitive
+    ):
+        assert chains.admit(H)
+    assert sorted(map(len, chains.buckets.values())) == [2, 2]
+    assert not chains.admit(grp("(1 3)(2 4)", "(1 4)(2 3)"))
+    assert not chains.admit(grp("(3 4)", "(1 2)(3 4)"))
+    assert not chains.admit(grp("(1 2)"))
 
 
 @pytest.mark.parametrize("field", ["max_width", "max_states", "max_class_size"])
