@@ -318,7 +318,7 @@ class PermGroup:
     def __contains__(self, p: Permutation) -> bool:
         return self.contains(p)
 
-    # -- enumeration and sampling ---------------------------------------------
+    # -- enumeration ----------------------------------------------------------
 
     def element_tuples(self, cap: int = 10**6) -> list[Images]:
         """All elements as ``bytes``, in the canonical transversal-product

@@ -233,9 +233,10 @@ class GroupClassData:
     engine and :func:`pi_radical` ask only for classes of pi-number order;
     ``closures`` lists every class's), and :func:`pi_radical` stores each
     prime set's radical here.  ``searches`` keeps the width engine's
-    ``found`` searches for a non-pi subgroup over a class, keyed by
-    (representative images, pi), so that a second question about the same
-    class reads the first answer.  The class data refers to G only weakly,
+    ``found`` searches for a non-pi subgroup over a class of pi-number
+    order, keyed by (representative images, pi), so that a second question
+    about the same class reads the first answer (a class of non-pi order is
+    answered at width 1 without a search, and is not kept).  The class data refers to G only weakly,
     so the two are freed together by reference counting when G goes.
     """
 

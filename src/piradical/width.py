@@ -130,7 +130,6 @@ from .structure import (
     PrimeSet,
     class_data,
     conjugation_orbit,
-    is_pi_element,
     is_pi_number,
     pi_radical,
     radical_is_trivial_by_prime_degree,
@@ -714,14 +713,16 @@ def _class_search(
 ) -> WidthResult:
     """The search for a non-pi subgroup over the G-class of ``rep``, of
     ``size`` members (as ``class_data(G).reps`` gives it), on the class
-    table kept in ``class_data(G)``.  A representative whose order is not a
-    pi-number is found at width 1 by <rep> alone, so its search reads no
-    class table, only rep itself.  Raises :class:`BudgetExhausted` before
+    table kept in ``class_data(G)``.  Raises :class:`BudgetExhausted` before
     any search when the class is larger than ``budget.max_class_size``, and
     when the search found nothing and was cut off before every tuple up to
     ``budget.max_width`` was searched.
 
-    A ``found`` result is kept in ``class_data(G)`` under (rep, pi) and
+    A representative whose order is not a pi-number has width 1 by <rep>
+    alone: it is answered without a search, chain or class table, with the
+    result the engine would return under any budget.
+
+    A ``found`` search is kept in ``class_data(G)`` under (rep, pi) and
     returned again whenever ``budget`` lets a new search reach it: its
     value is within ``max_width`` and its states within ``max_states``.  The
     breadth-first search meets the same states in the same order under any
@@ -731,6 +732,17 @@ def _class_search(
             f"the class of {rep} has {size} members, more than the class "
             f"budget of {budget.max_class_size}"
         )
+    order = FactoredInteger.from_int(rep.order())
+    if not is_pi_number(order, pi):
+        return WidthResult(
+            value=1,
+            witness=(Permutation.identity(rep.degree),),
+            members=(rep,),
+            certificate_order=order,
+            explored_width=0,
+            status="found",
+            states_visited=1,
+        )
     data = class_data(G)
     kept = data.searches.get((rep.images, pi))
     if (
@@ -739,12 +751,8 @@ def _class_search(
         and kept.states_visited <= budget.max_states
     ):
         return kept
-    pred = _non_pi_predicate(pi)
-    if is_pi_element(rep, pi):
-        members, wits = data.class_table(rep)
-        res = min_width_search(rep, members, wits, pred, budget=budget, group=G)
-    else:  # <rep> is not pi: found at width 1 by rep alone, with no class table
-        res = min_width_search(rep, [rep.images], [TAIL[: rep.degree]], pred, budget=budget)
+    members, wits = data.class_table(rep)
+    res = min_width_search(rep, members, wits, _non_pi_predicate(pi), budget=budget, group=G)
     if res.status == "found":
         data.searches[(rep.images, pi)] = res
     if res.status == "state_budget":  # the only end short of max_width
@@ -777,46 +785,32 @@ def bs_membership(
     if m < 1:
         raise ValueError(f"width m must be >= 1, got {m}")
     radical = pi_radical(G, pi)
+    searched = replace(budget, max_width=m)
     records: list[ClassMembershipRecord] = []
-    holds = True
-    violating: Permutation | None = None
     for rep, size in class_data(G).reps:
-        if radical.contains(rep):
-            records.append(
-                ClassMembershipRecord(
-                    representative=rep,
-                    class_size=size,
-                    in_radical=True,
-                    violation_width=None,
-                    witness=None,
-                    witness_order=None,
-                    exhaustive=True,
-                    states_visited=0,
-                )
-            )
-            continue
-        res = _class_search(G, rep, size, pi, replace(budget, max_width=m))
+        in_radical = radical.contains(rep)
+        res = None if in_radical else _class_search(G, rep, size, pi, searched)
         records.append(
             ClassMembershipRecord(
                 representative=rep,
                 class_size=size,
-                in_radical=False,
-                violation_width=res.value,
-                witness=res.members,
-                witness_order=res.certificate_order,
+                in_radical=in_radical,
+                violation_width=res.value if res else None,
+                witness=res.members if res else None,
+                witness_order=res.certificate_order if res else None,
                 exhaustive=True,
-                states_visited=res.states_visited,
+                states_visited=res.states_visited if res else 0,
             )
         )
-        if res.value is None:
-            # x is outside O_pi yet all its m-tuples generate pi-groups
-            if holds:
-                violating = rep
-            holds = False
+    # outside O_pi, yet every one of its m-tuples generates a pi-group
+    violating = next(
+        (r.representative for r in records if not r.in_radical and r.violation_width is None),
+        None,
+    )
     return BSMembershipResult(
         pi=pi,
         m=m,
-        holds=holds,
+        holds=violating is None,
         violating_element=violating,
         radical_order=radical.order,
         records=records,
@@ -833,29 +827,23 @@ def minimal_membership_width(
     minimal non-pi widths that determine it (max over representatives
     outside the radical; 1 when the radical is everything).
 
-    Any representative outside the radical reaches a non-pi subgroup at some
-    width (its full class generates the non-pi normal closure), so every
-    width reported is a certified minimum: a search that ends with any
-    status but ``found`` (a width or state budget) raises
-    :class:`BudgetExhausted`, as does a class larger than the class budget.
-    Reads the radical and the classes of ``class_data(G)``, as
-    :func:`bs_membership` does.
+    These are the records of :func:`bs_membership` at width
+    ``budget.max_width``.  Every representative outside the radical reaches
+    a non-pi subgroup at some width (its class generates the non-pi normal
+    closure), so one without a width there raises :class:`BudgetExhausted`,
+    as do a state budget and a class over the class budget.
     """
-    radical = pi_radical(G, pi)
-    per_rep: list[tuple[Permutation, int]] = []
-    overall = 1
-    for rep, size in class_data(G).reps:
-        if radical.contains(rep):
-            continue
-        res = _class_search(G, rep, size, pi, budget)
-        if res.status != "found":
-            raise BudgetExhausted(
-                f"no certified non-pi width for {rep}: the search ended with "
-                f"status {res.status} within budget {budget}"
-            )
-        per_rep.append((rep, res.value))
-        overall = max(overall, res.value)
-    return overall, per_rep
+    res = bs_membership(G, pi, budget.max_width, budget)
+    if res.violating_element is not None:
+        raise BudgetExhausted(
+            f"no certified non-pi width for {res.violating_element}: every "
+            f"tuple of up to {budget.max_width} of its conjugates generates "
+            f"a pi-group"
+        )
+    per_rep = [
+        (r.representative, r.violation_width) for r in res.records if not r.in_radical
+    ]
+    return max((w for _, w in per_rep), default=1), per_rep
 
 
 # ---------------------------------------------------------------------------

@@ -289,6 +289,31 @@ def test_load_spec_round_trip(tmp_path):
     assert again == spec
 
 
+def test_a_spec_builds_its_group_and_socle_once(tmp_path, monkeypatch):
+    """Validation builds the group and the socle; every later call returns
+    those objects."""
+    path = tmp_path / "g.spec"
+    path.write_text(
+        "degree 5\ngen a (1 2 3)\ngen b (3 4 5)\ngen c (1 2)\nsocle a b\naut c\n",
+        encoding="utf-8",
+    )
+    built = []
+    from_generators = PermGroup.__dict__["from_generators"].__func__
+
+    def counting(cls, generators, degree=None):
+        generators = list(generators)
+        built.append(len(generators))
+        return from_generators(cls, generators, degree)
+
+    monkeypatch.setattr(PermGroup, "from_generators", classmethod(counting))
+    spec = load_spec(path)
+    G, socle = spec.group(), spec.socle()
+    for _ in range(3):
+        assert spec.group() is G and spec.socle() is socle
+    assert (G.order_int, socle.order_int) == (120, 60)
+    assert sorted(built) == [2, 3]  # the socle's two generators, the group's three
+
+
 def test_spec_name_defaults_to_file_stem(tmp_path):
     path = tmp_path / "mygroup.spec"
     path.write_text("degree 3\ngen a (1 2 3)\n", encoding="utf-8")
@@ -383,5 +408,5 @@ def test_spec_validation_rejects_non_normal_socle(tmp_path):
     for body in bodies:
         path = tmp_path / "bad.spec"
         path.write_text(body, encoding="utf-8")
-        with pytest.raises(NotNormalizing):
+        with pytest.raises(NotNormalizing, match="declared socle of bad is not normal"):
             load_spec(path)

@@ -144,6 +144,17 @@ def test_width_budget_exhaustion_exits_three(capsys):
     assert code == 3
 
 
+def test_find_min_past_the_width_budget_exits_three(capsys):
+    """The transpositions of Sym(5) first generate a non-{2,3} group at
+    width 4, so no minimum is certified within width 3 and nothing is
+    printed, though the width-2 check itself completes."""
+    code, out, _ = run(
+        capsys, "bs-check", "--group", "S5", "--pi", "2,3", "--m", "2", "--find-min",
+        "--budget-max-width", "3",
+    )
+    assert code == 3 and out == ""
+
+
 @pytest.mark.parametrize(
     "argv",
     [

@@ -2,8 +2,8 @@
 
 Three shortcuts are checked against the full route they replace:
 
-* a class whose representative's order is not a pi-number is searched on
-  the representative alone, with no class table: its width is 1;
+* a class whose representative's order is not a pi-number is answered
+  at width 1 without a search, with no chain and no class table;
 * the pi-radical joins the pi closures of the pi-order classes only;
 * ``normal_subgroups`` joins each pair of subgroups once, and not at all
   when one contains the other.
@@ -14,6 +14,7 @@ import itertools
 
 import pytest
 
+from piradical import width
 from piradical import (
     PermGroup,
     Permutation,
@@ -104,6 +105,31 @@ def test_a_class_of_non_pi_order_is_answered_as_its_whole_table_answers(name):
             assert short.value == 1
             shortcuts += 1
     assert shortcuts > 0 or len(G.order.prime_support) == 1  # a p-group has no proper pi
+
+
+def test_a_class_of_non_pi_order_does_no_engine_work(monkeypatch):
+    """No width search, chain build or chain extension answers a class of
+    non-{2,3} order of Sym(7)."""
+    G = make("S7")
+    pi = PrimeSet.of(2, 3)
+    non_pi = [(rep, size) for rep, size in class_data(G).reps if not is_pi_element(rep, pi)]
+    calls = []
+
+    def counted(name, fn):
+        def wrapped(*args, **kwargs):
+            calls.append(name)
+            return fn(*args, **kwargs)
+
+        return wrapped
+
+    monkeypatch.setattr(width, "min_width_search", counted("search", width.min_width_search))
+    build = PermGroup.__dict__["from_generators"].__func__
+    monkeypatch.setattr(PermGroup, "from_generators", classmethod(counted("build", build)))
+    monkeypatch.setattr(PermGroup, "extend", counted("extend", PermGroup.extend))
+    for rep, size in non_pi:
+        assert _class_search(G, rep, size, pi, SearchBudget()).value == 1
+    assert len(non_pi) == 3  # the classes of orders 5, 7 and 10
+    assert calls == []
 
 
 @pytest.mark.parametrize("name", GROUPS)

@@ -448,9 +448,10 @@ def test_minimal_membership_width_refuses_a_class_over_the_budget(max_class_size
 )
 def test_a_kept_class_search_answers_as_a_new_search_would(budget):
     """``minimal_membership_width`` keeps a found search for every class of
-    S5 outside O_{2,3}; a later membership check reuses one only where a new
-    search under its own budget would return the same result, so every
-    width m reads the same on that group as on a fresh copy."""
+    S5 of {2,3}-order outside O_{2,3}; a later membership check reuses one
+    only where a new search under its own budget would return the same
+    result, so every width m reads the same on that group as on a fresh
+    copy."""
     pi = PrimeSet.of(2, 3)
     G = symmetric_group(5)
     minimal_membership_width(G, pi)
