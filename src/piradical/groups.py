@@ -36,7 +36,7 @@ wraps ``gens`` the first time it is read.
 from __future__ import annotations
 
 import math
-from typing import Iterable
+from typing import Iterable, Iterator
 
 from .errors import DegreeMismatch, TooLarge
 from .factored import FactoredInteger
@@ -320,17 +320,24 @@ class PermGroup:
 
     # -- enumeration ----------------------------------------------------------
 
-    def element_tuples(self, cap: int = 10**6) -> list[Images]:
+    def iter_element_tuples(self) -> Iterator[Images]:
         """All elements as ``bytes``, in the canonical transversal-product
-        order (the identity comes first); :class:`TooLarge` above ``cap``."""
+        order (the identity comes first), drawn lazily: the point
+        stabiliser's elements are listed, and each is composed with each
+        top-level transversal element as the next element is asked for."""
+        tail = TAIL[self.degree:]
+        tables = [[lev.trans[p] + tail for p in lev.orbit] for lev in reversed(self._levels)]
+        *deeper, top = tables or [[TAIL]]  # a trivial group has no level
+        elems: list[Images] = [self._identity]
+        for level in deeper:
+            elems = [e.translate(t) for e in elems for t in level]
+        return (e.translate(t) for e in elems for t in top)
+
+    def element_tuples(self, cap: int = 10**6) -> list[Images]:
+        """``list(iter_element_tuples())``; :class:`TooLarge` above ``cap``."""
         if self.order_int > cap:
             raise TooLarge(f"group order {self.order_int} exceeds cap {cap}")
-        tail = TAIL[self.degree:]
-        elems: list[Images] = [self._identity]
-        for lev in reversed(self._levels):
-            tables = [lev.trans[p] + tail for p in lev.orbit]
-            elems = [e.translate(t) for e in elems for t in tables]
-        return elems
+        return list(self.iter_element_tuples())
 
     def elements(self, cap: int = 10**6) -> list[Permutation]:
         """All elements, in the order of :meth:`element_tuples`."""

@@ -15,8 +15,10 @@ Because a permutation is a byte string, composing is one
 ``bytes.translate`` call: "apply p, then q" is ``p.translate(q + TAIL[n:])``,
 ``q`` padded to the 256-byte table ``translate`` wants by the identity on
 the points beyond the degree.  ``bytes.maketrans(p, identity)`` is the
-padded table of the inverse, and ``bytes.maketrans(g, x.translate(...))``
-the padded table of a conjugate.  Hot loops pad a table once and reuse it.
+padded table of the inverse.  A conjugate g^-1 x g is "apply g^-1, then x,
+then g": ``ginv.translate(x.translate(table) + TAIL[n:])`` with ``table``
+g padded.  Hot loops pad a table, or build an inverse, once and reuse it
+(:func:`with_tables`, :func:`conjugators`).
 """
 
 from __future__ import annotations
@@ -68,6 +70,13 @@ def with_tables(elements: Iterable[bytes]) -> list[tuple[bytes, bytes]]:
     """Each element with its padded ``translate`` table, built once for a
     loop that composes with the element many times."""
     return [(e, e + TAIL[len(e):]) for e in elements]
+
+
+def conjugators(elements: Iterable[bytes]) -> list[tuple[bytes, bytes]]:
+    """Each element g as ``(g^-1, g padded)``, built once for a loop that
+    conjugates by g many times: g^-1 m g is
+    ``inv.translate(m.translate(table) + TAIL[n:])``."""
+    return [(inverse_images(g), g + TAIL[len(g):]) for g in elements]
 
 
 _TOKEN_RE = re.compile(r"\(([^()]*)\)")

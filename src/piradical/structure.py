@@ -3,13 +3,13 @@
 A group's class data is part of the group: :func:`class_data` builds one
 :class:`GroupClassData` for G on first use and keeps it on G, and every
 radical, lattice and membership question about G reads it from there.  It
-holds G's class representatives and sizes, from one scan of the element
-enumeration, each class table (members with their conjugating witnesses),
-each class closure and each pi-radical, every one computed at most once per
-group object, when a question first reads it.  Elements are ``bytes``, one
-byte per point, as in :mod:`piradical.groups`: a conjugate g^-1 m g is
-``bytes.maketrans(g, m.translate(table))[:n]``, where ``table`` is g padded
-to 256 bytes once per scan, so each conjugation runs in C.
+holds G's class representatives and sizes, and each class table (members
+with their conjugating witnesses), from one scan of the element enumeration,
+and each class closure and pi-radical, every one computed at most once per
+group object.  Elements are ``bytes``, one byte per point, as in
+:mod:`piradical.groups`: a conjugate g^-1 m g is
+``inv.translate(m.translate(table) + tail)``, with g^-1 and g padded built
+once per loop (:func:`~piradical.perms.conjugators`), so it runs in C.
 
 For a set of primes pi, a pi-number has all its prime divisors in pi and a
 pi-group has pi-number order.  The pi-radical ``O_pi(G)`` is the largest
@@ -33,13 +33,14 @@ enumerates all normal subgroups exactly.
 from __future__ import annotations
 
 import weakref
+from array import array
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Iterable, Sequence
 
 from .errors import BudgetExhausted, InvariantViolation, NotAMember, TooLarge
 from .factored import FactoredInteger, is_prime
 from .groups import Images, PermGroup
-from .perms import TAIL, Permutation, with_tables
+from .perms import TAIL, Permutation, conjugators
 
 if TYPE_CHECKING:
     from .width import WidthResult
@@ -127,6 +128,43 @@ def is_pi_element(x: Permutation, pi: PrimeSet) -> bool:
 ClassTable = tuple[list[Images], list[Images]]
 
 
+def _trace(
+    x: Images, gens: list[tuple[Images, Images]], seen: set[Images], cap: int
+) -> tuple[list[Images], array]:
+    """The class of ``x`` by breadth-first search, conjugating by the
+    generators in ``gens`` (:func:`~piradical.perms.conjugators`) and adding
+    every member to ``seen``.  Returns the members and, for each after the
+    first, the link ``parent index * len(gens) + generator index`` that
+    reached it: a Schreier vector (Holt, *Handbook of CGT*, ch. 4).  Raises
+    :class:`BudgetExhausted` as soon as the class passes ``cap`` members."""
+    tail = TAIL[len(x):]
+    seen.add(x)
+    members, links, step = [x], [], 0
+    for m in members:  # grows while it is read
+        for inv, table in gens:
+            y = inv.translate(m.translate(table) + tail)  # g^-1 m g
+            if y not in seen:
+                if len(members) >= cap:
+                    raise BudgetExhausted(
+                        f"the class of {Permutation(x)} has more members than its cap of {cap}"
+                    )
+                seen.add(y)
+                members.append(y)
+                links.append(step)
+            step += 1
+    return members, array("q", links)
+
+
+def _witnesses(x: Images, links: array, tables: list[Images]) -> list[Images]:
+    """The witnesses of the class traced from ``x``: the identity, then each
+    member's parent's followed by its link's generator, padded in ``tables``."""
+    witnesses = [TAIL[: len(x)]]
+    for link in links:
+        parent, k = divmod(link, len(tables))
+        witnesses.append(witnesses[parent].translate(tables[k]))  # w then g
+    return witnesses
+
+
 def conjugation_orbit(G: PermGroup, x: Permutation, cap: int = 10**5) -> ClassTable:
     """Orbit of ``x`` under G-conjugation by breadth-first search over the
     group's generators, with conjugating witnesses, all as ``bytes``:
@@ -136,57 +174,52 @@ def conjugation_orbit(G: PermGroup, x: Permutation, cap: int = 10**5) -> ClassTa
     Returns ``(members, witnesses)``.  Raises :class:`BudgetExhausted` as
     soon as the orbit passes ``cap`` members.
     """
-    n = G.degree
-    gens = with_tables(G.gens)
-    members = [x.images]
-    witnesses = [TAIL[:n]]
-    seen = {x.images}
-    queue_idx = 0
-    while queue_idx < len(members):
-        m = members[queue_idx]
-        w = witnesses[queue_idx]
-        queue_idx += 1
-        for g, table in gens:
-            y = bytes.maketrans(g, m.translate(table))[:n]  # g^-1 m g
-            if y not in seen:
-                if len(members) >= cap:
-                    raise BudgetExhausted(
-                        f"the class of {x} has more members than its cap of {cap}"
-                    )
-                seen.add(y)
-                members.append(y)
-                witnesses.append(w.translate(table))  # w then g
-    return members, witnesses
+    gens = conjugators(G.gens)
+    members, links = _trace(x.images, gens, set(), cap)
+    return members, _witnesses(x.images, links, [table for _, table in gens])
 
 
-def class_representatives(
-    G: PermGroup, cap: int = 10**6
-) -> list[tuple[Permutation, int]]:
+class ClassScan(list):
+    """The rows ``(representative, class size)`` of a class scan, with each
+    class's members and links from :func:`_trace`."""
+
+    def __init__(self, tables: list[Images]):
+        super().__init__()
+        self.tables = tables  # the links' generators, padded
+        self.traces: dict[Images, tuple[list[Images], array]] = {}
+
+    def class_table(self, rep: Images) -> ClassTable:
+        """``conjugation_orbit(G, rep)`` for a representative ``rep``, from
+        its trace; ``ValueError`` for any other element."""
+        if rep not in self.traces:
+            raise ValueError(f"{Permutation(rep)} is not a class representative of the scan")
+        members, links = self.traces[rep]
+        return members, _witnesses(rep, links, self.tables)
+
+
+def class_representatives(G: PermGroup, cap: int = 10**6) -> ClassScan:
     """One representative per conjugacy class with its class size, found by a
     deterministic scan of the canonical element enumeration (first-seen
     element of each class represents it).  Each class is traced on ``bytes``
-    elements against one seen-set shared by the whole scan; only the
-    representatives become :class:`Permutation` objects.  The sizes summing
-    to |G| is a built-in coverage certificate.  Requires ``|G| <= cap``."""
+    elements against one seen-set shared by the whole scan, and kept (see
+    :class:`ClassScan`); only the representatives become :class:`Permutation`
+    objects.  The scan stops once the sizes sum to |G|, which for disjoint
+    classes is a coverage certificate.  Requires ``|G| <= cap``."""
     if G.order_int > cap:
         raise TooLarge(f"group order {G.order_int} exceeds cap {cap}")
-    n = G.degree
-    gens = with_tables(G.gens)
-    reps: list[tuple[Permutation, int]] = []
+    gens = conjugators(G.gens)
+    reps = ClassScan([table for _, table in gens])
     seen: set[Images] = set()
-    for e in G.element_tuples(cap):
+    covered = 0
+    for e in G.iter_element_tuples():
         if e in seen:
             continue
-        seen.add(e)
-        orbit = [e]
-        for m in orbit:  # grows while it is read: a breadth-first search
-            for g, table in gens:
-                y = bytes.maketrans(g, m.translate(table))[:n]  # g^-1 m g
-                if y not in seen:
-                    seen.add(y)
-                    orbit.append(y)
-        reps.append((Permutation(e), len(orbit)))
-    if sum(size for _, size in reps) != G.order_int:
+        members, links = reps.traces[e] = _trace(e, gens, seen, G.order_int)
+        reps.append((Permutation(e), len(members)))
+        covered += len(members)
+        if covered >= G.order_int:
+            break
+    if covered != G.order_int:
         raise InvariantViolation("class sizes do not sum to the group order")
     return reps
 
@@ -210,13 +243,13 @@ def normal_closure(G: PermGroup, elements: Sequence[Permutation]) -> PermGroup:
             raise NotAMember(f"{x} is not in the group")
     seedlist = [x for x in elements if not x.is_identity()]
     H = PermGroup.from_generators(seedlist, degree=G.degree)
-    n = G.degree
-    gens = with_tables(G.gens)
+    tail = TAIL[G.degree:]
+    gens = conjugators(G.gens)
     queue = [x.images for x in seedlist]
     while queue:
         h = queue.pop()
-        for g, table in gens:
-            t = bytes.maketrans(g, h.translate(table))[:n]  # g^-1 h g
+        for inv, table in gens:
+            t = inv.translate(h.translate(table) + tail)  # g^-1 h g
             if not H._contains_tuple(t):
                 H = H.extend(t)
                 queue.append(t)
@@ -228,21 +261,22 @@ class GroupClassData:
     and radicals, each computed once, when first asked for.  Obtain it with
     :func:`class_data`.
 
-    ``reps`` comes from one scan of the elements, a ``class_table`` or
-    ``closure`` from the first request for its representative (the width
-    engine and :func:`pi_radical` ask only for classes of pi-number order;
-    ``closures`` lists every class's), and :func:`pi_radical` stores each
-    prime set's radical here.  ``searches`` keeps the width engine's
-    ``found`` searches for a non-pi subgroup over a class of pi-number
-    order, keyed by (representative images, pi), so that a second question
-    about the same class reads the first answer (a class of non-pi order is
-    answered at width 1 without a search, and is not kept).  The class data refers to G only weakly,
-    so the two are freed together by reference counting when G goes.
+    ``reps`` is one scan of the elements, a :class:`ClassScan`; a
+    ``class_table`` is rebuilt from its trace and a ``closure`` computed at
+    the first request for its representative (the width engine and
+    :func:`pi_radical` ask only for classes of pi-number order; ``closures``
+    lists every class's), and :func:`pi_radical` stores each prime set's
+    radical here.  ``searches`` keeps the width engine's ``found`` searches
+    for a non-pi subgroup over a class of pi-number order, keyed by
+    (representative images, pi), so that a second question about the same
+    class reads the first answer (a class of non-pi order is answered at
+    width 1 without a search, and is not kept).  The class data refers to G
+    only weakly, so the two are freed together by reference counting.
     """
 
     def __init__(self, G: PermGroup):
         self._group = weakref.ref(G)
-        self._reps: list[tuple[Permutation, int]] | None = None
+        self._reps: ClassScan | None = None
         self._tables: dict[Images, ClassTable] = {}
         self._closures: dict[Images, PermGroup] = {}
         self._radicals: dict[PrimeSet, PermGroup] = {}
@@ -256,18 +290,16 @@ class GroupClassData:
         return G
 
     @property
-    def reps(self) -> list[tuple[Permutation, int]]:
+    def reps(self) -> ClassScan:
         if self._reps is None:
             self._reps = class_representatives(self.group)
         return self._reps
 
     def class_table(self, rep: Permutation) -> ClassTable:
-        """``conjugation_orbit(G, rep)``: the whole G-class of ``rep`` in
-        breadth-first order with conjugating witnesses, as ``bytes``,
-        computed once."""
+        """``conjugation_orbit(G, rep)`` for a representative ``rep`` of
+        ``reps``, rebuilt once from the scan's trace (else ``ValueError``)."""
         if rep.images not in self._tables:
-            G = self.group
-            self._tables[rep.images] = conjugation_orbit(G, rep, G.order_int)
+            self._tables[rep.images] = self.reps.class_table(rep.images)
         return self._tables[rep.images]
 
     def closure(self, rep: Permutation) -> PermGroup:

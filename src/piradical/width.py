@@ -89,11 +89,11 @@ Two exact state models, cross-checked against each other in the test suite:
   *is* the partition of points it glues together, and a chain is built only
   for the witness.
 
-A class arrives as ``bytes`` elements, one byte per point (the class table
-of :func:`~piradical.structure.conjugation_orbit`), and the engine never
-leaves them: a chain is built from the root conjugate, then extended by
-``bytes`` elements (:meth:`PermGroup.extend`), and states are compared on
-their ``bytes`` generators.  A :class:`Permutation` is wrapped only for the
+A class arrives as ``bytes`` elements, one byte per point (a class table
+of :mod:`~piradical.structure`), and the engine never leaves them: a chain
+is built from the root conjugate, then extended by ``bytes`` elements
+(:meth:`PermGroup.extend`), and states are compared on their ``bytes``
+generators.  A :class:`Permutation` is wrapped only for the
 root of a chain search and for the witness and members of a found result.
 
 A state, as counted by ``states_visited`` and capped by ``max_states``, is
@@ -125,7 +125,7 @@ from .errors import (
 )
 from .factored import FactoredInteger, is_prime
 from .groups import Images, PermGroup
-from .perms import TAIL, Permutation, conjugate_images, with_tables
+from .perms import TAIL, Permutation, conjugate_images, conjugators, with_tables
 from .structure import (
     PrimeSet,
     class_data,
@@ -329,17 +329,17 @@ def _centralizer(
             f"class size {len(conjugates)} does not divide |group| = {group.order_int}"
         )
     n = group.degree
-    identity = TAIL[:n]
-    tables = with_tables(group.gens)
+    identity, tail = TAIL[:n], TAIL[n:]
+    gens = conjugators(group.gens)
     C = PermGroup.trivial(n)
-    edges = ((y, w, g, table) for y, w in zip(conjugates, witnesses) for g, table in tables)
-    for y, w, g, table in edges:
+    edges = ((y, w, inv, table) for y, w in zip(conjugates, witnesses) for inv, table in gens)
+    for y, w, inv, table in edges:
         if C.order_int == target:
             break
-        j = index.get(bytes.maketrans(g, y.translate(table))[:n])  # g^-1 y g
+        j = index.get(inv.translate(y.translate(table) + tail))  # g^-1 y g
         if j is None:
             raise InvariantViolation(
-                f"{Permutation(y)} ** {Permutation(g)} lies outside the class"
+                f"{Permutation(y)} ** {Permutation(table[:n])} lies outside the class"
             )
         # w, then g, then the inverse of w_j, whose table maketrans gives
         s = w.translate(table).translate(bytes.maketrans(witnesses[j], identity))
@@ -359,8 +359,8 @@ def _one_per_centralizer_orbit(frontier, C, conjugates, index):
     first entry for each C-orbit of j, in frontier order.  The orbits on the
     class indices are traced lazily from C's generators, one per kept
     entry."""
-    n = C.degree
-    gens = with_tables(C.gens)
+    tail = TAIL[C.degree:]
+    gens = conjugators(C.gens)
     kept = []
     covered: set[int] = set()
     for entry in frontier:
@@ -371,8 +371,8 @@ def _one_per_centralizer_orbit(frontier, C, conjugates, index):
         covered.add(j)
         orbit = [j]
         for k in orbit:
-            for c, table in gens:
-                i = index[bytes.maketrans(c, conjugates[k].translate(table))[:n]]
+            for inv, table in gens:
+                i = index[inv.translate(conjugates[k].translate(table) + tail)]
                 if i not in covered:
                     covered.add(i)
                     orbit.append(i)
@@ -394,16 +394,16 @@ def _orbit_representatives(
     with no closure to take."""
     if len(listed) == 1:
         return range(len(conjugates))
-    n = len(conjugates[0])
-    tables = with_tables(listed[1:])
+    tail = TAIL[len(conjugates[0]):]
+    gens = conjugators(listed[1:])
     covered = bytearray(len(conjugates))
     reps = []
     for i, y in enumerate(conjugates):
         if covered[i]:
             continue
         reps.append(i)
-        for c, table in tables:
-            covered[index[bytes.maketrans(c, y.translate(table))[:n]]] = 1
+        for inv, table in gens:
+            covered[index[inv.translate(y.translate(table) + tail)]] = 1
     return reps
 
 

@@ -236,7 +236,7 @@ def test_radical_enumerates_the_classes_once(capsys, monkeypatch):
 
 
 @pytest.mark.parametrize(
-    "argv, orbits",
+    "argv, tables",
     [
         (["verify-bs", "--group", "S7"], 10),
         (["bs-check", "--group", "S7", "--pi", "2,3", "--m", "2", "--find-min"], 11),
@@ -244,29 +244,36 @@ def test_radical_enumerates_the_classes_once(capsys, monkeypatch):
     ],
     ids=["verify-bs", "bs-check", "radical"],
 )
-def test_each_class_table_is_computed_once(capsys, monkeypatch, argv, orbits):
+def test_each_class_table_is_computed_once(capsys, monkeypatch, argv, tables):
     """verify-bs searches S7's 15 classes for each of 4 primes, and bs-check
     searches each of the 14 classes outside the radical twice (m = 2, then
     the minimal width).  Only a class whose order is a pi-number reads its
     table: for verify-bs, the identity and the 5 + 2 + 1 + 1 classes of
     2-, 3-, 5- and 7-elements; for bs-check, the 11 classes of {2,3}-order
-    outside the trivial radical.  The class scan itself traces no orbit."""
+    outside the trivial radical.  Each table is rebuilt once from the class
+    scan's links, and no orbit is traced again."""
     import piradical.structure as structure
     import piradical.width as width
 
-    calls = []
-    real = structure.conjugation_orbit
+    orbits, built = [], []
+    real_orbit = structure.conjugation_orbit
+    real_table = structure.ClassScan.class_table
 
-    def counting(*args, **kwargs):
-        calls.append(args[1])
-        return real(*args, **kwargs)
+    def counting_orbit(*args, **kwargs):
+        orbits.append(args[1])
+        return real_orbit(*args, **kwargs)
 
-    monkeypatch.setattr(structure, "conjugation_orbit", counting)
-    monkeypatch.setattr(width, "conjugation_orbit", counting)
+    def counting_table(self, rep):
+        built.append(rep)
+        return real_table(self, rep)
+
+    monkeypatch.setattr(structure, "conjugation_orbit", counting_orbit)
+    monkeypatch.setattr(width, "conjugation_orbit", counting_orbit)
+    monkeypatch.setattr(structure.ClassScan, "class_table", counting_table)
     code, _ = run_json(capsys, *argv)
     assert code == 0
-    assert len(calls) == orbits
-    assert len({x.images for x in calls}) == orbits
+    assert orbits == []
+    assert len(built) == len(set(built)) == tables
 
 
 def count_permutations(monkeypatch) -> list[int]:

@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from piradical import DegreeMismatch, PermGroup, Permutation, TooLarge
+from piradical.perms import compose_images
 
 from .oracles import closure
 
@@ -45,6 +46,25 @@ def test_elements_enumeration_matches_closure():
 def test_element_tuples_agrees_with_elements():
     G = PermGroup.from_generators(FIXTURES["D6"][0])
     assert G.element_tuples() == [p.images for p in G.elements()]
+
+
+def listed_level_by_level(G: PermGroup) -> list[bytes]:
+    """The canonical enumeration as one list per level: every product of the
+    transversals, the deepest level first."""
+    elems = [bytes(range(G.degree))]
+    for lev in reversed(G._levels):
+        elems = [compose_images(e, lev.trans[p]) for e in elems for p in lev.orbit]
+    return elems
+
+
+@pytest.mark.parametrize("name", [*FIXTURES, "trivial"])
+def test_the_lazy_enumeration_is_the_listed_one(name):
+    """Drawing elements one at a time gives the listed enumeration, element
+    for element, and ``element_tuples`` lists the same."""
+    G = PermGroup.trivial(3) if name == "trivial" else PermGroup.from_generators(FIXTURES[name][0])
+    want = listed_level_by_level(G)
+    assert list(G.iter_element_tuples()) == want == G.element_tuples()
+    assert len(want) == G.order_int
 
 
 def test_elements_cap_raises_too_large():

@@ -12,6 +12,7 @@ from piradical import (
     PrimeSet,
     TooLarge,
     catalog_groups,
+    class_data,
     class_representatives,
     conjugation_orbit,
     element_order_spectrum,
@@ -28,6 +29,7 @@ from piradical import (
 from .oracles import (
     centralizer_size,
     closure,
+    conjugacy_classes,
     normal_subgroup_sets,
     pi_radical_set,
 )
@@ -132,20 +134,100 @@ def test_class_representatives_of_s4():
     assert types == {(), (2,), (2, 2), (3,), (4,)}
 
 
+def reference_scan(G: PermGroup) -> list[tuple[Permutation, int]]:
+    """The first-seen element of each class, scanned over the whole list of
+    ``element_tuples`` with one orbit per unseen element."""
+    want = []
+    seen = set()
+    for e in G.element_tuples():
+        if e in seen:
+            continue
+        members, _ = conjugation_orbit(G, Permutation(e), cap=G.order_int)
+        seen.update(members)
+        want.append((Permutation(e), len(members)))
+    return want
+
+
 def test_tuple_scan_matches_a_scan_of_orbits_over_elements():
-    """The first-seen element of each class, scanned over ``elements()`` with
-    one orbit per unseen element, is the reference for the tuple scan."""
+    """The reference scan gives the same representatives and sizes, in the
+    same order, as the scan that stops once the classes cover G."""
     for entry in catalog_groups(10**4):
-        G = entry.group
-        want = []
-        seen = set()
-        for e in G.elements():
-            if e.images in seen:
-                continue
-            members, _ = conjugation_orbit(G, e, cap=G.order_int)
-            seen.update(members)
-            want.append((e, len(members)))
-        assert class_representatives(G) == want, entry.name
+        assert class_representatives(entry.group) == reference_scan(entry.group), entry.name
+
+
+def check_class_tables(G: PermGroup) -> None:
+    """Every class table from the scan's links is the table that
+    ``conjugation_orbit`` traces, member for member and witness for
+    witness; its members are the class found by brute force, and each
+    witness conjugates the representative to its member."""
+    scan = class_representatives(G)
+    assert scan == reference_scan(G)
+    classes = {x: cls for cls in conjugacy_classes(closure(G.generators, G.degree)) for x in cls}
+    assert len(scan) == len(set(classes.values()))
+    for rep, size in scan:
+        members, witnesses = scan.class_table(rep.images)
+        assert (members, witnesses) == conjugation_orbit(G, rep, G.order_int)
+        assert len(members) == size
+        assert {Permutation(m) for m in members} == classes[rep]
+        assert all(rep ** Permutation(w) == Permutation(m) for m, w in zip(members, witnesses))
+
+
+# direct products on disjoint points, so the classes are products of classes
+PRODUCTS = {
+    "S3xS4": [P("(1 2)", 7), P("(1 2 3)", 7), P("(4 5)", 7), P("(4 5 6 7)")],
+    "A4xS5": [P("(1 2 3)", 9), P("(2 3 4)", 9), P("(5 6)", 9), P("(5 6 7 8 9)")],
+}
+
+
+def test_class_tables_from_the_scan_match_conjugation_orbits_and_the_oracle():
+    for entry in catalog_groups(5040):
+        check_class_tables(entry.group)
+    for name, gens in PRODUCTS.items():
+        G = PermGroup.from_generators(gens)
+        assert G.order_int == {"S3xS4": 144, "A4xS5": 1440}[name]
+        check_class_tables(G)
+
+
+generating_sets_to_degree_seven = st.integers(1, 7).flatmap(
+    lambda n: st.lists(
+        st.permutations(range(n)).map(lambda t: Permutation(tuple(t))), min_size=1, max_size=2
+    )
+)
+
+
+@settings(max_examples=25, deadline=None)
+@given(generating_sets_to_degree_seven)
+def test_class_tables_from_the_scan_on_random_groups(gens):
+    check_class_tables(PermGroup.from_generators(gens, degree=gens[0].degree))
+
+
+def test_the_scan_stops_once_the_classes_cover_the_group(monkeypatch):
+    """Every class of S8 is met early in the canonical enumeration (within
+    its first 169 elements), and the scan draws no element after that."""
+    drawn = [0]
+    real = PermGroup.iter_element_tuples
+
+    def counting(self):
+        for e in real(self):
+            drawn[0] += 1
+            yield e
+
+    monkeypatch.setattr(PermGroup, "iter_element_tuples", counting)
+    G = group_by_name("S8")
+    reps = class_representatives(G)
+    assert len(reps) == 22 and sum(size for _, size in reps) == G.order_int
+    assert drawn[0] < G.order_int // 100
+
+
+def test_a_class_table_is_served_only_for_a_representative():
+    G = S4()
+    data = class_data(G)
+    rep = next(rep for rep, size in data.reps if size == 6 and rep.cycle_type() == (2,))
+    other = rep ** P("(1 2 3 4)")
+    assert other != rep
+    assert data.class_table(rep)[0][0] == rep.images
+    with pytest.raises(ValueError, match="not a class representative"):
+        data.class_table(other)
 
 
 def test_class_representatives_cap():
