@@ -245,6 +245,10 @@ def _resolve_pi(args, spec) -> PrimeSet:
 
 
 def cmd_radical(args) -> tuple[dict, int]:
+    if args.crosscheck_cap < 0:
+        raise ValueError(
+            f"--crosscheck-cap must be >= 0 (0 skips the crosscheck), got {args.crosscheck_cap}"
+        )
     name, G, spec = _resolve_group(args)
     pi = _resolve_pi(args, spec)
     radical = pi_radical(G, pi)

@@ -24,10 +24,13 @@ characterization: x lies in ``O_pi(G)`` exactly when the normal closure
 element of O_pi contributes its whole class, and conversely each kept
 closure is normal and pi, hence inside O_pi.)  A closure contains x, so
 only a representative of pi-number order can have a pi closure: the others
-are never closed for the radical.  ``normal_subgroups`` uses the same
-building blocks: every normal subgroup is a union of classes, hence a join
-of class closures, so closing the set of class closures under pairwise join
-enumerates all normal subgroups exactly.
+are never closed for the radical.  Before any of this the radical asks the
+orbit certificate (:func:`radical_is_trivial_by_orbits`): when no prime of
+pi divides an orbit length of G, ``O_pi(G) = 1`` and no class is scanned
+or closed.  ``normal_subgroups`` uses the same building blocks: every
+normal subgroup is a union of classes, hence a join of class closures, so
+closing the set of class closures under pairwise join enumerates all normal
+subgroups exactly.
 """
 
 from __future__ import annotations
@@ -263,15 +266,16 @@ class GroupClassData:
 
     ``reps`` is one scan of the elements, a :class:`ClassScan`; a
     ``class_table`` is rebuilt from its trace and a ``closure`` computed at
-    the first request for its representative (the width engine and
-    :func:`pi_radical` ask only for classes of pi-number order; ``closures``
-    lists every class's), and :func:`pi_radical` stores each prime set's
-    radical here.  ``searches`` keeps the width engine's ``found`` searches
-    for a non-pi subgroup over a class of pi-number order, keyed by
-    (representative images, pi), so that a second question about the same
-    class reads the first answer (a class of non-pi order is answered at
-    width 1 without a search, and is not kept).  The class data refers to G
-    only weakly, so the two are freed together by reference counting.
+    the first request for its representative (the width engine and the
+    closure route of :func:`pi_radical` ask only for classes of pi-number
+    order; ``closures`` lists every class's), and :func:`pi_radical` stores
+    each prime set's radical here.  ``searches`` keeps the width engine's
+    ``found`` searches for a non-pi subgroup over a class of pi-number
+    order, keyed by (representative images, pi), so that a second question
+    about the same class reads the first answer (a class of non-pi order is
+    answered at width 1 without a search, and is not kept).  The class data
+    refers to G only weakly, so the two are freed together by reference
+    counting.
     """
 
     def __init__(self, G: PermGroup):
@@ -331,16 +335,31 @@ def _join(G: PermGroup, parts: Sequence[PermGroup]) -> PermGroup:
     return PermGroup.from_generators(gens, degree=G.degree)
 
 
-def pi_radical(G: PermGroup, pi: PrimeSet) -> PermGroup:
-    """The largest normal pi-subgroup ``O_pi(G)``, as the join of the class
-    closures that are pi-groups (see the module docstring for why this is
-    exact).  Only a class whose representative has pi-number order can have
-    a pi closure, so only those closures are asked for.  They come from
-    ``class_data(G)``, which also keeps the radical, so each prime set's
-    radical is computed once per group."""
+def radical_is_trivial_by_orbits(G: PermGroup, pi: PrimeSet) -> bool:
+    """Exact certificate that ``O_pi(G) = 1``: no prime of pi divides the
+    length of any orbit in ``G.orbit_partition``.
+
+    Let N be a normal subgroup of G and O a G-orbit.  The N-orbits inside O
+    are blocks of G, permuted transitively by G, so they share one size s;
+    s divides |O|, and s divides |N| by orbit-stabilizer.  If N is a
+    nontrivial pi-group it moves some point, so in that point's orbit s > 1,
+    and a prime of s lies in pi (it divides |N|) and divides |O|.  When no
+    prime of pi divides an orbit length there is no such N, and the radical
+    is trivial (Dixon and Mortimer, *Permutation Groups*, ch. 1).
+    """
+    return not any(
+        pi.contains(p)
+        for orbit in G.orbit_partition
+        for p in FactoredInteger.from_int(len(orbit)).prime_support
+    )
+
+
+def _closure_radical(G: PermGroup, pi: PrimeSet) -> PermGroup:
+    """``O_pi(G)`` as the join of the class closures that are pi-groups (see
+    the module docstring for why this is exact).  Only a class whose
+    representative has pi-number order can have a pi closure, so only those
+    closures are asked for, from ``class_data(G)``."""
     data = class_data(G)
-    if pi in data._radicals:
-        return data._radicals[pi]
     pi_order = [rep for rep, _ in data.reps if is_pi_element(rep, pi)]
     kept = [cl for cl in map(data.closure, pi_order) if is_pi_group(cl, pi)]
     radical = _join(G, kept)
@@ -350,8 +369,24 @@ def pi_radical(G: PermGroup, pi: PrimeSet) -> PermGroup:
         )
     if not radical.is_normal_in(G):
         raise InvariantViolation("pi-radical candidate is not normal")
-    data._radicals[pi] = radical
     return radical
+
+
+def pi_radical(G: PermGroup, pi: PrimeSet) -> PermGroup:
+    """The largest normal pi-subgroup ``O_pi(G)``.  The orbit certificate
+    (:func:`radical_is_trivial_by_orbits`) is asked first: when it holds the
+    radical is the trivial group, with no class scanned and none closed.
+    Otherwise it is the join of the pi closures of the classes of pi-order
+    representatives (:func:`_closure_radical`).  ``class_data(G)`` keeps the
+    radical, so each prime set's radical is computed once per group."""
+    data = class_data(G)
+    if pi not in data._radicals:
+        data._radicals[pi] = (
+            PermGroup.trivial(G.degree)
+            if radical_is_trivial_by_orbits(G, pi)
+            else _closure_radical(G, pi)
+        )
+    return data._radicals[pi]
 
 
 def normal_subgroups(G: PermGroup) -> list[PermGroup]:
@@ -391,18 +426,3 @@ def normal_subgroups(G: PermGroup) -> list[PermGroup]:
                     found.append(J)
         new = len(snapshot)
     return sorted(found, key=lambda H: (H.order_int, H.orbit_partition))
-
-
-def radical_is_trivial_by_prime_degree(G: PermGroup, pi: PrimeSet) -> bool:
-    """Exact certificate that the pi-radical of G is trivial, usable when
-    enumeration is out of reach: G transitive and faithful of prime degree r
-    with r not in pi.
-
-    The orbits of a normal subgroup are permuted transitively by the group,
-    so they share one size s dividing the degree.  For prime degree, s = 1
-    forces the subgroup to fix every point (trivial, by faithfulness), and
-    s = r makes it transitive, so r divides its order by orbit-stabilizer
-    and it is not a pi-group.  Every nontrivial normal subgroup therefore
-    has order divisible by r, and the radical is trivial.
-    """
-    return is_prime(G.degree) and G.degree not in pi and G.is_transitive()

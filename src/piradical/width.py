@@ -128,11 +128,12 @@ from .groups import Images, PermGroup
 from .perms import TAIL, Permutation, conjugate_images, conjugators, with_tables
 from .structure import (
     PrimeSet,
+    _closure_radical,
     class_data,
     conjugation_orbit,
     is_pi_number,
     pi_radical,
-    radical_is_trivial_by_prime_degree,
+    radical_is_trivial_by_orbits,
 )
 
 OrderPredicate = Callable[[int], bool]
@@ -1049,18 +1050,18 @@ def transposition_pi_sweep(r: int) -> TranspositionSweepReport:
     sym_r = PermGroup.from_generators(
         [*transpositions(star[:1]), Permutation.from_cycles([tuple(range(1, r + 1))], degree=r)]
     )
-    # Triviality of the radical: the prime-degree certificate applies for
-    # every valid r (transitive, degree r prime, r outside pi); below the
-    # enumeration cap the direct computation must agree.
-    if not radical_is_trivial_by_prime_degree(sym_r, pi):
+    # Triviality of the radical: the orbit certificate applies for every
+    # valid r (one orbit, of prime length r outside pi); below the
+    # enumeration cap the closure route, which does not ask the certificate,
+    # must agree.
+    if not radical_is_trivial_by_orbits(sym_r, pi):
         raise InvariantViolation(
-            f"prime-degree certificate unexpectedly inapplicable for r={r}"
+            f"orbit certificate unexpectedly inapplicable for r={r}"
         )
     radical_order = FactoredInteger.one()
-    if sym_r.order_int <= 10**5 and not pi_radical(sym_r, pi).order.is_one():
+    if sym_r.order_int <= 10**5 and not _closure_radical(sym_r, pi).order.is_one():
         raise InvariantViolation(
-            f"direct radical computation contradicts the prime-degree "
-            f"certificate for r={r}"
+            f"direct radical computation contradicts the orbit certificate for r={r}"
         )
     return TranspositionSweepReport(
         r=r,

@@ -166,9 +166,11 @@ def test_find_min_past_the_width_budget_exits_three(capsys):
         ["verify-bs-sweep", "--order-cap", "1"],
         ["width-table", "--n", "5", "--r", "7"],
         ["width-table", "--n", "5", "--r", "3,3"],
+        # 0 skips the crosscheck on purpose; a negative cap would skip it silently
+        ["radical", "--group", "S4", "--pi", "2", "--crosscheck-cap", "-1"],
     ],
     ids=["max-states", "max-width", "max-class", "sweep-r", "order-cap-0", "order-cap-1",
-         "r-above-n", "r-repeated"],
+         "r-above-n", "r-repeated", "crosscheck-cap"],
 )
 def test_degenerate_budget_is_an_input_error(capsys, argv):
     code, out, err = run(capsys, *argv)
@@ -233,6 +235,43 @@ def test_radical_enumerates_the_classes_once(capsys, monkeypatch):
     assert code == 0
     assert report["results"][0]["crosscheck"] == "agrees"
     assert len(calls) == 1
+
+
+@pytest.mark.parametrize(
+    "argv, scans",
+    [
+        (["--group", "S8", "--pi", "3,5"], 0),
+        (["--group", "S8", "--pi", "2"], 1),
+        (["--group", "S9", "--pi", "2", "--crosscheck-cap", "0"], 0),
+    ],
+    ids=["S8-pi-35", "S8-pi-2", "S9-pi-2"],
+)
+def test_a_radical_the_orbits_certify_scans_no_class(capsys, monkeypatch, argv, scans):
+    """No prime of {3,5} divides 8 and 2 does not divide 9, so the orbit
+    certificate answers those questions with no class scan and no closure;
+    2 divides 8, so O_2(S8) needs the one scan.  Both groups are above the
+    default crosscheck cap."""
+    import piradical.structure as structure
+
+    calls = []
+
+    def counted(name, fn):
+        def wrapped(*args, **kwargs):
+            calls.append(name)
+            return fn(*args, **kwargs)
+
+        return wrapped
+
+    for name in ("class_representatives", "normal_closure"):
+        monkeypatch.setattr(structure, name, counted(name, getattr(structure, name)))
+    code, report = run_json(capsys, "radical", *argv)
+    assert code == 0
+    assert report["results"][0]["radical_order_int"] == 1
+    assert report["results"][0]["radical_generators"] == []
+    assert report["results"][0]["crosscheck"] == "skipped"
+    assert calls.count("class_representatives") == scans
+    if scans == 0:
+        assert calls == []
 
 
 @pytest.mark.parametrize(

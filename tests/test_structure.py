@@ -3,7 +3,7 @@
 import itertools
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from piradical import (
     BudgetExhausted,
@@ -23,8 +23,9 @@ from piradical import (
     normal_closure,
     normal_subgroups,
     pi_radical,
-    radical_is_trivial_by_prime_degree,
+    radical_is_trivial_by_orbits,
 )
+from piradical.structure import _closure_radical
 
 from .oracles import (
     centralizer_size,
@@ -329,17 +330,99 @@ def test_pi_radical_properties():
     assert pi_radical(G, PrimeSet.of(2, 3, 5)).order_int == 60
 
 
-def test_prime_degree_triviality_certificate():
+def test_orbit_triviality_certificate():
     S7 = PermGroup.from_generators([P("(1 2)", 7), P("(1 2 3 4 5 6 7)")])
-    assert radical_is_trivial_by_prime_degree(S7, PrimeSet.of(2, 3, 5))
-    assert not radical_is_trivial_by_prime_degree(S7, PrimeSet.of(2, 3, 5, 7))
-    assert not radical_is_trivial_by_prime_degree(S4(), PrimeSet.of(3))  # composite degree
+    assert radical_is_trivial_by_orbits(S7, PrimeSet.of(2, 3, 5))
+    assert not radical_is_trivial_by_orbits(S7, PrimeSet.of(2, 3, 5, 7))
+    # a composite degree: 3 does not divide 4, and O_3(S4) = 1
+    assert radical_is_trivial_by_orbits(S4(), PrimeSet.of(3))
+    assert pi_radical(S4(), PrimeSet.of(3)).is_trivial()
+    assert not radical_is_trivial_by_orbits(S4(), PrimeSet.of(2))  # O_2(S4) = V4
+    # a cofinite pi is read prime by prime
+    assert radical_is_trivial_by_orbits(S4(), PrimeSet.all_except(2))
+    assert not radical_is_trivial_by_orbits(S4(), PrimeSet.all_except(3))
+    # every orbit counts, not the degree: the degree 7 of S3 x S4 on 3 + 4
+    # points shares no prime with {3}, but O_3 = C3
+    S3xS4 = PermGroup.from_generators(PRODUCTS["S3xS4"])
+    assert not radical_is_trivial_by_orbits(S3xS4, PrimeSet.of(3))
+    assert pi_radical(S3xS4, PrimeSet.of(3)).order_int == 3
     intransitive = PermGroup.from_generators([P("(1 2)", 5), P("(3 4 5)")])
-    assert not radical_is_trivial_by_prime_degree(intransitive, PrimeSet.of(2, 3))
-    # agreement with the direct computation where both apply
+    assert not radical_is_trivial_by_orbits(intransitive, PrimeSet.of(2, 3))
+    assert radical_is_trivial_by_orbits(intransitive, PrimeSet.of(5))
+    # a fixed point is an orbit of length 1, which no prime divides
+    C3 = PermGroup.from_generators([P("(1 2 3)", 5)])
+    assert radical_is_trivial_by_orbits(C3, PrimeSet.of(2))
+    assert not radical_is_trivial_by_orbits(C3, PrimeSet.of(3))
+    assert radical_is_trivial_by_orbits(PermGroup.trivial(4), PrimeSet.of(2, 3))
+    # agreement with the closure route where both apply
     S5 = PermGroup.from_generators([P("(1 2)", 5), P("(1 2 3 4 5)")])
-    assert radical_is_trivial_by_prime_degree(S5, PrimeSet.of(2, 3))
-    assert pi_radical(S5, PrimeSet.of(2, 3)).is_trivial()
+    assert radical_is_trivial_by_orbits(S5, PrimeSet.of(2, 3))
+    assert _closure_radical(S5, PrimeSet.of(2, 3)).is_trivial()
+
+
+# the benchmark's direct products, and a group with orbits of two lengths
+CERTIFIED_EXTRA = {
+    **PRODUCTS,
+    "S3xA4": [P("(1 2)", 7), P("(1 2 3)", 7), P("(4 5 6)", 7), P("(5 6 7)")],
+    "S4xS5": [P("(1 2)", 9), P("(1 2 3 4)", 9), P("(5 6)", 9), P("(5 6 7 8 9)")],
+    "<(1 2), (3 4 5)>": [P("(1 2)", 5), P("(3 4 5)")],
+}
+
+
+def certified_group(name: str) -> PermGroup:
+    if name in CERTIFIED_EXTRA:
+        return PermGroup.from_generators(CERTIFIED_EXTRA[name])
+    return group_by_name(name)
+
+
+@pytest.mark.parametrize(
+    "name", [e.name for e in catalog_groups(max_order=40_320)] + list(CERTIFIED_EXTRA)
+)
+def test_the_orbit_certificate_agrees_with_the_closure_route(name):
+    """Where the certificate holds the closure route finds the trivial
+    group, and ``pi_radical`` returns what the closure route returns, order
+    and generators, for every nonempty set of primes dividing |G|."""
+    G = certified_group(name)
+    primes = sorted(G.order.prime_support)
+    for k in range(1, len(primes) + 1):
+        for chosen in itertools.combinations(primes, k):
+            pi = PrimeSet.of(*chosen)
+            closed = _closure_radical(G, pi)
+            if radical_is_trivial_by_orbits(G, pi):
+                assert closed.is_trivial(), (name, chosen)
+            got = pi_radical(G, pi)
+            assert got.order_int == closed.order_int and got.gens == closed.gens
+
+
+def split_permutations(n: int, k: int):
+    """Permutations of 0..n-1 that keep 0..k-1 (and so k..n-1) setwise."""
+    return st.tuples(st.permutations(range(k)), st.permutations(range(k, n))).map(
+        lambda t: Permutation(tuple(t[0]) + tuple(t[1]))
+    )
+
+
+# k = 0 leaves one block, so both transitive and intransitive groups come up
+split_generating_sets = st.integers(1, 7).flatmap(
+    lambda n: st.integers(0, n - 1).flatmap(
+        lambda k: st.lists(split_permutations(n, k), min_size=1, max_size=2)
+    )
+)
+
+
+@settings(max_examples=50, deadline=None)
+@given(split_generating_sets)
+def test_a_radical_certified_trivial_is_trivial_by_the_oracle(gens):
+    """The oracle's radical is the largest normal pi-subgroup among the
+    subgroups of one or two generators, a subgroup of the radical: where
+    the certificate holds, it is trivial."""
+    degree = gens[0].degree
+    G = PermGroup.from_generators(gens, degree=degree)
+    assume(G.order_int <= 144)  # the oracle closes every pair of cyclic subgroups
+    elems = closure(gens, degree)
+    for k in range(1, 5):
+        for primes in itertools.combinations((2, 3, 5, 7), k):
+            if radical_is_trivial_by_orbits(G, PrimeSet.of(*primes)):
+                assert len(pi_radical_set(elems, degree, set(primes))) == 1, primes
 
 
 # -- degree 9: past the old 10^5 cap --------------------------------------------
