@@ -33,16 +33,17 @@ Four soundness notes justify the pruning:
   repetition equal those over the non-redundant chains enumerated here.
 * Centralizer pruning: conjugating a pinned chain (x, y_2, ..., y_k) by any c
   in C = C_L(x) fixes x, permutes x^L and maps the generated subgroup to a
-  conjugate of the same order.  Before width 3 is searched, the level-2
-  frontier therefore keeps only its first state for each C-orbit of y_2:
-  every subgroup a chain of k conjugates reaches first at width k still has
-  a C-conjugate that the search reaches at width k, so minimal widths,
+  conjugate of the same order.  So level 2 extends <x> by the first
+  ``LEVEL_TWO_PREFIX`` conjugates, then by the least one of each C-orbit
+  they do not meet, and keeps its first state per C-orbit of y_2: every
+  subgroup a chain of k conjugates reaches first at width k still has a
+  C-conjugate that the search reaches at width k, so minimal widths,
   failures up to the explored width and an emptied frontier certify what
-  they certify without the pruning.  C is built only then, from the
-  Schreier generators of the class-table orbit, and checked to reach order
-  |L| / |x^L|.  This needs x fixed (every search is pinned), the whole
-  class (C acts on it) and a predicate that depends only on the order;
-  without the group L the search is unreduced.
+  they certify without the pruning; the first level-2 success is the
+  unpruned one, the least index of its orbit.  C (:func:`_centralizer`)
+  is built past the prefix or before width 3.  This needs x fixed (every
+  search is pinned), the whole class (C acts on it) and an order
+  predicate; without the group L the search is unreduced.
 * Normaliser orbits (the cheap form of canonical augmentation; McKay,
   "Isomorph-free exhaustive generation", *J. Algorithms* 26, 1998): from
   width 2 on, a chain state H = <x, y_2, ..., y_k> is extended only by the
@@ -98,10 +99,10 @@ root of a chain search and for the witness and members of a found result.
 
 A state, as counted by ``states_visited`` and capped by ``max_states``, is
 every chain child before deduplication, but only a partition not seen
-before.  States after width 2 are counted after the centralizer pruning, so
-they are children of the kept level-2 states only, and a chain state's
-children are counted only for the conjugates it is extended by: the
-reductions change the count, never the value.
+before.  A state's children are counted only for the conjugates it is
+extended by (at level 2, the prefix and one per C-orbit it does not meet),
+and only the kept level-2 states have children: the reductions change the
+count, never the value.
 """
 
 from __future__ import annotations
@@ -237,9 +238,9 @@ def min_width_search(
     ``witnesses[i]`` must conjugate ``x`` to ``conjugates[i]``.
 
     ``group`` is the group whose whole conjugation orbit of ``x`` the
-    conjugates are.  When it is given, the level-2 states are reduced to one
-    per C_group(x)-orbit before width 3 is searched; without it the search
-    is unreduced."""
+    conjugates are.  When it is given, level 2 is built from one conjugate
+    per C_group(x)-orbit past its first ``LEVEL_TWO_PREFIX``, and keeps one
+    state per orbit; without it the search is unreduced."""
     if not conjugates or conjugates[0] != x.images:
         raise ValueError("conjugates[0] must be x itself")
     model = _Partitions if x.is_transposition() else _Chains
@@ -252,12 +253,12 @@ def _search(model, conjugates, witnesses, pred, budget, group=None) -> WidthResu
     """The breadth-first search over ``model``'s states.  Level 1 holds
     <x> alone, the child of ``model.initial`` by conjugate 0; a child is
     counted as a state when the model returns it, and searched further when
-    the model admits it.  With ``group``, the level-2 frontier is pruned by
-    :func:`_one_per_centralizer_orbit` before it grows, and from then on a
-    state is extended by :func:`_orbit_representatives` when it lists a
-    normaliser.  A frontier entry is (state, ids, listed): ``listed`` is
-    every element of a subgroup of C that normalises the parent state, or
-    None when the state is extended by every conjugate."""
+    the model admits it.  With ``group``, level 2 is built and pruned by
+    :class:`_CentralizerOrbits`, and from then on a state is extended by
+    :func:`_orbit_representatives` when it lists a normaliser.  A frontier
+    entry is (state, ids, listed): ``listed`` is every element of a subgroup
+    of C that normalises the parent state, or None when the state is
+    extended by every conjugate."""
     states = 0
 
     def result(explored, status, found=None):
@@ -274,22 +275,23 @@ def _search(model, conjugates, witnesses, pred, budget, group=None) -> WidthResu
 
     frontier = [(model.initial, (), None)]
     every = range(len(conjugates))
+    orbits = None if group is None else _CentralizerOrbits(group, conjugates, witnesses)
     width = 0
     while frontier and width < budget.max_width:
-        if width == 2 and group is not None:
-            index = {y: i for i, y in enumerate(conjugates)}
-            C = _centralizer(group, conjugates, witnesses, index)
-            frontier = _one_per_centralizer_orbit(frontier, C, conjugates, index)
-            if model.per_state_reduction and C.order_int <= budget.max_class_size:
-                listed = C.element_tuples()  # C normalises <x>, the parent
+        if width == 2 and orbits is not None:
+            frontier = orbits.first_per_orbit(frontier)
+            if model.per_state_reduction and orbits.C.order_int <= budget.max_class_size:
+                listed = orbits.C.element_tuples()  # C normalises <x>, the parent
                 frontier = [(state, ids, listed) for state, ids, _ in frontier]
         next_frontier = []
         for state, ids, listed in frontier:
-            if listed is None:
-                candidates = (0,) if width == 0 else every
-            else:
+            if listed is not None:
                 listed = _normalising(state, conjugates[ids[-1]], listed)
-                candidates = _orbit_representatives(listed, conjugates, index)
+                candidates = _orbit_representatives(listed, conjugates, orbits.index)
+            elif width == 1 and orbits is not None:
+                candidates = orbits.level_two()
+            else:
+                candidates = (0,) if width == 0 else every
             for idx in candidates:
                 child = model.child(state, idx)
                 if child is None:
@@ -355,29 +357,57 @@ def _centralizer(
     return C
 
 
-def _one_per_centralizer_orbit(frontier, C, conjugates, index):
-    """The level-2 frontier (states <x, y_j>, ids (0, j)) reduced to its
-    first entry for each C-orbit of j, in frontier order.  The orbits on the
-    class indices are traced lazily from C's generators, one per kept
-    entry."""
-    tail = TAIL[C.degree:]
-    gens = conjugators(C.gens)
-    kept = []
-    covered: set[int] = set()
-    for entry in frontier:
-        j = entry[1][1]
-        if j in covered:
-            continue
-        kept.append(entry)
-        covered.add(j)
-        orbit = [j]
+# Level 2 extends <x> by this many conjugates before C is built, so a search
+# that succeeds among them never builds C (chosen by benchmark medians).
+LEVEL_TWO_PREFIX = 16
+
+
+class _CentralizerOrbits:
+    """The orbits of C = C_group(x) on the class indices, each labelled by
+    its least index and traced when first met; C is built when first needed."""
+
+    def __init__(self, group, conjugates, witnesses):
+        self.args, self.conjugates, self.C = (group, conjugates, witnesses), conjugates, None
+
+    def _build(self) -> None:
+        if self.C is None:
+            self.index = {y: i for i, y in enumerate(self.conjugates)}
+            self.C = _centralizer(*self.args, self.index)
+            self.gens = conjugators(self.C.gens)
+            self.least = [-1] * len(self.conjugates)
+            for i in range(min(LEVEL_TWO_PREFIX, len(self.conjugates))):
+                self._trace(i)
+
+    def _trace(self, i: int) -> bool:
+        """Label the orbit of i by i; False when i is already labelled."""
+        if self.least[i] >= 0:
+            return False
+        self.least[i], orbit, tail = i, [i], TAIL[self.C.degree:]
         for k in orbit:
-            for inv, table in gens:
-                i = index[inv.translate(conjugates[k].translate(table) + tail)]
-                if i not in covered:
-                    covered.add(i)
-                    orbit.append(i)
-    return kept
+            for inv, table in self.gens:
+                j = self.index[inv.translate(self.conjugates[k].translate(table) + tail)]
+                if self.least[j] < 0:
+                    self.least[j] = i
+                    orbit.append(j)
+        return True
+
+    def level_two(self) -> Iterator[int]:
+        """The first ``LEVEL_TWO_PREFIX`` indices, then, with C built, the
+        least index of each C-orbit they do not meet."""
+        n = len(self.conjugates)
+        yield from range(min(LEVEL_TWO_PREFIX, n))
+        if n > LEVEL_TWO_PREFIX:
+            self._build()
+            yield from (i for i in range(LEVEL_TWO_PREFIX, n) if self._trace(i))
+
+    def first_per_orbit(self, frontier):
+        """The level-2 frontier (states <x, y_j>, ids (0, j)) reduced to its
+        first entry for each C-orbit of j, in frontier order."""
+        self._build()
+        kept = {}
+        for entry in frontier:
+            kept.setdefault(self.least[entry[1][1]], entry)
+        return list(kept.values())
 
 
 def _normalising(H: PermGroup, y: Images, listed: Sequence[Images]) -> list[Images]:

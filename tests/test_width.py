@@ -242,29 +242,32 @@ def test_transposition_fast_path_matches_generic_search():
 
 def test_states_visited_counts_are_pinned():
     """A state is every chain child before deduplication, but only a new
-    partition; after width 2 only the states kept by the C_L(x) reduction
-    are extended, and a chain state from width 2 on only by the least
-    conjugate of each orbit of its listed normaliser.  These counts guard
-    those rules across refactors (the unreduced counts are pinned in
-    test_width_reduction).  The transposition classes run on partitions,
-    which keep the level-2 reduction only, and the S7 membership searches
-    at m = 2 end at width 2, before either reduction applies, so their
-    counts are the unreduced ones."""
+    partition.  Level 2 extends <x> by the first ``LEVEL_TWO_PREFIX``
+    conjugates, then by the least conjugate of each C_L(x)-orbit they do not
+    meet, and keeps one state per orbit; a chain state from width 2 on is
+    extended only by the least conjugate of each orbit of its listed
+    normaliser.  These counts guard those rules across refactors (the
+    unreduced counts are pinned in test_width_reduction).  The transposition
+    classes run on partitions, which keep the level-2 reduction only.  Of
+    the S7 membership searches at m = 2, only the one on (1 2), whose class
+    has 21 members and no pair generating a non-pi group, goes past the
+    prefix; the others succeed within it and count as the unreduced engine
+    does."""
     def ctx(n, x):
         return AlmostSimpleContext.build(alternating_group(n), P(x, n))
 
-    assert alpha(ctx(9, "(1 2)")).states_visited == 1578
-    assert alpha(ctx(8, "(1 2)")).states_visited == 374
-    assert beta(ctx(8, "(1 2)"), 7).states_visited == 327
-    assert alpha(ctx(8, "(1 2)(3 4)")).states_visited == 537
-    assert beta(ctx(8, "(1 2)(3 4)(5 6)(7 8)"), 5).states_visited == 205
-    assert alpha(ctx(8, "(1 2 3)")).states_visited == 151
-    assert beta(ctx(8, "(1 2)(3 4)"), 7).states_visited == 226
-    assert alpha(ctx(7, "(1 2)(3 4)")).states_visited == 123
+    assert alpha(ctx(9, "(1 2)")).states_visited == 1562
+    assert alpha(ctx(8, "(1 2)")).states_visited == 364
+    assert beta(ctx(8, "(1 2)"), 7).states_visited == 317
+    assert alpha(ctx(8, "(1 2)(3 4)")).states_visited == 346
+    assert beta(ctx(8, "(1 2)(3 4)(5 6)(7 8)"), 5).states_visited == 118
+    assert alpha(ctx(8, "(1 2 3)")).states_visited == 57
+    assert beta(ctx(8, "(1 2)(3 4)"), 7).states_visited == 35
+    assert alpha(ctx(7, "(1 2)(3 4)")).states_visited == 35
     assert alpha(ctx(6, "(1 2)(3 4)(5 6)")).states_visited == 52
     res = bs_membership(symmetric_group(7), PrimeSet.of(2, 3), 2)
     assert [r.states_visited for r in res.records] == [
-        0, 16, 2, 2, 1, 1, 3, 3, 2, 1, 6, 3, 2, 2, 4
+        0, 13, 2, 2, 1, 1, 3, 3, 2, 1, 6, 3, 2, 2, 4
     ]
 
 

@@ -32,9 +32,10 @@ from piradical import (
 from piradical import width
 from piradical.perms import conjugate_images
 from piradical.width import (
+    LEVEL_TWO_PREFIX,
     _centralizer,
+    _CentralizerOrbits,
     _normalising,
-    _one_per_centralizer_orbit,
     _orbit_representatives,
 )
 
@@ -106,10 +107,22 @@ def test_pruned_engine_agrees_with_unreduced_on_membership_and_pairs(name, monke
             [baer_suzuki_check(G, p) for p in primes],
         )
 
-    pruned = run()
+    def masked(results):
+        """The results with every record's ``states_visited`` set to 0, and
+        the counts, in record order."""
+        memberships, widths, pairs = results
+        states = [rec.states_visited for res in memberships for rec in res.records]
+        memberships = [
+            replace(res, records=[replace(rec, states_visited=0) for rec in res.records])
+            for res in memberships
+        ]
+        return (memberships, widths, pairs), states
+
+    pruned, pruned_states = masked(run())
     with unreduced_engine(monkeypatch):
-        plain = run()
+        plain, plain_states = masked(run())
     assert pruned == plain
+    assert all(p <= u for p, u in zip(pruned_states, plain_states, strict=True))
     for res in pruned[0]:
         for rec in res.records:
             if rec.witness is not None:
@@ -157,7 +170,9 @@ def test_centralizer_of_a_double_transposition_in_alt8():
     assert C.is_subgroup_of(ctx.socle)
     assert all(ctx.element ** c == ctx.element for c in C.generators)
     everything = [(None, (0, j)) for j in range(len(ctx.conjugates))]
-    kept = _one_per_centralizer_orbit(everything, C, ctx.conjugates, index)
+    orbits = _CentralizerOrbits(ctx.socle, ctx.conjugates, ctx.witnesses)
+    list(orbits.level_two())  # builds C and labels every orbit
+    kept = orbits.first_per_orbit(everything)
     assert len(kept) == 10
     assert kept[0] == (None, (0, 0))  # x is its own orbit
 
@@ -200,15 +215,57 @@ def test_searches_ending_by_width_two_never_build_the_centralizer(monkeypatch):
     baer_suzuki_check(group_by_name("S6"), 3)
 
 
+def test_level_two_builds_the_prefix_and_one_child_per_orbit_it_does_not_meet():
+    """(Alt(8), (1 2)(3 4)): 210 conjugates in 10 C_L(x)-orbits, counted here
+    from the listed elements of C.  Level 2 extends <x> by the first
+    ``LEVEL_TWO_PREFIX`` conjugates, then by the least index of each orbit
+    the prefix does not meet, and by nothing else."""
+    ctx = AlmostSimpleContext.build(alternating_group(8), P("(1 2)(3 4)", 8))
+    conjugates = ctx.conjugates
+    index = {y: i for i, y in enumerate(conjugates)}
+    elements = _centralizer(ctx.socle, conjugates, ctx.witnesses, index).element_tuples()
+    orbits = {frozenset(index[conjugate_images(y, c)] for c in elements) for y in conjugates}
+    assert len(conjugates) == 210 and len(orbits) == 10
+    prefix = range(LEVEL_TWO_PREFIX)
+    unmet = sorted(min(o) for o in orbits if o.isdisjoint(prefix))
+    assert unmet and min(unmet) >= LEVEL_TWO_PREFIX
+    orbit_search = _CentralizerOrbits(ctx.socle, conjugates, ctx.witnesses)
+    assert list(orbit_search.level_two()) == [*prefix, *unmet]
+    # <x> at level 1, then a level-2 state for every candidate but x itself
+    res = min_width_search(
+        ctx.element, conjugates, ctx.witnesses, lambda o: False,
+        budget=SearchBudget(max_width=2), group=ctx.socle,
+    )
+    assert res.status == "width_budget"
+    assert res.states_visited == 1 + (LEVEL_TWO_PREFIX - 1) + len(unmet)
+
+
+def test_alpha_of_a_triple_transposition_in_alt10_is_pinned():
+    """alpha = 3 on (Alt(10), (1 2)(3 4)(5 6)), a class of 3,150, in 147
+    states: level 2 extends <x> by 34 of the conjugates."""
+    ctx = AlmostSimpleContext.build(alternating_group(10), P("(1 2)(3 4)(5 6)", 10))
+    level_two = _CentralizerOrbits(ctx.socle, ctx.conjugates, ctx.witnesses).level_two()
+    assert len(ctx.conjugates) == 3150 and len(list(level_two)) == 34
+    res = alpha(ctx)
+    assert (res.value, res.status, res.states_visited) == (3, "found", 147)
+    assert [str(w) for w in res.witness] == [
+        "()", "(2 3 4 5 6 7 8 9 10)", "(1 7 3)(2 8 4 9 5 10 6)"
+    ]
+    assert [str(m) for m in res.members] == [
+        "(1 2)(3 4)(5 6)", "(1 3)(4 5)(6 7)", "(1 9)(2 10)(7 8)"
+    ]
+    assert_witness_is_sound(res, ctx.element, lambda o: o == ctx.ambient.order_int)
+
+
 # -- the per-state reduction below level 2 ---------------------------------------------
 
 
 def test_three_cycles_of_alt9_agree_with_the_unreduced_engine():
-    """The gain grows at degree 9: alpha takes 237 states where the
-    unreduced engine takes 9,491 (and the level-2 reduction alone 3,663)."""
+    """The gain grows at degree 9: alpha takes 100 states where the
+    unreduced engine takes 9,491."""
     ctx = AlmostSimpleContext.build(alternating_group(9), P("(1 2 3)", 9))
     target = ctx.ambient.order_int
-    for pred, states in [(lambda o: o == target, (237, 9491)), (lambda o: o % 7 == 0, (178, 331))]:
+    for pred, states in [(lambda o: o == target, (100, 9491)), (lambda o: o % 7 == 0, (28, 331))]:
         pruned = min_width_search(
             ctx.element, ctx.conjugates, ctx.witnesses, pred, group=ctx.socle
         )
@@ -223,11 +280,11 @@ def test_three_cycles_of_alt9_agree_with_the_unreduced_engine():
 def test_a_centralizer_over_the_class_budget_keeps_only_the_level_two_reduction():
     """|x^L| = 112 and |C| = 180 for (Alt(8), (1 2 3)): a class budget
     between them searches the class but lists no element of C, so the
-    search takes the 525 states of the level-2 reduction alone."""
+    search takes the 431 states of the level-2 reduction alone."""
     ctx = AlmostSimpleContext.build(alternating_group(8), P("(1 2 3)", 8))
     default = alpha(ctx)
     capped = alpha(ctx, SearchBudget(max_class_size=150))
-    assert capped.states_visited == 525 and default.states_visited == 151
+    assert capped.states_visited == 431 and default.states_visited == 57
     assert replace(capped, states_visited=default.states_visited) == default
     assert [str(m) for m in capped.members] == [str(m) for m in default.members]
 
