@@ -37,6 +37,10 @@ def main() -> None:
     print(f"  O_2(D6) order {pi_radical(D6, PrimeSet.of(2)).order_int}  (the central flip)")
     print(f"  O_3(D6) order {pi_radical(D6, PrimeSet.of(3)).order_int}  (the rotation core)")
 
+    S12 = symmetric_group(12)  # order 479001600, far past the class-scan cap
+    print("\n== a giant that is not a pi-group: no class scan ==")
+    print(f"  O_2(Sym(12)) order {pi_radical(S12, PrimeSet.of(2)).order_int}  (the giant certificate)")
+
 
 if __name__ == "__main__":
     main()

@@ -24,17 +24,22 @@ characterization: x lies in ``O_pi(G)`` exactly when the normal closure
 element of O_pi contributes its whole class, and conversely each kept
 closure is normal and pi, hence inside O_pi.)  A closure contains x, so
 only a representative of pi-number order can have a pi closure: the others
-are never closed for the radical.  Before any of this the radical asks the
-orbit certificate (:func:`radical_is_trivial_by_orbits`): when no prime of
-pi divides an orbit length of G, ``O_pi(G) = 1`` and no class is scanned
-or closed.  ``normal_subgroups`` uses the same building blocks: every
-normal subgroup is a union of classes, hence a join of class closures, so
-closing the set of class closures under pairwise join enumerates all normal
-subgroups exactly.
+are never closed for the radical.  Before any of this the radical asks two
+certificates, each read off what G already has: the orbit certificate
+(:func:`radical_is_trivial_by_orbits`), when no prime of pi divides an
+orbit length of G, and the giant certificate (:func:`_is_giant`), when G is
+Alt(n) or Sym(n) with n >= 5 and not a pi-group.  Either gives
+``O_pi(G) = 1`` with no class scanned or closed, so a giant's radical for a
+pi that does not cover |G| needs no class scan at any degree.
+``normal_subgroups`` uses the same building blocks: every normal subgroup
+is a union of classes, hence a join of class closures, so closing the set
+of class closures under pairwise join enumerates all normal subgroups
+exactly.
 """
 
 from __future__ import annotations
 
+import math
 import weakref
 from array import array
 from dataclasses import dataclass
@@ -354,6 +359,15 @@ def radical_is_trivial_by_orbits(G: PermGroup, pi: PrimeSet) -> bool:
     )
 
 
+def _is_giant(G: PermGroup) -> bool:
+    """True when G is Alt(n) or Sym(n) on its n >= 5 points, read off the
+    chain order: 2|G| >= n! puts G at index at most 2 in Sym(n), and Alt(n)
+    is the only subgroup of index 2.  Their only normal subgroups are 1,
+    Alt(n) and Sym(n), and |Alt(n)| = n!/2 has the prime support of n!, so
+    ``O_pi(G) = 1`` unless G is a pi-group."""
+    return G.degree >= 5 and 2 * G.order_int >= math.factorial(G.degree)
+
+
 def _closure_radical(G: PermGroup, pi: PrimeSet) -> PermGroup:
     """``O_pi(G)`` as the join of the class closures that are pi-groups (see
     the module docstring for why this is exact).  Only a class whose
@@ -373,18 +387,21 @@ def _closure_radical(G: PermGroup, pi: PrimeSet) -> PermGroup:
 
 
 def pi_radical(G: PermGroup, pi: PrimeSet) -> PermGroup:
-    """The largest normal pi-subgroup ``O_pi(G)``.  The orbit certificate
-    (:func:`radical_is_trivial_by_orbits`) is asked first: when it holds the
-    radical is the trivial group, with no class scanned and none closed.
-    Otherwise it is the join of the pi closures of the classes of pi-order
+    """The largest normal pi-subgroup ``O_pi(G)``.  Two certificates are
+    asked first, the orbit certificate (:func:`radical_is_trivial_by_orbits`)
+    and then the giant certificate (:func:`_is_giant` and G not a pi-group):
+    when either holds the radical is the trivial group, with no class
+    scanned and none closed.  Otherwise, a giant that is a pi-group
+    included, it is the join of the pi closures of the classes of pi-order
     representatives (:func:`_closure_radical`).  ``class_data(G)`` keeps the
     radical, so each prime set's radical is computed once per group."""
     data = class_data(G)
     if pi not in data._radicals:
+        trivial = radical_is_trivial_by_orbits(G, pi) or (
+            _is_giant(G) and not is_pi_group(G, pi)
+        )
         data._radicals[pi] = (
-            PermGroup.trivial(G.degree)
-            if radical_is_trivial_by_orbits(G, pi)
-            else _closure_radical(G, pi)
+            PermGroup.trivial(G.degree) if trivial else _closure_radical(G, pi)
         )
     return data._radicals[pi]
 

@@ -102,16 +102,17 @@ def test_the_program_enumerates_each_element_once():
 # element type changes what each step costs, never how many steps there are.
 # The class scan draws its elements lazily, outside ``element_tuples``, so
 # neither question enumerates a list of elements.  ``verify-bs`` asks O_p(S5)
-# for p = 3 and 5, which no orbit length of S5 is divisible by, so the orbit
-# certificate answers them and closes no class.
+# for p = 2, 3 and 5; the orbit certificate answers p = 2 and 3, which do not
+# divide the orbit length 5, and the giant certificate answers p = 5, because
+# S5 is not a 5-group, so no class is closed.
 PINNED_COUNTS = {
     ("radical", "--group", "S5", "--pi", "2"): {
         "groups.chain_builds": 10, "groups.extends": 10,
         "groups.sifts": 51, "groups.enumerated": 0,
     },
     ("verify-bs", "--group", "S5"): {
-        "groups.chain_builds": 14, "groups.extends": 5,
-        "groups.sifts": 39, "groups.enumerated": 0,
+        "groups.chain_builds": 12, "groups.extends": 4,
+        "groups.sifts": 33, "groups.enumerated": 0,
     },
 }
 

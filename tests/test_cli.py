@@ -237,20 +237,8 @@ def test_radical_enumerates_the_classes_once(capsys, monkeypatch):
     assert len(calls) == 1
 
 
-@pytest.mark.parametrize(
-    "argv, scans",
-    [
-        (["--group", "S8", "--pi", "3,5"], 0),
-        (["--group", "S8", "--pi", "2"], 1),
-        (["--group", "S9", "--pi", "2", "--crosscheck-cap", "0"], 0),
-    ],
-    ids=["S8-pi-35", "S8-pi-2", "S9-pi-2"],
-)
-def test_a_radical_the_orbits_certify_scans_no_class(capsys, monkeypatch, argv, scans):
-    """No prime of {3,5} divides 8 and 2 does not divide 9, so the orbit
-    certificate answers those questions with no class scan and no closure;
-    2 divides 8, so O_2(S8) needs the one scan.  Both groups are above the
-    default crosscheck cap."""
+def counting_scans_and_closures(monkeypatch) -> list[str]:
+    """The names of the class scans and normal closures called from now on."""
     import piradical.structure as structure
 
     calls = []
@@ -264,14 +252,59 @@ def test_a_radical_the_orbits_certify_scans_no_class(capsys, monkeypatch, argv, 
 
     for name in ("class_representatives", "normal_closure"):
         monkeypatch.setattr(structure, name, counted(name, getattr(structure, name)))
+    return calls
+
+
+@pytest.mark.parametrize(
+    "argv, order, scans",
+    [
+        (["--group", "S8", "--pi", "3,5"], 1, 0),
+        (["--group", "S8", "--pi", "2"], 1, 0),
+        (["--group", "S9", "--pi", "2", "--crosscheck-cap", "0"], 1, 0),
+        (["--group", "S8", "--pi", "2,3,5,7"], 40_320, 1),
+    ],
+    ids=["S8-pi-35", "S8-pi-2", "S9-pi-2", "S8-pi-2357"],
+)
+def test_a_radical_the_orbits_certify_scans_no_class(capsys, monkeypatch, argv, order, scans):
+    """No prime of {3,5} divides 8 and 2 does not divide 9, so the orbit
+    certificate answers those questions with no class scan and no closure.
+    2 divides 8, so the orbit certificate cannot answer O_2(S8); the giant
+    certificate does, because S8 is not a 2-group.  S8 is a
+    {2,3,5,7}-group, so that radical stays on the closure route and needs
+    the one scan.  Both groups are above the default crosscheck cap."""
+    calls = counting_scans_and_closures(monkeypatch)
+    code, report = run_json(capsys, "radical", *argv)
+    assert code == 0
+    assert report["results"][0]["radical_order_int"] == order
+    assert (report["results"][0]["radical_generators"] == []) == (order == 1)
+    assert report["results"][0]["crosscheck"] == "skipped"
+    assert calls.count("class_representatives") == scans
+    if scans == 0:
+        assert calls == []
+
+
+@pytest.mark.parametrize(
+    "argv", [["--group", "S10", "--pi", "2"], ["--group", "A12", "--pi", "3,5"]]
+)
+def test_the_giant_certificate_answers_above_the_scan_cap(capsys, monkeypatch, argv):
+    """Sym(10) and Alt(12) are past the 10^6 class-scan cap, and neither is
+    a pi-group, so the giant certificate gives the trivial radical with no
+    class scanned or closed."""
+    calls = counting_scans_and_closures(monkeypatch)
     code, report = run_json(capsys, "radical", *argv)
     assert code == 0
     assert report["results"][0]["radical_order_int"] == 1
     assert report["results"][0]["radical_generators"] == []
     assert report["results"][0]["crosscheck"] == "skipped"
-    assert calls.count("class_representatives") == scans
-    if scans == 0:
-        assert calls == []
+    assert calls == []
+
+
+def test_a_giant_that_is_a_pi_group_still_needs_the_scan(capsys):
+    """Sym(10) is a {2,3,5,7}-group, so its radical is left to the closure
+    route, whose class scan is capped at order 10^6."""
+    code, out, err = run(capsys, "radical", "--group", "S10", "--pi", "2,3,5,7")
+    assert code == 2 and out == ""
+    assert "group order 3628800 exceeds cap 1000000" in err
 
 
 @pytest.mark.parametrize(

@@ -1,9 +1,10 @@
 """Prime sets, conjugacy classes, normal closures, and pi-radicals."""
 
 import itertools
+import random
 
 import pytest
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from piradical import (
     BudgetExhausted,
@@ -25,7 +26,7 @@ from piradical import (
     pi_radical,
     radical_is_trivial_by_orbits,
 )
-from piradical.structure import _closure_radical
+from piradical.structure import _closure_radical, _is_giant
 
 from .oracles import (
     centralizer_size,
@@ -423,6 +424,95 @@ def test_a_radical_certified_trivial_is_trivial_by_the_oracle(gens):
         for primes in itertools.combinations((2, 3, 5, 7), k):
             if radical_is_trivial_by_orbits(G, PrimeSet.of(*primes)):
                 assert len(pi_radical_set(elems, degree, set(primes))) == 1, primes
+
+
+# -- the giant certificate ---------------------------------------------------
+
+GIANTS = ["S5", "S6", "S7", "S8", "A5", "A6", "A7", "A8", "psl2(4)"]
+
+
+def fresh(name: str) -> PermGroup:
+    """A new object for a catalog group, whose class data has computed
+    nothing yet (the catalog keeps the groups it builds)."""
+    return PermGroup.from_generators(group_by_name(name).generators)
+
+
+@pytest.mark.parametrize("name", GIANTS)
+def test_the_giant_certificate_agrees_with_the_closure_route(name):
+    """On every catalog giant (psl2(4) is Alt(5) on 5 points) and every
+    nonempty set of primes dividing |G|, ``pi_radical`` is the closure
+    route's group, with its generators: trivial for a proper pi, G itself
+    for a pi that covers |G|."""
+    G = fresh(name)
+    assert _is_giant(G)
+    primes = sorted(G.order.prime_support)
+    for k in range(1, len(primes) + 1):
+        for chosen in itertools.combinations(primes, k):
+            pi = PrimeSet.of(*chosen)
+            got = pi_radical(G, pi)
+            closed = _closure_radical(G, pi)
+            assert got.same_group_as(closed), (name, chosen)
+            assert got.gens == closed.gens, (name, chosen)
+            assert got.order_int == (G.order_int if k == len(primes) else 1)
+
+
+def test_the_giant_certificate_guards():
+    """Each condition of the certificate is needed: dropping any one of them
+    would give a wrong radical or skip no scan."""
+    # n >= 5: 2|Sym(4)| >= 4!, but O_2(Sym(4)) is the Klein group
+    assert not _is_giant(S4())
+    klein = PermGroup.from_generators([P("(1 2)(3 4)"), P("(1 3)(2 4)")])
+    assert pi_radical(S4(), PrimeSet.of(2)).same_group_as(klein)
+    # a giant that is a pi-group is its own radical
+    S5 = fresh("S5")
+    assert _is_giant(S5)
+    assert pi_radical(S5, PrimeSet.of(2, 3, 5)).same_group_as(S5)
+    # Sym(5) with a fixed 6th point is not a giant of degree 6; 5 divides its
+    # orbit length 5, so the closure route answers, with its class scan
+    S5_on_6 = PermGroup.from_generators([P("(1 2)", 6), P("(1 2 3 4 5)", 6)])
+    assert not _is_giant(S5_on_6)
+    assert not radical_is_trivial_by_orbits(S5_on_6, PrimeSet.of(5))
+    assert pi_radical(S5_on_6, PrimeSet.of(5)).is_trivial()
+    assert class_data(S5_on_6)._reps is not None
+    # Alt(8) has index 2 in Sym(8), 2 divides its orbit length 8, and the
+    # giant certificate answers O_2 with no class scanned or closed
+    A8 = fresh("A8")
+    assert not radical_is_trivial_by_orbits(A8, PrimeSet.of(2))
+    assert pi_radical(A8, PrimeSet.of(2)).is_trivial()
+    assert class_data(A8)._reps is None and class_data(A8)._closures == {}
+
+
+def uniform_generators(degree: int, count: int, seed: int) -> list[Permutation]:
+    """``count`` uniformly random permutations of ``degree`` points, all
+    from one drawn seed (a drawn shuffle lies near the identity, and drawn
+    seeds repeat, so neither would often generate a giant)."""
+    rng = random.Random(seed)
+    return [Permutation(rng.sample(range(degree), degree)) for _ in range(count)]
+
+
+# five draws in six have two generators, and two random permutations of 5..8
+# points generate Alt(n) or Sym(n) in most draws (61 of 100 sets were giants)
+giant_prone_generating_sets = st.builds(
+    uniform_generators,
+    st.integers(5, 8),
+    st.sampled_from((1, 2, 2, 2, 2, 2)),
+    st.integers(0, 2**32),
+)
+
+
+@settings(max_examples=25, deadline=None)
+@given(giant_prone_generating_sets)
+@example([P("(1 2)", 8), P("(1 2 3 4 5 6 7 8)")])
+@example([P("(1 2 3)", 7), P("(3 4 5 6 7)")])
+@example([P("(1 2 3 4 5 6)"), P("(1 2)", 6)])
+def test_pi_radical_agrees_with_the_closure_route_on_random_groups(gens):
+    """Whichever certificate answers, or none, ``pi_radical`` gives the
+    closure route's group for every pi of primes up to 7."""
+    G = PermGroup.from_generators(gens, degree=gens[0].degree)
+    for k in range(5):
+        for primes in itertools.combinations((2, 3, 5, 7), k):
+            pi = PrimeSet.of(*primes)
+            assert pi_radical(G, pi).same_group_as(_closure_radical(G, pi)), primes
 
 
 # -- degree 9: past the old 10^5 cap --------------------------------------------
