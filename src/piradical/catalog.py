@@ -279,37 +279,30 @@ def _projective_generators(F: FieldTable, kind: str) -> list[Permutation]:
     return gens
 
 
-def _check_q(q: int) -> None:
+def _projective(q: int, kind: str) -> PermGroup:
+    """PSL(2, q) (``kind`` "psl") or PGL(2, q) ("pgl") on the projective line,
+    certified by its order q(q^2-1), divided by gcd(2, q-1) for PSL."""
     if q not in SUPPORTED_Q:
         raise UnsupportedQ(f"q={q} not in supported set {SUPPORTED_Q}")
+    G = PermGroup.from_generators(_projective_generators(field_table(q), kind), q + 1)
+    expected = q * (q * q - 1) // (math.gcd(2, q - 1) if kind == "psl" else 1)
+    if G.order_int != expected:
+        raise InvariantViolation(
+            f"|{kind.upper()}(2,{q})| = {G.order_int}, expected {expected}"
+        )
+    return G
 
 
 @lru_cache(maxsize=None)
 def psl2(q: int) -> PermGroup:
     """PSL(2, q) acting on the q+1 points of the projective line."""
-    _check_q(q)
-    F = field_table(q)
-    G = PermGroup.from_generators(_projective_generators(F, "psl"), q + 1)
-    expected = q * (q * q - 1) // math.gcd(2, q - 1)
-    if G.order_int != expected:
-        raise InvariantViolation(
-            f"|PSL(2,{q})| = {G.order_int}, expected {expected}"
-        )
-    return G
+    return _projective(q, "psl")
 
 
 @lru_cache(maxsize=None)
 def pgl2(q: int) -> PermGroup:
     """PGL(2, q) on the projective line (equal to PSL(2,q) in characteristic 2)."""
-    _check_q(q)
-    F = field_table(q)
-    G = PermGroup.from_generators(_projective_generators(F, "pgl"), q + 1)
-    expected = q * (q * q - 1)
-    if G.order_int != expected:
-        raise InvariantViolation(
-            f"|PGL(2,{q})| = {G.order_int}, expected {expected}"
-        )
-    return G
+    return _projective(q, "pgl")
 
 
 @dataclass

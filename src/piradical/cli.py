@@ -52,7 +52,7 @@ from .errors import BudgetExhausted, InvariantViolation, NotAlmostSimple, Piradi
 from .factored import FactoredInteger, is_prime
 from .groups import PermGroup
 from .perms import Permutation
-from .structure import PrimeSet, is_pi_group, normal_subgroups, pi_radical
+from .structure import CLASS_SCAN_CAP, PrimeSet, is_pi_group, normal_subgroups, pi_radical
 from .width import (
     SWEEP_MAX_R,
     AlmostSimpleContext,
@@ -245,9 +245,10 @@ def _resolve_pi(args, spec) -> PrimeSet:
 
 
 def cmd_radical(args) -> tuple[dict, int]:
-    if args.crosscheck_cap < 0:
+    if not 0 <= args.crosscheck_cap <= CLASS_SCAN_CAP:
         raise ValueError(
-            f"--crosscheck-cap must be >= 0 (0 skips the crosscheck), got {args.crosscheck_cap}"
+            f"--crosscheck-cap must lie within 0..{CLASS_SCAN_CAP}, the class-scan cap "
+            f"(0 skips the crosscheck), got {args.crosscheck_cap}"
         )
     name, G, spec = _resolve_group(args)
     pi = _resolve_pi(args, spec)
@@ -369,11 +370,10 @@ def cmd_transposition_sweep(args) -> tuple[dict, int]:
 
 
 def _parse_n_range(text: str) -> list[int]:
-    if "-" in text:
-        a, b = text.split("-", 1)
-        lo, hi = int(a), int(b)
-    else:
-        lo = hi = int(text)
+    try:
+        lo, hi = map(int, text.split("-", 1)) if "-" in text else (int(text),) * 2
+    except ValueError:
+        raise ValueError(f"--n must be a degree or a range like 5-8, got {text!r}") from None
     if not 5 <= lo <= hi <= 9:
         raise ValueError(f"--n must lie within 5..9, got {text!r}")
     return list(range(lo, hi + 1))

@@ -205,7 +205,11 @@ class ClassScan(list):
         return members, _witnesses(rep, links, self.tables)
 
 
-def class_representatives(G: PermGroup, cap: int = 10**6) -> ClassScan:
+# the largest group order a class scan takes
+CLASS_SCAN_CAP = 10**6
+
+
+def class_representatives(G: PermGroup, cap: int = CLASS_SCAN_CAP) -> ClassScan:
     """One representative per conjugacy class with its class size, found by a
     deterministic scan of the canonical element enumeration (first-seen
     element of each class represents it).  Each class is traced on ``bytes``
@@ -232,7 +236,7 @@ def class_representatives(G: PermGroup, cap: int = 10**6) -> ClassScan:
     return reps
 
 
-def element_order_spectrum(G: PermGroup, cap: int = 10**6) -> frozenset[int]:
+def element_order_spectrum(G: PermGroup, cap: int = CLASS_SCAN_CAP) -> frozenset[int]:
     """The set of element orders of G (orders are class functions, so class
     representatives suffice)."""
     return frozenset(rep.order() for rep, _ in class_representatives(G, cap))

@@ -114,6 +114,7 @@ from collections import Counter
 from dataclasses import dataclass, replace
 from typing import Callable, Iterator, Literal, Sequence
 
+from . import structure
 from .errors import (
     BudgetExhausted,
     CentralizesSocle,
@@ -134,7 +135,6 @@ from .structure import (
     conjugation_orbit,
     is_pi_number,
     pi_radical,
-    radical_is_trivial_by_orbits,
 )
 
 OrderPredicate = Callable[[int], bool]
@@ -379,16 +379,13 @@ class _CentralizerOrbits:
                 self._trace(i)
 
     def _trace(self, i: int) -> bool:
-        """Label the orbit of i by i; False when i is already labelled."""
+        """Label the orbit of i, traced by the class tracer over C's
+        generators, by i; False when i is already labelled."""
         if self.least[i] >= 0:
             return False
-        self.least[i], orbit, tail = i, [i], TAIL[self.C.degree:]
-        for k in orbit:
-            for inv, table in self.gens:
-                j = self.index[inv.translate(self.conjugates[k].translate(table) + tail)]
-                if self.least[j] < 0:
-                    self.least[j] = i
-                    orbit.append(j)
+        orbit, _ = structure._trace(self.conjugates[i], self.gens, set(), len(self.conjugates))
+        for y in orbit:
+            self.least[self.index[y]] = i
         return True
 
     def level_two(self) -> Iterator[int]:
@@ -553,47 +550,32 @@ def _nontrivial_centralizer_element(
 ) -> Permutation | None:
     """An element of C_ambient(socle) other than the identity, or None.
 
-    For a transitive socle, a centralizing permutation is determined by the
-    image of one point (semiregularity) and is found by propagating that
-    image along the socle's Schreier graph; each candidate is then screened
-    for ambient membership.  Intransitive socles fall back to scanning the
-    ambient group's elements (TooLarge above the enumeration cap).
+    A permutation c commuting with a transitive socle is fixed by one image:
+    c(p) = u_p(c(b)), with b the base point of the socle's first chain level
+    and u_p its transversal element taking b to p.  For t = 1, ..., n-1, c
+    with c(b) = u_0^-1(t), so c(0) = t, is read off the transversal and kept
+    when it is a permutation, commutes with every generator and lies in the
+    ambient group.  Intransitive socles fall back to scanning the ambient
+    group's elements (TooLarge above the enumeration cap).
     """
     degree = ambient.degree
-    gens = socle.gens
-    if socle.is_transitive() and gens:
-        for t in range(1, degree):
-            c = [-1] * degree
-            c[0] = t
-            queue = [0]
-            ok = True
-            while queue and ok:
-                i = queue.pop()
-                for g in gens:
-                    j = g[i]
-                    want = g[c[i]]
-                    if c[j] == -1:
-                        c[j] = want
-                        queue.append(j)
-                    elif c[j] != want:
-                        ok = False
-                        break
-            if not ok or -1 in c:
-                continue
-            if len(set(c)) != degree:
-                continue
-            ct = bytes(c)
-            # propagation used a spanning tree; verify every constraint
-            if any(g[c[i]] != c[g[i]] for g in gens for i in range(degree)):
-                continue
-            if ambient._contains_tuple(ct):
-                return Permutation(ct)
+    tables = with_tables(socle.gens)
+
+    def centralizes(c: Images) -> bool:  # cg == gc for every generator g
+        padded = c + TAIL[degree:]
+        return all(c.translate(table) == g.translate(padded) for g, table in tables)
+
+    if socle.is_transitive() and tables:
+        for t in range(1, degree):  # none at degree 1, whose chain has no level
+            level = socle._levels[0]
+            cb = level.trans_inv[0][t]
+            c = bytes(level.trans[p][cb] for p in range(degree))
+            if len(set(c)) == degree and centralizes(c) and ambient._contains_tuple(c):
+                return Permutation(c)
         return None
     # intransitive fallback: direct scan (the identity comes first)
-    tables = with_tables(gens)
     for e in ambient.element_tuples(10**5)[1:]:
-        padded = e + TAIL[degree:]
-        if all(e.translate(table) == g.translate(padded) for g, table in tables):  # eg == ge
+        if centralizes(e):
             return Permutation(e)
     return None
 
@@ -606,7 +588,8 @@ class AlmostSimpleContext:
 
     ``build`` validates: degrees match; x normalizes L (else
     :class:`NotNormalizing`); x does not centralize L (else
-    :class:`CentralizesSocle`); the ambient centralizer of L is trivial
+    :class:`CentralizesSocle`), both read off the socle's generators
+    conjugated by x once; the ambient centralizer of L is trivial
     (else :class:`NotAlmostSimple`), which is the almost-simplicity
     certificate for a simple socle; and x^L has at most
     ``budget.max_class_size`` members (else :class:`BudgetExhausted`, as
@@ -631,12 +614,10 @@ class AlmostSimpleContext:
             raise DegreeMismatch(
                 f"element degree {element.degree} vs socle degree {socle.degree}"
             )
-        for s in socle.generators:
-            if not socle.contains(s ** element):
-                raise NotNormalizing(f"{element} does not normalize the socle")
-        if element.is_identity() or all(
-            (s ** element) == s for s in socle.generators
-        ):
+        conjugated = [conjugate_images(s, element.images) for s in socle.gens]
+        if not all(socle._contains_tuple(s) for s in conjugated):
+            raise NotNormalizing(f"{element} does not normalize the socle")
+        if conjugated == list(socle.gens):  # x = 1 included
             raise CentralizesSocle(f"{element} centralizes the socle")
         ambient = socle.extend(element.images)
         witness = _nontrivial_centralizer_element(ambient, socle)
@@ -1022,7 +1003,9 @@ def transposition_pi_sweep(r: int) -> TranspositionSweepReport:
     (:func:`_partition_order`), and that order is crosschecked by building
     the chain of one spanning forest of the shape (a path on each block):
     the same order and the blocks as its orbits.  The sweep is exhaustive
-    because the shape counts sum to C(r(r-1)/2, r-2).  A shortfall, a shape
+    because the shape counts sum to C(r(r-1)/2, r-2).  The reported radical
+    is :func:`pi_radical`'s; for r <= 7 the closure route, which asks no
+    certificate, must give the same group.  A shortfall, a shape
     outside pi or a failed crosscheck is a bug and raises
     :class:`InvariantViolation`.
     """
@@ -1080,19 +1063,9 @@ def transposition_pi_sweep(r: int) -> TranspositionSweepReport:
     sym_r = PermGroup.from_generators(
         [*transpositions(star[:1]), Permutation.from_cycles([tuple(range(1, r + 1))], degree=r)]
     )
-    # Triviality of the radical: the orbit certificate applies for every
-    # valid r (one orbit, of prime length r outside pi); below the
-    # enumeration cap the closure route, which does not ask the certificate,
-    # must agree.
-    if not radical_is_trivial_by_orbits(sym_r, pi):
-        raise InvariantViolation(
-            f"orbit certificate unexpectedly inapplicable for r={r}"
-        )
-    radical_order = FactoredInteger.one()
-    if sym_r.order_int <= 10**5 and not _closure_radical(sym_r, pi).order.is_one():
-        raise InvariantViolation(
-            f"direct radical computation contradicts the orbit certificate for r={r}"
-        )
+    radical = pi_radical(sym_r, pi)
+    if sym_r.order_int <= 10**5 and not _closure_radical(sym_r, pi).same_group_as(radical):
+        raise InvariantViolation(f"the closure route contradicts O_pi(Sym({r}))")
     return TranspositionSweepReport(
         r=r,
         pi=pi,
@@ -1101,7 +1074,7 @@ def transposition_pi_sweep(r: int) -> TranspositionSweepReport:
         all_small_subsets_pi=True,
         witness_subset=transpositions(star),
         witness_order=star_order,
-        radical_order=radical_order,
+        radical_order=radical.order,
         crosschecks=len(shape_counts) + 1,
         exhaustive=True,
         implied_lower_bound=r - 1,

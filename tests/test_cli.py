@@ -307,6 +307,36 @@ def test_a_giant_that_is_a_pi_group_still_needs_the_scan(capsys):
     assert "group order 3628800 exceeds cap 1000000" in err
 
 
+def test_a_crosscheck_cap_above_the_scan_cap_is_refused_before_any_work(capsys, monkeypatch):
+    """The lattice crosscheck needs a class scan, which is capped at order
+    10^6, so a larger --crosscheck-cap is refused before the radical is
+    computed, rather than scanning S10 and throwing its radical away."""
+    calls = counting_scans_and_closures(monkeypatch)
+    code, out, err = run(
+        capsys, "radical", "--group", "S10", "--pi", "2", "--crosscheck-cap", "10000000"
+    )
+    assert code == 2 and out == ""
+    assert "--crosscheck-cap" in err and "1000000" in err
+    assert calls == []
+
+
+def test_a_crosscheck_cap_at_the_scan_cap_is_accepted(capsys):
+    code, report = run_json(
+        capsys, "radical", "--group", "S10", "--pi", "2", "--crosscheck-cap", "1000000"
+    )
+    assert code == 0
+    assert report["results"][0]["radical_order_int"] == 1
+    assert report["results"][0]["crosscheck"] == "skipped"
+
+
+@pytest.mark.parametrize("n", ["5-", "5-x", "-"])
+def test_a_malformed_degree_range_is_reported_as_such(capsys, n):
+    """``--n 5-`` is neither read as 5 nor reported as a bare int() error."""
+    code, out, err = run(capsys, "width-table", "--n", n, "--r", "3")
+    assert code == 2 and out == ""
+    assert "--n must be a degree or a range like 5-8" in err
+
+
 @pytest.mark.parametrize(
     "argv, tables",
     [

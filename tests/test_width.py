@@ -28,6 +28,7 @@ from piradical import (
     baer_suzuki_check,
     beta,
     bs_membership,
+    catalog_groups,
     class_data,
     cyclic_group,
     dihedral_group,
@@ -358,6 +359,64 @@ def test_build_rejects_a_context_that_is_not_almost_simple():
         AlmostSimpleContext.build(dihedral_group(8), P("(1 2 3 4 5 6 7 8)"))
     assert isinstance(exc.value, ValueError)
     assert not isinstance(exc.value, InvariantViolation)
+
+
+def brute_force_centralizer(ambient: PermGroup, socle: PermGroup) -> list[Permutation]:
+    """The elements of ``ambient`` other than the identity that commute with
+    every generator of ``socle``, in enumeration order."""
+    return [
+        e for e in map(Permutation, ambient.element_tuples()[1:])
+        if all(e * g == g * e for g in socle.generators)
+    ]
+
+
+def assert_centralizer_element_is_right(ambient: PermGroup, socle: PermGroup) -> None:
+    """None exactly when the brute-force scan finds nothing; otherwise an
+    element it finds, and for a transitive socle the one with the least
+    image of point 1."""
+    found = width._nontrivial_centralizer_element(ambient, socle)
+    central = brute_force_centralizer(ambient, socle)
+    if not central:
+        assert found is None
+        return
+    assert found in central
+    if socle.is_transitive():
+        assert found == min(central, key=lambda c: c.apply(1))
+
+
+@pytest.mark.parametrize(
+    "entry", catalog_groups(max_order=10**4), ids=lambda entry: entry.name
+)
+def test_the_centralizer_element_of_a_catalog_group_matches_a_scan(entry):
+    assert_centralizer_element_is_right(entry.group, entry.group)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.integers(3, 7).flatmap(
+        lambda n: st.lists(
+            st.permutations(range(n)).map(lambda t: Permutation(tuple(t))),
+            min_size=2,
+            max_size=4,
+        )
+    )
+)
+def test_the_centralizer_element_of_a_random_socle_matches_a_scan(perms):
+    """A socle of 1-3 random permutations, inside the ambient group it
+    generates with one more."""
+    *gens, extra = perms
+    socle = PermGroup.from_generators(gens)
+    assert_centralizer_element_is_right(socle.extend(extra.images), socle)
+
+
+def test_the_centralizer_element_is_read_off_a_chain_not_based_at_point_one():
+    """The reflection of the 8-gon that fixes point 1 comes first, so the
+    socle's chain starts at point 2; the half-turn is still found."""
+    reflection, rotation = P("(2 8)(3 7)(4 6)", 8), P("(1 2 3 4 5 6 7 8)")
+    D8 = PermGroup.from_generators([reflection, rotation])
+    assert D8.base[0] != 1
+    found = width._nontrivial_centralizer_element(D8, D8)
+    assert str(found) == "(1 5)(2 6)(3 7)(4 8)"
 
 
 def test_ambient_is_socle_extended_by_element():
@@ -728,6 +787,14 @@ def test_transposition_sweep_catches_a_wrong_partition_order(monkeypatch):
     model's order."""
     monkeypatch.setattr(width, "_partition_order", lambda labels: 2 * _partition_order(labels))
     with pytest.raises(InvariantViolation, match="disagreed with direct generation"):
+        transposition_pi_sweep(5)
+
+
+def test_transposition_sweep_crosschecks_the_radical_by_the_closure_route(monkeypatch):
+    """Below the enumeration cap the closure route must give the radical's
+    group; a closure route that returns the whole of Sym(5) is caught."""
+    monkeypatch.setattr(width, "_closure_radical", lambda G, pi: G)
+    with pytest.raises(InvariantViolation, match="closure route"):
         transposition_pi_sweep(5)
 
 

@@ -26,8 +26,10 @@ from piradical import (
     conjugation_orbit,
     group_by_name,
     is_pi_number,
+    is_prime,
     min_width_search,
     minimal_membership_width,
+    projective_semilinear_9,
 )
 from piradical import width
 from piradical.perms import conjugate_images
@@ -215,29 +217,48 @@ def test_searches_ending_by_width_two_never_build_the_centralizer(monkeypatch):
     baer_suzuki_check(group_by_name("S6"), 3)
 
 
+def level_two_cases():
+    """(Alt(8), (1 2)(3 4)), every prime-order class of Alt(7) over Alt(7),
+    and the PGammaL(2,9) outer involution over the degree-10 Alt(6)."""
+    yield alternating_group(8), P("(1 2)(3 4)", 8)
+    A7 = alternating_group(7)
+    yield from ((A7, rep) for rep, _ in class_representatives(A7) if is_prime(rep.order()))
+    semilinear = projective_semilinear_9()
+    yield semilinear.socle, semilinear.involution_outside_s6
+
+
 def test_level_two_builds_the_prefix_and_one_child_per_orbit_it_does_not_meet():
-    """(Alt(8), (1 2)(3 4)): 210 conjugates in 10 C_L(x)-orbits, counted here
-    from the listed elements of C.  Level 2 extends <x> by the first
-    ``LEVEL_TWO_PREFIX`` conjugates, then by the least index of each orbit
-    the prefix does not meet, and by nothing else."""
-    ctx = AlmostSimpleContext.build(alternating_group(8), P("(1 2)(3 4)", 8))
-    conjugates = ctx.conjugates
-    index = {y: i for i, y in enumerate(conjugates)}
-    elements = _centralizer(ctx.socle, conjugates, ctx.witnesses, index).element_tuples()
-    orbits = {frozenset(index[conjugate_images(y, c)] for c in elements) for y in conjugates}
-    assert len(conjugates) == 210 and len(orbits) == 10
-    prefix = range(LEVEL_TWO_PREFIX)
-    unmet = sorted(min(o) for o in orbits if o.isdisjoint(prefix))
-    assert unmet and min(unmet) >= LEVEL_TWO_PREFIX
-    orbit_search = _CentralizerOrbits(ctx.socle, conjugates, ctx.witnesses)
-    assert list(orbit_search.level_two()) == [*prefix, *unmet]
-    # <x> at level 1, then a level-2 state for every candidate but x itself
-    res = min_width_search(
-        ctx.element, conjugates, ctx.witnesses, lambda o: False,
-        budget=SearchBudget(max_width=2), group=ctx.socle,
-    )
-    assert res.status == "width_budget"
-    assert res.states_visited == 1 + (LEVEL_TWO_PREFIX - 1) + len(unmet)
+    """The C_L(x)-orbits on the class, counted here from the listed elements
+    of C: (Alt(8), (1 2)(3 4)) has 210 conjugates in 10 orbits.  Level 2
+    extends <x> by the first ``LEVEL_TWO_PREFIX`` conjugates, then by the
+    least index of each orbit the prefix does not meet, and by nothing else;
+    a class of at most ``LEVEL_TWO_PREFIX`` members has no orbit past it."""
+    for socle, x in level_two_cases():
+        ctx = AlmostSimpleContext.build(socle, x)
+        conjugates = ctx.conjugates
+        index = {y: i for i, y in enumerate(conjugates)}
+        elements = _centralizer(ctx.socle, conjugates, ctx.witnesses, index).element_tuples()
+        orbits = {frozenset(index[conjugate_images(y, c)] for c in elements) for y in conjugates}
+        if socle.degree == 8:
+            assert len(conjugates) == 210 and len(orbits) == 10
+        prefix = range(min(LEVEL_TWO_PREFIX, len(conjugates)))
+        unmet = sorted(min(o) for o in orbits if o.isdisjoint(prefix))
+        assert all(i >= LEVEL_TWO_PREFIX for i in unmet)
+        assert bool(unmet) == (len(conjugates) > LEVEL_TWO_PREFIX)
+        orbit_search = _CentralizerOrbits(ctx.socle, conjugates, ctx.witnesses)
+        assert list(orbit_search.level_two()) == [*prefix, *unmet]
+        # <x> at level 1, then a level-2 state for every candidate outside <x>
+        # (for an involution, every candidate but x itself)
+        cyclic = PermGroup.from_generators([x])
+        inside = [i for i in [*prefix, *unmet] if cyclic.contains(Permutation(conjugates[i]))]
+        res = min_width_search(
+            ctx.element, conjugates, ctx.witnesses, lambda o: False,
+            budget=SearchBudget(max_width=2), group=ctx.socle,
+        )
+        assert res.status == "width_budget"
+        assert res.states_visited == 1 + len(prefix) + len(unmet) - len(inside)
+        if x.order() == 2:
+            assert inside == [0]
 
 
 def test_alpha_of_a_triple_transposition_in_alt10_is_pinned():
