@@ -12,6 +12,7 @@ from piradical import (
     PrimeSet,
     baer_suzuki_check,
     bs_membership,
+    membership_bound,
     minimal_membership_width,
     symmetric_group,
     transposition_pi_sweep,
@@ -27,7 +28,7 @@ def main() -> None:
         status = "holds" if res.holds else f"fails at {res.violating_element}"
         print(f"  width {m}: {status}")
     m_min, per_rep = minimal_membership_width(G, pi)
-    print(f"  minimal sufficient width: {m_min}")
+    print(f"  minimal sufficient width: {m_min} (the paper's bound m(pi) = {membership_bound(pi)})")
     print(f"  per class: {[(str(rep), w) for rep, w in per_rep]}")
 
     print("\n== the same bound from below, by sweeping transposition subsets ==")

@@ -13,28 +13,38 @@ once per loop (:func:`~piradical.perms.conjugators`), so it runs in C.
 
 For a set of primes pi, a pi-number has all its prime divisors in pi and a
 pi-group has pi-number order.  The pi-radical ``O_pi(G)`` is the largest
-normal pi-subgroup of G.  It is computed here from its element
-characterization: x lies in ``O_pi(G)`` exactly when the normal closure
-``<x^G>`` is a pi-group, so
+normal pi-subgroup of G.  Four exact facts let the class sizes of the scan
+answer most of the work without a stabilizer chain:
 
-    O_pi(G) = join of the normal closures ``<x^G>`` that are pi-groups,
-              x ranging over conjugacy class representatives.
+1. *Only classes of prime-power order are closed.*  O_pi(G) is the join
+   of the closures ``<x^G>`` that are pi-groups: each is a normal
+   pi-subgroup, and O_pi(G) holds the closure of each of its elements.  The
+   p-parts x_p of x are powers of x whose product is x, so ``<x^G>`` is the
+   join of the ``<x_p^G>``, and a join of normal subgroups is a pi-group
+   exactly when each is.  So every normal subgroup is the join of the
+   closures of the prime-power classes it contains, and O_pi(G) is the join
+   of the pi closures of the prime-power classes (of p-elements, p in pi).
+2. *The class equation certifies a closure.*  Let N be a known normal
+   subgroup containing y.  ``<y^G>`` lies in N, is a union of G-classes of
+   N containing {1} and y^G, and its order divides |N|.  If no proper
+   divisor of |N| is 1 + |y^G| + a sum of sizes of N's other classes, then
+   ``<y^G>`` = N.  The known subgroups are G and the distinct closures of
+   the prime-power classes before y in scan order, which are closed in that
+   order, so a closure depends on G and y alone.
+3. *Class masks decide the lattice.*  A normal subgroup is the union of the
+   classes it meets, so its bitmask over the representatives decides it:
+   equal masks are equal subgroups, and a mask inside another a subgroup.
+   For normal A and B, AB is their join, |AB| = |A||B|/|A n B|, and
+   |A n B| is the sum of the class sizes of ``a & b``.  A known subgroup
+   whose mask contains ``a | b`` contains AB, and is AB when the orders
+   agree; only a join that is new is built.
+4. *A pi-group is its own radical*: G is then a normal pi-subgroup of G.
 
-(The join of normal pi-subgroups is again a normal pi-subgroup, every
-element of O_pi contributes its whole class, and conversely each kept
-closure is normal and pi, hence inside O_pi.)  A closure contains x, so
-only a representative of pi-number order can have a pi closure: the others
-are never closed for the radical.  Before any of this the radical asks two
-certificates, each read off what G already has: the orbit certificate
-(:func:`radical_is_trivial_by_orbits`), when no prime of pi divides an
-orbit length of G, and the giant certificate (:func:`_is_giant`), when G is
-Alt(n) or Sym(n) with n >= 5 and not a pi-group.  Either gives
-``O_pi(G) = 1`` with no class scanned or closed, so a giant's radical for a
-pi that does not cover |G| needs no class scan at any degree.
-``normal_subgroups`` uses the same building blocks: every normal subgroup
-is a union of classes, hence a join of class closures, so closing the set
-of class closures under pairwise join enumerates all normal subgroups
-exactly.
+Before the closures the radical asks two more certificates: the orbit
+certificate (:func:`radical_is_trivial_by_orbits`), when no prime of pi
+divides an orbit length of G, and the giant certificate (:func:`_is_giant`),
+when G is Alt(n) or Sym(n), n >= 5, and not a pi-group.  Either gives
+``O_pi(G) = 1``; with fact 4, a giant's radical needs no scan at any degree.
 """
 
 from __future__ import annotations
@@ -125,6 +135,18 @@ def is_pi_group(G: PermGroup, pi: PrimeSet) -> bool:
 def is_pi_element(x: Permutation, pi: PrimeSet) -> bool:
     """True when the order of ``x`` is a pi-number."""
     return is_pi_number(FactoredInteger.from_int(x.order()), pi)
+
+
+def membership_bound(pi: PrimeSet) -> int:
+    """m(pi) of the paper's main theorem: with r the least prime outside pi,
+    width r settles membership in ``O_pi`` when r is 2 or 3, and r - 1 when
+    r >= 5.  ``ValueError`` when no prime lies outside pi."""
+    if pi.cofinite and not pi.primes:
+        raise ValueError("every prime lies in pi, so m(pi) is undefined")
+    r = 2
+    while r in pi or not is_prime(r):
+        r += 1
+    return r if r <= 3 else r - 1
 
 
 # ---------------------------------------------------------------------------
@@ -275,16 +297,17 @@ class GroupClassData:
 
     ``reps`` is one scan of the elements, a :class:`ClassScan`; a
     ``class_table`` is rebuilt from its trace and a ``closure`` computed at
-    the first request for its representative (the width engine and the
-    closure route of :func:`pi_radical` ask only for classes of pi-number
-    order; ``closures`` lists every class's), and :func:`pi_radical` stores
-    each prime set's radical here.  ``searches`` keeps the width engine's
-    ``found`` searches for a non-pi subgroup over a class of pi-number
-    order, keyed by (representative images, pi), so that a second question
-    about the same class reads the first answer (a class of non-pi order is
-    answered at width 1 without a search, and is not kept).  The class data
-    refers to G only weakly, so the two are freed together by reference
-    counting.
+    the first request for its representative (``closures`` lists every
+    class's), and :func:`pi_radical` stores each prime set's radical here.
+    ``_known`` lists G and the distinct closures of the prime-power classes
+    closed so far, in scan order, with their class masks.  ``searches``
+    keeps the width engine's ``found`` searches for a non-pi subgroup over a
+    class of pi-number order, keyed by (representative images, pi), so that
+    a second question about the same class reads the first answer (a class
+    of non-pi order is answered at width 1 without a search, and is not
+    kept).  The class data refers to G only weakly (``_known`` holds a
+    second object on G's chain), so the two are freed together by
+    reference counting.
     """
 
     def __init__(self, G: PermGroup):
@@ -293,6 +316,10 @@ class GroupClassData:
         self._tables: dict[Images, ClassTable] = {}
         self._closures: dict[Images, PermGroup] = {}
         self._radicals: dict[PrimeSet, PermGroup] = {}
+        self._known: list[tuple[PermGroup, int]] = []
+        self._index: dict[Images, int] = {}  # representative -> scan position
+        self._prime: list[bool] = []  # by scan position: of prime-power order
+        self._closed = 0  # the prime-power classes before this index are closed
         self.searches: dict[tuple[Images, PrimeSet], WidthResult] = {}
 
     @property
@@ -305,7 +332,11 @@ class GroupClassData:
     @property
     def reps(self) -> ClassScan:
         if self._reps is None:
-            self._reps = class_representatives(self.group)
+            G = self.group
+            self._reps = reps = class_representatives(G)
+            self._known = [(PermGroup(G.degree, G.gens, G._levels), (1 << len(reps)) - 1)]
+            self._index = {rep.images: i for i, (rep, _) in enumerate(reps)}
+            self._prime = [len(FactoredInteger.from_int(r.order()).factors) == 1 for r, _ in reps]
         return self._reps
 
     def class_table(self, rep: Permutation) -> ClassTable:
@@ -315,12 +346,60 @@ class GroupClassData:
             self._tables[rep.images] = self.reps.class_table(rep.images)
         return self._tables[rep.images]
 
+    def prime_power_reps(self) -> list[Permutation]:
+        """The representatives of prime-power order, in scan order."""
+        return [rep for (rep, _), prime in zip(self.reps, self._prime) if prime]
+
     def closure(self, rep: Permutation) -> PermGroup:
         """``normal_closure(G, [rep])``, the normal closure of the class of
-        ``rep``, computed once."""
-        if rep.images not in self._closures:
-            self._closures[rep.images] = normal_closure(self.group, [rep])
-        return self._closures[rep.images]
+        ``rep``, computed once.  For a class of prime-power order the
+        prime-power classes up to it are closed in scan order, each by the
+        class-equation certificate (fact 2 of the module docstring) or else
+        by ``normal_closure``, so the answer never depends on the order of
+        the requests; any other element is closed by ``normal_closure``."""
+        key = rep.images
+        self.reps  # the scan indexes the classes
+        i = self._index.get(key)
+        if key not in self._closures and (i is None or not self._prime[i]):
+            self._closures[key] = normal_closure(self.group, [rep])
+        while key not in self._closures:
+            j, self._closed = self._closed, self._closed + 1
+            if self._prime[j]:
+                self._closures[self.reps[j][0].images] = self._close(j)
+        return self._closures[key]
+
+    def _close(self, j: int) -> PermGroup:
+        """The closure of class ``j``: the smallest known N containing it
+        when the class equation certifies it, else a new known subgroup."""
+        rep, size = self.reps[j]
+        N, within = min((k for k in self._known if k[1] >> j & 1), key=lambda k: k[0].order_int)
+        start, total = 1 + size, N.order_int
+        reach = total // 2 - start  # the sums worth tracking: proper divisors
+        sums, cap = 1, (2 << max(reach, 0)) - 1
+        for i, (_, other) in enumerate(self.reps):
+            if within >> i & 1 and i not in (0, j):  # class 0 is {1}, met first
+                sums = (sums | sums << other) & cap
+        divisors = [1]
+        for p, e in N.order.factors:
+            divisors = [d * p**k for d in divisors for k in range(e + 1)]
+        if not any(start <= d < total and sums >> (d - start) & 1 for d in divisors):
+            return N
+        H = normal_closure(self.group, [rep])
+        if H.order_int == total:
+            return N
+        self._known.append((H, self.mask(H, within, 1 | 1 << j)))
+        return H
+
+    def mask(self, H: PermGroup, within: int = -1, known: int = 0) -> int:
+        """The class mask of the normal subgroup H: bit i set when H contains
+        representative i.  Bits in ``known`` are set and bits outside
+        ``within`` clear without a sift; each other representative is
+        sifted once."""
+        mask = known
+        for i, (rep, _) in enumerate(self.reps):
+            if (within & ~known) >> i & 1 and H._contains_tuple(rep.images):
+                mask |= 1 << i
+        return mask
 
     @property
     def closures(self) -> list[tuple[Permutation, PermGroup]]:
@@ -373,77 +452,74 @@ def _is_giant(G: PermGroup) -> bool:
 
 
 def _closure_radical(G: PermGroup, pi: PrimeSet) -> PermGroup:
-    """``O_pi(G)`` as the join of the class closures that are pi-groups (see
-    the module docstring for why this is exact).  Only a class whose
-    representative has pi-number order can have a pi closure, so only those
-    closures are asked for, from ``class_data(G)``."""
+    """``O_pi(G)`` as the join of the distinct pi closures of the
+    prime-power classes of pi-order (fact 1 of the module docstring), from
+    ``class_data(G)``, each joined once; no certificate is asked."""
     data = class_data(G)
-    pi_order = [rep for rep, _ in data.reps if is_pi_element(rep, pi)]
+    pi_order = [rep for rep in data.prime_power_reps() if is_pi_element(rep, pi)]
     kept = [cl for cl in map(data.closure, pi_order) if is_pi_group(cl, pi)]
-    radical = _join(G, kept)
+    radical = _join(G, list({id(cl): cl for cl in kept}.values()))  # each closure once
     if not is_pi_group(radical, pi):
-        raise InvariantViolation(
-            "join of normal pi-subgroups failed to be a pi-group"
-        )
+        raise InvariantViolation("join of normal pi-subgroups failed to be a pi-group")
     if not radical.is_normal_in(G):
         raise InvariantViolation("pi-radical candidate is not normal")
     return radical
 
 
 def pi_radical(G: PermGroup, pi: PrimeSet) -> PermGroup:
-    """The largest normal pi-subgroup ``O_pi(G)``.  Two certificates are
-    asked first, the orbit certificate (:func:`radical_is_trivial_by_orbits`)
-    and then the giant certificate (:func:`_is_giant` and G not a pi-group):
-    when either holds the radical is the trivial group, with no class
-    scanned and none closed.  Otherwise, a giant that is a pi-group
-    included, it is the join of the pi closures of the classes of pi-order
-    representatives (:func:`_closure_radical`).  ``class_data(G)`` keeps the
-    radical, so each prime set's radical is computed once per group."""
+    """The largest normal pi-subgroup ``O_pi(G)``.  Three certificates are
+    asked first, none of which scans or closes a class: the orbit
+    certificate (:func:`radical_is_trivial_by_orbits`) and the giant
+    certificate (:func:`_is_giant` and G not a pi-group) give the trivial
+    group, and a pi-group G is its own radical (fact 4 of the module
+    docstring), returned as G itself.  Otherwise the radical is the join of
+    the pi closures of the prime-power classes of pi-order (fact 1,
+    :func:`_closure_radical`), kept in ``class_data(G)``."""
     data = class_data(G)
     if pi not in data._radicals:
-        trivial = radical_is_trivial_by_orbits(G, pi) or (
-            _is_giant(G) and not is_pi_group(G, pi)
-        )
-        data._radicals[pi] = (
-            PermGroup.trivial(G.degree) if trivial else _closure_radical(G, pi)
-        )
+        if radical_is_trivial_by_orbits(G, pi) or (_is_giant(G) and not is_pi_group(G, pi)):
+            data._radicals[pi] = PermGroup.trivial(G.degree)
+        elif is_pi_group(G, pi):
+            return G  # not kept: the class data holds G only weakly
+        else:
+            data._radicals[pi] = _closure_radical(G, pi)
     return data._radicals[pi]
 
 
 def normal_subgroups(G: PermGroup) -> list[PermGroup]:
-    """All normal subgroups of G (|G| <= 10^6), as the join-closure of the
-    conjugacy-class normal closures, sorted by order.  Independent of
+    """All normal subgroups of G (|G| <= 10^6), sorted by order: the
+    join-closure of the closures of the prime-power classes (fact 1 of the
+    module docstring), run on class masks (fact 3).  Independent of
     :func:`pi_radical` except for sharing the class closures of
     ``class_data(G)``.
 
     The closure is semi-naive: each pass joins only the pairs that include
-    a subgroup found by the pass before (the other pairs were joined then),
-    and skips a pair when one member contains the other, whose join is the
-    larger one.  Both skip only joins that are already known, so the
-    subgroups are found in the order that joining every pair in every pass
-    finds them."""
-    closures = [cl for _, cl in class_data(G).closures]
-    found: list[PermGroup] = [PermGroup.trivial(G.degree)]
-
-    def known(H: PermGroup) -> bool:
-        return any(H.same_group_as(K) for K in found if K.order_int == H.order_int)
-
-    def nested(A: PermGroup, B: PermGroup) -> bool:
-        small, large = sorted((A, B), key=lambda H: H.order_int)
-        return large.order_int % small.order_int == 0 and small.is_subgroup_of(large)
-
-    for cl in closures:
-        if not known(cl):
-            found.append(cl)
+    a subgroup found by the pass before (the other pairs were joined then).
+    A pair whose masks are nested joins to the larger; a pair whose join a
+    known subgroup's mask and order identify is skipped; only a new join
+    is built, and its class mask found by sifting the classes outside
+    ``a | b``."""
+    data = class_data(G)
+    for rep in data.prime_power_reps():
+        data.closure(rep)
+    sizes = [size for _, size in data.reps]
+    # class 0 is {1}, so mask 1 is the trivial group, which a trivial G is too
+    found = [(PermGroup.trivial(G.degree), 1)] + [k for k in data._known if k[1] != 1]
     new = 0  # found[new:] are the subgroups the last pass added
     while new < len(found):
         snapshot = list(found)
-        for i, A in enumerate(snapshot):
-            for B in snapshot[max(i + 1, new) :]:
-                if nested(A, B):
+        for i, (A, a) in enumerate(snapshot):
+            for B, b in snapshot[max(i + 1, new) :]:
+                ab = a | b
+                if ab == a or ab == b:
+                    continue
+                meet = sum(size for k, size in enumerate(sizes) if (a & b) >> k & 1)
+                order = A.order_int * B.order_int // meet
+                if any(m & ab == ab and K.order_int == order for K, m in found):
                     continue
                 J = _join(G, [A, B])
-                if not known(J):
-                    found.append(J)
+                if J.order_int != order:
+                    raise InvariantViolation("a join's order is not |A||B|/|A n B|")
+                found.append((J, data.mask(J, known=ab)))
         new = len(snapshot)
-    return sorted(found, key=lambda H: (H.order_int, H.orbit_partition))
+    return sorted((H for H, _ in found), key=lambda H: (H.order_int, H.orbit_partition))

@@ -117,6 +117,25 @@ def normal_subgroup_sets(
     )
 
 
+def normal_subgroup_sets_by_classes(
+    elements: frozenset[Permutation], degree: int
+) -> list[frozenset[Permutation]]:
+    """Every normal subgroup, at any degree: the closures of the conjugacy
+    classes, closed under the product AB of two normal subgroups, which is
+    their join.  A normal subgroup is a union of classes, hence the join of
+    the closures of the classes it contains, so nothing is missed."""
+    subs = {closure(list(cls), degree) for cls in conjugacy_classes(elements)}
+    while True:
+        joins = {
+            frozenset(a * b for a in A for b in B)
+            for A, B in combinations(subs, 2)
+            if not (A <= B or B <= A)
+        }
+        if joins <= subs:
+            return sorted(subs, key=lambda s: (len(s), sorted(s)))
+        subs |= joins
+
+
 def min_generating_width(
     members: Sequence[Permutation], degree: int, order_predicate: Callable[[int], bool]
 ) -> int | None:

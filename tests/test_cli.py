@@ -7,7 +7,7 @@ import re
 
 import pytest
 
-from piradical import InvariantViolation, cli
+from piradical import InvariantViolation, cli, group_by_name
 from piradical.cli import ExperimentReport, build_parser, csv_cell, main
 
 
@@ -261,7 +261,7 @@ def counting_scans_and_closures(monkeypatch) -> list[str]:
         (["--group", "S8", "--pi", "3,5"], 1, 0),
         (["--group", "S8", "--pi", "2"], 1, 0),
         (["--group", "S9", "--pi", "2", "--crosscheck-cap", "0"], 1, 0),
-        (["--group", "S8", "--pi", "2,3,5,7"], 40_320, 1),
+        (["--group", "S8", "--pi", "2,3,5,7"], 40_320, 0),
     ],
     ids=["S8-pi-35", "S8-pi-2", "S9-pi-2", "S8-pi-2357"],
 )
@@ -270,8 +270,8 @@ def test_a_radical_the_orbits_certify_scans_no_class(capsys, monkeypatch, argv, 
     certificate answers those questions with no class scan and no closure.
     2 divides 8, so the orbit certificate cannot answer O_2(S8); the giant
     certificate does, because S8 is not a 2-group.  S8 is a
-    {2,3,5,7}-group, so that radical stays on the closure route and needs
-    the one scan.  Both groups are above the default crosscheck cap."""
+    {2,3,5,7}-group, so it is its own radical, again with no scan.  Both
+    groups are above the default crosscheck cap."""
     calls = counting_scans_and_closures(monkeypatch)
     code, report = run_json(capsys, "radical", *argv)
     assert code == 0
@@ -299,12 +299,20 @@ def test_the_giant_certificate_answers_above_the_scan_cap(capsys, monkeypatch, a
     assert calls == []
 
 
-def test_a_giant_that_is_a_pi_group_still_needs_the_scan(capsys):
-    """Sym(10) is a {2,3,5,7}-group, so its radical is left to the closure
-    route, whose class scan is capped at order 10^6."""
-    code, out, err = run(capsys, "radical", "--group", "S10", "--pi", "2,3,5,7")
-    assert code == 2 and out == ""
-    assert "group order 3628800 exceeds cap 1000000" in err
+def test_a_giant_that_is_a_pi_group_is_its_own_radical_above_the_scan_cap(capsys, monkeypatch):
+    """Sym(10) is a {2,3,5,7}-group, so it is its own radical, with its own
+    generators, although its order is past the 10^6 class-scan cap: no
+    class is scanned or closed."""
+    calls = counting_scans_and_closures(monkeypatch)
+    code, report = run_json(capsys, "radical", "--group", "S10", "--pi", "2,3,5,7")
+    assert code == 0
+    result = report["results"][0]
+    assert result["radical_order_int"] == 3_628_800
+    assert result["radical_generators"] == [
+        str(g) for g in group_by_name("S10").generators
+    ]
+    assert result["crosscheck"] == "skipped"
+    assert calls == []
 
 
 def test_a_crosscheck_cap_above_the_scan_cap_is_refused_before_any_work(capsys, monkeypatch):

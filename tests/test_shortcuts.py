@@ -6,9 +6,11 @@ Three shortcuts are checked against the full route they replace:
   at width 1 without a search, with no chain and no class table;
 * the pi-radical is trivial, with no class closed, where the orbit
   certificate or the giant certificate holds, and otherwise joins the pi
-  closures of the pi-order classes only;
-* ``normal_subgroups`` joins each pair of subgroups once, and not at all
-  when one contains the other.
+  closures of the prime-power classes of pi-order, closing no prime-power
+  class after the last of those;
+* ``normal_subgroups`` starts from the closures of the prime-power classes,
+  joins each pair of subgroups once, and builds no join that a known
+  subgroup's class mask and order identify.
 """
 
 import dataclasses
@@ -62,14 +64,16 @@ def proper_prime_sets(G: PermGroup) -> list[PrimeSet]:
 
 
 def all_pairs_normal_subgroups(G: PermGroup) -> list[PermGroup]:
-    """The join-closure of the class closures, joining every pair of known
-    subgroups in every pass until a pass adds nothing."""
+    """The join-closure of the closures of every class, each built by
+    ``normal_closure``, joining every pair of known subgroups in every pass
+    until a pass adds nothing."""
     found = [PermGroup.trivial(G.degree)]
 
     def known(H: PermGroup) -> bool:
         return any(H.same_group_as(K) for K in found if K.order_int == H.order_int)
 
-    for _, cl in class_data(G).closures:
+    for rep, _ in class_data(G).reps:
+        cl = normal_closure(G, [rep])
         if not known(cl):
             found.append(cl)
     added = True
@@ -154,13 +158,41 @@ def test_the_radical_is_the_join_of_the_pi_closures_of_every_class(name):
         ):
             closed = []  # a certificate answers, and no class is closed
         else:
-            closed = [rep for rep, _ in class_data(fresh).reps if is_pi_element(rep, pi)]
+            # the prime-power classes up to the last one of pi-order, in scan order
+            prime_power = class_data(fresh).prime_power_reps()
+            pi_order = [k for k, rep in enumerate(prime_power) if is_pi_element(rep, pi)]
+            closed = prime_power[: pi_order[-1] + 1]
         assert set(class_data(fresh)._closures) == {rep.images for rep in closed}
 
 
 @pytest.mark.parametrize("name", GROUPS)
 def test_normal_subgroups_are_those_of_the_all_pairs_loop_in_its_order(name):
+    """The same groups, sorted by order; their generators may differ, as a
+    join that a class mask identifies is not built again."""
     G = make(name)
     got = normal_subgroups(G)
     reference = all_pairs_normal_subgroups(G)
-    assert [H.gens for H in got] == [H.gens for H in reference]
+    assert [H.order_int for H in got] == [H.order_int for H in reference]
+    for H in got:
+        assert sum(H.same_group_as(K) for K in reference) == 1
+
+
+@pytest.mark.parametrize("name", GROUPS)
+def test_normal_subgroups_build_only_the_joins_that_are_new(name, monkeypatch):
+    """Past the closures, each join built is a normal subgroup found nowhere
+    else: the lattice is the trivial group, G and the distinct closures,
+    and the built joins."""
+    import piradical.structure as structure
+
+    G = make(name)
+    data = class_data(G)
+    for rep in data.prime_power_reps():
+        data.closure(rep)
+    known = [H for H, _ in data._known]
+    built = []
+    real = structure._join
+    monkeypatch.setattr(structure, "_join", lambda G, parts: built.append(real(G, parts)) or built[-1])
+    lattice = normal_subgroups(G)
+    assert len(lattice) == 1 + len(known) + len(built)
+    for i, J in enumerate(built):
+        assert not any(J.same_group_as(K) for K in known + built[:i])

@@ -2,6 +2,7 @@
 
 import itertools
 import random
+from pathlib import Path
 
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st
@@ -21,6 +22,7 @@ from piradical import (
     is_pi_group,
     is_pi_number,
     FactoredInteger,
+    membership_bound,
     normal_closure,
     normal_subgroups,
     pi_radical,
@@ -33,6 +35,7 @@ from .oracles import (
     closure,
     conjugacy_classes,
     normal_subgroup_sets,
+    normal_subgroup_sets_by_classes,
     pi_radical_set,
 )
 
@@ -91,6 +94,27 @@ def test_is_pi_number_and_group():
     assert is_pi_number(FactoredInteger.one(), PrimeSet.of(7))
     assert is_pi_group(S4(), pi)
     assert not is_pi_group(A5(), pi)
+
+
+def test_membership_bound_agrees_with_the_benchmark_checker(monkeypatch):
+    """m(pi) is the benchmark checker's on every finite pi of primes up to
+    23 and on each cofinite set missing some of them; it is undefined when
+    no prime lies outside pi."""
+    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1] / "perfbench"))
+    import check
+
+    primes = (2, 3, 5, 7, 11, 13, 17, 19, 23)
+    for k in range(len(primes) + 1):
+        for chosen in itertools.combinations(primes, k):
+            finite = PrimeSet.of(*chosen)
+            assert membership_bound(finite) == check.membership_bound(finite), chosen
+            if chosen:
+                cofinite = PrimeSet.all_except(*chosen)
+                assert membership_bound(cofinite) == check.membership_bound(cofinite), chosen
+    assert membership_bound(PrimeSet.of(2, 3, 5, 7)) == 10  # r = 11
+    assert membership_bound(PrimeSet.of(3)) == 2 and membership_bound(PrimeSet.of(2)) == 3
+    with pytest.raises(ValueError):
+        membership_bound(PrimeSet.all_except())
 
 
 # -- conjugacy machinery -------------------------------------------------------
@@ -382,7 +406,8 @@ def certified_group(name: str) -> PermGroup:
 def test_the_orbit_certificate_agrees_with_the_closure_route(name):
     """Where the certificate holds the closure route finds the trivial
     group, and ``pi_radical`` returns what the closure route returns, order
-    and generators, for every nonempty set of primes dividing |G|."""
+    and generators, for every nonempty set of primes dividing |G|; for a pi
+    that covers |G|, G itself, the closure route's group."""
     G = certified_group(name)
     primes = sorted(G.order.prime_support)
     for k in range(1, len(primes) + 1):
@@ -392,7 +417,10 @@ def test_the_orbit_certificate_agrees_with_the_closure_route(name):
             if radical_is_trivial_by_orbits(G, pi):
                 assert closed.is_trivial(), (name, chosen)
             got = pi_radical(G, pi)
-            assert got.order_int == closed.order_int and got.gens == closed.gens
+            if k == len(primes):
+                assert got is G and got.same_group_as(closed), (name, chosen)
+            else:
+                assert got.order_int == closed.order_int and got.gens == closed.gens
 
 
 def split_permutations(n: int, k: int):
@@ -441,8 +469,8 @@ def fresh(name: str) -> PermGroup:
 def test_the_giant_certificate_agrees_with_the_closure_route(name):
     """On every catalog giant (psl2(4) is Alt(5) on 5 points) and every
     nonempty set of primes dividing |G|, ``pi_radical`` is the closure
-    route's group, with its generators: trivial for a proper pi, G itself
-    for a pi that covers |G|."""
+    route's group: trivial for a proper pi, with the closure route's
+    generators, and G itself for a pi that covers |G|."""
     G = fresh(name)
     assert _is_giant(G)
     primes = sorted(G.order.prime_support)
@@ -452,8 +480,10 @@ def test_the_giant_certificate_agrees_with_the_closure_route(name):
             got = pi_radical(G, pi)
             closed = _closure_radical(G, pi)
             assert got.same_group_as(closed), (name, chosen)
-            assert got.gens == closed.gens, (name, chosen)
-            assert got.order_int == (G.order_int if k == len(primes) else 1)
+            if k == len(primes):
+                assert got is G, (name, chosen)
+            else:
+                assert got.gens == closed.gens and got.is_trivial(), (name, chosen)
 
 
 def test_the_giant_certificate_guards():
@@ -513,6 +543,109 @@ def test_pi_radical_agrees_with_the_closure_route_on_random_groups(gens):
         for primes in itertools.combinations((2, 3, 5, 7), k):
             pi = PrimeSet.of(*primes)
             assert pi_radical(G, pi).same_group_as(_closure_radical(G, pi)), primes
+
+
+# -- closures and the lattice from class sizes ---------------------------------
+
+# the benchmark's four direct products
+BENCHMARK_PRODUCTS = ["S3xS4", "S3xA4", "A4xS5", "S4xS5"]
+
+
+def new_group(name: str) -> PermGroup:
+    """A new object for a catalog group or a product of this module."""
+    if name in CERTIFIED_EXTRA:
+        return PermGroup.from_generators(CERTIFIED_EXTRA[name])
+    G = group_by_name(name)
+    return PermGroup.from_generators(G.generators, degree=G.degree)
+
+
+@pytest.mark.parametrize(
+    "name", [e.name for e in catalog_groups(max_order=10_000)] + BENCHMARK_PRODUCTS
+)
+def test_every_class_closure_is_the_normal_closure(name):
+    """Whether the class equation certified it or ``normal_closure`` built
+    it, the closure of every class is the normal closure of its
+    representative, and the radical for every pi is that of the closures
+    of every class."""
+    G = new_group(name)
+    data = class_data(G)
+    every = [normal_closure(G, [rep]) for rep, _ in data.reps]
+    for (rep, _), want in zip(data.reps, every):
+        assert data.closure(rep).same_group_as(want), (name, rep)
+    primes = sorted(G.order.prime_support)
+    for k in range(1, len(primes) + 1):
+        for chosen in itertools.combinations(primes, k):
+            pi = PrimeSet.of(*chosen)
+            kept = [g for cl in every if is_pi_group(cl, pi) for g in cl.generators]
+            want = PermGroup.from_generators(kept, degree=G.degree)
+            assert pi_radical(G, pi).same_group_as(want), (name, chosen)
+
+
+# prime-power classes, and those of them that ``normal_closure`` builds
+CERTIFIED_CLOSURES = {
+    "C16": (15, 15), "A7": (7, 0), "psl2(13)": (7, 0), "S7": (9, 4),
+    "pgl2(13)": (8, 2), "S3xS4": (10, 9), "S4xS5": (19, 15),
+}
+
+
+@pytest.mark.parametrize("name", list(CERTIFIED_CLOSURES))
+def test_the_class_equation_certifies_closures_without_a_build(monkeypatch, name):
+    """The class equation certifies every closure of a simple group, none of
+    a cyclic 2-group (every subgroup is normal, and each order a sum of
+    class sizes), and some of the others; the rest are built."""
+    import piradical.structure as structure
+
+    built = []
+    real = structure.normal_closure
+    monkeypatch.setattr(
+        structure, "normal_closure", lambda G, xs: built.append(xs) or real(G, xs)
+    )
+    G = new_group(name)
+    closures = [class_data(G).closure(rep) for rep in class_data(G).prime_power_reps()]
+    assert (len(closures), len(built)) == CERTIFIED_CLOSURES[name]
+
+
+@pytest.mark.parametrize("name", ["S4", "D12", "psl2(7)", "pgl2(7)", "S6", *BENCHMARK_PRODUCTS])
+def test_a_closure_does_not_depend_on_the_order_of_the_requests(name):
+    """Closures asked for in reverse class order give the generators of scan
+    order, and a radical's generators do not depend on whether the lattice
+    was found first."""
+    forward, backward = new_group(name), new_group(name)
+    reps = [rep for rep, _ in class_data(forward).reps]
+    ahead = [class_data(forward).closure(rep).gens for rep in reps]
+    behind = [class_data(backward).closure(rep).gens for rep in reversed(reps)]
+    assert ahead == behind[::-1]
+    primes = sorted(forward.order.prime_support)
+    for k in range(1, len(primes) + 1):
+        for chosen in itertools.combinations(primes, k):
+            pi = PrimeSet.of(*chosen)
+            plain = pi_radical(new_group(name), pi)
+            lattice_first = new_group(name)
+            normal_subgroups(lattice_first)
+            assert pi_radical(lattice_first, pi).gens == plain.gens, (name, chosen)
+
+
+@settings(max_examples=40, deadline=None)
+@given(generating_sets_to_degree_seven)
+@example([P("(1 2)", 6), P("(3 4)(5 6)")])
+@example([P("(1 2 3)", 7), P("(4 5)(6 7)")])
+@example([P("(1 2)", 6), P("(3 4)", 6), P("(5 6)")])  # joins that G's mask contains
+def test_radical_and_lattice_match_the_class_oracle_to_degree_seven(gens):
+    """``normal_subgroups`` is the oracle's list of normal subgroups, and
+    ``pi_radical`` its largest pi-member, for every pi of primes up to 7."""
+    G = PermGroup.from_generators(gens, degree=gens[0].degree)
+    assume(G.order_int <= 720)
+    elems = closure(gens, G.degree)
+    oracle = normal_subgroup_sets_by_classes(elems, G.degree)
+    subs = normal_subgroups(G)
+    assert len(subs) == len(oracle)
+    assert {frozenset(H.elements()) for H in subs} == set(oracle)
+    for k in range(5):
+        for primes in itertools.combinations((2, 3, 5, 7), k):
+            pi = PrimeSet.of(*primes)
+            pi_members = [N for N in oracle if is_pi_number(FactoredInteger.from_int(len(N)), pi)]
+            got = pi_radical(G, pi)
+            assert frozenset(got.elements()) == max(pi_members, key=len), primes
 
 
 # -- degree 9: past the old 10^5 cap --------------------------------------------
