@@ -16,8 +16,8 @@ Because a permutation is a byte string, composing is one
 ``q`` padded to the 256-byte table ``translate`` wants by the identity on
 the points beyond the degree.  ``bytes.maketrans(p, identity)`` is the
 padded table of the inverse.  A conjugate g^-1 x g is "apply g^-1, then x,
-then g": ``ginv.translate(x.translate(table) + TAIL[n:])`` with ``table``
-g padded.  Hot loops pad a table, or build an inverse, once and reuse it
+then g": ``ginv.translate(x + TAIL[n:]).translate(table)``, ``table`` g
+padded.  Hot loops pad a table, an inverse or x once and reuse it
 (:func:`with_tables`, :func:`conjugators`).
 """
 
@@ -75,7 +75,7 @@ def with_tables(elements: Iterable[bytes]) -> list[tuple[bytes, bytes]]:
 def conjugators(elements: Iterable[bytes]) -> list[tuple[bytes, bytes]]:
     """Each element g as ``(g^-1, g padded)``, built once for a loop that
     conjugates by g many times: g^-1 m g is
-    ``inv.translate(m.translate(table) + TAIL[n:])``."""
+    ``inv.translate(m + TAIL[n:]).translate(table)``, m padded once."""
     return [(inverse_images(g), g + TAIL[len(g):]) for g in elements]
 
 

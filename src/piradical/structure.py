@@ -3,12 +3,13 @@
 A group's class data is part of the group: :func:`class_data` builds one
 :class:`GroupClassData` for G on first use and keeps it on G, and every
 radical, lattice and membership question about G reads it from there.  It
-holds G's class representatives and sizes, and each class table (members
-with their conjugating witnesses), from one scan of the element enumeration,
-and each class closure and pi-radical, every one computed at most once per
-group object.  Elements are ``bytes``, one byte per point, as in
+holds G's class representatives and sizes, from one counting scan of the
+element enumeration (by a pair of elements when a pair generates G); each
+class table (members with their conjugating witnesses), traced on its first
+read; and each class closure and pi-radical, every one computed at most
+once per group object.  Elements are ``bytes``, one byte per point, as in
 :mod:`piradical.groups`: a conjugate g^-1 m g is
-``inv.translate(m.translate(table) + tail)``, with g^-1 and g padded built
+``inv.translate(m + tail).translate(table)``, with g^-1 and g padded built
 once per loop (:func:`~piradical.perms.conjugators`), so it runs in C.
 
 For a set of primes pi, a pi-number has all its prime divisors in pi and a
@@ -49,16 +50,16 @@ when G is Alt(n) or Sym(n), n >= 5, and not a pi-group.  Either gives
 
 from __future__ import annotations
 
+import functools
 import math
 import weakref
-from array import array
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Iterable, Sequence
 
 from .errors import BudgetExhausted, InvariantViolation, NotAMember, TooLarge
 from .factored import FactoredInteger, is_prime
 from .groups import Images, PermGroup
-from .perms import TAIL, Permutation, conjugators
+from .perms import TAIL, Permutation, compose_images, conjugators
 
 if TYPE_CHECKING:
     from .width import WidthResult
@@ -156,23 +157,20 @@ def membership_bound(pi: PrimeSet) -> int:
 # engine reads them as they are, and wraps a Permutation only for what
 # leaves it
 ClassTable = tuple[list[Images], list[Images]]
+Conjugators = list[tuple[Images, Images]]  # (g^-1, g padded): perms.conjugators
 
 
-def _trace(
-    x: Images, gens: list[tuple[Images, Images]], seen: set[Images], cap: int
-) -> tuple[list[Images], array]:
-    """The class of ``x`` by breadth-first search, conjugating by the
-    generators in ``gens`` (:func:`~piradical.perms.conjugators`) and adding
-    every member to ``seen``.  Returns the members and, for each after the
-    first, the link ``parent index * len(gens) + generator index`` that
-    reached it: a Schreier vector (Holt, *Handbook of CGT*, ch. 4).  Raises
-    :class:`BudgetExhausted` as soon as the class passes ``cap`` members."""
+def _orbit(x: Images, gens: Conjugators, seen: set[Images], cap: int) -> list[Images]:
+    """The members of the class of ``x`` by breadth-first search, conjugating
+    by ``gens`` and adding each to ``seen``.  Raises :class:`BudgetExhausted`
+    as soon as the class passes ``cap`` members."""
     tail = TAIL[len(x):]
     seen.add(x)
-    members, links, step = [x], [], 0
+    members = [x]
     for m in members:  # grows while it is read
+        m += tail
         for inv, table in gens:
-            y = inv.translate(m.translate(table) + tail)  # g^-1 m g
+            y = inv.translate(m).translate(table)  # g^-1 m g
             if y not in seen:
                 if len(members) >= cap:
                     raise BudgetExhausted(
@@ -180,19 +178,41 @@ def _trace(
                     )
                 seen.add(y)
                 members.append(y)
-                links.append(step)
-            step += 1
-    return members, array("q", links)
+    return members
 
 
-def _witnesses(x: Images, links: array, tables: list[Images]) -> list[Images]:
-    """The witnesses of the class traced from ``x``: the identity, then each
-    member's parent's followed by its link's generator, padded in ``tables``."""
+def _trace(x: Images, gens: Conjugators, cap: int) -> tuple[list[Images], list[int]]:
+    """:func:`_orbit` with, for each member after the first, the link
+    ``parent index * len(gens) + generator index`` that reached it: a
+    Schreier vector (Holt, *Handbook of CGT*, ch. 4)."""
+    tail = TAIL[len(x):]
+    seen = {x}
+    members, links, steps = [x], [], list(enumerate(gens))
+    for p, m in enumerate(members):  # grows while it is read
+        m += tail
+        for k, (inv, table) in steps:
+            y = inv.translate(m).translate(table)  # g^-1 m g
+            if y not in seen:
+                if len(members) >= cap:
+                    raise BudgetExhausted(
+                        f"the class of {Permutation(x)} has more members than its cap of {cap}"
+                    )
+                seen.add(y)
+                members.append(y)
+                links.append(p * len(gens) + k)
+    return members, links
+
+
+def _table(G: PermGroup, x: Images, cap: int) -> ClassTable:
+    """The class of ``x`` traced over ``G.gens``, with its witnesses: the
+    identity, then each member's parent's followed by its link's generator."""
+    gens = conjugators(G.gens)
+    members, links = _trace(x, gens, cap)
     witnesses = [TAIL[: len(x)]]
     for link in links:
-        parent, k = divmod(link, len(tables))
-        witnesses.append(witnesses[parent].translate(tables[k]))  # w then g
-    return witnesses
+        parent, k = divmod(link, len(gens))
+        witnesses.append(witnesses[parent].translate(gens[k][1]))  # w then g
+    return members, witnesses
 
 
 def conjugation_orbit(G: PermGroup, x: Permutation, cap: int = 10**5) -> ClassTable:
@@ -204,53 +224,47 @@ def conjugation_orbit(G: PermGroup, x: Permutation, cap: int = 10**5) -> ClassTa
     Returns ``(members, witnesses)``.  Raises :class:`BudgetExhausted` as
     soon as the orbit passes ``cap`` members.
     """
-    gens = conjugators(G.gens)
-    members, links = _trace(x.images, gens, set(), cap)
-    return members, _witnesses(x.images, links, [table for _, table in gens])
+    return _table(G, x.images, cap)
 
 
-class ClassScan(list):
-    """The rows ``(representative, class size)`` of a class scan, with each
-    class's members and links from :func:`_trace`."""
-
-    def __init__(self, tables: list[Images]):
-        super().__init__()
-        self.tables = tables  # the links' generators, padded
-        self.traces: dict[Images, tuple[list[Images], array]] = {}
-
-    def class_table(self, rep: Images) -> ClassTable:
-        """``conjugation_orbit(G, rep)`` for a representative ``rep``, from
-        its trace; ``ValueError`` for any other element."""
-        if rep not in self.traces:
-            raise ValueError(f"{Permutation(rep)} is not a class representative of the scan")
-        members, links = self.traces[rep]
-        return members, _witnesses(rep, links, self.tables)
+def _scan_conjugators(G: PermGroup) -> Conjugators:
+    """The conjugating set of the class scan: with more than two
+    generators, the first pair (g_i, the product in order of the others)
+    whose chain has order |G|, else ``G.gens``.  Any generating set of G
+    has the same conjugation orbits, so the scan's classes do not move."""
+    gens = G.gens
+    for i, g in enumerate(gens if len(gens) > 2 else ()):
+        product = functools.reduce(compose_images, gens[:i] + gens[i + 1 :])
+        pair = (Permutation(g), Permutation(product))
+        if PermGroup.from_generators(pair, degree=G.degree).order_int == G.order_int:
+            return conjugators((g, product))
+    return conjugators(gens)
 
 
 # the largest group order a class scan takes
 CLASS_SCAN_CAP = 10**6
 
 
-def class_representatives(G: PermGroup, cap: int = CLASS_SCAN_CAP) -> ClassScan:
+def class_representatives(G: PermGroup, cap: int = CLASS_SCAN_CAP) -> list[tuple[Permutation, int]]:
     """One representative per conjugacy class with its class size, found by a
     deterministic scan of the canonical element enumeration (first-seen
-    element of each class represents it).  Each class is traced on ``bytes``
-    elements against one seen-set shared by the whole scan, and kept (see
-    :class:`ClassScan`); only the representatives become :class:`Permutation`
-    objects.  The scan stops once the sizes sum to |G|, which for disjoint
-    classes is a coverage certificate.  Requires ``|G| <= cap``."""
+    element of each class represents it).  Each class is counted by
+    :func:`_orbit` over :func:`_scan_conjugators`, against one seen-set that
+    the scan drops on return: it keeps the rows only.  The scan stops once
+    the sizes sum to |G|, which for disjoint classes is a coverage
+    certificate.  Requires ``|G| <= cap``."""
     if G.order_int > cap:
         raise TooLarge(f"group order {G.order_int} exceeds cap {cap}")
-    gens = conjugators(G.gens)
-    reps = ClassScan([table for _, table in gens])
+    gens = _scan_conjugators(G)
+    reps: list[tuple[Permutation, int]] = []
     seen: set[Images] = set()
     covered = 0
     for e in G.iter_element_tuples():
         if e in seen:
             continue
-        members, links = reps.traces[e] = _trace(e, gens, seen, G.order_int)
-        reps.append((Permutation(e), len(members)))
-        covered += len(members)
+        size = len(_orbit(e, gens, seen, G.order_int))
+        reps.append((Permutation(e), size))
+        covered += size
         if covered >= G.order_int:
             break
     if covered != G.order_int:
@@ -281,9 +295,9 @@ def normal_closure(G: PermGroup, elements: Sequence[Permutation]) -> PermGroup:
     gens = conjugators(G.gens)
     queue = [x.images for x in seedlist]
     while queue:
-        h = queue.pop()
+        h = queue.pop() + tail
         for inv, table in gens:
-            t = inv.translate(h.translate(table) + tail)  # g^-1 h g
+            t = inv.translate(h).translate(table)  # g^-1 h g
             if not H._contains_tuple(t):
                 H = H.extend(t)
                 queue.append(t)
@@ -295,8 +309,8 @@ class GroupClassData:
     and radicals, each computed once, when first asked for.  Obtain it with
     :func:`class_data`.
 
-    ``reps`` is one scan of the elements, a :class:`ClassScan`; a
-    ``class_table`` is rebuilt from its trace and a ``closure`` computed at
+    ``reps`` is the counting scan of :func:`class_representatives`; a
+    ``class_table`` is traced over ``G.gens`` and a ``closure`` computed at
     the first request for its representative (``closures`` lists every
     class's), and :func:`pi_radical` stores each prime set's radical here.
     ``_known`` lists G and the distinct closures of the prime-power classes
@@ -312,7 +326,7 @@ class GroupClassData:
 
     def __init__(self, G: PermGroup):
         self._group = weakref.ref(G)
-        self._reps: ClassScan | None = None
+        self._reps: list[tuple[Permutation, int]] | None = None
         self._tables: dict[Images, ClassTable] = {}
         self._closures: dict[Images, PermGroup] = {}
         self._radicals: dict[PrimeSet, PermGroup] = {}
@@ -330,7 +344,7 @@ class GroupClassData:
         return G
 
     @property
-    def reps(self) -> ClassScan:
+    def reps(self) -> list[tuple[Permutation, int]]:
         if self._reps is None:
             G = self.group
             self._reps = reps = class_representatives(G)
@@ -341,10 +355,14 @@ class GroupClassData:
 
     def class_table(self, rep: Permutation) -> ClassTable:
         """``conjugation_orbit(G, rep)`` for a representative ``rep`` of
-        ``reps``, rebuilt once from the scan's trace (else ``ValueError``)."""
-        if rep.images not in self._tables:
-            self._tables[rep.images] = self.reps.class_table(rep.images)
-        return self._tables[rep.images]
+        ``reps``, traced once, on first read (else ``ValueError``)."""
+        key = rep.images
+        if key not in self._tables:
+            self.reps  # the scan indexes the classes
+            if key not in self._index:
+                raise ValueError(f"{rep} is not a class representative of the scan")
+            self._tables[key] = _table(self.group, key, self.group.order_int)
+        return self._tables[key]
 
     def prime_power_reps(self) -> list[Permutation]:
         """The representatives of prime-power order, in scan order."""
@@ -376,9 +394,8 @@ class GroupClassData:
         start, total = 1 + size, N.order_int
         reach = total // 2 - start  # the sums worth tracking: proper divisors
         sums, cap = 1, (2 << max(reach, 0)) - 1
-        for i, (_, other) in enumerate(self.reps):
-            if within >> i & 1 and i not in (0, j):  # class 0 is {1}, met first
-                sums = (sums | sums << other) & cap
+        for i in _bits(within & ~(1 | 1 << j)):  # class 0 is {1}, met first
+            sums = (sums | sums << self.reps[i][1]) & cap
         divisors = [1]
         for p, e in N.order.factors:
             divisors = [d * p**k for d in divisors for k in range(e + 1)]
@@ -416,11 +433,16 @@ def class_data(G: PermGroup) -> GroupClassData:
         return G._class_data
 
 
+def _bits(mask: int) -> Iterable[int]:
+    """The indices of the set bits of ``mask`` >= 0, lowest first."""
+    while mask:
+        low = mask & -mask
+        yield low.bit_length() - 1
+        mask ^= low
+
+
 def _join(G: PermGroup, parts: Sequence[PermGroup]) -> PermGroup:
-    gens: list[Permutation] = []
-    for part in parts:
-        gens.extend(part.generators)
-    return PermGroup.from_generators(gens, degree=G.degree)
+    return PermGroup.from_generators([g for H in parts for g in H.generators], degree=G.degree)
 
 
 def radical_is_trivial_by_orbits(G: PermGroup, pi: PrimeSet) -> bool:
@@ -498,13 +520,16 @@ def normal_subgroups(G: PermGroup) -> list[PermGroup]:
     A pair whose masks are nested joins to the larger; a pair whose join a
     known subgroup's mask and order identify is skipped; only a new join
     is built, and its class mask found by sifting the classes outside
-    ``a | b``."""
+    ``a | b``; a join is looked for among the found subgroups of its order."""
     data = class_data(G)
     for rep in data.prime_power_reps():
         data.closure(rep)
     sizes = [size for _, size in data.reps]
     # class 0 is {1}, so mask 1 is the trivial group, which a trivial G is too
     found = [(PermGroup.trivial(G.degree), 1)] + [k for k in data._known if k[1] != 1]
+    by_order: dict[int, list[int]] = {}  # order -> masks of the found subgroups
+    for H, m in found:
+        by_order.setdefault(H.order_int, []).append(m)
     new = 0  # found[new:] are the subgroups the last pass added
     while new < len(found):
         snapshot = list(found)
@@ -513,13 +538,14 @@ def normal_subgroups(G: PermGroup) -> list[PermGroup]:
                 ab = a | b
                 if ab == a or ab == b:
                     continue
-                meet = sum(size for k, size in enumerate(sizes) if (a & b) >> k & 1)
+                meet = sum(sizes[k] for k in _bits(a & b))
                 order = A.order_int * B.order_int // meet
-                if any(m & ab == ab and K.order_int == order for K, m in found):
+                if any(m & ab == ab for m in by_order.get(order, ())):
                     continue
                 J = _join(G, [A, B])
                 if J.order_int != order:
                     raise InvariantViolation("a join's order is not |A||B|/|A n B|")
                 found.append((J, data.mask(J, known=ab)))
+                by_order.setdefault(order, []).append(found[-1][1])
         new = len(snapshot)
     return sorted((H for H, _ in found), key=lambda H: (H.order_int, H.orbit_partition))

@@ -335,14 +335,15 @@ def _centralizer(
     identity, tail = TAIL[:n], TAIL[n:]
     gens = conjugators(group.gens)
     C = PermGroup.trivial(n)
-    edges = ((y, w, inv, table) for y, w in zip(conjugates, witnesses) for inv, table in gens)
+    padded = ((y + tail, w) for y, w in zip(conjugates, witnesses))
+    edges = ((y, w, inv, table) for y, w in padded for inv, table in gens)
     for y, w, inv, table in edges:
         if C.order_int == target:
             break
-        j = index.get(inv.translate(y.translate(table) + tail))  # g^-1 y g
+        j = index.get(inv.translate(y).translate(table))  # g^-1 y g
         if j is None:
             raise InvariantViolation(
-                f"{Permutation(y)} ** {Permutation(table[:n])} lies outside the class"
+                f"{Permutation(y[:n])} ** {Permutation(table[:n])} lies outside the class"
             )
         # w, then g, then the inverse of w_j, whose table maketrans gives
         s = w.translate(table).translate(bytes.maketrans(witnesses[j], identity))
@@ -379,11 +380,11 @@ class _CentralizerOrbits:
                 self._trace(i)
 
     def _trace(self, i: int) -> bool:
-        """Label the orbit of i, traced by the class tracer over C's
-        generators, by i; False when i is already labelled."""
+        """Label the orbit of i, found by the class scan's counting loop
+        over C's generators, by i; False when i is already labelled."""
         if self.least[i] >= 0:
             return False
-        orbit, _ = structure._trace(self.conjugates[i], self.gens, set(), len(self.conjugates))
+        orbit = structure._orbit(self.conjugates[i], self.gens, set(), len(self.conjugates))
         for y in orbit:
             self.least[self.index[y]] = i
         return True
@@ -430,8 +431,9 @@ def _orbit_representatives(
         if covered[i]:
             continue
         reps.append(i)
+        y += tail
         for inv, table in gens:
-            covered[index[inv.translate(y.translate(table) + tail)]] = 1
+            covered[index[inv.translate(y).translate(table)]] = 1  # g^-1 y g
     return reps
 
 

@@ -75,8 +75,9 @@ def test_spec_file_questions_run_under_the_benchmark_spans(tmp_path):
 
 def test_no_class_table_is_traced_twice_in_one_question():
     """A width search over a group's classes reads a table that the class
-    scan recorded, so ``bs-check`` and ``verify-bs`` trace no orbit; the one
-    orbit traced is the class of the ``alpha`` context's socle, once."""
+    data traced on first read, outside ``conjugation_orbit``, so
+    ``bs-check`` and ``verify-bs`` trace no orbit through it; the one orbit
+    traced is the class of the ``alpha`` context's socle, once."""
     metrics = run_traced([
         ["bs-check", "--group", "S5", "--pi", "2", "--m", "2", "--find-min"],
         ["verify-bs", "--group", "S5"],
@@ -108,8 +109,15 @@ def test_the_program_enumerates_each_element_once():
 # certificate answers O_2(S5), and the lattice crosscheck closes S5's five
 # prime-power classes: the class equation certifies four, and one
 # ``normal_closure`` builds Alt(5); 1 < Alt(5) < S5 are nested, so no join
-# is built.
+# is built.  PGL(2,7) is built from three generators, so its class scan
+# builds the chain of its first pair, which has order 336 and is the set
+# the scan conjugates by; then three closures are built, the trivial
+# 2-radical is joined, and the lattice starts from the trivial group.
 PINNED_COUNTS = {
+    ("radical", "--group", "pgl2(7)", "--pi", "2"): {
+        "groups.chain_builds": 7, "groups.extends": 3,
+        "groups.sifts": 28, "groups.enumerated": 0,
+    },
     ("radical", "--group", "S5", "--pi", "2"): {
         "groups.chain_builds": 4, "groups.extends": 1,
         "groups.sifts": 10, "groups.enumerated": 0,

@@ -360,26 +360,27 @@ def test_each_class_table_is_computed_once(capsys, monkeypatch, argv, tables):
     the minimal width).  Only a class whose order is a pi-number reads its
     table: for verify-bs, the identity and the 5 + 2 + 1 + 1 classes of
     2-, 3-, 5- and 7-elements; for bs-check, the 11 classes of {2,3}-order
-    outside the trivial radical.  Each table is rebuilt once from the class
-    scan's links, and no orbit is traced again."""
+    outside the trivial radical.  The class scan only counts, so each table
+    is traced once, on its first read, and no orbit is traced through
+    ``conjugation_orbit``."""
     import piradical.structure as structure
     import piradical.width as width
 
     orbits, built = [], []
     real_orbit = structure.conjugation_orbit
-    real_table = structure.ClassScan.class_table
+    real_trace = structure._trace
 
     def counting_orbit(*args, **kwargs):
         orbits.append(args[1])
         return real_orbit(*args, **kwargs)
 
-    def counting_table(self, rep):
-        built.append(rep)
-        return real_table(self, rep)
+    def counting_trace(x, *args, **kwargs):
+        built.append(x)
+        return real_trace(x, *args, **kwargs)
 
     monkeypatch.setattr(structure, "conjugation_orbit", counting_orbit)
     monkeypatch.setattr(width, "conjugation_orbit", counting_orbit)
-    monkeypatch.setattr(structure.ClassScan, "class_table", counting_table)
+    monkeypatch.setattr(structure, "_trace", counting_trace)
     code, _ = run_json(capsys, *argv)
     assert code == 0
     assert orbits == []

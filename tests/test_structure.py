@@ -2,6 +2,7 @@
 
 import itertools
 import random
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -28,7 +29,8 @@ from piradical import (
     pi_radical,
     radical_is_trivial_by_orbits,
 )
-from piradical.structure import _closure_radical, _is_giant
+from piradical.perms import conjugators
+from piradical.structure import _closure_radical, _is_giant, _scan_conjugators
 
 from .oracles import (
     centralizer_size,
@@ -182,16 +184,18 @@ def test_tuple_scan_matches_a_scan_of_orbits_over_elements():
 
 
 def check_class_tables(G: PermGroup) -> None:
-    """Every class table from the scan's links is the table that
-    ``conjugation_orbit`` traces, member for member and witness for
+    """The scan's representatives and sizes are the reference scan's, and
+    every class table the class data traces on first read is the table
+    that ``conjugation_orbit`` traces, member for member and witness for
     witness; its members are the class found by brute force, and each
     witness conjugates the representative to its member."""
-    scan = class_representatives(G)
-    assert scan == reference_scan(G)
+    data = class_data(G)
+    scan = data.reps
+    assert scan == class_representatives(G) == reference_scan(G)
     classes = {x: cls for cls in conjugacy_classes(closure(G.generators, G.degree)) for x in cls}
     assert len(scan) == len(set(classes.values()))
     for rep, size in scan:
-        members, witnesses = scan.class_table(rep.images)
+        members, witnesses = data.class_table(rep)
         assert (members, witnesses) == conjugation_orbit(G, rep, G.order_int)
         assert len(members) == size
         assert {Permutation(m) for m in members} == classes[rep]
@@ -225,6 +229,65 @@ generating_sets_to_degree_seven = st.integers(1, 7).flatmap(
 @given(generating_sets_to_degree_seven)
 def test_class_tables_from_the_scan_on_random_groups(gens):
     check_class_tables(PermGroup.from_generators(gens, degree=gens[0].degree))
+
+
+# three or four generators, so that the scan tries its pairs: a pair that
+# generates G is taken, and otherwise the scan falls back to the generators
+larger_generating_sets_to_degree_seven = st.integers(1, 7).flatmap(
+    lambda n: st.lists(
+        st.permutations(range(n)).map(lambda t: Permutation(tuple(t))), min_size=3, max_size=4
+    )
+)
+
+
+@settings(max_examples=25, deadline=None)
+@given(larger_generating_sets_to_degree_seven)
+@example([P("(1 2)", 7), P("(1 2 3)", 7), P("(4 5)", 7), P("(4 5 6 7)")])  # S3xS4: no pair
+@example([P("(1 2)", 5), P("(1 2 3 4 5)"), P("(1 2 3)", 5)])  # S5: a pair
+def test_class_tables_from_a_scan_over_a_pair_on_random_groups(gens):
+    check_class_tables(PermGroup.from_generators(gens, degree=gens[0].degree))
+
+
+def scan_group(name: str) -> tuple[PermGroup, PermGroup]:
+    """G, and the group that the class scan's conjugating set generates."""
+    G = group_by_name(name) if name not in PRODUCTS else PermGroup.from_generators(PRODUCTS[name])
+    gens = [Permutation(table[: G.degree]) for _, table in _scan_conjugators(G)]
+    return G, PermGroup.from_generators(gens, degree=G.degree)
+
+
+@pytest.mark.parametrize("name", [e.name for e in catalog_groups(10**4)] + list(PRODUCTS))
+def test_the_scan_conjugates_by_a_generating_set(name):
+    """Whatever set the scan conjugates by generates G, so its orbits are
+    G's classes: a pair of order |G| when one exists, else ``G.gens``."""
+    G, H = scan_group(name)
+    assert H.order_int == G.order_int and H.is_subgroup_of(G)
+
+
+def test_the_scan_conjugates_by_a_pair_or_falls_back_to_the_generators():
+    """pgl2(13) is given by more than two generators and a pair generates
+    it; no pair generates the direct product S3xS4, and two generators need
+    no pair."""
+    G, _ = scan_group("pgl2(13)")
+    assert len(G.gens) > 2 and len(_scan_conjugators(G)) == 2
+    G, _ = scan_group("S3xS4")
+    assert _scan_conjugators(G) == conjugators(G.gens) and len(G.gens) == 4
+    G, _ = scan_group("S5")
+    assert _scan_conjugators(G) == conjugators(G.gens) and len(G.gens) == 2
+
+
+def test_the_class_data_keeps_no_class_members():
+    """After the scan the class data holds only its rows: S8's 40,320
+    elements and their links are not kept.  A new group object, so that no
+    earlier scan of the catalog's S8 is read instead."""
+    G = PermGroup.from_generators(group_by_name("S8").generators)
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        class_data(G).reps
+        after = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert after - before < 200_000
 
 
 def test_the_scan_stops_once_the_classes_cover_the_group(monkeypatch):
