@@ -4,13 +4,14 @@ A group's class data is part of the group: :func:`class_data` builds one
 :class:`GroupClassData` for G on first use and keeps it on G, and every
 radical, lattice and membership question about G reads it from there.  It
 holds G's class representatives and sizes, from one counting scan of the
-element enumeration (by a pair of elements when a pair generates G); each
-class table (members with their conjugating witnesses), traced on its first
-read; and each class closure and pi-radical, every one computed at most
-once per group object.  Elements are ``bytes``, one byte per point, as in
-:mod:`piradical.groups`: a conjugate g^-1 m g is
-``inv.translate(m + tail).translate(table)``, with g^-1 and g padded built
-once per loop (:func:`~piradical.perms.conjugators`), so it runs in C.
+element enumeration (by a pair of elements when a pair generates G), with
+each representative's order; each class table (members with their
+conjugating witnesses), traced as far as it is read; and each class closure
+and pi-radical, every one computed at most once per group object.  Elements
+are ``bytes``, one byte per point, as in :mod:`piradical.groups`: a
+conjugate g^-1 m g is ``inv.translate(m + tail).translate(table)``, with
+g^-1 and g padded built once per loop (:func:`~piradical.perms.conjugators`),
+so it runs in C.
 
 For a set of primes pi, a pi-number has all its prime divisors in pi and a
 pi-group has pi-number order.  The pi-radical ``O_pi(G)`` is the largest
@@ -54,7 +55,8 @@ import functools
 import math
 import weakref
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Iterable, Sequence
+from collections.abc import Iterable, Iterator, Sequence
+from typing import TYPE_CHECKING
 
 from .errors import BudgetExhausted, InvariantViolation, NotAMember, TooLarge
 from .factored import FactoredInteger, is_prime
@@ -153,10 +155,9 @@ def membership_bound(pi: PrimeSet) -> int:
 # ---------------------------------------------------------------------------
 # conjugacy
 
-# (members, conjugating witnesses) of a whole class, as bytes: the width
-# engine reads them as they are, and wraps a Permutation only for what
-# leaves it
-ClassTable = tuple[list[Images], list[Images]]
+# (members, conjugating witnesses) of a class, as bytes: the width engine
+# reads them as they are, and wraps a Permutation only for what leaves it
+ClassTable = tuple[Sequence[Images], Sequence[Images]]
 Conjugators = list[tuple[Images, Images]]  # (g^-1, g padded): perms.conjugators
 
 
@@ -181,38 +182,72 @@ def _orbit(x: Images, gens: Conjugators, seen: set[Images], cap: int) -> list[Im
     return members
 
 
-def _trace(x: Images, gens: Conjugators, cap: int) -> tuple[list[Images], list[int]]:
-    """:func:`_orbit` with, for each member after the first, the link
-    ``parent index * len(gens) + generator index`` that reached it: a
-    Schreier vector (Holt, *Handbook of CGT*, ch. 4)."""
-    tail = TAIL[len(x):]
-    seen = {x}
-    members, links, steps = [x], [], list(enumerate(gens))
-    for p, m in enumerate(members):  # grows while it is read
-        m += tail
-        for k, (inv, table) in steps:
-            y = inv.translate(m).translate(table)  # g^-1 m g
-            if y not in seen:
-                if len(members) >= cap:
-                    raise BudgetExhausted(
-                        f"the class of {Permutation(x)} has more members than its cap of {cap}"
-                    )
-                seen.add(y)
-                members.append(y)
-                links.append(p * len(gens) + k)
-    return members, links
+class _Tracer:
+    """The class of ``x`` by breadth-first search over ``gens``, with a
+    conjugating witness for each member: the identity for ``x``, then the
+    witness of the member it was reached from followed by the generator
+    that reached it (a Schreier tree; Holt, *Handbook of CGT*, ch. 4).
+    ``members`` and ``witnesses`` are the prefix traced so far, and
+    :meth:`trace` resumes where it stopped, in the same order.  Past ``cap``
+    members it raises :class:`BudgetExhausted`; when ``exact``, the class has
+    exactly ``cap`` members, and passing or ending short of that raises
+    :class:`InvariantViolation`."""
+
+    def __init__(self, x: Images, gens: Conjugators, cap: int, exact: bool = False):
+        self.members, self.witnesses = [x], [TAIL[: len(x)]]
+        self.gens, self.cap, self.exact = gens, cap, exact
+        self._seen = {x}
+        self._next = 0  # the members before it have been conjugated
+
+    def trace(self, count: int | None = None) -> None:
+        """Trace until at least ``count`` members are known, else to the end."""
+        members, witnesses, seen, gens = self.members, self.witnesses, self._seen, self.gens
+        stop = self.cap + 1 if count is None else count
+        tail = TAIL[len(members[0]):]
+        p = self._next
+        while p < len(members) < stop:
+            m, w = members[p] + tail, witnesses[p]
+            p += 1
+            for inv, table in gens:
+                y = inv.translate(m).translate(table)  # g^-1 m g
+                if y not in seen:
+                    if len(members) >= self.cap:
+                        raise self._error("more members than")
+                    seen.add(y)
+                    members.append(y)
+                    witnesses.append(w.translate(table))  # w then g
+        self._next = p
+        if p == len(members) and seen:  # the end: the set is no longer needed
+            if self.exact and p != self.cap:
+                raise self._error("fewer members than")
+            seen.clear()
+
+    def _error(self, relation: str) -> Exception:
+        x = Permutation(self.members[0])
+        if self.exact:
+            return InvariantViolation(f"the class of {x} has {relation} the scan's {self.cap}")
+        return BudgetExhausted(f"the class of {x} has {relation} its cap of {self.cap}")
 
 
-def _table(G: PermGroup, x: Images, cap: int) -> ClassTable:
-    """The class of ``x`` traced over ``G.gens``, with its witnesses: the
-    identity, then each member's parent's followed by its link's generator."""
-    gens = conjugators(G.gens)
-    members, links = _trace(x, gens, cap)
-    witnesses = [TAIL[: len(x)]]
-    for link in links:
-        parent, k = divmod(link, len(gens))
-        witnesses.append(witnesses[parent].translate(gens[k][1]))  # w then g
-    return members, witnesses
+class _Traced(Sequence):
+    """The members or the witnesses of an exact :class:`_Tracer`, of its class
+    size: index i traces the class to member i, iterating to the end."""
+
+    def __init__(self, tracer: _Tracer, column: list[Images]):
+        self._tracer, self._column = tracer, column
+
+    def __len__(self) -> int:
+        return self._tracer.cap
+
+    def __getitem__(self, i: int) -> Images:
+        i = range(self._tracer.cap)[i]  # a list's IndexError and negative indices
+        if i >= len(self._column):
+            self._tracer.trace(i + 1)
+        return self._column[i]
+
+    def __iter__(self) -> Iterator[Images]:
+        self._tracer.trace()
+        return iter(self._column)
 
 
 def conjugation_orbit(G: PermGroup, x: Permutation, cap: int = 10**5) -> ClassTable:
@@ -221,10 +256,12 @@ def conjugation_orbit(G: PermGroup, x: Permutation, cap: int = 10**5) -> ClassTa
     ``x ** Permutation(w[i]) == Permutation(orbit[i])`` and
     ``orbit[0] == x.images``, ``w[0]`` the identity.
 
-    Returns ``(members, witnesses)``.  Raises :class:`BudgetExhausted` as
-    soon as the orbit passes ``cap`` members.
+    Returns ``(members, witnesses)`` as lists.  Raises
+    :class:`BudgetExhausted` as soon as the orbit passes ``cap`` members.
     """
-    return _table(G, x.images, cap)
+    tracer = _Tracer(x.images, conjugators(G.gens), cap)
+    tracer.trace()
+    return tracer.members, tracer.witnesses
 
 
 def _scan_conjugators(G: PermGroup) -> Conjugators:
@@ -309,12 +346,14 @@ class GroupClassData:
     and radicals, each computed once, when first asked for.  Obtain it with
     :func:`class_data`.
 
-    ``reps`` is the counting scan of :func:`class_representatives`; a
-    ``class_table`` is traced over ``G.gens`` and a ``closure`` computed at
-    the first request for its representative (``closures`` lists every
-    class's), and :func:`pi_radical` stores each prime set's radical here.
-    ``_known`` lists G and the distinct closures of the prime-power classes
-    closed so far, in scan order, with their class masks.  ``searches``
+    ``reps`` is the counting scan of :func:`class_representatives`, and
+    ``order`` reads each representative's order, found once with it; a
+    ``class_table`` is made at the first request for its representative and
+    traced over ``G.gens`` as far as it is read, and a ``closure`` computed
+    at the first request (``closures`` lists every class's), and
+    :func:`pi_radical` stores each prime set's radical here.  ``_known``
+    lists G and the distinct closures of the prime-power classes closed so
+    far, in scan order, with their class masks.  ``searches``
     keeps the width engine's ``found`` searches for a non-pi subgroup over a
     class of pi-number order, keyed by (representative images, pi), so that
     a second question about the same class reads the first answer (a class
@@ -332,6 +371,7 @@ class GroupClassData:
         self._radicals: dict[PrimeSet, PermGroup] = {}
         self._known: list[tuple[PermGroup, int]] = []
         self._index: dict[Images, int] = {}  # representative -> scan position
+        self._orders: list[FactoredInteger] = []  # by scan position
         self._prime: list[bool] = []  # by scan position: of prime-power order
         self._closed = 0  # the prime-power classes before this index are closed
         self.searches: dict[tuple[Images, PrimeSet], WidthResult] = {}
@@ -350,19 +390,31 @@ class GroupClassData:
             self._reps = reps = class_representatives(G)
             self._known = [(PermGroup(G.degree, G.gens, G._levels), (1 << len(reps)) - 1)]
             self._index = {rep.images: i for i, (rep, _) in enumerate(reps)}
-            self._prime = [len(FactoredInteger.from_int(r.order()).factors) == 1 for r, _ in reps]
+            self._orders = [FactoredInteger.from_int(r.order()) for r, _ in reps]
+            self._prime = [len(order.factors) == 1 for order in self._orders]
         return self._reps
 
     def class_table(self, rep: Permutation) -> ClassTable:
         """``conjugation_orbit(G, rep)`` for a representative ``rep`` of
-        ``reps``, traced once, on first read (else ``ValueError``)."""
+        ``reps`` (else ``ValueError``), traced over ``G.gens`` as far as it
+        is read: each column has the scan's class size as its length, and
+        reading index i traces the class to member i (:class:`_Traced`).
+        A class that passes that size, or ends short of it, raises
+        :class:`InvariantViolation`."""
         key = rep.images
         if key not in self._tables:
             self.reps  # the scan indexes the classes
             if key not in self._index:
                 raise ValueError(f"{rep} is not a class representative of the scan")
-            self._tables[key] = _table(self.group, key, self.group.order_int)
+            size = self._reps[self._index[key]][1]
+            tracer = _Tracer(key, conjugators(self.group.gens), size, exact=True)
+            self._tables[key] = (_Traced(tracer, tracer.members), _Traced(tracer, tracer.witnesses))
         return self._tables[key]
+
+    def order(self, rep: Permutation) -> FactoredInteger:
+        """The order of a representative of ``reps``, as the scan found it."""
+        self.reps
+        return self._orders[self._index[rep.images]]
 
     def prime_power_reps(self) -> list[Permutation]:
         """The representatives of prime-power order, in scan order."""

@@ -96,6 +96,10 @@ is built from the root conjugate, then extended by ``bytes`` elements
 (:meth:`PermGroup.extend`), and states are compared on their ``bytes``
 generators.  A :class:`Permutation` is wrapped only for the
 root of a chain search and for the witness and members of a found result.
+A class table of the class data is traced only as far as it is read: a
+search that succeeds within the level-2 prefix reads a few conjugates, and
+building C or the partition model traces the whole class once, after which
+the search reads plain lists.
 
 A state, as counted by ``states_visited`` and capped by ``max_states``, is
 every chain child before deduplication, but only a partition not seen
@@ -280,6 +284,9 @@ def _search(model, conjugates, witnesses, pred, budget, group=None) -> WidthResu
     while frontier and width < budget.max_width:
         if width == 2 and orbits is not None:
             frontier = orbits.first_per_orbit(frontier)
+            # C acts on the whole class, now traced: read plain lists from here on
+            conjugates = model.conjugates = orbits.conjugates
+            witnesses = orbits.witnesses
             if model.per_state_reduction and orbits.C.order_int <= budget.max_class_size:
                 listed = orbits.C.element_tuples()  # C normalises <x>, the parent
                 frontier = [(state, ids, listed) for state, ids, _ in frontier]
@@ -365,15 +372,17 @@ LEVEL_TWO_PREFIX = 16
 
 class _CentralizerOrbits:
     """The orbits of C = C_group(x) on the class indices, each labelled by
-    its least index and traced when first met; C is built when first needed."""
+    its least index and traced when first met; C is built when first needed,
+    on the whole class, which it traces to the end."""
 
     def __init__(self, group, conjugates, witnesses):
-        self.args, self.conjugates, self.C = (group, conjugates, witnesses), conjugates, None
+        self.group, self.conjugates, self.witnesses, self.C = group, conjugates, witnesses, None
 
     def _build(self) -> None:
         if self.C is None:
+            self.conjugates, self.witnesses = list(self.conjugates), list(self.witnesses)
             self.index = {y: i for i, y in enumerate(self.conjugates)}
-            self.C = _centralizer(*self.args, self.index)
+            self.C = _centralizer(self.group, self.conjugates, self.witnesses, self.index)
             self.gens = conjugators(self.C.gens)
             self.least = [-1] * len(self.conjugates)
             for i in range(min(LEVEL_TWO_PREFIX, len(self.conjugates))):
@@ -727,14 +736,16 @@ def _class_search(
 ) -> WidthResult:
     """The search for a non-pi subgroup over the G-class of ``rep``, of
     ``size`` members (as ``class_data(G).reps`` gives it), on the class
-    table kept in ``class_data(G)``.  Raises :class:`BudgetExhausted` before
-    any search when the class is larger than ``budget.max_class_size``, and
-    when the search found nothing and was cut off before every tuple up to
-    ``budget.max_width`` was searched.
+    table kept in ``class_data(G)``, traced as far as the search reads it.
+    Raises :class:`BudgetExhausted` before any search when the class is
+    larger than ``budget.max_class_size``, and when the search found
+    nothing and was cut off before every tuple up to ``budget.max_width``
+    was searched.
 
-    A representative whose order is not a pi-number has width 1 by <rep>
-    alone: it is answered without a search, chain or class table, with the
-    result the engine would return under any budget.
+    A representative whose order (the scan's, ``class_data(G).order``) is
+    not a pi-number has width 1 by <rep> alone: it is answered without a
+    search, chain or class table, with the result the engine would return
+    under any budget.
 
     A ``found`` search is kept in ``class_data(G)`` under (rep, pi) and
     returned again whenever ``budget`` lets a new search reach it: its
@@ -746,7 +757,8 @@ def _class_search(
             f"the class of {rep} has {size} members, more than the class "
             f"budget of {budget.max_class_size}"
         )
-    order = FactoredInteger.from_int(rep.order())
+    data = class_data(G)
+    order = data.order(rep)
     if not is_pi_number(order, pi):
         return WidthResult(
             value=1,
@@ -757,7 +769,6 @@ def _class_search(
             status="found",
             states_visited=1,
         )
-    data = class_data(G)
     kept = data.searches.get((rep.images, pi))
     if (
         kept is not None

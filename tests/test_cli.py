@@ -363,28 +363,48 @@ def test_each_class_table_is_computed_once(capsys, monkeypatch, argv, tables):
     outside the trivial radical.  The class scan only counts, so each table
     is traced once, on its first read, and no orbit is traced through
     ``conjugation_orbit``."""
+    orbits, built = count_class_tracers(monkeypatch)
+    code, _ = run_json(capsys, *argv)
+    assert code == 0
+    assert orbits == []
+    assert len(built) == len({tracer.members[0] for tracer in built}) == tables
+
+
+def count_class_tracers(monkeypatch) -> tuple[list, list]:
+    """The calls of ``conjugation_orbit`` from here on, and every class
+    tracer constructed, kept so that what each traced can be read."""
     import piradical.structure as structure
     import piradical.width as width
 
     orbits, built = [], []
     real_orbit = structure.conjugation_orbit
-    real_trace = structure._trace
 
     def counting_orbit(*args, **kwargs):
         orbits.append(args[1])
         return real_orbit(*args, **kwargs)
 
-    def counting_trace(x, *args, **kwargs):
-        built.append(x)
-        return real_trace(x, *args, **kwargs)
+    class CountingTracer(structure._Tracer):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            built.append(self)
 
     monkeypatch.setattr(structure, "conjugation_orbit", counting_orbit)
     monkeypatch.setattr(width, "conjugation_orbit", counting_orbit)
-    monkeypatch.setattr(structure, "_trace", counting_trace)
-    code, _ = run_json(capsys, *argv)
+    monkeypatch.setattr(structure, "_Tracer", CountingTracer)
+    return orbits, built
+
+
+def test_find_min_traces_only_what_its_searches_read(capsys, monkeypatch):
+    """bs-check on S7 reads the tables of 11 classes of 3,311 members in all.
+    The partition model reads the whole class of the 21 transpositions; each
+    other search succeeds within its first few conjugates, so its table is
+    traced only that far (3 to 6 members).  The reports are those of whole
+    tables (``tests/test_report_bytes.py``)."""
+    _, built = count_class_tracers(monkeypatch)
+    code, _ = run_json(capsys, "bs-check", "--group", "S7", "--pi", "2,3", "--m", "2", "--find-min")
     assert code == 0
-    assert orbits == []
-    assert len(built) == len(set(built)) == tables
+    assert sum(tracer.cap for tracer in built) == 3311
+    assert sum(len(tracer.members) for tracer in built) == 55
 
 
 def count_permutations(monkeypatch) -> list[int]:

@@ -114,6 +114,21 @@ def test_a_class_of_non_pi_order_is_answered_as_its_whole_table_answers(name):
     assert shortcuts > 0 or len(G.order.prime_support) == 1  # a p-group has no proper pi
 
 
+def test_a_class_search_reads_the_orders_the_scan_found(monkeypatch):
+    """``_class_search`` reads each representative's order from the class
+    data, where the scan found it once, and walks no cycles of its own: over
+    every class of Sym(7), π = {2,3}, the searches and the answers at width 1
+    call ``Permutation.order`` not once."""
+    G = make("S7")
+    reps = class_data(G).reps
+    calls = []
+    real = Permutation.order
+    monkeypatch.setattr(Permutation, "order", lambda self: calls.append(self) or real(self))
+    for rep, size in reps:
+        _class_search(G, rep, size, PrimeSet.of(2, 3), SearchBudget())
+    assert calls == []
+
+
 def test_a_class_of_non_pi_order_does_no_engine_work(monkeypatch):
     """No width search, chain build or chain extension answers a class of
     non-{2,3} order of Sym(7)."""

@@ -10,6 +10,7 @@ from hypothesis import assume, example, given, settings, strategies as st
 
 from piradical import (
     BudgetExhausted,
+    InvariantViolation,
     PermGroup,
     Permutation,
     PrimeSet,
@@ -30,7 +31,7 @@ from piradical import (
     radical_is_trivial_by_orbits,
 )
 from piradical.perms import conjugators
-from piradical.structure import _closure_radical, _is_giant, _scan_conjugators
+from piradical.structure import _closure_radical, _is_giant, _scan_conjugators, _Tracer
 
 from .oracles import (
     centralizer_size,
@@ -185,7 +186,7 @@ def test_tuple_scan_matches_a_scan_of_orbits_over_elements():
 
 def check_class_tables(G: PermGroup) -> None:
     """The scan's representatives and sizes are the reference scan's, and
-    every class table the class data traces on first read is the table
+    every class table of the class data, traced to its end, is the table
     that ``conjugation_orbit`` traces, member for member and witness for
     witness; its members are the class found by brute force, and each
     witness conjugates the representative to its member."""
@@ -195,7 +196,7 @@ def check_class_tables(G: PermGroup) -> None:
     classes = {x: cls for cls in conjugacy_classes(closure(G.generators, G.degree)) for x in cls}
     assert len(scan) == len(set(classes.values()))
     for rep, size in scan:
-        members, witnesses = data.class_table(rep)
+        members, witnesses = map(list, data.class_table(rep))  # traced to the end
         assert (members, witnesses) == conjugation_orbit(G, rep, G.order_int)
         assert len(members) == size
         assert {Permutation(m) for m in members} == classes[rep]
@@ -246,6 +247,74 @@ larger_generating_sets_to_degree_seven = st.integers(1, 7).flatmap(
 @example([P("(1 2)", 5), P("(1 2 3 4 5)"), P("(1 2 3)", 5)])  # S5: a pair
 def test_class_tables_from_a_scan_over_a_pair_on_random_groups(gens):
     check_class_tables(PermGroup.from_generators(gens, degree=gens[0].degree))
+
+
+one_to_four_generators_to_degree_seven = st.integers(1, 7).flatmap(
+    lambda n: st.lists(
+        st.permutations(range(n)).map(lambda t: Permutation(tuple(t))), min_size=1, max_size=4
+    )
+)
+
+
+@settings(max_examples=40, deadline=None)
+@given(one_to_four_generators_to_degree_seven, st.data())
+def test_a_class_table_read_in_any_order_is_the_whole_orbit(gens, draw):
+    """A class table is traced only as far as it is read, and reading it in
+    a random order of indices, members and witnesses interleaved, gives
+    ``conjugation_orbit``'s members and witnesses at every index."""
+    G = PermGroup.from_generators(gens, degree=gens[0].degree)
+    data = class_data(G)
+    for rep, size in data.reps:
+        members, witnesses = data.class_table(rep)
+        assert len(members) == len(witnesses) == size
+        orbit, orbit_witnesses = conjugation_orbit(G, rep, G.order_int)
+        for i in draw.draw(st.permutations(range(size))):
+            if draw.draw(st.booleans()):
+                assert witnesses[i] == orbit_witnesses[i] and members[i] == orbit[i]
+            else:
+                assert members[i] == orbit[i] and witnesses[i] == orbit_witnesses[i]
+        assert list(members) == orbit and list(witnesses) == orbit_witnesses
+
+
+def test_a_class_table_is_traced_only_as_far_as_it_is_read():
+    """S7's class of 5-cycles has 504 members; reading index 9 traces the
+    breadth-first search only until it has 10 members (each member conjugated
+    by both generators, so at most one past that), and negative indices
+    count from the scan's class size."""
+    G = PermGroup.from_generators(group_by_name("S7").generators)
+    data = class_data(G)
+    rep = next(rep for rep, size in data.reps if rep.cycle_type() == (5,))
+    members, witnesses = data.class_table(rep)
+    orbit, orbit_witnesses = conjugation_orbit(G, rep, G.order_int)
+    assert len(members) == 504
+    assert members[0] == rep.images and len(members._column) == 1
+    assert witnesses[9] == orbit_witnesses[9] and 10 <= len(members._column) <= 11
+    assert members[-1] == orbit[-1] and len(members._column) == 504
+    with pytest.raises(IndexError):
+        members[504]
+
+
+@pytest.mark.parametrize("size", [11, 12])
+def test_a_class_table_checks_its_length_against_the_scan(size):
+    """The class of x = (1 2 3) in A5 = <(1 2 3), (3 4 5)> has 20 members.
+    Traced over (1 2 3) alone it ends at x, short of any scan size, and over
+    both generators it passes a size of 11 or 12: each raises
+    InvariantViolation when the trace gets there, and never serves a short
+    or a long class."""
+    a, b = P("(1 2 3)", 5).images, P("(3 4 5)").images
+    short = _Tracer(a, conjugators([a]), size, exact=True)
+    with pytest.raises(InvariantViolation, match="fewer members than the scan's"):
+        short.trace()
+    with pytest.raises(InvariantViolation, match="fewer members than the scan's"):
+        short.trace()  # and again: a failed table never reads as done
+    long = _Tracer(a, conjugators([a, b]), size, exact=True)
+    long.trace(5)  # a prefix within the size is served, as the orbit begins
+    A5 = PermGroup.from_generators([Permutation(a), Permutation(b)])
+    assert 5 <= len(long.members) < size
+    assert long.members == conjugation_orbit(A5, Permutation(a))[0][: len(long.members)]
+    with pytest.raises(InvariantViolation, match="more members than the scan's"):
+        long.trace()
+    assert len(_Tracer(a, conjugators([a, b]), 20, exact=True).members) == 1
 
 
 def scan_group(name: str) -> tuple[PermGroup, PermGroup]:

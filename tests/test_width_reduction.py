@@ -22,6 +22,7 @@ from piradical import (
     baer_suzuki_check,
     beta,
     bs_membership,
+    class_data,
     class_representatives,
     conjugation_orbit,
     group_by_name,
@@ -259,6 +260,33 @@ def test_level_two_builds_the_prefix_and_one_child_per_orbit_it_does_not_meet():
         assert res.states_visited == 1 + len(prefix) + len(unmet) - len(inside)
         if x.order() == 2:
             assert inside == [0]
+
+
+def test_a_search_past_the_level_two_prefix_traces_the_whole_class(monkeypatch):
+    """A search reads a class table only as far as it tries conjugates.  On
+    S7's 70 three-cycles, one that succeeds at width 2 among the first
+    ``LEVEL_TWO_PREFIX`` conjugates leaves the table traced about that far
+    and builds no C; one that goes past the prefix builds C on the whole
+    class, which traces the table to its end, and finds the same C-orbit
+    labels as over ``conjugation_orbit``'s lists."""
+    G = PermGroup.from_generators(group_by_name("S7").generators)  # fresh class data
+    data = class_data(G)
+    x = next(rep for rep, _ in data.reps if rep.cycle_type() == (3,))
+    members, witnesses = data.class_table(x)
+    assert len(members) == 70 > LEVEL_TWO_PREFIX
+    built = []
+    monkeypatch.setattr(width, "_centralizer", lambda *a: built.append(a) or _centralizer(*a))
+    shallow = min_width_search(x, members, witnesses, lambda o: o > 3, group=G)
+    assert (shallow.value, shallow.states_visited, built) == (2, 2, [])
+    assert len(members._column) <= LEVEL_TWO_PREFIX
+    never = SearchBudget(max_width=2)
+    deep = min_width_search(x, members, witnesses, lambda o: False, budget=never, group=G)
+    assert deep.status == "width_budget" and len(built) == 1
+    assert len(members._column) == len(witnesses._column) == 70
+    lists = conjugation_orbit(G, x, G.order_int)
+    lazily = _CentralizerOrbits(G, members, witnesses)
+    assert list(lazily.level_two()) == list(_CentralizerOrbits(G, *lists).level_two())
+    assert deep == min_width_search(x, *lists, lambda o: False, budget=never, group=G)
 
 
 def test_alpha_of_a_triple_transposition_in_alt10_is_pinned():
