@@ -492,10 +492,20 @@ def cmd_verify_bs(args) -> tuple[dict, int]:
         raise ValueError("the trivial group has no primes to verify")
     records: list[dict] = []
     for p in primes:
-        rep = baer_suzuki_check(G, p, budget=budget)
-        for r in rep.records:
+        res = baer_suzuki_check(G, p, budget=budget)
+        for r in res.records:
+            w = r.witness
             records.append(
-                {"group": name, "p": p, **vars(r), "radical_order": rep.radical_order}
+                {
+                    "group": name,
+                    "p": p,
+                    "representative": r.representative,
+                    "in_radical": r.in_radical,
+                    "all_pairs_p_groups": w is None,
+                    "witness_pair": (w[0], w[-1]) if w else None,
+                    "witness_order": r.witness_order,
+                    "radical_order": res.radical_order,
+                }
             )
     return dict(
         inputs={"group": name, "p": args.p},
@@ -514,14 +524,14 @@ def cmd_verify_bs_sweep(args) -> tuple[dict, int]:
         if G.order_int == 1:
             continue
         for p in sorted(G.order.prime_support):
-            rep = baer_suzuki_check(G, p, budget=budget)
+            res = baer_suzuki_check(G, p, budget=budget)
             records.append(
                 {
                     "group": entry.name,
                     "order": G.order_int,
                     "p": p,
-                    "classes_checked": len(rep.records),
-                    "radical_order": rep.radical_order,
+                    "classes_checked": len(res.records),
+                    "radical_order": res.radical_order,
                     "consistent": True,
                 }
             )

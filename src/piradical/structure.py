@@ -135,11 +135,6 @@ def is_pi_group(G: PermGroup, pi: PrimeSet) -> bool:
     return is_pi_number(G.order, pi)
 
 
-def is_pi_element(x: Permutation, pi: PrimeSet) -> bool:
-    """True when the order of ``x`` is a pi-number."""
-    return is_pi_number(FactoredInteger.from_int(x.order()), pi)
-
-
 def membership_bound(pi: PrimeSet) -> int:
     """m(pi) of the paper's main theorem: with r the least prime outside pi,
     width r settles membership in ``O_pi`` when r is 2 or 3, and r - 1 when
@@ -309,10 +304,12 @@ def class_representatives(G: PermGroup, cap: int = CLASS_SCAN_CAP) -> list[tuple
     return reps
 
 
-def element_order_spectrum(G: PermGroup, cap: int = CLASS_SCAN_CAP) -> frozenset[int]:
-    """The set of element orders of G (orders are class functions, so class
-    representatives suffice)."""
-    return frozenset(rep.order() for rep, _ in class_representatives(G, cap))
+def element_order_spectrum(G: PermGroup) -> frozenset[int]:
+    """The set of element orders of G, read off the scan of
+    ``class_data(G)`` (orders are class functions, so class representatives
+    suffice)."""
+    data = class_data(G)
+    return frozenset(data.order(rep).value for rep, _ in data.reps)
 
 
 # ---------------------------------------------------------------------------
@@ -530,7 +527,7 @@ def _closure_radical(G: PermGroup, pi: PrimeSet) -> PermGroup:
     prime-power classes of pi-order (fact 1 of the module docstring), from
     ``class_data(G)``, each joined once; no certificate is asked."""
     data = class_data(G)
-    pi_order = [rep for rep in data.prime_power_reps() if is_pi_element(rep, pi)]
+    pi_order = [rep for rep in data.prime_power_reps() if is_pi_number(data.order(rep), pi)]
     kept = [cl for cl in map(data.closure, pi_order) if is_pi_group(cl, pi)]
     radical = _join(G, list({id(cl): cl for cl in kept}.values()))  # each closure once
     if not is_pi_group(radical, pi):

@@ -9,9 +9,9 @@ A = <L, x>.  For the class x^L of L-conjugates of x this module computes
 * ``bs_membership``: for a group G, a prime set pi and a width m, whether
   every element all of whose m-tuples of G-conjugates generate pi-subgroups
   already lies in the pi-radical O_pi(G);
-* ``baer_suzuki_check``: the classical p-group special case, as an exact
-  per-class equivalence test (a failure is an implementation bug, never a
-  result).
+* ``baer_suzuki_check``: the classical case pi = {p}, m = 2 of
+  ``bs_membership``, certified in both directions (a failure is an
+  implementation bug, never a result).
 
 Engine.  All predicates used here depend only on the *order* of the generated
 subgroup and are therefore invariant under conjugation.  The search is one
@@ -137,6 +137,7 @@ from .structure import (
     _closure_radical,
     class_data,
     conjugation_orbit,
+    is_pi_group,
     is_pi_number,
     pi_radical,
 )
@@ -872,66 +873,39 @@ def minimal_membership_width(
 
 
 # ---------------------------------------------------------------------------
-# classical Baer-Suzuki: exact equivalence per class
-
-
-@dataclass
-class ClassPairRecord:
-    representative: Permutation
-    in_radical: bool
-    all_pairs_p_groups: bool
-    witness_pair: tuple[Permutation, Permutation] | None
-    witness_order: FactoredInteger | None
-
-
-@dataclass
-class BaerSuzukiReport:
-    p: int
-    radical_order: FactoredInteger
-    records: list[ClassPairRecord]
+# classical Baer-Suzuki: the membership test at pi = {p}, m = 2, certified
 
 
 def baer_suzuki_check(
     G: PermGroup,
     p: int,
     budget: SearchBudget = SearchBudget(),
-) -> BaerSuzukiReport:
-    """The Baer-Suzuki theorem, verified per conjugacy class: x lies in
-    O_p(G) exactly when every pair <x, x^g> is a p-group.  A failed
-    equivalence is an implementation bug and raises
-    :class:`InvariantViolation` — it is never a returned result.  Reads the
-    radical and the classes of ``class_data(G)``, as :func:`bs_membership`
-    does.
+) -> BSMembershipResult:
+    """The Baer-Suzuki theorem for G and p: x lies in O_p(G) exactly when
+    every pair <x, x^g> is a p-group.  This is :func:`bs_membership` at
+    pi = {p} and width 2, with each direction certified once; a failure is
+    an implementation bug and raises :class:`InvariantViolation`, never a
+    returned result.  Outside the radical, the result must hold: every class
+    shows a pair generating a non-p group.  Inside it, ``pi_radical(G, {p})``
+    must be a normal p-subgroup of G, so every pair of conjugates of its
+    elements generates a p-group and no class in it is searched.
     """
     if not is_prime(p):
         raise ValueError(f"p must be prime, got {p}")
     pi = PrimeSet.of(p)
-    radical = pi_radical(G, pi)
-    records: list[ClassPairRecord] = []
-    for rep, size in class_data(G).reps:
-        in_rad = radical.contains(rep)
-        # a pair whose order has a prime other than p
-        res = _class_search(G, rep, size, pi, replace(budget, max_width=2))
-        all_pairs = res.value is None
-        witness_pair = None
-        if res.value is not None:
-            ms = res.members
-            witness_pair = (ms[0], ms[-1] if len(ms) > 1 else ms[0])
-        if all_pairs != in_rad:
-            raise InvariantViolation(
-                f"Baer-Suzuki equivalence failed for {rep} at p={p}: "
-                f"in_radical={in_rad}, all pairs p-groups={all_pairs}"
-            )
-        records.append(
-            ClassPairRecord(
-                representative=rep,
-                in_radical=in_rad,
-                all_pairs_p_groups=all_pairs,
-                witness_pair=witness_pair,
-                witness_order=res.certificate_order,
-            )
+    res = bs_membership(G, pi, 2, budget)
+    if not res.holds:
+        raise InvariantViolation(
+            f"Baer-Suzuki equivalence failed at p={p}: {res.violating_element} is "
+            f"outside O_p(G), yet every pair of its conjugates generates a p-group"
         )
-    return BaerSuzukiReport(p=p, radical_order=radical.order, records=records)
+    radical = pi_radical(G, pi)
+    if not (is_pi_group(radical, pi) and radical.is_normal_in(G)):
+        raise InvariantViolation(
+            f"Baer-Suzuki equivalence failed at p={p}: O_p(G) of order "
+            f"{radical.order} is not a normal p-subgroup"
+        )
+    return res
 
 
 # ---------------------------------------------------------------------------

@@ -348,21 +348,21 @@ def test_a_malformed_degree_range_is_reported_as_such(capsys, n):
 @pytest.mark.parametrize(
     "argv, tables",
     [
-        (["verify-bs", "--group", "S7"], 10),
+        (["verify-bs", "--group", "S7"], 9),
         (["bs-check", "--group", "S7", "--pi", "2,3", "--m", "2", "--find-min"], 11),
         (["radical", "--group", "S8", "--pi", "2"], 0),
     ],
     ids=["verify-bs", "bs-check", "radical"],
 )
 def test_each_class_table_is_computed_once(capsys, monkeypatch, argv, tables):
-    """verify-bs searches S7's 15 classes for each of 4 primes, and bs-check
-    searches each of the 14 classes outside the radical twice (m = 2, then
-    the minimal width).  Only a class whose order is a pi-number reads its
-    table: for verify-bs, the identity and the 5 + 2 + 1 + 1 classes of
-    2-, 3-, 5- and 7-elements; for bs-check, the 11 classes of {2,3}-order
-    outside the trivial radical.  The class scan only counts, so each table
-    is traced once, on its first read, and no orbit is traced through
-    ``conjugation_orbit``."""
+    """verify-bs searches S7's 14 classes outside the trivial radical for
+    each of 4 primes, and bs-check searches each of the 14 classes outside
+    the radical twice (m = 2, then the minimal width).  Only a class whose
+    order is a pi-number reads its table: for verify-bs, the 5 + 2 + 1 + 1
+    classes of 2-, 3-, 5- and 7-elements; for bs-check, the 11 classes of
+    {2,3}-order outside the trivial radical.  The class scan only counts, so
+    each table is traced once, on its first read, and no orbit is traced
+    through ``conjugation_orbit``."""
     orbits, built = count_class_tracers(monkeypatch)
     code, _ = run_json(capsys, *argv)
     assert code == 0
@@ -509,7 +509,7 @@ def test_each_status_through_the_cli(capsys, status):
 
 OVER_THE_CLASS_BUDGET = {
     # command: (argv, the class budget, whether the class over it is the first
-    # one searched; verify-bs first searches the identity's class of 1)
+    # one searched)
     "alpha": (["alpha", "--group", "A6", "--aut", "(1 2)(3 4)"], 20, True),
     "beta": (["beta", "--group", "A6", "--aut", "(1 2)(3 4)", "--r", "5"], 20, True),
     "width-table": (["width-table", "--n", "5", "--r", "3"], 5, True),
@@ -517,7 +517,7 @@ OVER_THE_CLASS_BUDGET = {
     "bs-check-find-min": (
         ["bs-check", "--group", "S6", "--pi", "2,3", "--m", "4", "--find-min"], 6, True,
     ),
-    "verify-bs": (["verify-bs", "--group", "S5"], 5, False),
+    "verify-bs": (["verify-bs", "--group", "S5"], 5, True),
 }
 
 
@@ -543,6 +543,20 @@ def test_a_class_over_the_budget_exits_three(capsys, monkeypatch, case):
     assert err.startswith("budget exhausted: the class of") and err.endswith(f" of {cap}\n")
     assert all(size <= cap for size in searched)
     assert (not searched) == first
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["verify-bs", "--group", "D4"], ["bs-check", "--group", "D4", "--pi", "2", "--m", "2"]],
+    ids=["verify-bs", "bs-check"],
+)
+def test_no_class_inside_the_radical_is_searched(capsys, argv):
+    """O_2(D4) is D4, so the class budget refuses none of its classes, not
+    even the 2-member class of (1 2 3 4): both commands read the same
+    membership records, and a class inside the radical is never searched."""
+    code, report = run_json(capsys, *argv, "--budget-max-class", "1")
+    assert code == 0
+    assert [r["in_radical"] for r in report["results"]] == [True] * 5
 
 
 # -- computed values through the CLI ------------------------------------------
@@ -610,6 +624,31 @@ def test_verify_bs_sweep_small_cap(capsys):
     assert {r["group"] for r in rows} >= {"S4", "A5", "C12"}
     assert report["summary"]["consistent"] is True
     assert report["summary"]["groups_and_primes"] == len(rows)
+
+
+def test_verify_bs_sweep_scans_each_group_once(capsys, monkeypatch):
+    """PGammaL(2,9) tells its three overgroups of order 720 apart by their
+    element-order spectra, read off each group's class data, so the sweep's
+    own check of pgl2(9) reads the scan the spectrum made.  The catalog's
+    cached groups are built afresh, so no earlier test has scanned them."""
+    import functools
+
+    import piradical.catalog as catalog
+    import piradical.structure as structure
+
+    for name in ("psl2", "pgl2", "projective_semilinear_9"):
+        monkeypatch.setattr(catalog, name, functools.cache(getattr(catalog, name).__wrapped__))
+    scan, scanned = structure.class_representatives, []
+
+    def counting(G, *args, **kwargs):
+        scanned.append(G)  # kept alive, so no two scanned groups share an id
+        return scan(G, *args, **kwargs)
+
+    monkeypatch.setattr(structure, "class_representatives", counting)
+    code, _ = run_json(capsys, "verify-bs-sweep", "--order-cap", "2000")
+    assert code == 0
+    assert len({id(G) for G in scanned}) == len(scanned)
+    assert sum(G is catalog.pgl2(9) for G in scanned) == 1
 
 
 def test_width_table_single_degree(capsys):

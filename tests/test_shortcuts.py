@@ -20,6 +20,7 @@ import pytest
 
 from piradical import width
 from piradical import (
+    FactoredInteger,
     PermGroup,
     Permutation,
     PrimeSet,
@@ -27,14 +28,22 @@ from piradical import (
     conjugation_orbit,
     group_by_name,
     is_pi_group,
+    is_pi_number,
     min_width_search,
     normal_closure,
     normal_subgroups,
     pi_radical,
     radical_is_trivial_by_orbits,
 )
-from piradical.structure import _is_giant, is_pi_element
+from piradical.structure import _is_giant
 from piradical.width import SearchBudget, _class_search, _non_pi_predicate
+
+
+def is_pi_element(x: Permutation, pi: PrimeSet) -> bool:
+    """True when the order of ``x``, computed from ``x`` and not read off
+    the class scan, is a pi-number."""
+    return is_pi_number(FactoredInteger.from_int(x.order()), pi)
+
 
 # the catalog groups, and direct products whose lattices take several passes
 PRODUCTS = {

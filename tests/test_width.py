@@ -621,16 +621,19 @@ def test_class_data_is_freed_with_its_group_without_the_collector():
 
 
 def test_classical_pair_equivalence_on_fixtures():
+    """Every class outside O_p(G) has a witness pair, rebuilt here to
+    generate a non-p group, and no class inside it is searched."""
     for G in [symmetric_group(4), alternating_group(5), dihedral_group(6)]:
         for p in sorted(G.order.prime_support):
-            report = baer_suzuki_check(G, p)
-            for rec in report.records:
-                assert rec.in_radical == rec.all_pairs_p_groups
-                if rec.witness_pair is not None:
-                    a, b = rec.witness_pair
+            res = baer_suzuki_check(G, p)
+            assert res.holds and res.pi == PrimeSet.of(p) and res.m == 2
+            for rec in res.records:
+                assert (rec.witness is None) == rec.in_radical
+                if rec.witness is not None:
+                    a, b = rec.witness[0], rec.witness[-1]
                     H = PermGroup.from_generators([a, b])
                     assert H.order_int == rec.witness_order.value
-                    assert H.order_int % p == 0 or not H.order.prime_support <= {p}
+                    assert H.order.prime_support - {p}
 
 
 def test_baer_suzuki_check_raises_on_a_failed_equivalence():
@@ -639,6 +642,23 @@ def test_baer_suzuki_check_raises_on_a_failed_equivalence():
     yet all its pairs generate 2-groups."""
     G = symmetric_group(4)
     class_data(G)._radicals[PrimeSet.of(2)] = PermGroup.trivial(4)
+    with pytest.raises(InvariantViolation, match="Baer-Suzuki equivalence failed"):
+        baer_suzuki_check(G, 2)
+
+
+@pytest.mark.parametrize(
+    "generators",
+    [["(1 2)(3 4)", "(1 2 3)"], ["(1 4)", "(1 2 4 3)"]],
+    ids=["A4, not a 2-group", "D8, not normal"],
+)
+def test_baer_suzuki_check_raises_on_a_radical_that_is_not_a_normal_p_group(generators):
+    """No class inside the radical is searched, so the radical itself is
+    checked: O_2(S4) = V4 replaced by A4, which is not a 2-group, or by the
+    Sylow 2-subgroup <(1 4), (1 2 4 3)>, which is not normal, raises, although
+    every class outside either one has a pair generating a non-2-group."""
+    G = symmetric_group(4)
+    fake = PermGroup.from_generators([P(g, 4) for g in generators])
+    class_data(G)._radicals[PrimeSet.of(2)] = fake
     with pytest.raises(InvariantViolation, match="Baer-Suzuki equivalence failed"):
         baer_suzuki_check(G, 2)
 

@@ -112,16 +112,21 @@ def test_pruned_engine_agrees_with_unreduced_on_membership_and_pairs(name, monke
 
     def masked(results):
         """The results with every record's ``states_visited`` set to 0, and
-        the counts, in record order."""
+        the counts, in record order; the pair checks are membership results
+        too."""
         memberships, widths, pairs = results
-        states = [rec.states_visited for res in memberships for rec in res.records]
-        memberships = [
-            replace(res, records=[replace(rec, states_visited=0) for rec in res.records])
-            for res in memberships
-        ]
-        return (memberships, widths, pairs), states
+        states = [rec.states_visited for res in memberships + pairs for rec in res.records]
+
+        def zeroed(results):
+            return [
+                replace(res, records=[replace(rec, states_visited=0) for rec in res.records])
+                for res in results
+            ]
+
+        return (zeroed(memberships), widths, zeroed(pairs)), states
 
     pruned, pruned_states = masked(run())
+    class_data(G).searches.clear()  # else the kept pruned searches answer again
     with unreduced_engine(monkeypatch):
         plain, plain_states = masked(run())
     assert pruned == plain
