@@ -277,16 +277,16 @@ def _scan_conjugators(G: PermGroup) -> Conjugators:
 CLASS_SCAN_CAP = 10**6
 
 
-def class_representatives(G: PermGroup, cap: int = CLASS_SCAN_CAP) -> list[tuple[Permutation, int]]:
+def class_representatives(G: PermGroup) -> list[tuple[Permutation, int]]:
     """One representative per conjugacy class with its class size, found by a
     deterministic scan of the canonical element enumeration (first-seen
     element of each class represents it).  Each class is counted by
     :func:`_orbit` over :func:`_scan_conjugators`, against one seen-set that
     the scan drops on return: it keeps the rows only.  The scan stops once
     the sizes sum to |G|, which for disjoint classes is a coverage
-    certificate.  Requires ``|G| <= cap``."""
-    if G.order_int > cap:
-        raise TooLarge(f"group order {G.order_int} exceeds cap {cap}")
+    certificate.  Requires ``|G| <= CLASS_SCAN_CAP``."""
+    if G.order_int > CLASS_SCAN_CAP:
+        raise TooLarge(f"group order {G.order_int} exceeds cap {CLASS_SCAN_CAP}")
     gens = _scan_conjugators(G)
     reps: list[tuple[Permutation, int]] = []
     seen: set[Images] = set()

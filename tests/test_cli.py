@@ -166,11 +166,9 @@ def test_find_min_past_the_width_budget_exits_three(capsys):
         ["verify-bs-sweep", "--order-cap", "1"],
         ["width-table", "--n", "5", "--r", "7"],
         ["width-table", "--n", "5", "--r", "3,3"],
-        # 0 skips the crosscheck on purpose; a negative cap would skip it silently
-        ["radical", "--group", "S4", "--pi", "2", "--crosscheck-cap", "-1"],
     ],
     ids=["max-states", "max-width", "max-class", "sweep-r", "order-cap-0", "order-cap-1",
-         "r-above-n", "r-repeated", "crosscheck-cap"],
+         "r-above-n", "r-repeated"],
 )
 def test_degenerate_budget_is_an_input_error(capsys, argv):
     code, out, err = run(capsys, *argv)
@@ -260,7 +258,7 @@ def counting_scans_and_closures(monkeypatch) -> list[str]:
     [
         (["--group", "S8", "--pi", "3,5"], 1, 0),
         (["--group", "S8", "--pi", "2"], 1, 0),
-        (["--group", "S9", "--pi", "2", "--crosscheck-cap", "0"], 1, 0),
+        (["--group", "S9", "--pi", "2"], 1, 0),
         (["--group", "S8", "--pi", "2,3,5,7"], 40_320, 0),
     ],
     ids=["S8-pi-35", "S8-pi-2", "S9-pi-2", "S8-pi-2357"],
@@ -271,7 +269,7 @@ def test_a_radical_the_orbits_certify_scans_no_class(capsys, monkeypatch, argv, 
     2 divides 8, so the orbit certificate cannot answer O_2(S8); the giant
     certificate does, because S8 is not a 2-group.  S8 is a
     {2,3,5,7}-group, so it is its own radical, again with no scan.  Both
-    groups are above the default crosscheck cap."""
+    groups are above the crosscheck's order of 10^4."""
     calls = counting_scans_and_closures(monkeypatch)
     code, report = run_json(capsys, "radical", *argv)
     assert code == 0
@@ -315,26 +313,49 @@ def test_a_giant_that_is_a_pi_group_is_its_own_radical_above_the_scan_cap(capsys
     assert calls == []
 
 
-def test_a_crosscheck_cap_above_the_scan_cap_is_refused_before_any_work(capsys, monkeypatch):
-    """The lattice crosscheck needs a class scan, which is capped at order
-    10^6, so a larger --crosscheck-cap is refused before the radical is
-    computed, rather than scanning S10 and throwing its radical away."""
+def test_the_crosscheck_order_is_not_an_option(capsys):
+    """The lattice crosscheck runs exactly up to order 10^4, a fixed rule
+    rather than an input, so the report does not echo it."""
+    with pytest.raises(SystemExit) as exc:
+        main(["radical", "--group", "S4", "--pi", "2", "--crosscheck-cap", "0"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --crosscheck-cap" in capsys.readouterr().err
+    code, report = run_json(capsys, "radical", "--group", "S4", "--pi", "2")
+    assert code == 0 and report["inputs"] == {"group": "S4", "pi": "2"}
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["bs-check", "--group", "S4", "--pi", "2", "--m", "0"], "width m must be >= 1, got 0"),
+        (["verify-bs", "--group", "S4", "--p", "4"], "p must be prime, got 4"),
+    ],
+    ids=["bs-check-m-0", "verify-bs-p-4"],
+)
+def test_the_library_refuses_a_bad_width_or_prime_before_any_scan(
+    capsys, monkeypatch, argv, message
+):
+    """The CLI leaves these checks to bs_membership and baer_suzuki_check,
+    which refuse the input before a class is scanned."""
     calls = counting_scans_and_closures(monkeypatch)
-    code, out, err = run(
-        capsys, "radical", "--group", "S10", "--pi", "2", "--crosscheck-cap", "10000000"
-    )
+    code, out, err = run(capsys, *argv)
     assert code == 2 and out == ""
-    assert "--crosscheck-cap" in err and "1000000" in err
+    assert f"error: {message}" in err
     assert calls == []
 
 
-def test_a_crosscheck_cap_at_the_scan_cap_is_accepted(capsys):
-    code, report = run_json(
-        capsys, "radical", "--group", "S10", "--pi", "2", "--crosscheck-cap", "1000000"
-    )
+def test_an_empty_pi_on_the_command_line_is_the_empty_set(capsys, tmp_path):
+    """``--pi ""`` is the empty prime set, as a bare ``pi`` line in a spec
+    file is: both give the trivial radical and the same report."""
+    spec = tmp_path / "s4.spec"
+    spec.write_text("name S4\ndegree 4\ngen a (1 2)\ngen b (1 2 3 4)\npi\n", encoding="utf-8")
+    code, by_flag = run_json(capsys, "radical", "--group", "S4", "--pi", "")
     assert code == 0
-    assert report["results"][0]["radical_order_int"] == 1
-    assert report["results"][0]["crosscheck"] == "skipped"
+    code, by_spec = run_json(capsys, "radical", "--spec", str(spec))
+    assert code == 0
+    assert by_flag["results"][0]["radical_order_int"] == 1
+    assert by_flag["inputs"]["pi"] == by_spec["inputs"]["pi"] == ""
+    assert strip_timing(by_flag) == strip_timing(by_spec)
 
 
 @pytest.mark.parametrize("n", ["5-", "5-x", "-"])
@@ -853,9 +874,7 @@ def test_degree_above_256_is_an_input_error(capsys, tmp_path):
 
 
 def test_degree_nine_groups_finish(capsys):
-    code, report = run_json(
-        capsys, "radical", "--group", "S9", "--pi", "2", "--crosscheck-cap", "0"
-    )
+    code, report = run_json(capsys, "radical", "--group", "S9", "--pi", "2")
     assert code == 0
     assert report["results"][0]["radical_order_int"] == 1
     code, report = run_json(capsys, "verify-bs", "--group", "A9")

@@ -32,14 +32,14 @@ PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 DIGESTS = {
     "width-table": "d202b96ce3b46c849fbb26e129a955bbe8cbdb5e7b572be6bc2a6b2afa8850bd",
     "membership-bs": "3d5fe61d1cecf8f42fbdfb86c1121f6cc68c20631fc448667525090f937a83e4",
-    "radical-catalog": "c58d022b148e369561b2d57f3979a47f113b4f03b82808c08636ed320156251a",
+    "radical-catalog": "8e6eb502bbf41cfd999612d4a1141a5beb22a2718c193b028220b3fb94d2ac82",
 }
 
 # the same reports with every ``states_visited`` key removed
 MASKED_DIGESTS = {
     "width-table": "f4907cf3e3deb7e8f944c40127fef7ac7d4b5e77a8cec707cc6252695c49d81b",
     "membership-bs": "5f0978e9afb2cc64df8569305c4773c70923dfe9e981333cfe002595f4f2506d",
-    "radical-catalog": "c58d022b148e369561b2d57f3979a47f113b4f03b82808c08636ed320156251a",
+    "radical-catalog": "8e6eb502bbf41cfd999612d4a1141a5beb22a2718c193b028220b3fb94d2ac82",
 }
 
 

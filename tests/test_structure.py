@@ -389,8 +389,12 @@ def test_a_class_table_is_served_only_for_a_representative():
 
 
 def test_class_representatives_cap():
-    with pytest.raises(TooLarge):
-        class_representatives(A5(), cap=59)
+    """Sym(10), of order 3,628,800, is past the 10^6 class-scan cap: it is
+    refused before any element is enumerated."""
+    G = group_by_name("S10")
+    G.iter_element_tuples = None  # past the cap, a scan must not start enumerating
+    with pytest.raises(TooLarge, match="exceeds cap 1000000"):
+        class_representatives(G)
 
 
 def test_element_order_spectrum():
