@@ -187,7 +187,7 @@ def _add_pair_budget_flags(p: argparse.ArgumentParser) -> None:
 
 
 def _add_group_flags(p: argparse.ArgumentParser) -> None:
-    g = p.add_mutually_exclusive_group()
+    g = p.add_mutually_exclusive_group(required=True)
     g.add_argument("--group", help="catalog name: S5, A6, D8, psl2(7), pgammal2(9), ...")
     g.add_argument("--spec", help="path to a group-spec file")
 
@@ -202,16 +202,14 @@ def _budget(args) -> SearchBudget:
 
 def _resolve_group(args) -> tuple[str, PermGroup, "object"]:
     """(name, group, spec-or-None)."""
-    if args.spec:
+    if args.spec is not None:
         spec = load_spec(args.spec)
         return spec.name, spec.group(), spec
-    if args.group:
-        return args.group, group_by_name(args.group), None
-    raise ValueError("one of --group or --spec is required")
+    return args.group, group_by_name(args.group), None
 
 
 def _resolve_context(args, budget: SearchBudget) -> tuple[str, AlmostSimpleContext]:
-    if args.spec:
+    if args.spec is not None:
         spec = load_spec(args.spec)
         socle = spec.socle()
         if socle is None:
@@ -221,8 +219,6 @@ def _resolve_context(args, budget: SearchBudget) -> tuple[str, AlmostSimpleConte
             raise ValueError("no automorphism: pass --aut or add an 'aut' line")
         name = spec.name
     else:
-        if not args.group:
-            raise ValueError("one of --group or --spec is required")
         if not args.aut:
             raise ValueError("--aut is required with --group")
         socle = socle_by_name(args.group)

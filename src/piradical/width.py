@@ -56,11 +56,11 @@ Four soundness notes justify the pruning:
   a predicate that never holds, both prunings end absent at width 5, not
   4), but the absence is the same.  N is found by filtering a list: c in C
   normalises H exactly when each y_i^c lies in H, because c fixes x.  A
-  level-2 state filters the elements of C, listed only when |C| is within
-  ``max_class_size`` (the bound on any list of elements the engine holds;
-  above it, this note does not apply), and a deeper state filters its
-  parent's list by its newest generator, leaving the group N_parent ∩
-  N_C(H).  The partitions model keeps the level-2 pruning only.
+  level-2 state filters the elements of C, listed only when |C| is at most
+  ``LISTED_CAP``, whatever the budget (above it, this note does not apply),
+  and a deeper state filters its parent's list by its newest generator,
+  leaving the group N_parent ∩ N_C(H).  The partitions model keeps the
+  level-2 pruning only.
 
 Exhausting every level below k certifies minimality of a level-k success;
 an emptied frontier certifies that no width at all succeeds.  A result's
@@ -77,7 +77,8 @@ result certifies:
 Only ``found`` and ``absent`` are exhaustive.  The membership checks ask
 less: every tuple up to their width m was searched, which ``width_budget``
 also gives.  A search always runs over the whole class: a class larger than
-``max_class_size`` raises :class:`BudgetExhausted` before any search starts.
+``max_class_size`` raises :class:`BudgetExhausted` before any search starts,
+and no search reads that field: only ``max_width`` and ``max_states`` cut it.
 
 Two exact state models, cross-checked against each other in the test suite:
 
@@ -98,8 +99,8 @@ generators.  A :class:`Permutation` is wrapped only for the
 root of a chain search and for the witness and members of a found result.
 A class table of the class data is traced only as far as it is read: a
 search that succeeds within the level-2 prefix reads a few conjugates, and
-building C or the partition model traces the whole class once, after which
-the search reads plain lists.
+building C or the partition model traces the whole class once; the search
+reads the class table it is given throughout.
 
 A state, as counted by ``states_visited`` and capped by ``max_states``, is
 every chain child before deduplication, but only a partition not seen
@@ -157,7 +158,7 @@ class SearchBudget:
     ``max_width``: deepest tuple width explored.
     ``max_states``: cap on subgroup states created across all levels.
     ``max_class_size``: a conjugacy class larger than this is not searched;
-    asking about it raises :class:`BudgetExhausted`.
+    asking about it raises :class:`BudgetExhausted`, and no search reads it.
     Each limit must be at least 1 (``ValueError`` otherwise).
     """
 
@@ -285,10 +286,7 @@ def _search(model, conjugates, witnesses, pred, budget, group=None) -> WidthResu
     while frontier and width < budget.max_width:
         if width == 2 and orbits is not None:
             frontier = orbits.first_per_orbit(frontier)
-            # C acts on the whole class, now traced: read plain lists from here on
-            conjugates = model.conjugates = orbits.conjugates
-            witnesses = orbits.witnesses
-            if model.per_state_reduction and orbits.C.order_int <= budget.max_class_size:
+            if model.per_state_reduction and orbits.C.order_int <= LISTED_CAP:
                 listed = orbits.C.element_tuples()  # C normalises <x>, the parent
                 frontier = [(state, ids, listed) for state, ids, _ in frontier]
         next_frontier = []
@@ -370,6 +368,10 @@ def _centralizer(
 # that succeeds among them never builds C (chosen by benchmark medians).
 LEVEL_TWO_PREFIX = 16
 
+# C is listed for the per-state normaliser reduction up to this order, whatever
+# the budget: filtering the list costs one sift per listed element per state.
+LISTED_CAP = 100_000
+
 
 class _CentralizerOrbits:
     """The orbits of C = C_group(x) on the class indices, each labelled by
@@ -381,7 +383,6 @@ class _CentralizerOrbits:
 
     def _build(self) -> None:
         if self.C is None:
-            self.conjugates, self.witnesses = list(self.conjugates), list(self.witnesses)
             self.index = {y: i for i, y in enumerate(self.conjugates)}
             self.C = _centralizer(self.group, self.conjugates, self.witnesses, self.index)
             self.gens = conjugators(self.C.gens)
@@ -431,8 +432,6 @@ def _orbit_representatives(
     """The least class index of each orbit of the group whose every element
     is ``listed`` (the identity first): the orbit of i is {i^c : c listed},
     with no closure to take."""
-    if len(listed) == 1:
-        return range(len(conjugates))
     tail = TAIL[len(conjugates[0]):]
     gens = conjugators(listed[1:])
     covered = bytearray(len(conjugates))
@@ -750,9 +749,9 @@ def _class_search(
 
     A ``found`` search is kept in ``class_data(G)`` under (rep, pi) and
     returned again whenever ``budget`` lets a new search reach it: its
-    value is within ``max_width`` and its states within ``max_states``.  The
-    breadth-first search meets the same states in the same order under any
-    such budget, so it would return the same result."""
+    value is within ``max_width`` and its states within ``max_states``.  No
+    other budget field changes a search, so the rule is exact: the search
+    meets the same states in the same order under any such budget."""
     if size > budget.max_class_size:
         raise BudgetExhausted(
             f"the class of {rep} has {size} members, more than the class "

@@ -4,6 +4,8 @@ import csv
 import io
 import json
 import re
+import shlex
+from pathlib import Path
 
 import pytest
 
@@ -766,6 +768,72 @@ def test_bad_spec_file_is_an_input_error(capsys, tmp_path):
     assert code == 2
     code, _, err = run(capsys, "radical", "--spec", str(tmp_path / "no.spec"), "--pi", "2")
     assert code == 2
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["radical", "--pi", "2"],
+        ["alpha", "--aut", "(1 2)"],
+        ["beta", "--aut", "(1 2)", "--r", "3"],
+        ["bs-check", "--pi", "2,3", "--m", "2"],
+        ["verify-bs"],
+    ],
+    ids=lambda argv: argv[0],
+)
+def test_the_parser_requires_a_group_or_a_spec(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert "one of the arguments --group --spec is required" in err
+
+
+def test_an_empty_group_name_is_an_unknown_group(capsys):
+    code, out, err = run(capsys, "radical", "--group", "", "--pi", "2")
+    assert (code, out) == (2, "")
+    assert "unknown group name ''" in err
+
+
+@pytest.mark.parametrize(
+    "argv,spec_text",
+    [
+        (["width-table", "--n", "4-8"], None),
+        (["width-table", "--n", "10"], None),
+        (["width-table", "--n", "5", "--r", "4"], None),
+        (["verify-bs", "--group", "C1"], None),
+        (["radical", "--group", "S4", "--pi", "2,x"], None),
+        (["radical", "--group", "D2", "--pi", "2"], None),
+        (["radical", "--group", "S0", "--pi", "2"], None),
+        (["alpha", "--group", "A5"], None),
+        (["alpha", "--spec", "{spec}"], SPEC_TEXT.replace("socle a b\n", "")),
+        (["alpha", "--spec", "{spec}"], SPEC_TEXT.replace("aut a\n", "")),
+    ],
+    ids=[
+        "n-below-5", "n-above-9", "r-not-prime", "trivial-group", "pi-not-prime",
+        "dihedral-too-small", "symmetric-degree-0", "no-aut", "spec-no-socle", "spec-no-aut",
+    ],
+)
+def test_input_refusals_exit_2_with_nothing_printed(capsys, tmp_path, argv, spec_text):
+    spec = tmp_path / "g.spec"
+    if spec_text is not None:
+        spec.write_text(spec_text, encoding="utf-8")
+    code, out, err = run(capsys, *(arg.format(spec=spec) for arg in argv))
+    assert (code, out) == (2, "")
+    assert err.startswith("error")
+
+
+def test_the_readme_command_lines_parse():
+    """Every ``piradical`` line of the README's command block is a valid
+    command line, so the documentation cannot drift from the parser."""
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    blocks = [part.split("```", 1)[0] for part in readme.split("```sh\n")[1:]]
+    lines = [shlex.split(line, comments=True) for b in blocks for line in b.splitlines()]
+    commands = [words[1:] for words in lines if words[:1] == ["piradical"]]
+    assert len(commands) == 8
+    for argv in commands:
+        build_parser().parse_args(argv)
 
 
 # -- output formats --------------------------------------------------------------

@@ -528,6 +528,32 @@ def test_a_kept_class_search_answers_as_a_new_search_would(budget):
         assert check(G, m) == check(symmetric_group(5), m), m
 
 
+@pytest.mark.parametrize(
+    "budget",
+    [SearchBudget(max_class_size=15), SearchBudget(max_class_size=15, max_states=30)],
+)
+def test_a_kept_search_answers_as_a_fresh_one_under_a_tight_class_budget(budget):
+    """On S6 with pi = {2,3}, (1 4)(2 5)(3 6) has 15 conjugates and
+    |C| = 48.  A class budget of 15 lets its class be searched, and the
+    search it keeps under the default budget (width 4) must be what a fresh
+    search under that budget returns, or raises: the class budget never
+    changes how a search runs."""
+    pi = PrimeSet.of(2, 3)
+    G = symmetric_group(6)
+    minimal_membership_width(G, pi)
+    rep = P("(1 4)(2 5)(3 6)", 6)
+
+    def search(group):
+        try:
+            return width._class_search(group, rep, 15, pi, budget)
+        except BudgetExhausted as e:
+            return str(e)
+
+    kept = search(G)
+    assert kept.value == 4
+    assert kept == search(symmetric_group(6))
+
+
 def test_membership_width_one_when_radical_is_everything():
     G = symmetric_group(4)
     res = bs_membership(G, PrimeSet.of(2, 3), 1)

@@ -331,16 +331,21 @@ def test_three_cycles_of_alt9_agree_with_the_unreduced_engine():
         assert_witness_is_sound(pruned, ctx.element, pred)
 
 
-def test_a_centralizer_over_the_class_budget_keeps_only_the_level_two_reduction():
-    """|x^L| = 112 and |C| = 180 for (Alt(8), (1 2 3)): a class budget
-    between them searches the class but lists no element of C, so the
-    search takes the 431 states of the level-2 reduction alone."""
+def test_a_centralizer_over_the_listed_cap_keeps_only_level_two_reduction(monkeypatch):
+    """|x^L| = 112 and |C| = 180 for (Alt(8), (1 2 3)).  A class budget
+    between them still lists C, so the search is the default one; a
+    ``LISTED_CAP`` between them lists no element of C, so the search takes
+    the 431 states of the level-2 reduction alone, to the same value and
+    members."""
     ctx = AlmostSimpleContext.build(alternating_group(8), P("(1 2 3)", 8))
     default = alpha(ctx)
-    capped = alpha(ctx, SearchBudget(max_class_size=150))
-    assert capped.states_visited == 431 and default.states_visited == 57
-    assert replace(capped, states_visited=default.states_visited) == default
-    assert [str(m) for m in capped.members] == [str(m) for m in default.members]
+    assert default.states_visited == 57
+    assert alpha(ctx, SearchBudget(max_class_size=150)) == default
+    monkeypatch.setattr(width, "LISTED_CAP", 150)
+    unlisted = alpha(ctx)
+    assert unlisted.states_visited == 431
+    assert replace(unlisted, states_visited=default.states_visited) == default
+    assert [str(m) for m in unlisted.members] == [str(m) for m in default.members]
 
 
 @pytest.mark.parametrize("n,rep", [(6, "(1 2)(3 4)"), (7, "(1 2 3)"), (6, "(1 2 3)(4 5 6)")])
