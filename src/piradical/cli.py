@@ -19,10 +19,10 @@ search short).  Only the first two are ``exhaustive``.
 Exit codes: 0 success; 1 a verified mathematical invariant failed (an
 implementation bug, never an input problem, also when a catalog or spec
 self-check fails while the input is read); 2 input/validation errors;
-3 budget exhaustion (among it a class larger than ``--budget-max-class``,
-refused before any search, with nothing printed) or a printed width result
-that is not exhaustive.  Subcommands raise; :func:`main` alone maps an
-exception to its exit code.
+3 budget exhaustion (among it a class of more than the fixed 100,000
+members of ``structure.CLASS_CAP``, refused before any search, with nothing
+printed) or a printed width result that is not exhaustive.  Subcommands
+raise; :func:`main` alone maps an exception to its exit code.
 """
 
 from __future__ import annotations
@@ -159,7 +159,7 @@ def _provenance(args, t0: float) -> dict:
     """Package, the search budget (for subcommands that take one) and wall
     time."""
     prov = {"package": "piradical", "version": __version__}
-    for key in ("budget_max_width", "budget_max_states", "budget_max_class"):
+    for key in ("budget_max_width", "budget_max_states"):
         if hasattr(args, key):
             prov[key] = getattr(args, key)
     prov["wall_time_s"] = round(time.monotonic() - t0, 3)
@@ -183,7 +183,6 @@ def _add_budget_flags(p: argparse.ArgumentParser) -> None:
 def _add_pair_budget_flags(p: argparse.ArgumentParser) -> None:
     """The budget of a search whose width is fixed (the pair checks)."""
     p.add_argument("--budget-max-states", type=int, default=SearchBudget.max_states)
-    p.add_argument("--budget-max-class", type=int, default=SearchBudget.max_class_size)
 
 
 def _add_group_flags(p: argparse.ArgumentParser) -> None:
@@ -196,7 +195,6 @@ def _budget(args) -> SearchBudget:
     return SearchBudget(
         max_width=getattr(args, "budget_max_width", SearchBudget.max_width),
         max_states=args.budget_max_states,
-        max_class_size=args.budget_max_class,
     )
 
 
@@ -208,23 +206,23 @@ def _resolve_group(args) -> tuple[str, PermGroup, "object"]:
     return args.group, group_by_name(args.group), None
 
 
-def _resolve_context(args, budget: SearchBudget) -> tuple[str, AlmostSimpleContext]:
+def _resolve_context(args) -> tuple[str, AlmostSimpleContext]:
+    """Any given ``--aut`` is read by :func:`automorphism_by_name`; only an
+    absent one falls back to a spec's ``aut`` line."""
     if args.spec is not None:
         spec = load_spec(args.spec)
-        socle = spec.socle()
+        name, socle, aut = spec.name, spec.socle(), spec.aut()
         if socle is None:
             raise ValueError(f"{args.spec} has no 'socle' line")
-        aut = Permutation.parse(args.aut, degree=socle.degree) if args.aut else spec.aut()
-        if aut is None:
+        if args.aut is None and aut is None:
             raise ValueError("no automorphism: pass --aut or add an 'aut' line")
-        name = spec.name
     else:
-        if not args.aut:
+        if args.aut is None:
             raise ValueError("--aut is required with --group")
-        socle = socle_by_name(args.group)
+        name, socle = args.group, socle_by_name(args.group)
+    if args.aut is not None:
         aut = automorphism_by_name(args.aut, socle.degree)
-        name = args.group
-    return name, AlmostSimpleContext.build(socle, aut, budget=budget)
+    return name, AlmostSimpleContext.build(socle, aut)
 
 
 def _resolve_pi(args, spec) -> PrimeSet:
@@ -290,7 +288,7 @@ def cmd_width(args) -> tuple[dict, int]:
     """``alpha``, or ``beta`` with ``--r``; exits 3 unless the result is
     exhaustive."""
     budget = _budget(args)
-    name, ctx = _resolve_context(args, budget)
+    name, ctx = _resolve_context(args)
     with_r = args.command == "beta"
     res = beta(ctx, args.r, budget) if with_r else alpha(ctx, budget)
     record = {
@@ -380,7 +378,10 @@ def cmd_width_table(args) -> tuple[dict, int]:
     printed alpha or beta is not exhaustive."""
     budget = _budget(args)
     ns = _parse_n_range(args.n)
-    r_given = [int(tok) for tok in args.r.split(",")] if args.r else None
+    try:
+        r_given = None if args.r is None else [int(tok) for tok in args.r.split(",")]
+    except ValueError:
+        raise ValueError(f"--r must be comma-separated odd primes, got {args.r!r}") from None
     if r_given is not None:
         for r in r_given:
             if not is_prime(r) or r == 2:
@@ -396,7 +397,7 @@ def cmd_width_table(args) -> tuple[dict, int]:
     def context(socle: PermGroup, x: Permutation) -> AlmostSimpleContext:
         """A catalog context; one that is not almost simple is a bug here."""
         try:
-            return AlmostSimpleContext.build(socle, x, budget=budget)
+            return AlmostSimpleContext.build(socle, x)
         except NotAlmostSimple as e:
             raise InvariantViolation(f"catalog context: {e}") from e
 

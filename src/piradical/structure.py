@@ -245,16 +245,17 @@ class _Traced(Sequence):
         return iter(self._column)
 
 
-def conjugation_orbit(G: PermGroup, x: Permutation, cap: int = 10**5) -> ClassTable:
+def conjugation_orbit(G: PermGroup, x: Permutation, cap: int | None = None) -> ClassTable:
     """Orbit of ``x`` under G-conjugation by breadth-first search over the
     group's generators, with conjugating witnesses, all as ``bytes``:
     ``x ** Permutation(w[i]) == Permutation(orbit[i])`` and
     ``orbit[0] == x.images``, ``w[0]`` the identity.
 
     Returns ``(members, witnesses)`` as lists.  Raises
-    :class:`BudgetExhausted` as soon as the orbit passes ``cap`` members.
+    :class:`BudgetExhausted` as soon as the orbit passes ``cap`` members
+    (``CLASS_CAP`` when not given).
     """
-    tracer = _Tracer(x.images, conjugators(G.gens), cap)
+    tracer = _Tracer(x.images, conjugators(G.gens), CLASS_CAP if cap is None else cap)
     tracer.trace()
     return tracer.members, tracer.witnesses
 
@@ -273,6 +274,9 @@ def _scan_conjugators(G: PermGroup) -> Conjugators:
     return conjugators(gens)
 
 
+# the most members a class table holds: a traced table keeps every member
+# with its witness, so this bounds its memory; a larger class is refused
+CLASS_CAP = 100_000
 # the largest group order a class scan takes
 CLASS_SCAN_CAP = 10**6
 
@@ -396,14 +400,20 @@ class GroupClassData:
         ``reps`` (else ``ValueError``), traced over ``G.gens`` as far as it
         is read: each column has the scan's class size as its length, and
         reading index i traces the class to member i (:class:`_Traced`).
-        A class that passes that size, or ends short of it, raises
-        :class:`InvariantViolation`."""
+        A class of more than ``CLASS_CAP`` members raises
+        :class:`BudgetExhausted` before any trace; one that passes the
+        scan's size, or ends short of it, raises :class:`InvariantViolation`."""
         key = rep.images
         if key not in self._tables:
             self.reps  # the scan indexes the classes
             if key not in self._index:
                 raise ValueError(f"{rep} is not a class representative of the scan")
             size = self._reps[self._index[key]][1]
+            if size > CLASS_CAP:
+                raise BudgetExhausted(
+                    f"the class of {rep} has {size} members, "
+                    f"more than the class cap of {CLASS_CAP}"
+                )
             tracer = _Tracer(key, conjugators(self.group.gens), size, exact=True)
             self._tables[key] = (_Traced(tracer, tracer.members), _Traced(tracer, tracer.witnesses))
         return self._tables[key]

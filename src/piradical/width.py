@@ -76,9 +76,10 @@ result certifies:
 
 Only ``found`` and ``absent`` are exhaustive.  The membership checks ask
 less: every tuple up to their width m was searched, which ``width_budget``
-also gives.  A search always runs over the whole class: a class larger than
-``max_class_size`` raises :class:`BudgetExhausted` before any search starts,
-and no search reads that field: only ``max_width`` and ``max_states`` cut it.
+also gives.  A search always runs over the whole class, and only
+``max_width`` and ``max_states`` cut it.  A class table holds at most
+``structure.CLASS_CAP`` members: its producer refuses a larger class with
+:class:`BudgetExhausted` before any trace, so before any search starts.
 
 Two exact state models, cross-checked against each other in the test suite:
 
@@ -157,17 +158,15 @@ class SearchBudget:
 
     ``max_width``: deepest tuple width explored.
     ``max_states``: cap on subgroup states created across all levels.
-    ``max_class_size``: a conjugacy class larger than this is not searched;
-    asking about it raises :class:`BudgetExhausted`, and no search reads it.
-    Each limit must be at least 1 (``ValueError`` otherwise).
+    Each limit must be at least 1 (``ValueError`` otherwise).  A class is
+    bounded by ``structure.CLASS_CAP``, not by the budget.
     """
 
     max_width: int = 12
     max_states: int = 100_000
-    max_class_size: int = 100_000
 
     def __post_init__(self):
-        for name in ("max_width", "max_states", "max_class_size"):
+        for name in ("max_width", "max_states"):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be >= 1, got {getattr(self, name)}")
 
@@ -603,7 +602,7 @@ class AlmostSimpleContext:
     conjugated by x once; the ambient centralizer of L is trivial
     (else :class:`NotAlmostSimple`), which is the almost-simplicity
     certificate for a simple socle; and x^L has at most
-    ``budget.max_class_size`` members (else :class:`BudgetExhausted`, as
+    ``structure.CLASS_CAP`` members (else :class:`BudgetExhausted`, as
     soon as the class trace passes that size).
     """
 
@@ -614,13 +613,7 @@ class AlmostSimpleContext:
     witnesses: tuple[Images, ...]
 
     @classmethod
-    def build(
-        cls,
-        socle: PermGroup,
-        element: Permutation,
-        *,
-        budget: SearchBudget = SearchBudget(),
-    ) -> "AlmostSimpleContext":
+    def build(cls, socle: PermGroup, element: Permutation) -> "AlmostSimpleContext":
         if element.degree != socle.degree:
             raise DegreeMismatch(
                 f"element degree {element.degree} vs socle degree {socle.degree}"
@@ -637,7 +630,7 @@ class AlmostSimpleContext:
                 f"ambient centralizer of the socle contains {witness}; "
                 "the context is not almost simple"
             )
-        members, wits = conjugation_orbit(socle, element, cap=budget.max_class_size)
+        members, wits = conjugation_orbit(socle, element)
         return cls(
             socle=socle,
             element=element,
@@ -732,15 +725,14 @@ def _non_pi_predicate(pi: PrimeSet) -> OrderPredicate:
 
 
 def _class_search(
-    G: PermGroup, rep: Permutation, size: int, pi: PrimeSet, budget: SearchBudget
+    G: PermGroup, rep: Permutation, pi: PrimeSet, budget: SearchBudget
 ) -> WidthResult:
-    """The search for a non-pi subgroup over the G-class of ``rep``, of
-    ``size`` members (as ``class_data(G).reps`` gives it), on the class
-    table kept in ``class_data(G)``, traced as far as the search reads it.
-    Raises :class:`BudgetExhausted` before any search when the class is
-    larger than ``budget.max_class_size``, and when the search found
-    nothing and was cut off before every tuple up to ``budget.max_width``
-    was searched.
+    """The search for a non-pi subgroup over the G-class of ``rep``, on the
+    class table kept in ``class_data(G)``, traced as far as the search reads
+    it.  Raises :class:`BudgetExhausted` when the class table does (a class
+    of more than ``structure.CLASS_CAP`` members, before any search), and
+    when the search found nothing and was cut off before every tuple up to
+    ``budget.max_width`` was searched.
 
     A representative whose order (the scan's, ``class_data(G).order``) is
     not a pi-number has width 1 by <rep> alone: it is answered without a
@@ -749,14 +741,9 @@ def _class_search(
 
     A ``found`` search is kept in ``class_data(G)`` under (rep, pi) and
     returned again whenever ``budget`` lets a new search reach it: its
-    value is within ``max_width`` and its states within ``max_states``.  No
-    other budget field changes a search, so the rule is exact: the search
-    meets the same states in the same order under any such budget."""
-    if size > budget.max_class_size:
-        raise BudgetExhausted(
-            f"the class of {rep} has {size} members, more than the class "
-            f"budget of {budget.max_class_size}"
-        )
+    value is within ``max_width`` and its states within ``max_states``.  The
+    budget has no other field, so the rule is exact: the search meets the
+    same states in the same order under any such budget."""
     data = class_data(G)
     order = data.order(rep)
     if not is_pi_number(order, pi):
@@ -798,10 +785,10 @@ def bs_membership(
     For each class representative x outside the radical, search for a
     <=m-tuple of G-conjugates of x generating a non-pi subgroup (elements of
     the radical need no search: their conjugates generate subgroups of the
-    radical, which are pi-groups).  Raises :class:`BudgetExhausted` if some
-    representative's class is larger than the class budget, or its search
-    found nothing and was cut off before every tuple up to width m was
-    searched.
+    radical, which are pi-groups).  Raises :class:`BudgetExhausted` if such
+    a representative of pi-number order has a class of more than
+    ``structure.CLASS_CAP`` members, or its search found nothing and was cut
+    off before every tuple up to width m was searched.
 
     The radical (:func:`pi_radical`), the classes and their tables come from
     ``class_data(G)``, so every membership call on one group object shares
@@ -814,7 +801,7 @@ def bs_membership(
     records: list[ClassMembershipRecord] = []
     for rep, size in class_data(G).reps:
         in_radical = radical.contains(rep)
-        res = None if in_radical else _class_search(G, rep, size, pi, searched)
+        res = None if in_radical else _class_search(G, rep, pi, searched)
         records.append(
             ClassMembershipRecord(
                 representative=rep,
@@ -856,7 +843,7 @@ def minimal_membership_width(
     ``budget.max_width``.  Every representative outside the radical reaches
     a non-pi subgroup at some width (its class generates the non-pi normal
     closure), so one without a width there raises :class:`BudgetExhausted`,
-    as do a state budget and a class over the class budget.
+    as do a state budget and a class over ``structure.CLASS_CAP``.
     """
     res = bs_membership(G, pi, budget.max_width, budget)
     if res.violating_element is not None:

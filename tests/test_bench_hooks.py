@@ -140,11 +140,12 @@ def test_find_min_searches_each_class_once(capsys):
     """``bs-check --find-min`` reuses the width-m search of every class whose
     minimum it found: S5 has six classes outside its trivial 2-radical, and
     the report is the one that searching each class again gave (its SHA-256
-    without the wall time, and without the seed keys reports once had)."""
+    without the wall time, and without the seed and class-budget keys
+    reports once had)."""
     argv = ["bs-check", "--group", "S5", "--pi", "2", "--m", "2", "--find-min"]
     assert run_traced([argv])["width.searches"] <= 6
     assert main(argv + ["--format", "json"]) == 0
     report = json.loads(capsys.readouterr().out)
     del report["provenance"]["wall_time_s"]
     digest = hashlib.sha256(json.dumps(report, indent=2).encode()).hexdigest()
-    assert digest == "632d01612fcbd529ac51ad9ad64a25f1538912f803bdfac6e3493461b36b6164"
+    assert digest == "58cb865cc0d49ffcf291165b301a4a0efdb8e1343d8eca4e91956203c63104fe"

@@ -3,8 +3,11 @@
 import csv
 import io
 import json
+import os
 import re
 import shlex
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -162,14 +165,13 @@ def test_find_min_past_the_width_budget_exits_three(capsys):
     [
         ["alpha", "--group", "A5", "--aut", "(1 2)", "--budget-max-states", "-1"],
         ["alpha", "--group", "A5", "--aut", "(1 2)", "--budget-max-width", "0"],
-        ["alpha", "--group", "A5", "--aut", "(1 2)", "--budget-max-class", "0"],
         ["transposition-sweep", "--r", "29"],
         ["verify-bs-sweep", "--order-cap", "0"],
         ["verify-bs-sweep", "--order-cap", "1"],
         ["width-table", "--n", "5", "--r", "7"],
         ["width-table", "--n", "5", "--r", "3,3"],
     ],
-    ids=["max-states", "max-width", "max-class", "sweep-r", "order-cap-0", "order-cap-1",
+    ids=["max-states", "max-width", "sweep-r", "order-cap-0", "order-cap-1",
          "r-above-n", "r-repeated"],
 )
 def test_degenerate_budget_is_an_input_error(capsys, argv):
@@ -197,17 +199,19 @@ def test_subcommands_without_a_search_reject_budget_flags(capsys, argv):
 
 def test_provenance_carries_a_budget_only_for_searches(capsys):
     """And no report carries a seed: nothing is drawn at random."""
-    budget_keys = {"budget_max_width", "budget_max_states", "budget_max_class"}
+    budget_keys = {"budget_max_width", "budget_max_states"}
     reports = {command: run_json(capsys, *argv)[1] for command, argv in REPEAT_ARGV.items()}
     for report in reports.values():
         assert "seed" not in report["inputs"] and "seed" not in report["provenance"]
+        assert report["provenance"].keys() - budget_keys == {"package", "version", "wall_time_s"}
     assert not budget_keys & reports["radical"]["provenance"].keys()
     assert not budget_keys & reports["transposition-sweep"]["provenance"].keys()
     assert reports["transposition-sweep"]["inputs"] == {"r": 7}
+    for command in ("alpha", "beta", "bs-check", "width-table"):
+        assert reports[command]["provenance"].keys() & budget_keys == budget_keys
     assert reports["alpha"]["provenance"]["budget_max_states"] == 100_000
-    assert reports["verify-bs"]["provenance"].keys() & budget_keys == budget_keys - {
-        "budget_max_width"
-    }
+    for command in ("verify-bs", "verify-bs-sweep"):
+        assert reports[command]["provenance"].keys() & budget_keys == {"budget_max_states"}
 
 
 @pytest.mark.parametrize("command", list(REPEAT_ARGV))
@@ -531,7 +535,7 @@ def test_each_status_through_the_cli(capsys, status):
 
 
 OVER_THE_CLASS_BUDGET = {
-    # command: (argv, the class budget, whether the class over it is the first
+    # command: (argv, the class cap, whether the class over it is the first
     # one searched)
     "alpha": (["alpha", "--group", "A6", "--aut", "(1 2)(3 4)"], 20, True),
     "beta": (["beta", "--group", "A6", "--aut", "(1 2)(3 4)", "--r", "5"], 20, True),
@@ -546,13 +550,15 @@ OVER_THE_CLASS_BUDGET = {
 
 @pytest.mark.parametrize("case", list(OVER_THE_CLASS_BUDGET))
 def test_a_class_over_the_budget_exits_three(capsys, monkeypatch, case):
-    """A class larger than --budget-max-class is refused before it is
-    searched, and nothing is printed: a width over part of a class need not
-    be its minimum (S6's (1 5 2 4)(3 6) reads 3 over some 6-member subsets
-    of its class, but 2 over the whole class)."""
+    """A class larger than ``structure.CLASS_CAP`` (lowered here) is refused
+    before it is searched, and nothing is printed: a width over part of a
+    class need not be its minimum (S6's (1 5 2 4)(3 6) reads 3 over some
+    6-member subsets of its class, but 2 over the whole class)."""
+    import piradical.structure as structure
     import piradical.width as width
 
     argv, cap, first = OVER_THE_CLASS_BUDGET[case]
+    monkeypatch.setattr(structure, "CLASS_CAP", cap)
     search = width.min_width_search
     searched = []
 
@@ -561,7 +567,7 @@ def test_a_class_over_the_budget_exits_three(capsys, monkeypatch, case):
         return search(x, conjugates, *args, **kwargs)
 
     monkeypatch.setattr(width, "min_width_search", recording)
-    code, out, err = run(capsys, *argv, "--budget-max-class", str(cap))
+    code, out, err = run(capsys, *argv)
     assert code == 3 and out == ""
     assert err.startswith("budget exhausted: the class of") and err.endswith(f" of {cap}\n")
     assert all(size <= cap for size in searched)
@@ -573,11 +579,14 @@ def test_a_class_over_the_budget_exits_three(capsys, monkeypatch, case):
     [["verify-bs", "--group", "D4"], ["bs-check", "--group", "D4", "--pi", "2", "--m", "2"]],
     ids=["verify-bs", "bs-check"],
 )
-def test_no_class_inside_the_radical_is_searched(capsys, argv):
-    """O_2(D4) is D4, so the class budget refuses none of its classes, not
+def test_no_class_inside_the_radical_is_searched(capsys, monkeypatch, argv):
+    """O_2(D4) is D4, so a class cap of 1 refuses none of its classes, not
     even the 2-member class of (1 2 3 4): both commands read the same
     membership records, and a class inside the radical is never searched."""
-    code, report = run_json(capsys, *argv, "--budget-max-class", "1")
+    import piradical.structure as structure
+
+    monkeypatch.setattr(structure, "CLASS_CAP", 1)
+    code, report = run_json(capsys, *argv)
     assert code == 0
     assert [r["in_radical"] for r in report["results"]] == [True] * 5
 
@@ -797,31 +806,38 @@ def test_an_empty_group_name_is_an_unknown_group(capsys):
 
 
 @pytest.mark.parametrize(
-    "argv,spec_text",
+    "argv,spec_text,says",
     [
-        (["width-table", "--n", "4-8"], None),
-        (["width-table", "--n", "10"], None),
-        (["width-table", "--n", "5", "--r", "4"], None),
-        (["verify-bs", "--group", "C1"], None),
-        (["radical", "--group", "S4", "--pi", "2,x"], None),
-        (["radical", "--group", "D2", "--pi", "2"], None),
-        (["radical", "--group", "S0", "--pi", "2"], None),
-        (["alpha", "--group", "A5"], None),
-        (["alpha", "--spec", "{spec}"], SPEC_TEXT.replace("socle a b\n", "")),
-        (["alpha", "--spec", "{spec}"], SPEC_TEXT.replace("aut a\n", "")),
+        (["width-table", "--n", "4-8"], None, "--n must lie within"),
+        (["width-table", "--n", "10"], None, "--n must lie within"),
+        (["width-table", "--n", "5", "--r", "4"], None, "odd primes"),
+        (["width-table", "--n", "5", "--r", ""], None, "--r must be"),
+        (["width-table", "--n", "5", "--r", "3,x"], None, "--r must be"),
+        (["verify-bs", "--group", "C1"], None, ""),
+        (["radical", "--group", "S4", "--pi", "2,x"], None, ""),
+        (["radical", "--group", "D2", "--pi", "2"], None, ""),
+        (["radical", "--group", "S0", "--pi", "2"], None, ""),
+        (["alpha", "--group", "A5"], None, "--aut is required"),
+        (["alpha", "--group", "A5", "--aut", ""], None, "empty permutation string"),
+        (["alpha", "--spec", "{spec}"], SPEC_TEXT.replace("socle a b\n", ""), "no 'socle' line"),
+        (["alpha", "--spec", "{spec}"], SPEC_TEXT.replace("aut a\n", ""), "no automorphism"),
+        (["alpha", "--spec", "{spec}", "--aut", ""], SPEC_TEXT, "empty permutation string"),
+        # the keyword is read as --group reads it, so only its degree is wrong
+        (["alpha", "--spec", "{spec}", "--aut", "outer-involution"], SPEC_TEXT, "acts on 10"),
     ],
     ids=[
-        "n-below-5", "n-above-9", "r-not-prime", "trivial-group", "pi-not-prime",
-        "dihedral-too-small", "symmetric-degree-0", "no-aut", "spec-no-socle", "spec-no-aut",
+        "n-below-5", "n-above-9", "r-not-prime", "r-empty", "r-not-a-number", "trivial-group",
+        "pi-not-prime", "dihedral-too-small", "symmetric-degree-0", "no-aut", "aut-empty",
+        "spec-no-socle", "spec-no-aut", "spec-aut-empty", "spec-aut-keyword",
     ],
 )
-def test_input_refusals_exit_2_with_nothing_printed(capsys, tmp_path, argv, spec_text):
+def test_input_refusals_exit_2_with_nothing_printed(capsys, tmp_path, argv, spec_text, says):
     spec = tmp_path / "g.spec"
     if spec_text is not None:
         spec.write_text(spec_text, encoding="utf-8")
     code, out, err = run(capsys, *(arg.format(spec=spec) for arg in argv))
     assert (code, out) == (2, "")
-    assert err.startswith("error")
+    assert err.startswith("error") and says in err
 
 
 def test_the_readme_command_lines_parse():
@@ -834,6 +850,20 @@ def test_the_readme_command_lines_parse():
     assert len(commands) == 8
     for argv in commands:
         build_parser().parse_args(argv)
+
+
+def test_the_readme_library_quick_start_runs():
+    """The README's ``python`` block runs as written, in a fresh interpreter
+    on the package source, so a library API change cannot leave it stale."""
+    root = Path(__file__).resolve().parents[1]
+    readme = (root / "README.md").read_text(encoding="utf-8")
+    blocks = [part.split("```", 1)[0] for part in readme.split("```python\n")[1:]]
+    assert len(blocks) == 1
+    env = {**os.environ, "PYTHONPATH": str(root / "src")}
+    done = subprocess.run(
+        [sys.executable, "-c", blocks[0]], env=env, capture_output=True, text=True, timeout=120
+    )
+    assert done.returncode == 0, done.stderr
 
 
 # -- output formats --------------------------------------------------------------

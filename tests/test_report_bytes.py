@@ -30,15 +30,15 @@ from piradical import cli
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
 DIGESTS = {
-    "width-table": "d202b96ce3b46c849fbb26e129a955bbe8cbdb5e7b572be6bc2a6b2afa8850bd",
-    "membership-bs": "3d5fe61d1cecf8f42fbdfb86c1121f6cc68c20631fc448667525090f937a83e4",
+    "width-table": "a403f17c294847d739bb34552a326fb71d89d08427740e9fc9ec654c8f5a5b3d",
+    "membership-bs": "0063e5c9f1545bc4d0f7944d622babc26d2b97a96b74125308656eefa8096457",
     "radical-catalog": "8e6eb502bbf41cfd999612d4a1141a5beb22a2718c193b028220b3fb94d2ac82",
 }
 
 # the same reports with every ``states_visited`` key removed
 MASKED_DIGESTS = {
-    "width-table": "f4907cf3e3deb7e8f944c40127fef7ac7d4b5e77a8cec707cc6252695c49d81b",
-    "membership-bs": "5f0978e9afb2cc64df8569305c4773c70923dfe9e981333cfe002595f4f2506d",
+    "width-table": "f9c8145b90488995fdb2c71bf0f6142e365bca47a8fc7c63c383526a1efc86c8",
+    "membership-bs": "42055fd15a345ea3be35dbc6faf5eb4d66107c332a30dc545fa64f87b24deb40",
     "radical-catalog": "8e6eb502bbf41cfd999612d4a1141a5beb22a2718c193b028220b3fb94d2ac82",
 }
 

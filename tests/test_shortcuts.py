@@ -107,10 +107,10 @@ def test_a_class_of_non_pi_order_is_answered_as_its_whole_table_answers(name):
     budget = SearchBudget()
     shortcuts = 0
     for pi in proper_prime_sets(G):
-        for rep, size in data.reps:
+        for rep, _ in data.reps:
             if is_pi_element(rep, pi):
                 continue
-            short = _class_search(G, rep, size, pi, budget)
+            short = _class_search(G, rep, pi, budget)
             assert rep.images not in data._tables  # no class table was read
             members, wits = conjugation_orbit(G, rep, G.order_int)
             full = min_width_search(
@@ -133,8 +133,8 @@ def test_a_class_search_reads_the_orders_the_scan_found(monkeypatch):
     calls = []
     real = Permutation.order
     monkeypatch.setattr(Permutation, "order", lambda self: calls.append(self) or real(self))
-    for rep, size in reps:
-        _class_search(G, rep, size, PrimeSet.of(2, 3), SearchBudget())
+    for rep, _ in reps:
+        _class_search(G, rep, PrimeSet.of(2, 3), SearchBudget())
     assert calls == []
 
 
@@ -157,8 +157,8 @@ def test_a_class_of_non_pi_order_does_no_engine_work(monkeypatch):
     build = PermGroup.__dict__["from_generators"].__func__
     monkeypatch.setattr(PermGroup, "from_generators", classmethod(counted("build", build)))
     monkeypatch.setattr(PermGroup, "extend", counted("extend", PermGroup.extend))
-    for rep, size in non_pi:
-        assert _class_search(G, rep, size, pi, SearchBudget()).value == 1
+    for rep, _ in non_pi:
+        assert _class_search(G, rep, pi, SearchBudget()).value == 1
     assert len(non_pi) == 3  # the classes of orders 5, 7 and 10
     assert calls == []
 

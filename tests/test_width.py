@@ -1,5 +1,6 @@
 """Width searches: generation counts, radical membership, pair checks."""
 
+import contextlib
 import dataclasses
 import gc
 import itertools
@@ -169,13 +170,13 @@ def test_each_status_through_the_library(status):
 
 
 def no_search(*args, **kwargs):
-    raise AssertionError("a class over the class budget was searched")
+    raise AssertionError("a class over the class cap was searched")
 
 
 def test_membership_checks_raise_only_when_nothing_was_searched_to_width(monkeypatch):
     """A width budget still searched every tuple up to m; a state budget did
-    not, and raises.  A class over the class budget is refused before any
-    search, even where a search of part of it would find a value."""
+    not, and raises.  A class over ``structure.CLASS_CAP`` is refused before
+    any search, even where a search of part of it would find a value."""
     G = symmetric_group(5)
     pi = PrimeSet.of(2, 3)
     res = bs_membership(G, pi, 3)
@@ -184,16 +185,33 @@ def test_membership_checks_raise_only_when_nothing_was_searched_to_width(monkeyp
     with pytest.raises(BudgetExhausted):
         bs_membership(G, pi, 3, budget=SearchBudget(max_states=1))
     with pytest.raises(BudgetExhausted):
-        bs_membership(G, pi, 3, budget=SearchBudget(max_class_size=3))
-    with pytest.raises(BudgetExhausted):
         minimal_membership_width(G, pi, budget=SearchBudget(max_width=3))
     with pytest.raises(BudgetExhausted):
         baer_suzuki_check(G, 2, budget=SearchBudget(max_states=1))
+    monkeypatch.setattr(structure, "CLASS_CAP", 3)
+    with pytest.raises(BudgetExhausted):
+        bs_membership(symmetric_group(5), pi, 3)
     # O_2(S5) is trivial, so the first class searched is the 10 transpositions
+    monkeypatch.setattr(structure, "CLASS_CAP", 5)
     monkeypatch.setattr(width, "min_width_search", no_search)
     H = symmetric_group(5)
-    with pytest.raises(BudgetExhausted, match="10 members, more than the class budget of 5"):
-        bs_membership(H, PrimeSet.of(2), 2, budget=SearchBudget(max_class_size=5))
+    with pytest.raises(BudgetExhausted, match="10 members, more than the class cap of 5"):
+        bs_membership(H, PrimeSet.of(2), 2)
+
+
+def test_a_class_of_non_pi_order_over_the_cap_is_answered_at_width_one(monkeypatch):
+    """<x> alone is not a pi-group when the order of x is not a pi-number, so
+    such a class needs no class table, and the class cap does not refuse it:
+    on S5 with pi = {2,3} and a cap of 1, the 24 five-cycles read width 1
+    and the 10 transpositions are refused."""
+    G = symmetric_group(5)
+    pi = PrimeSet.of(2, 3)
+    monkeypatch.setattr(structure, "CLASS_CAP", 1)
+    monkeypatch.setattr(width, "min_width_search", no_search)
+    res = width._class_search(G, P("(1 2 3 4 5)"), pi, SearchBudget())
+    assert (res.value, res.status, res.members) == (1, "found", (P("(1 2 3 4 5)"),))
+    with pytest.raises(BudgetExhausted, match="10 members, more than the class cap of 1"):
+        width._class_search(G, P("(1 2)", 5), pi, SearchBudget())
 
 
 def test_first_conjugate_must_be_the_element():
@@ -326,7 +344,7 @@ def test_chain_buckets_by_order_never_merge_two_subgroups():
     assert not chains.admit(grp("(1 2)"))
 
 
-@pytest.mark.parametrize("field", ["max_width", "max_states", "max_class_size"])
+@pytest.mark.parametrize("field", ["max_width", "max_states"])
 def test_search_budget_rejects_limits_below_one(field):
     with pytest.raises(ValueError, match=field):
         SearchBudget(**{field: 0})
@@ -484,39 +502,45 @@ def test_minimal_membership_width_on_five_points():
     assert all(w >= 1 for w in widths.values())
 
 
-@pytest.mark.parametrize("max_class_size", [6, 8])
-def test_minimal_membership_width_refuses_a_class_over_the_budget(max_class_size, monkeypatch):
+@pytest.mark.parametrize("cap", [6, 8])
+def test_minimal_membership_width_refuses_a_class_over_the_budget(cap, monkeypatch):
     """A width found over part of a class need not be the class's minimum:
     on S6, (1 5 2 4)(3 6) reaches a non-{2,3} subgroup at width 2 over its
     90 conjugates, but only at width 3 over some of their subsets.  So a
-    class over the class budget is refused before any search, even one whose
-    minimum is already kept."""
+    class over ``structure.CLASS_CAP`` (lowered here, after the minimum was
+    found under the default one) is refused before any search."""
     G = symmetric_group(6)
     pi = PrimeSet.of(2, 3)
     _, per_rep = minimal_membership_width(G, pi)
     rep = next(r for r, _ in per_rep if str(r) == "(1 5 2 4)(3 6)")
     assert dict(per_rep)[rep] == 2
     monkeypatch.setattr(width, "min_width_search", no_search)
-    budget = SearchBudget(max_class_size=max_class_size)
-    message = f"90 members, more than the class budget of {max_class_size}"
+    monkeypatch.setattr(structure, "CLASS_CAP", cap)
+    message = f"90 members, more than the class cap of {cap}"
     with pytest.raises(BudgetExhausted, match=message):
-        width._class_search(G, rep, 90, pi, budget)
-    with pytest.raises(BudgetExhausted, match="more than the class budget"):
-        minimal_membership_width(symmetric_group(6), pi, budget)
+        width._class_search(symmetric_group(6), rep, pi, SearchBudget())
+    with pytest.raises(BudgetExhausted, match="more than the class cap"):
+        minimal_membership_width(symmetric_group(6), pi)
 
 
 @pytest.mark.parametrize(
-    "budget", [SearchBudget(), SearchBudget(max_states=4), SearchBudget(max_class_size=20)]
+    "budget,cap",
+    [(SearchBudget(), None), (SearchBudget(max_states=4), None), (SearchBudget(), 20)],
+    ids=["budget0", "budget1", "budget2"],
 )
-def test_a_kept_class_search_answers_as_a_new_search_would(budget):
+def test_a_kept_class_search_answers_as_a_new_search_would(budget, cap, monkeypatch):
     """``minimal_membership_width`` keeps a found search for every class of
-    S5 of {2,3}-order outside O_{2,3}; a later membership check reuses one
-    only where a new search under its own budget would return the same
+    S5 of {2,3}-order outside O_{2,3} that it reaches under the class cap (a
+    cap of 20 refuses the 30 four-cycles); a later membership check reuses
+    one only where a new search under its own budget would return the same
     result, so every width m reads the same on that group as on a fresh
     copy."""
+    if cap is not None:
+        monkeypatch.setattr(structure, "CLASS_CAP", cap)
     pi = PrimeSet.of(2, 3)
     G = symmetric_group(5)
-    minimal_membership_width(G, pi)
+    with contextlib.suppress(BudgetExhausted):
+        minimal_membership_width(G, pi)
 
     def check(group, m):
         try:
@@ -528,24 +552,22 @@ def test_a_kept_class_search_answers_as_a_new_search_would(budget):
         assert check(G, m) == check(symmetric_group(5), m), m
 
 
-@pytest.mark.parametrize(
-    "budget",
-    [SearchBudget(max_class_size=15), SearchBudget(max_class_size=15, max_states=30)],
-)
-def test_a_kept_search_answers_as_a_fresh_one_under_a_tight_class_budget(budget):
+@pytest.mark.parametrize("budget", [SearchBudget(), SearchBudget(max_states=30)])
+def test_a_kept_search_answers_as_a_fresh_one_under_a_tight_class_budget(budget, monkeypatch):
     """On S6 with pi = {2,3}, (1 4)(2 5)(3 6) has 15 conjugates and
-    |C| = 48.  A class budget of 15 lets its class be searched, and the
-    search it keeps under the default budget (width 4) must be what a fresh
-    search under that budget returns, or raises: the class budget never
-    changes how a search runs."""
+    |C| = 48.  A class cap of 15 lets its class be searched, and the search
+    kept under the default cap and budget (width 4) must be what a fresh
+    search under that cap and budget returns, or raises: the class cap
+    never changes how a search runs."""
     pi = PrimeSet.of(2, 3)
     G = symmetric_group(6)
     minimal_membership_width(G, pi)
+    monkeypatch.setattr(structure, "CLASS_CAP", 15)
     rep = P("(1 4)(2 5)(3 6)", 6)
 
     def search(group):
         try:
-            return width._class_search(group, rep, 15, pi, budget)
+            return width._class_search(group, rep, pi, budget)
         except BudgetExhausted as e:
             return str(e)
 
