@@ -2,7 +2,7 @@
 
 Every subcommand computes the echoed inputs, a flat list of result records
 and a summary; :func:`main` wraps them once in an :class:`ExperimentReport`
-with provenance (version, the budgets of the subcommands that take them,
+with provenance (version, the width budget of the subcommands that take it,
 wall time) and renders it as text, JSON, or CSV.  Records and summaries
 hold the library's values as they are; one renderer writes a permutation,
 a factored order or a prime set as its ``str`` (cycle notation, ``2^3·3``,
@@ -13,16 +13,19 @@ wall-time field.
 
 A width result (``alpha``, ``beta``, the cells of ``width-table``) carries a
 ``status``: ``found`` (the value is certified minimal), ``absent`` (no width
-at all succeeds), or ``width_budget`` or ``state_budget`` (a budget cut the
-search short).  Only the first two are ``exhaustive``.
+at all succeeds), or ``width_budget`` or ``state_budget`` (the width of
+``--budget-max-width`` or the fixed 100,000 states of ``width.STATE_CAP``
+cut the search short).  Only the first two are ``exhaustive``; the pair
+checks take no search option.
 
 Exit codes: 0 success; 1 a verified mathematical invariant failed (an
 implementation bug, never an input problem, also when a catalog or spec
 self-check fails while the input is read); 2 input/validation errors;
-3 budget exhaustion (among it a class of more than the fixed 100,000
-members of ``structure.CLASS_CAP``, refused before any search, with nothing
-printed) or a printed width result that is not exhaustive.  Subcommands
-raise; :func:`main` alone maps an exception to its exit code.
+3 budget exhaustion (among it a class over the fixed ``structure.CLASS_CAP``,
+refused before any search, and a group too large for a scan it needs,
+:class:`TooLarge`, both with nothing printed) or a printed
+width result that is not exhaustive.  Subcommands raise; :func:`main` alone
+maps an exception to its exit code.
 """
 
 from __future__ import annotations
@@ -48,15 +51,15 @@ from .catalog import (
     projective_semilinear_9,
     socle_by_name,
 )
-from .errors import BudgetExhausted, InvariantViolation, NotAlmostSimple, PiradicalError
+from .errors import BudgetExhausted, InvariantViolation, NotAlmostSimple, PiradicalError, TooLarge
 from .factored import FactoredInteger, is_prime
 from .groups import PermGroup
 from .perms import Permutation
 from .structure import PrimeSet, is_pi_group, normal_subgroups, pi_radical
 from .width import (
+    MAX_WIDTH,
     SWEEP_MAX_R,
     AlmostSimpleContext,
-    SearchBudget,
     alpha,
     baer_suzuki_check,
     beta,
@@ -156,12 +159,11 @@ class ExperimentReport:
 
 
 def _provenance(args, t0: float) -> dict:
-    """Package, the search budget (for subcommands that take one) and wall
+    """Package, the width budget (for subcommands that take one) and wall
     time."""
     prov = {"package": "piradical", "version": __version__}
-    for key in ("budget_max_width", "budget_max_states"):
-        if hasattr(args, key):
-            prov[key] = getattr(args, key)
+    if hasattr(args, "budget_max_width"):
+        prov["budget_max_width"] = args.budget_max_width
     prov["wall_time_s"] = round(time.monotonic() - t0, 3)
     return prov
 
@@ -175,27 +177,22 @@ def _add_output_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--out", type=str, default=None, help="write the report to a file")
 
 
+def _width(text: str) -> int:
+    """A ``--budget-max-width`` value: an integer of at least 1."""
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
+    return value
+
+
 def _add_budget_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--budget-max-width", type=int, default=SearchBudget.max_width)
-    _add_pair_budget_flags(p)
-
-
-def _add_pair_budget_flags(p: argparse.ArgumentParser) -> None:
-    """The budget of a search whose width is fixed (the pair checks)."""
-    p.add_argument("--budget-max-states", type=int, default=SearchBudget.max_states)
+    p.add_argument("--budget-max-width", type=_width, default=MAX_WIDTH)
 
 
 def _add_group_flags(p: argparse.ArgumentParser) -> None:
     g = p.add_mutually_exclusive_group(required=True)
     g.add_argument("--group", help="catalog name: S5, A6, D8, psl2(7), pgammal2(9), ...")
     g.add_argument("--spec", help="path to a group-spec file")
-
-
-def _budget(args) -> SearchBudget:
-    return SearchBudget(
-        max_width=getattr(args, "budget_max_width", SearchBudget.max_width),
-        max_states=args.budget_max_states,
-    )
 
 
 def _resolve_group(args) -> tuple[str, PermGroup, "object"]:
@@ -287,10 +284,10 @@ WIDTH_RECORD_KEYS = (
 def cmd_width(args) -> tuple[dict, int]:
     """``alpha``, or ``beta`` with ``--r``; exits 3 unless the result is
     exhaustive."""
-    budget = _budget(args)
     name, ctx = _resolve_context(args)
     with_r = args.command == "beta"
-    res = beta(ctx, args.r, budget) if with_r else alpha(ctx, budget)
+    width = args.budget_max_width
+    res = beta(ctx, args.r, width) if with_r else alpha(ctx, width)
     record = {
         "socle": name,
         "socle_order": ctx.socle.order_int,
@@ -314,10 +311,9 @@ def cmd_width(args) -> tuple[dict, int]:
 
 
 def cmd_bs_check(args) -> tuple[dict, int]:
-    budget = _budget(args)
     name, G, spec = _resolve_group(args)
     pi = _resolve_pi(args, spec)
-    res = bs_membership(G, pi, args.m, budget=budget)
+    res = bs_membership(G, pi, args.m)
     summary = {
         "holds": res.holds,
         "m": args.m,
@@ -326,7 +322,7 @@ def cmd_bs_check(args) -> tuple[dict, int]:
         "exhaustive": res.exhaustive,
     }
     if args.find_min:
-        m_min, per_rep = minimal_membership_width(G, pi, budget=budget)
+        m_min, per_rep = minimal_membership_width(G, pi, args.budget_max_width)
         summary["minimal_m"] = m_min
         summary["minimal_m_per_class"] = {str(rep): w for rep, w in per_rep}
     return dict(
@@ -376,7 +372,7 @@ def _parse_n_range(text: str) -> list[int]:
 def cmd_width_table(args) -> tuple[dict, int]:
     """Exits 1 on a bound violation, else 3 when a cell has no beta or a
     printed alpha or beta is not exhaustive."""
-    budget = _budget(args)
+    width = args.budget_max_width
     ns = _parse_n_range(args.n)
     try:
         r_given = None if args.r is None else [int(tok) for tok in args.r.split(",")]
@@ -403,7 +399,7 @@ def cmd_width_table(args) -> tuple[dict, int]:
 
     def run_cell(label: str, ctx: AlmostSimpleContext, r: int, expected: str, a) -> None:
         nonlocal any_uncertified, any_violation
-        res = beta(ctx, r, budget)
+        res = beta(ctx, r, width)
         if res.value is None or not res.exhaustive or (a is not None and not a.exhaustive):
             any_uncertified = True
         if res.value is None:
@@ -448,7 +444,7 @@ def cmd_width_table(args) -> tuple[dict, int]:
         # alpha does not depend on r: once per context
         for x, p, _k in prime_order_class_representatives(n):
             ctx = context(socle, x)
-            a = alpha(ctx, budget) if args.include_alpha and r_list else None
+            a = alpha(ctx, width) if args.include_alpha and r_list else None
             for r in r_list:
                 expected = "eq-r-1" if x.is_transposition() else "le-r-1"
                 run_cell(f"A{n}", ctx, r, expected, a)
@@ -456,7 +452,7 @@ def cmd_width_table(args) -> tuple[dict, int]:
             pg = projective_semilinear_9()
             ctx = context(pg.socle, pg.involution_outside_s6)
             rs = [r for r in r_list if r in (3, 5)]
-            a = alpha(ctx, budget) if args.include_alpha and rs else None
+            a = alpha(ctx, width) if args.include_alpha and rs else None
             for r in rs:
                 run_cell("A6:pgammal", ctx, r, "eq-3" if r == 3 else "le-r-1", a)
 
@@ -480,14 +476,13 @@ def cmd_width_table(args) -> tuple[dict, int]:
 
 
 def cmd_verify_bs(args) -> tuple[dict, int]:
-    budget = _budget(args)
     name, G, spec = _resolve_group(args)
     primes = [args.p] if args.p is not None else sorted(G.order.prime_support)
     if not primes:
         raise ValueError("the trivial group has no primes to verify")
     records: list[dict] = []
     for p in primes:
-        res = baer_suzuki_check(G, p, budget=budget)
+        res = baer_suzuki_check(G, p)
         for r in res.records:
             w = r.witness
             records.append(
@@ -512,14 +507,13 @@ def cmd_verify_bs(args) -> tuple[dict, int]:
 def cmd_verify_bs_sweep(args) -> tuple[dict, int]:
     if args.order_cap < 2:
         raise ValueError(f"--order-cap must be >= 2 (C2 has order 2), got {args.order_cap}")
-    budget = _budget(args)
     records: list[dict] = []
     for entry in catalog_groups(max_order=args.order_cap):
         G = entry.group
         if G.order_int == 1:
             continue
         for p in sorted(G.order.prime_support):
-            res = baer_suzuki_check(G, p, budget=budget)
+            res = baer_suzuki_check(G, p)
             records.append(
                 {
                     "group": entry.name,
@@ -614,7 +608,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     _add_group_flags(p)
     p.add_argument("--p", type=int, default=None, help="a prime; default: all dividing |G|")
-    _add_pair_budget_flags(p)
     _add_output_flags(p)
     p.set_defaults(func=cmd_verify_bs)
 
@@ -623,7 +616,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="pairwise-generation criterion across the whole catalog",
     )
     p.add_argument("--order-cap", type=int, default=2000)
-    _add_pair_budget_flags(p)
     _add_output_flags(p)
     p.set_defaults(func=cmd_verify_bs_sweep)
 
@@ -645,7 +637,7 @@ def main(argv: list[str] | None = None) -> int:
         else:
             sys.stdout.write(text)
         return code
-    except BudgetExhausted as e:
+    except (BudgetExhausted, TooLarge) as e:
         print(f"budget exhausted: {e}", file=sys.stderr)
         return 3
     except InvariantViolation as e:

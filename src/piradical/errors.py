@@ -52,13 +52,14 @@ class NotAMember(PiradicalError, ValueError):
 
 
 class TooLarge(PiradicalError):
-    """An enumeration would exceed the configured cap."""
+    """An enumeration or a class scan would exceed its cap."""
 
 
 class BudgetExhausted(PiradicalError):
-    """A search ran out of its budget before reaching a definitive answer:
-    its states or widths, or a class larger than the class budget, which is
-    refused before any search starts."""
+    """A search ran out of its bounds before reaching a definitive answer:
+    it passed ``width.STATE_CAP`` states or its width, or its class has
+    more than ``structure.CLASS_CAP`` members, which is refused before any
+    search starts."""
 
 
 # ---------------------------------------------------------------------------

@@ -17,7 +17,7 @@ Engine.  All predicates used here depend only on the *order* of the generated
 subgroup and are therefore invariant under conjugation.  The search is one
 breadth-first driver over subgroup states: level 1 is <x>, and a state at
 level k+1 is obtained by adjoining one conjugate not already inside a
-level-k state.  The driver owns the levels, the width and state budgets,
+level-k state.  The driver owns the levels, the width and state caps,
 saturation and the result record; a state model says what a state is, how a
 conjugate extends it, and when two states are one subgroup.
 Four soundness notes justify the pruning:
@@ -57,7 +57,7 @@ Four soundness notes justify the pruning:
   4), but the absence is the same.  N is found by filtering a list: c in C
   normalises H exactly when each y_i^c lies in H, because c fixes x.  A
   level-2 state filters the elements of C, listed only when |C| is at most
-  ``LISTED_CAP``, whatever the budget (above it, this note does not apply),
+  ``LISTED_CAP`` (above it, this note does not apply),
   and a deeper state filters its parent's list by its newest generator,
   leaving the group N_parent ∩ N_C(H).  The partitions model keeps the
   level-2 pruning only.
@@ -71,13 +71,13 @@ result certifies:
 * ``absent``: the frontier emptied, so no width at all succeeds;
 * ``width_budget``: every width up to the explored one failed, and
   ``max_width`` stopped the search there;
-* ``state_budget``: ``max_states`` stopped the search part-way through a
-  width.
+* ``state_budget``: the fixed ``STATE_CAP`` stopped the search part-way
+  through a width.
 
 Only ``found`` and ``absent`` are exhaustive.  The membership checks ask
 less: every tuple up to their width m was searched, which ``width_budget``
-also gives.  A search always runs over the whole class, and only
-``max_width`` and ``max_states`` cut it.  A class table holds at most
+also gives.  A search always runs over the whole class, and only its
+width and ``STATE_CAP`` cut it.  A class table holds at most
 ``structure.CLASS_CAP`` members: its producer refuses a larger class with
 :class:`BudgetExhausted` before any trace, so before any search starts.
 
@@ -103,7 +103,7 @@ search that succeeds within the level-2 prefix reads a few conjugates, and
 building C or the partition model traces the whole class once; the search
 reads the class table it is given throughout.
 
-A state, as counted by ``states_visited`` and capped by ``max_states``, is
+A state, as counted by ``states_visited`` and capped by ``STATE_CAP``, is
 every chain child before deduplication, but only a partition not seen
 before.  A state's children are counted only for the conjugates it is
 extended by (at level 2, the prefix and one per C-orbit it does not meet),
@@ -117,7 +117,7 @@ import functools
 import itertools
 import math
 from collections import Counter
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Callable, Iterator, Literal, Sequence
 
 from . import structure
@@ -149,26 +149,18 @@ Status = Literal["found", "absent", "width_budget", "state_budget"]
 
 
 # ---------------------------------------------------------------------------
-# budgets and results
+# bounds and results
 
 
-@dataclass(frozen=True)
-class SearchBudget:
-    """Resource limits for a width search.
+# The deepest tuple width a search explores unless its caller passes another:
+# above the widths the paper bounds for the groups in reach (alpha <= n - 1 on
+# Alt(n), beta_r <= r - 1), so a search there ends found or absent.
+MAX_WIDTH = 12
 
-    ``max_width``: deepest tuple width explored.
-    ``max_states``: cap on subgroup states created across all levels.
-    Each limit must be at least 1 (``ValueError`` otherwise).  A class is
-    bounded by ``structure.CLASS_CAP``, not by the budget.
-    """
-
-    max_width: int = 12
-    max_states: int = 100_000
-
-    def __post_init__(self):
-        for name in ("max_width", "max_states"):
-            if getattr(self, name) < 1:
-                raise ValueError(f"{name} must be >= 1, got {getattr(self, name)}")
+# A search that counts more states ends with status ``state_budget``: a chain
+# state holds a stabilizer chain, so this bounds memory (the benchmark's
+# searches stay under 400).  Read at call time, so a test can lower it.
+STATE_CAP = 100_000
 
 
 @dataclass
@@ -233,7 +225,7 @@ def min_width_search(
     witnesses: Sequence[Images],
     order_predicate: OrderPredicate,
     *,
-    budget: SearchBudget = SearchBudget(),
+    max_width: int = MAX_WIDTH,
     group: PermGroup | None = None,
 ) -> WidthResult:
     """Minimal number of the given conjugates generating a subgroup whose
@@ -245,16 +237,19 @@ def min_width_search(
     ``group`` is the group whose whole conjugation orbit of ``x`` the
     conjugates are.  When it is given, level 2 is built from one conjugate
     per C_group(x)-orbit past its first ``LEVEL_TWO_PREFIX``, and keeps one
-    state per orbit; without it the search is unreduced."""
+    state per orbit; without it the search is unreduced.  ``max_width`` is
+    the deepest width searched (``ValueError`` below 1)."""
+    if max_width < 1:
+        raise ValueError(f"max_width must be >= 1, got {max_width}")
     if not conjugates or conjugates[0] != x.images:
         raise ValueError("conjugates[0] must be x itself")
     model = _Partitions if x.is_transposition() else _Chains
     return _search(
-        model(x, conjugates), conjugates, witnesses, order_predicate, budget, group
+        model(x, conjugates), conjugates, witnesses, order_predicate, max_width, group
     )
 
 
-def _search(model, conjugates, witnesses, pred, budget, group=None) -> WidthResult:
+def _search(model, conjugates, witnesses, pred, max_width, group=None) -> WidthResult:
     """The breadth-first search over ``model``'s states.  Level 1 holds
     <x> alone, the child of ``model.initial`` by conjugate 0; a child is
     counted as a state when the model returns it, and searched further when
@@ -282,7 +277,7 @@ def _search(model, conjugates, witnesses, pred, budget, group=None) -> WidthResu
     every = range(len(conjugates))
     orbits = None if group is None else _CentralizerOrbits(group, conjugates, witnesses)
     width = 0
-    while frontier and width < budget.max_width:
+    while frontier and width < max_width:
         if width == 2 and orbits is not None:
             frontier = orbits.first_per_orbit(frontier)
             if model.per_state_reduction and orbits.C.order_int <= LISTED_CAP:
@@ -302,7 +297,7 @@ def _search(model, conjugates, witnesses, pred, budget, group=None) -> WidthResu
                 if child is None:
                     continue
                 states += 1
-                if states > budget.max_states:
+                if states > STATE_CAP:
                     return result(width, "state_budget")
                 if not model.admit(child):
                     continue
@@ -367,8 +362,8 @@ def _centralizer(
 # that succeeds among them never builds C (chosen by benchmark medians).
 LEVEL_TWO_PREFIX = 16
 
-# C is listed for the per-state normaliser reduction up to this order, whatever
-# the budget: filtering the list costs one sift per listed element per state.
+# C is listed for the per-state normaliser reduction up to this order, at any
+# width: filtering the list costs one sift per listed element per state.
 LISTED_CAP = 100_000
 
 
@@ -640,7 +635,7 @@ class AlmostSimpleContext:
         )
 
 
-def alpha(ctx: AlmostSimpleContext, budget: SearchBudget = SearchBudget()) -> WidthResult:
+def alpha(ctx: AlmostSimpleContext, max_width: int = MAX_WIDTH) -> WidthResult:
     """Minimal number of socle-conjugates of x generating the whole ambient
     group (generated subgroups always lie inside it, so order equality is
     group equality)."""
@@ -650,7 +645,7 @@ def alpha(ctx: AlmostSimpleContext, budget: SearchBudget = SearchBudget()) -> Wi
         ctx.conjugates,
         ctx.witnesses,
         lambda o: o == target,
-        budget=budget,
+        max_width=max_width,
         group=ctx.socle,
     )
 
@@ -658,7 +653,7 @@ def alpha(ctx: AlmostSimpleContext, budget: SearchBudget = SearchBudget()) -> Wi
 def beta(
     ctx: AlmostSimpleContext,
     r: int,
-    budget: SearchBudget = SearchBudget(),
+    max_width: int = MAX_WIDTH,
 ) -> WidthResult:
     """Minimal number of socle-conjugates of x generating a subgroup of
     order divisible by the prime r."""
@@ -673,7 +668,7 @@ def beta(
         ctx.conjugates,
         ctx.witnesses,
         lambda o: o % r == 0,
-        budget=budget,
+        max_width=max_width,
         group=ctx.socle,
     )
 
@@ -724,26 +719,24 @@ def _non_pi_predicate(pi: PrimeSet) -> OrderPredicate:
     return lambda o: not is_pi_number(FactoredInteger.from_int(o), pi)
 
 
-def _class_search(
-    G: PermGroup, rep: Permutation, pi: PrimeSet, budget: SearchBudget
-) -> WidthResult:
-    """The search for a non-pi subgroup over the G-class of ``rep``, on the
-    class table kept in ``class_data(G)``, traced as far as the search reads
-    it.  Raises :class:`BudgetExhausted` when the class table does (a class
-    of more than ``structure.CLASS_CAP`` members, before any search), and
-    when the search found nothing and was cut off before every tuple up to
-    ``budget.max_width`` was searched.
+def _class_search(G: PermGroup, rep: Permutation, pi: PrimeSet, m: int) -> WidthResult:
+    """The search up to width m for a non-pi subgroup over the G-class of
+    ``rep``, on the class table kept in ``class_data(G)``, traced as far as
+    the search reads it.  Raises :class:`BudgetExhausted` when the class
+    table does (a class of more than ``structure.CLASS_CAP`` members, before
+    any search), and when the search passed ``STATE_CAP`` states before
+    every tuple up to width m was searched.
 
     A representative whose order (the scan's, ``class_data(G).order``) is
     not a pi-number has width 1 by <rep> alone: it is answered without a
     search, chain or class table, with the result the engine would return
-    under any budget.
+    at any width.
 
     A ``found`` search is kept in ``class_data(G)`` under (rep, pi) and
-    returned again whenever ``budget`` lets a new search reach it: its
-    value is within ``max_width`` and its states within ``max_states``.  The
-    budget has no other field, so the rule is exact: the search meets the
-    same states in the same order under any such budget."""
+    returned again whenever a new search would reach it: its value is at
+    most m and its states at most ``STATE_CAP``, read now.  Nothing else
+    cuts a search, so the rule is exact: a new search meets the same states
+    in the same order."""
     data = class_data(G)
     order = data.order(rep)
     if not is_pi_number(order, pi):
@@ -757,29 +750,20 @@ def _class_search(
             states_visited=1,
         )
     kept = data.searches.get((rep.images, pi))
-    if (
-        kept is not None
-        and kept.value <= budget.max_width
-        and kept.states_visited <= budget.max_states
-    ):
+    if kept is not None and kept.value <= m and kept.states_visited <= STATE_CAP:
         return kept
     members, wits = data.class_table(rep)
-    res = min_width_search(rep, members, wits, _non_pi_predicate(pi), budget=budget, group=G)
+    res = min_width_search(rep, members, wits, _non_pi_predicate(pi), max_width=m, group=G)
     if res.status == "found":
         data.searches[(rep.images, pi)] = res
-    if res.status == "state_budget":  # the only end short of max_width
+    if res.status == "state_budget":  # the only end short of width m
         raise BudgetExhausted(
             f"search for {rep} ended with status {res.status} before certification"
         )
     return res
 
 
-def bs_membership(
-    G: PermGroup,
-    pi: PrimeSet,
-    m: int,
-    budget: SearchBudget = SearchBudget(),
-) -> BSMembershipResult:
+def bs_membership(G: PermGroup, pi: PrimeSet, m: int) -> BSMembershipResult:
     """Does width m suffice for membership testing against O_pi(G)?
 
     For each class representative x outside the radical, search for a
@@ -787,8 +771,8 @@ def bs_membership(
     the radical need no search: their conjugates generate subgroups of the
     radical, which are pi-groups).  Raises :class:`BudgetExhausted` if such
     a representative of pi-number order has a class of more than
-    ``structure.CLASS_CAP`` members, or its search found nothing and was cut
-    off before every tuple up to width m was searched.
+    ``structure.CLASS_CAP`` members, or its search found nothing and passed
+    ``STATE_CAP`` states before every tuple up to width m was searched.
 
     The radical (:func:`pi_radical`), the classes and their tables come from
     ``class_data(G)``, so every membership call on one group object shares
@@ -797,11 +781,10 @@ def bs_membership(
     if m < 1:
         raise ValueError(f"width m must be >= 1, got {m}")
     radical = pi_radical(G, pi)
-    searched = replace(budget, max_width=m)
     records: list[ClassMembershipRecord] = []
     for rep, size in class_data(G).reps:
         in_radical = radical.contains(rep)
-        res = None if in_radical else _class_search(G, rep, pi, searched)
+        res = None if in_radical else _class_search(G, rep, pi, m)
         records.append(
             ClassMembershipRecord(
                 representative=rep,
@@ -831,25 +814,23 @@ def bs_membership(
 
 
 def minimal_membership_width(
-    G: PermGroup,
-    pi: PrimeSet,
-    budget: SearchBudget = SearchBudget(),
+    G: PermGroup, pi: PrimeSet, max_width: int = MAX_WIDTH
 ) -> tuple[int, list[tuple[Permutation, int]]]:
     """The least m for which :func:`bs_membership` holds, with the per-class
     minimal non-pi widths that determine it (max over representatives
     outside the radical; 1 when the radical is everything).
 
-    These are the records of :func:`bs_membership` at width
-    ``budget.max_width``.  Every representative outside the radical reaches
-    a non-pi subgroup at some width (its class generates the non-pi normal
-    closure), so one without a width there raises :class:`BudgetExhausted`,
-    as do a state budget and a class over ``structure.CLASS_CAP``.
+    These are the records of :func:`bs_membership` at width ``max_width``.
+    Every representative outside the radical reaches a non-pi subgroup at
+    some width (its class generates the non-pi normal closure), so one
+    without a width there raises :class:`BudgetExhausted`, as do a search
+    past ``STATE_CAP`` states and a class over ``structure.CLASS_CAP``.
     """
-    res = bs_membership(G, pi, budget.max_width, budget)
+    res = bs_membership(G, pi, max_width)
     if res.violating_element is not None:
         raise BudgetExhausted(
             f"no certified non-pi width for {res.violating_element}: every "
-            f"tuple of up to {budget.max_width} of its conjugates generates "
+            f"tuple of up to {max_width} of its conjugates generates "
             f"a pi-group"
         )
     per_rep = [
@@ -862,11 +843,7 @@ def minimal_membership_width(
 # classical Baer-Suzuki: the membership test at pi = {p}, m = 2, certified
 
 
-def baer_suzuki_check(
-    G: PermGroup,
-    p: int,
-    budget: SearchBudget = SearchBudget(),
-) -> BSMembershipResult:
+def baer_suzuki_check(G: PermGroup, p: int) -> BSMembershipResult:
     """The Baer-Suzuki theorem for G and p: x lies in O_p(G) exactly when
     every pair <x, x^g> is a p-group.  This is :func:`bs_membership` at
     pi = {p} and width 2, with each direction certified once; a failure is
@@ -879,7 +856,7 @@ def baer_suzuki_check(
     if not is_prime(p):
         raise ValueError(f"p must be prime, got {p}")
     pi = PrimeSet.of(p)
-    res = bs_membership(G, pi, 2, budget)
+    res = bs_membership(G, pi, 2)
     if not res.holds:
         raise InvariantViolation(
             f"Baer-Suzuki equivalence failed at p={p}: {res.violating_element} is "

@@ -25,7 +25,6 @@ from piradical import (
     AlmostSimpleContext,
     Permutation,
     PrimeSet,
-    SearchBudget,
     alpha,
     alternating_group,
     baer_suzuki_check,
@@ -134,7 +133,7 @@ def test_c01_transposition_beta_equals_r_minus_one():
 def test_c02_semilinear_involution_beta_three_is_three():
     ctx = semilinear_context()
     res = beta(ctx, 3)
-    pair_scan = beta(ctx, 3, budget=SearchBudget(max_width=2))
+    pair_scan = beta(ctx, 3, max_width=2)
     # brute force: the closure of every unordered pair of conjugates
     members = [Permutation(y) for y in ctx.conjugates]
     pairs = list(itertools.combinations(members, 2))

@@ -140,12 +140,12 @@ def test_find_min_searches_each_class_once(capsys):
     """``bs-check --find-min`` reuses the width-m search of every class whose
     minimum it found: S5 has six classes outside its trivial 2-radical, and
     the report is the one that searching each class again gave (its SHA-256
-    without the wall time, and without the seed and class-budget keys
-    reports once had)."""
+    without the wall time, and without the seed, class-budget and
+    state-budget keys reports once had)."""
     argv = ["bs-check", "--group", "S5", "--pi", "2", "--m", "2", "--find-min"]
     assert run_traced([argv])["width.searches"] <= 6
     assert main(argv + ["--format", "json"]) == 0
     report = json.loads(capsys.readouterr().out)
     del report["provenance"]["wall_time_s"]
     digest = hashlib.sha256(json.dumps(report, indent=2).encode()).hexdigest()
-    assert digest == "58cb865cc0d49ffcf291165b301a4a0efdb8e1343d8eca4e91956203c63104fe"
+    assert digest == "86d5e5adebaae5215f0ce052d4640f53c8b6f312ee1a22ac592bae9c3d5de34c"

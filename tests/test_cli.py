@@ -1,5 +1,6 @@
 """Command-line interface: exit codes, output formats, reproducibility."""
 
+import argparse
 import csv
 import io
 import json
@@ -12,12 +13,17 @@ from pathlib import Path
 
 import pytest
 
-from piradical import InvariantViolation, cli, group_by_name
+from piradical import InvariantViolation, cli, group_by_name, width
 from piradical.cli import ExperimentReport, build_parser, csv_cell, main
 
 
 def run(capsys, *argv: str) -> tuple[int, str, str]:
-    code = main(list(argv))
+    """The exit code, stdout and stderr of one command line, as a process
+    would see them (a parser refusal exits through ``SystemExit``)."""
+    try:
+        code = main(list(argv))
+    except SystemExit as e:
+        code = e.code
     captured = capsys.readouterr()
     return code, captured.out, captured.err
 
@@ -163,7 +169,6 @@ def test_find_min_past_the_width_budget_exits_three(capsys):
 @pytest.mark.parametrize(
     "argv",
     [
-        ["alpha", "--group", "A5", "--aut", "(1 2)", "--budget-max-states", "-1"],
         ["alpha", "--group", "A5", "--aut", "(1 2)", "--budget-max-width", "0"],
         ["transposition-sweep", "--r", "29"],
         ["verify-bs-sweep", "--order-cap", "0"],
@@ -171,7 +176,7 @@ def test_find_min_past_the_width_budget_exits_three(capsys):
         ["width-table", "--n", "5", "--r", "7"],
         ["width-table", "--n", "5", "--r", "3,3"],
     ],
-    ids=["max-states", "max-width", "sweep-r", "order-cap-0", "order-cap-1",
+    ids=["max-width", "sweep-r", "order-cap-0", "order-cap-1",
          "r-above-n", "r-repeated"],
 )
 def test_degenerate_budget_is_an_input_error(capsys, argv):
@@ -182,13 +187,35 @@ def test_degenerate_budget_is_an_input_error(capsys, argv):
 @pytest.mark.parametrize(
     "argv",
     [
+        ["alpha", "--group", "A5", "--aut", "(1 2)"],
+        ["beta", "--group", "A5", "--aut", "(1 2)", "--r", "5"],
+        ["width-table", "--n", "5"],
+        ["bs-check", "--group", "S5", "--pi", "2", "--m", "2"],
+        ["bs-check", "--group", "S5", "--pi", "2", "--m", "2", "--find-min"],
+    ],
+    ids=["alpha", "beta", "width-table", "bs-check", "bs-check-find-min"],
+)
+def test_a_width_below_one_is_refused_by_the_parser(capsys, argv):
+    """``--budget-max-width`` is checked where it is parsed, so a command
+    that never reads it (``bs-check`` without ``--find-min``) refuses it
+    too."""
+    code, out, err = run(capsys, *argv, "--budget-max-width", "0")
+    assert (code, out) == (2, "")
+    assert "--budget-max-width: must be >= 1" in err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
         ["radical", "--group", "S4", "--pi", "2", "--budget-max-states", "-1"],
         ["transposition-sweep", "--r", "5", "--budget-max-width", "3"],
         # the pair checks search width 2 whatever the budget says
         ["verify-bs", "--group", "S5", "--budget-max-width", "1"],
         ["verify-bs-sweep", "--order-cap", "60", "--budget-max-width", "1"],
+        ["verify-bs", "--group", "S5", "--budget-max-states", "1"],
     ],
-    ids=["radical", "transposition-sweep", "verify-bs", "verify-bs-sweep"],
+    ids=["radical", "transposition-sweep", "verify-bs", "verify-bs-sweep",
+         "verify-bs-max-states"],
 )
 def test_subcommands_without_a_search_reject_budget_flags(capsys, argv):
     with pytest.raises(SystemExit) as exc:
@@ -198,20 +225,27 @@ def test_subcommands_without_a_search_reject_budget_flags(capsys, argv):
 
 
 def test_provenance_carries_a_budget_only_for_searches(capsys):
-    """And no report carries a seed: nothing is drawn at random."""
-    budget_keys = {"budget_max_width", "budget_max_states"}
+    """Only the commands whose search width is an option record it; the
+    pair checks search width 2 and record nothing.  And no report carries a
+    seed: nothing is drawn at random."""
     reports = {command: run_json(capsys, *argv)[1] for command, argv in REPEAT_ARGV.items()}
-    for report in reports.values():
+    for command, report in reports.items():
         assert "seed" not in report["inputs"] and "seed" not in report["provenance"]
-        assert report["provenance"].keys() - budget_keys == {"package", "version", "wall_time_s"}
-    assert not budget_keys & reports["radical"]["provenance"].keys()
-    assert not budget_keys & reports["transposition-sweep"]["provenance"].keys()
+        searched = command in ("alpha", "beta", "bs-check", "width-table")
+        assert list(report["provenance"]) == [
+            "package", "version", *(["budget_max_width"] if searched else []), "wall_time_s"
+        ], command
+    assert reports["alpha"]["provenance"]["budget_max_width"] == 12
     assert reports["transposition-sweep"]["inputs"] == {"r": 7}
-    for command in ("alpha", "beta", "bs-check", "width-table"):
-        assert reports[command]["provenance"].keys() & budget_keys == budget_keys
-    assert reports["alpha"]["provenance"]["budget_max_states"] == 100_000
-    for command in ("verify-bs", "verify-bs-sweep"):
-        assert reports[command]["provenance"].keys() & budget_keys == {"budget_max_states"}
+
+
+@pytest.mark.parametrize("command", list(REPEAT_ARGV))
+def test_no_subcommand_takes_a_state_budget(capsys, command):
+    """The state bound is the fixed ``width.STATE_CAP``, not an option."""
+    with pytest.raises(SystemExit) as exc:
+        main([*REPEAT_ARGV[command], "--budget-max-states", "100"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("command", list(REPEAT_ARGV))
@@ -496,12 +530,13 @@ def test_huge_prime_candidate_is_an_input_error(capsys, argv):
     assert code == 2 and "10^12" in err
 
 
-def test_pair_scan_past_the_state_budget_exits_three(capsys):
-    """A width-2 search over the pairs <x, y> that passes the state budget
-    is not exhaustive: the CLI prints it and exits 3."""
+def test_pair_scan_past_the_state_budget_exits_three(capsys, monkeypatch):
+    """A width-2 search over the pairs <x, y> that passes the state cap
+    (``width.STATE_CAP``, lowered here) is not exhaustive: the CLI prints
+    it and exits 3."""
+    monkeypatch.setattr(width, "STATE_CAP", 1)
     code, report = run_json(
-        capsys, "alpha", "--group", "A5", "--aut", "(1 2)(3 4)",
-        "--budget-max-width", "2", "--budget-max-states", "1",
+        capsys, "alpha", "--group", "A5", "--aut", "(1 2)(3 4)", "--budget-max-width", "2"
     )
     assert code == 3
     rec = report["results"][0]
@@ -513,17 +548,17 @@ STATUS_ARGV = {
     # <x^L> is the Klein four-group, a proper normal subgroup of Alt(4)
     "absent": ["--group", "A4", "--aut", "(1 2)(3 4)"],
     "width_budget": ["--group", "A5", "--aut", "(1 2 3)", "--budget-max-width", "1"],
-    "state_budget": [
-        "--group", "A5", "--aut", "(1 2)(3 4)",
-        "--budget-max-width", "2", "--budget-max-states", "1",
-    ],
+    # under a state cap of 1
+    "state_budget": ["--group", "A5", "--aut", "(1 2)(3 4)", "--budget-max-width", "2"],
 }
 
 
 @pytest.mark.parametrize("status", list(STATUS_ARGV))
-def test_each_status_through_the_cli(capsys, status):
+def test_each_status_through_the_cli(capsys, monkeypatch, status):
     """The record and the summary carry the status; only found and absent
     are exhaustive and exit 0."""
+    if status == "state_budget":
+        monkeypatch.setattr(width, "STATE_CAP", 1)
     code, report = run_json(capsys, "alpha", *STATUS_ARGV[status])
     certified = status in ("found", "absent")
     assert code == (0 if certified else 3)
@@ -572,6 +607,35 @@ def test_a_class_over_the_budget_exits_three(capsys, monkeypatch, case):
     assert err.startswith("budget exhausted: the class of") and err.endswith(f" of {cap}\n")
     assert all(size <= cap for size in searched)
     assert (not searched) == first
+
+
+# S5 x S5 x S5 on 15 points, of order 1,728,000: past the class scan's
+# fixed order of 10^6 (``structure.CLASS_SCAN_CAP``)
+S5_CUBED_SPEC = """name s5-cubed
+degree 15
+gen a (1 2)
+gen b (1 2 3 4 5)
+gen c (6 7)
+gen d (6 7 8 9 10)
+gen e (11 12)
+gen f (11 12 13 14 15)
+"""
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["radical", "--pi", "5"], ["bs-check", "--pi", "5", "--m", "2"], ["verify-bs", "--p", "5"]],
+    ids=["radical", "bs-check", "verify-bs"],
+)
+def test_a_group_over_the_class_scan_cap_exits_three(capsys, tmp_path, argv):
+    """A group the class scan refuses (:class:`TooLarge`) is a bound that
+    was reached, like a class over ``structure.CLASS_CAP``, not bad input:
+    it exits 3 with nothing printed."""
+    spec = tmp_path / "s5-cubed.spec"
+    spec.write_text(S5_CUBED_SPEC, encoding="utf-8")
+    code, out, err = run(capsys, *argv, "--spec", str(spec))
+    assert (code, out) == (3, "")
+    assert "group order 1728000 exceeds cap 1000000" in err
 
 
 @pytest.mark.parametrize(
@@ -850,6 +914,25 @@ def test_the_readme_command_lines_parse():
     assert len(commands) == 8
     for argv in commands:
         build_parser().parse_args(argv)
+
+
+def test_every_long_option_is_in_the_readme():
+    """Each long option of every subcommand (argparse's own ``--help``
+    aside) is named in the README, so no option goes undocumented."""
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    (subparsers,) = (
+        a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction)
+    )
+    options = {
+        option: command
+        for command, p in subparsers.choices.items()
+        for action in p._actions
+        for option in action.option_strings
+        if option.startswith("--") and option != "--help"
+    }
+    assert len(subparsers.choices) == 8 and "--budget-max-width" in options
+    missing = {o: c for o, c in options.items() if not re.search(rf"{o}(?![\w-])", readme)}
+    assert not missing
 
 
 def test_the_readme_library_quick_start_runs():

@@ -30,15 +30,15 @@ from piradical import cli
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
 DIGESTS = {
-    "width-table": "a403f17c294847d739bb34552a326fb71d89d08427740e9fc9ec654c8f5a5b3d",
-    "membership-bs": "0063e5c9f1545bc4d0f7944d622babc26d2b97a96b74125308656eefa8096457",
+    "width-table": "e153e33e230de57911b2df0e9652841c0ca1f76eb6edfe26fd58fa88b9a5fe19",
+    "membership-bs": "6ed7060bc9f77a0978b6f357fa16d3a8ec6a44217d5d356cbed1c5674c80f4b0",
     "radical-catalog": "8e6eb502bbf41cfd999612d4a1141a5beb22a2718c193b028220b3fb94d2ac82",
 }
 
 # the same reports with every ``states_visited`` key removed
 MASKED_DIGESTS = {
-    "width-table": "f9c8145b90488995fdb2c71bf0f6142e365bca47a8fc7c63c383526a1efc86c8",
-    "membership-bs": "42055fd15a345ea3be35dbc6faf5eb4d66107c332a30dc545fa64f87b24deb40",
+    "width-table": "e478180c1601c6ffa9b99c4a7e4cc648843308c0c97880dd02195c43c2a07a15",
+    "membership-bs": "5a69279436af9047cfd97544d36807290d3678ebd274272d9a884388f434d3a5",
     "radical-catalog": "8e6eb502bbf41cfd999612d4a1141a5beb22a2718c193b028220b3fb94d2ac82",
 }
 

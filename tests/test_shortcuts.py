@@ -36,7 +36,7 @@ from piradical import (
     radical_is_trivial_by_orbits,
 )
 from piradical.structure import _is_giant
-from piradical.width import SearchBudget, _class_search, _non_pi_predicate
+from piradical.width import MAX_WIDTH, _class_search, _non_pi_predicate
 
 
 def is_pi_element(x: Permutation, pi: PrimeSet) -> bool:
@@ -104,17 +104,16 @@ def all_pairs_normal_subgroups(G: PermGroup) -> list[PermGroup]:
 def test_a_class_of_non_pi_order_is_answered_as_its_whole_table_answers(name):
     G = make(name)
     data = class_data(G)
-    budget = SearchBudget()
     shortcuts = 0
     for pi in proper_prime_sets(G):
         for rep, _ in data.reps:
             if is_pi_element(rep, pi):
                 continue
-            short = _class_search(G, rep, pi, budget)
+            short = _class_search(G, rep, pi, MAX_WIDTH)
             assert rep.images not in data._tables  # no class table was read
             members, wits = conjugation_orbit(G, rep, G.order_int)
             full = min_width_search(
-                rep, members, wits, _non_pi_predicate(pi), budget=budget, group=G
+                rep, members, wits, _non_pi_predicate(pi), group=G
             )
             for field in dataclasses.fields(full):
                 assert getattr(short, field.name) == getattr(full, field.name), field.name
@@ -134,7 +133,7 @@ def test_a_class_search_reads_the_orders_the_scan_found(monkeypatch):
     real = Permutation.order
     monkeypatch.setattr(Permutation, "order", lambda self: calls.append(self) or real(self))
     for rep, _ in reps:
-        _class_search(G, rep, PrimeSet.of(2, 3), SearchBudget())
+        _class_search(G, rep, PrimeSet.of(2, 3), MAX_WIDTH)
     assert calls == []
 
 
@@ -158,7 +157,7 @@ def test_a_class_of_non_pi_order_does_no_engine_work(monkeypatch):
     monkeypatch.setattr(PermGroup, "from_generators", classmethod(counted("build", build)))
     monkeypatch.setattr(PermGroup, "extend", counted("extend", PermGroup.extend))
     for rep, _ in non_pi:
-        assert _class_search(G, rep, pi, SearchBudget()).value == 1
+        assert _class_search(G, rep, pi, MAX_WIDTH).value == 1
     assert len(non_pi) == 3  # the classes of orders 5, 7 and 10
     assert calls == []
 

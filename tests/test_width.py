@@ -23,7 +23,6 @@ from piradical import (
     Permutation,
     PrimeSet,
     RNotDividingOrder,
-    SearchBudget,
     alpha,
     alternating_group,
     baer_suzuki_check,
@@ -139,29 +138,32 @@ def test_unsatisfiable_predicate_saturates():
 
 def test_width_budget_reports_honest_lower_bound():
     ctx = ctx_a5("(1 2)")
-    res = beta(ctx, 5, budget=SearchBudget(max_width=2))
+    res = beta(ctx, 5, max_width=2)
     assert res.value is None
     assert res.explored_width == 2 and res.lower_bound == 3
     assert not res.saturated
 
 
 STATUS_CASES = {
-    # status: (socle degree, x, search budget, value)
-    "found": (5, "(1 2)", SearchBudget(), 4),
+    # status: (socle degree, x, max_width, state cap or None, value)
+    "found": (5, "(1 2)", width.MAX_WIDTH, None, 4),
     # <x^L> is the Klein four-group, a proper normal subgroup of Alt(4)
-    "absent": (4, "(1 2)(3 4)", SearchBudget(), None),
-    "width_budget": (5, "(1 2 3)", SearchBudget(max_width=1), None),
-    "state_budget": (5, "(1 2)(3 4)", SearchBudget(max_width=2, max_states=5), None),
+    "absent": (4, "(1 2)(3 4)", width.MAX_WIDTH, None, None),
+    "width_budget": (5, "(1 2 3)", 1, None, None),
+    "state_budget": (5, "(1 2)(3 4)", 2, 5, None),
 }
 
 
 @pytest.mark.parametrize("status", list(STATUS_CASES))
-def test_each_status_through_the_library(status):
+def test_each_status_through_the_library(status, monkeypatch):
     """One status per way a search ends; ``exhaustive`` only for found and
-    absent, ``saturated`` only for absent."""
-    n, x, budget, value = STATUS_CASES[status]
+    absent, ``saturated`` only for absent.  ``width.STATE_CAP`` is lowered
+    for ``state_budget``."""
+    n, x, max_width, state_cap, value = STATUS_CASES[status]
+    if state_cap is not None:
+        monkeypatch.setattr(width, "STATE_CAP", state_cap)
     ctx = AlmostSimpleContext.build(alternating_group(n), P(x, n))
-    res = alpha(ctx, budget)
+    res = alpha(ctx, max_width)
     assert res.status == status and res.value == value
     assert res.exhaustive == (status in ("found", "absent"))
     assert res.saturated == (status == "absent")
@@ -174,20 +176,24 @@ def no_search(*args, **kwargs):
 
 
 def test_membership_checks_raise_only_when_nothing_was_searched_to_width(monkeypatch):
-    """A width budget still searched every tuple up to m; a state budget did
-    not, and raises.  A class over ``structure.CLASS_CAP`` is refused before
-    any search, even where a search of part of it would find a value."""
+    """A search stopped at width m still searched every tuple up to m; one
+    stopped by ``width.STATE_CAP`` (lowered here, on fresh groups, so that
+    no kept search answers) did not, and raises.  A class over
+    ``structure.CLASS_CAP`` is refused before any search, even where a
+    search of part of it would find a value."""
     G = symmetric_group(5)
     pi = PrimeSet.of(2, 3)
     res = bs_membership(G, pi, 3)
     transposition = next(r for r in res.records if r.representative.is_transposition())
     assert transposition.violation_width is None and transposition.exhaustive
     with pytest.raises(BudgetExhausted):
-        bs_membership(G, pi, 3, budget=SearchBudget(max_states=1))
+        minimal_membership_width(G, pi, max_width=3)
+    monkeypatch.setattr(width, "STATE_CAP", 1)
     with pytest.raises(BudgetExhausted):
-        minimal_membership_width(G, pi, budget=SearchBudget(max_width=3))
+        bs_membership(symmetric_group(5), pi, 3)
     with pytest.raises(BudgetExhausted):
-        baer_suzuki_check(G, 2, budget=SearchBudget(max_states=1))
+        baer_suzuki_check(symmetric_group(5), 2)
+    monkeypatch.undo()
     monkeypatch.setattr(structure, "CLASS_CAP", 3)
     with pytest.raises(BudgetExhausted):
         bs_membership(symmetric_group(5), pi, 3)
@@ -208,10 +214,10 @@ def test_a_class_of_non_pi_order_over_the_cap_is_answered_at_width_one(monkeypat
     pi = PrimeSet.of(2, 3)
     monkeypatch.setattr(structure, "CLASS_CAP", 1)
     monkeypatch.setattr(width, "min_width_search", no_search)
-    res = width._class_search(G, P("(1 2 3 4 5)"), pi, SearchBudget())
+    res = width._class_search(G, P("(1 2 3 4 5)"), pi, width.MAX_WIDTH)
     assert (res.value, res.status, res.members) == (1, "found", (P("(1 2 3 4 5)"),))
     with pytest.raises(BudgetExhausted, match="10 members, more than the class cap of 1"):
-        width._class_search(G, P("(1 2)", 5), pi, SearchBudget())
+        width._class_search(G, P("(1 2)", 5), pi, width.MAX_WIDTH)
 
 
 def test_first_conjugate_must_be_the_element():
@@ -248,7 +254,7 @@ def test_transposition_fast_path_matches_generic_search():
             fast = min_width_search(ctx.element, ctx.conjugates, ctx.witnesses, pred)
             chains = _search(
                 _Chains(ctx.element, ctx.conjugates), ctx.conjugates,
-                ctx.witnesses, pred, SearchBudget(),
+                ctx.witnesses, pred, width.MAX_WIDTH,
             )
             assert fast.value is not None and fast.exhaustive, (n, kind)
             assert dataclasses.replace(fast, states_visited=0) == dataclasses.replace(
@@ -290,15 +296,17 @@ def test_states_visited_counts_are_pinned():
     ]
 
 
-def test_pair_scan_honours_the_state_budget():
+def test_pair_scan_honours_the_state_budget(monkeypatch):
     """A search that ends at width 2, over the pairs <x, y>, counts each
-    pair against ``max_states`` like any other child: it stops at the first
-    state past the cap."""
-    res = alpha(ctx_a5("(1 2)(3 4)"), SearchBudget(max_width=2, max_states=5))
+    pair against ``width.STATE_CAP`` (lowered here) like any other child: it
+    stops at the first state past the cap."""
+    monkeypatch.setattr(width, "STATE_CAP", 5)
+    res = alpha(ctx_a5("(1 2)(3 4)"), max_width=2)
     assert res.status == "state_budget" and not res.exhaustive
     assert res.states_visited == 6
     assert res.value is None and res.explored_width == 1
-    full = alpha(ctx_a5("(1 2)(3 4)"), SearchBudget(max_width=2))
+    monkeypatch.undo()
+    full = alpha(ctx_a5("(1 2)(3 4)"), max_width=2)
     assert full.status == "width_budget" and full.states_visited == 15
 
 
@@ -318,7 +326,7 @@ def test_a_search_ends_at_its_last_width_as_its_frontier_says(max_width, status,
     width added no state reports ``absent``, at the width where it
     emptied."""
     ctx = AlmostSimpleContext.build(alternating_group(4), P("(1 2)(3 4)", 4))
-    res = alpha(ctx, SearchBudget(max_width=max_width))
+    res = alpha(ctx, max_width)
     assert (res.status, res.explored_width, res.states_visited) == (status, explored, states)
 
 
@@ -344,13 +352,18 @@ def test_chain_buckets_by_order_never_merge_two_subgroups():
     assert not chains.admit(grp("(1 2)"))
 
 
-@pytest.mark.parametrize("field", ["max_width", "max_states"])
-def test_search_budget_rejects_limits_below_one(field):
-    with pytest.raises(ValueError, match=field):
-        SearchBudget(**{field: 0})
-    with pytest.raises(ValueError, match=field):
-        dataclasses.replace(SearchBudget(), **{field: -1})
-    assert getattr(SearchBudget(**{field: 1}), field) == 1
+def test_a_search_rejects_a_width_below_one():
+    ctx = ctx_a5("(1 2)")
+    for max_width in (0, -1):
+        with pytest.raises(ValueError, match="max_width"):
+            min_width_search(
+                ctx.element, ctx.conjugates, ctx.witnesses, bool, max_width=max_width
+            )
+        with pytest.raises(ValueError, match="max_width"):
+            alpha(ctx, max_width)
+    assert min_width_search(
+        ctx.element, ctx.conjugates, ctx.witnesses, bool, max_width=1
+    ).value == 1
 
 
 # -- context construction guards ------------------------------------------------
@@ -492,6 +505,45 @@ def test_membership_verdict_turns_true_once_at_the_minimal_width(gens, primes):
     assert verdicts == [m >= m_min for m in (1, 2, 3, 4)]
 
 
+@st.composite
+def random_groups(draw) -> tuple[Permutation, Permutation]:
+    """Two permutations of n = 6..8 points, which half the time preserve
+    the blocks of b consecutive points for a proper divisor b > 1 of n (so
+    they generate a subgroup of a wreath product, often with a nontrivial
+    radical): each is a permutation of the blocks with one of each block's
+    points."""
+    n = draw(st.integers(6, 8))
+    sizes = [b for b in range(2, n) if n % b == 0]
+    b = draw(st.sampled_from(sizes)) if sizes and draw(st.booleans()) else n
+
+    def draw_permutation() -> Permutation:
+        outer = draw(st.permutations(range(n // b)))
+        inner = [draw(st.permutations(range(b))) for _ in outer]
+        blocks = range(n // b)
+        return Permutation(tuple(outer[i] * b + inner[i][j] for i in blocks for j in range(b)))
+
+    return draw_permutation(), draw_permutation()
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(random_groups())
+def test_the_theorem_on_random_groups(pair):
+    """The paper's main theorem on groups it never names: for every nonempty
+    proper pi of the primes dividing |G|, width m(pi) settles membership in
+    O_pi(G), width 2 settles it for pi = {p} (Baer-Suzuki), and the radical
+    agrees with the closure route, which asks no certificate."""
+    G = PermGroup.from_generators(pair)
+    primes = sorted(G.order.prime_support)
+    for k in range(1, len(primes)):
+        for chosen in itertools.combinations(primes, k):
+            pi = PrimeSet.of(*chosen)
+            m, _ = minimal_membership_width(G, pi)
+            assert m <= structure.membership_bound(pi), (pair, pi)
+            if k == 1:
+                assert m <= 2, (pair, pi)
+            assert pi_radical(G, pi).same_group_as(structure._closure_radical(G, pi))
+
+
 def test_minimal_membership_width_on_five_points():
     G = symmetric_group(5)
     m, per_rep = minimal_membership_width(G, PrimeSet.of(2, 3))
@@ -518,33 +570,36 @@ def test_minimal_membership_width_refuses_a_class_over_the_budget(cap, monkeypat
     monkeypatch.setattr(structure, "CLASS_CAP", cap)
     message = f"90 members, more than the class cap of {cap}"
     with pytest.raises(BudgetExhausted, match=message):
-        width._class_search(symmetric_group(6), rep, pi, SearchBudget())
+        width._class_search(symmetric_group(6), rep, pi, width.MAX_WIDTH)
     with pytest.raises(BudgetExhausted, match="more than the class cap"):
         minimal_membership_width(symmetric_group(6), pi)
 
 
 @pytest.mark.parametrize(
-    "budget,cap",
-    [(SearchBudget(), None), (SearchBudget(max_states=4), None), (SearchBudget(), 20)],
+    "state_cap,cap",
+    [(None, None), (4, None), (None, 20)],
     ids=["budget0", "budget1", "budget2"],
 )
-def test_a_kept_class_search_answers_as_a_new_search_would(budget, cap, monkeypatch):
+def test_a_kept_class_search_answers_as_a_new_search_would(state_cap, cap, monkeypatch):
     """``minimal_membership_width`` keeps a found search for every class of
     S5 of {2,3}-order outside O_{2,3} that it reaches under the class cap (a
     cap of 20 refuses the 30 four-cycles); a later membership check reuses
-    one only where a new search under its own budget would return the same
-    result, so every width m reads the same on that group as on a fresh
-    copy."""
+    one only where a new search at its own width, and under the state cap
+    then in force (lowered to 4 after the searches were kept), would return
+    the same result, so every width m reads the same on that group as on a
+    fresh copy."""
     if cap is not None:
         monkeypatch.setattr(structure, "CLASS_CAP", cap)
     pi = PrimeSet.of(2, 3)
     G = symmetric_group(5)
     with contextlib.suppress(BudgetExhausted):
         minimal_membership_width(G, pi)
+    if state_cap is not None:
+        monkeypatch.setattr(width, "STATE_CAP", state_cap)
 
     def check(group, m):
         try:
-            return bs_membership(group, pi, m, budget)
+            return bs_membership(group, pi, m)
         except BudgetExhausted as e:
             return str(e)
 
@@ -552,22 +607,26 @@ def test_a_kept_class_search_answers_as_a_new_search_would(budget, cap, monkeypa
         assert check(G, m) == check(symmetric_group(5), m), m
 
 
-@pytest.mark.parametrize("budget", [SearchBudget(), SearchBudget(max_states=30)])
-def test_a_kept_search_answers_as_a_fresh_one_under_a_tight_class_budget(budget, monkeypatch):
+@pytest.mark.parametrize("state_cap", [None, 30], ids=["budget0", "budget1"])
+def test_a_kept_search_answers_as_a_fresh_one_under_a_tight_class_budget(
+    state_cap, monkeypatch
+):
     """On S6 with pi = {2,3}, (1 4)(2 5)(3 6) has 15 conjugates and
     |C| = 48.  A class cap of 15 lets its class be searched, and the search
-    kept under the default cap and budget (width 4) must be what a fresh
-    search under that cap and budget returns, or raises: the class cap
-    never changes how a search runs."""
+    kept under the default caps (width 4) must be what a fresh search under
+    that class cap, and a state cap of 30 in one case, returns, or raises:
+    the class cap never changes how a search runs."""
     pi = PrimeSet.of(2, 3)
     G = symmetric_group(6)
     minimal_membership_width(G, pi)
     monkeypatch.setattr(structure, "CLASS_CAP", 15)
+    if state_cap is not None:
+        monkeypatch.setattr(width, "STATE_CAP", state_cap)
     rep = P("(1 4)(2 5)(3 6)", 6)
 
     def search(group):
         try:
-            return width._class_search(group, rep, pi, budget)
+            return width._class_search(group, rep, pi, width.MAX_WIDTH)
         except BudgetExhausted as e:
             return str(e)
 

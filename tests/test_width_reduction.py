@@ -16,7 +16,6 @@ from piradical import (
     PermGroup,
     Permutation,
     PrimeSet,
-    SearchBudget,
     alpha,
     alternating_group,
     baer_suzuki_check,
@@ -259,7 +258,7 @@ def test_level_two_builds_the_prefix_and_one_child_per_orbit_it_does_not_meet():
         inside = [i for i in [*prefix, *unmet] if cyclic.contains(Permutation(conjugates[i]))]
         res = min_width_search(
             ctx.element, conjugates, ctx.witnesses, lambda o: False,
-            budget=SearchBudget(max_width=2), group=ctx.socle,
+            max_width=2, group=ctx.socle,
         )
         assert res.status == "width_budget"
         assert res.states_visited == 1 + len(prefix) + len(unmet) - len(inside)
@@ -284,14 +283,13 @@ def test_a_search_past_the_level_two_prefix_traces_the_whole_class(monkeypatch):
     shallow = min_width_search(x, members, witnesses, lambda o: o > 3, group=G)
     assert (shallow.value, shallow.states_visited, built) == (2, 2, [])
     assert len(members._column) <= LEVEL_TWO_PREFIX
-    never = SearchBudget(max_width=2)
-    deep = min_width_search(x, members, witnesses, lambda o: False, budget=never, group=G)
+    deep = min_width_search(x, members, witnesses, lambda o: False, max_width=2, group=G)
     assert deep.status == "width_budget" and len(built) == 1
     assert len(members._column) == len(witnesses._column) == 70
     lists = conjugation_orbit(G, x, G.order_int)
     lazily = _CentralizerOrbits(G, members, witnesses)
     assert list(lazily.level_two()) == list(_CentralizerOrbits(G, *lists).level_two())
-    assert deep == min_width_search(x, *lists, lambda o: False, budget=never, group=G)
+    assert deep == min_width_search(x, *lists, lambda o: False, max_width=2, group=G)
 
 
 def test_alpha_of_a_triple_transposition_in_alt10_is_pinned():
