@@ -508,10 +508,15 @@ class GroupSpec:
         return self._group
 
     def socle(self) -> PermGroup | None:
+        """The declared socle; when the ``socle`` line names every generator
+        in ``gen`` order, it is ``group()`` itself, the same chain."""
         if self.socle_names is not None and self._socle is None:
-            self._socle = PermGroup.from_generators(
-                [self.generators[n] for n in self.socle_names], self.degree
-            )
+            if self.socle_names == tuple(self.generators):
+                self._socle = self.group()
+            else:
+                self._socle = PermGroup.from_generators(
+                    [self.generators[n] for n in self.socle_names], self.degree
+                )
         return self._socle
 
     def aut(self) -> Permutation | None:
@@ -606,10 +611,11 @@ def load_spec(path: str | Path) -> GroupSpec:
 
 
 def _validate_spec(spec: GroupSpec) -> None:
-    """The declared socle is normal in the group.  The aut is one of the
-    group's generators, so it then normalises the socle too."""
+    """The declared socle is normal in the group, which a socle that is the
+    group is without a check.  The aut is one of the group's generators, so
+    it then normalises the socle too."""
     socle = spec.socle()
-    if socle is not None and not socle.is_normal_in(spec.group()):
+    if socle is not None and socle is not spec.group() and not socle.is_normal_in(spec.group()):
         raise NotNormalizing(
             f"declared socle of {spec.name} is not normal in the group"
         )

@@ -80,6 +80,7 @@ def conjugators(elements: Iterable[bytes]) -> list[tuple[bytes, bytes]]:
 
 
 _TOKEN_RE = re.compile(r"\(([^()]*)\)")
+_LABELS = tuple(str(p) for p in range(1, MAX_DEGREE + 1))  # 0-based point -> its 1-based label
 
 
 class Permutation:
@@ -281,10 +282,20 @@ class Permutation:
     # -- formatting -----------------------------------------------------------
 
     def __str__(self) -> str:
-        cycs = self.cycles()
-        if not cycs:
-            return "()"
-        return "".join("(" + " ".join(str(p) for p in c) + ")" for c in cycs)
+        """The cycles of :meth:`cycles` in one pass over ``images``."""
+        images = self.images
+        seen = bytearray(len(images))  # points of a cycle already written
+        parts = []
+        for start, p in enumerate(images):
+            if p == start or seen[start]:
+                continue
+            cycle = [_LABELS[start]]
+            while p != start:
+                seen[p] = 1
+                cycle.append(_LABELS[p])
+                p = images[p]
+            parts.append("(" + " ".join(cycle) + ")")
+        return "".join(parts) or "()"
 
     def __repr__(self) -> str:
         return f"Permutation.parse({str(self)!r}, degree={self.degree})"

@@ -30,9 +30,15 @@ answer most of the work without a stabilizer chain:
    subgroup containing y.  ``<y^G>`` lies in N, is a union of G-classes of
    N containing {1} and y^G, and its order divides |N|.  If no proper
    divisor of |N| is 1 + |y^G| + a sum of sizes of N's other classes, then
-   ``<y^G>`` = N.  The known subgroups are G and the distinct closures of
-   the prime-power classes before y in scan order, which are closed in that
-   order, so a closure depends on G and y alone.
+   ``<y^G>`` = N.  Signs sharpen the sums, since a normal subgroup that
+   holds an odd permutation is exactly half odd.  For an odd y, d must be
+   even, with d/2 = |y^G| + a sum of sizes of odd classes and d/2 = 1 + a
+   sum of sizes of even ones; for an even y, d = 1 + |y^G| + a sum of
+   sizes of even classes, or d/2 is a nonempty sum of sizes of odd classes
+   and d/2 = 1 + |y^G| + a sum of sizes of even ones.  The known subgroups
+   are G and the distinct closures of the prime-power classes before y in
+   scan order, which are closed in that order, so a closure depends on G
+   and y alone.
 3. *Class masks decide the lattice.*  A normal subgroup is the union of the
    classes it meets, so its bitmask over the representatives decides it:
    equal masks are equal subgroups, and a mask inside another a subgroup.
@@ -374,6 +380,8 @@ class GroupClassData:
         self._index: dict[Images, int] = {}  # representative -> scan position
         self._orders: list[FactoredInteger] = []  # by scan position
         self._prime: list[bool] = []  # by scan position: of prime-power order
+        self._odd: list[bool] = []  # by scan position: an odd permutation
+        self._divisors: dict[int, list[int]] = {}  # |N| -> its proper divisors, N known
         self._closed = 0  # the prime-power classes before this index are closed
         self.searches: dict[tuple[Images, PrimeSet], WidthResult] = {}
 
@@ -393,6 +401,7 @@ class GroupClassData:
             self._index = {rep.images: i for i, (rep, _) in enumerate(reps)}
             self._orders = [FactoredInteger.from_int(r.order()) for r, _ in reps]
             self._prime = [len(order.factors) == 1 for order in self._orders]
+            self._odd = [sum(len(c) - 1 for c in r.cycles()) % 2 == 1 for r, _ in reps]
         return self._reps
 
     def class_table(self, rep: Permutation) -> ClassTable:
@@ -447,18 +456,39 @@ class GroupClassData:
 
     def _close(self, j: int) -> PermGroup:
         """The closure of class ``j``: the smallest known N containing it
-        when the class equation certifies it, else a new known subgroup."""
+        when the class equation, with signs, certifies it (fact 2 of the
+        module docstring), else a new known subgroup."""
         rep, size = self.reps[j]
         N, within = min((k for k in self._known if k[1] >> j & 1), key=lambda k: k[0].order_int)
-        start, total = 1 + size, N.order_int
-        reach = total // 2 - start  # the sums worth tracking: proper divisors
-        sums, cap = 1, (2 << max(reach, 0)) - 1
+        total = N.order_int
+        if total not in self._divisors:
+            divisors = [1]
+            for p, e in N.order.factors:
+                divisors = [d * p**k for d in divisors for k in range(e + 1)]
+            self._divisors[total] = [d for d in divisors if d < total]
+        # the subset sums of the sizes of N's even and of its odd classes,
+        # {1} and y^G left out, as bitsets up to |N| / 2, the largest
+        # proper divisor
+        sums, cap = [1, 1], (2 << total // 2) - 1
         for i in _bits(within & ~(1 | 1 << j)):  # class 0 is {1}, met first
-            sums = (sums | sums << self.reps[i][1]) & cap
-        divisors = [1]
-        for p, e in N.order.factors:
-            divisors = [d * p**k for d in divisors for k in range(e + 1)]
-        if not any(start <= d < total and sums >> (d - start) & 1 for d in divisors):
+            sign = self._odd[i]
+            sums[sign] = (sums[sign] | sums[sign] << self.reps[i][1]) & cap
+        even, odd = sums
+
+        def reach(sums: int, k: int) -> bool:
+            return k >= 0 and sums >> k & 1 == 1
+
+        def possible(d: int) -> bool:
+            """|<y^G>| = d is not ruled out: class sizes sum to d, and to
+            d/2 over the odd classes when any class is odd."""
+            half = d // 2 if d % 2 == 0 else -1
+            if self._odd[j]:
+                return reach(odd, half - size) and reach(even, half - 1)
+            return reach(even, d - 1 - size) or (
+                reach(odd, half) and reach(even, half - 1 - size)
+            )
+
+        if not any(map(possible, self._divisors[total])):
             return N
         H = normal_closure(self.group, [rep])
         if H.order_int == total:

@@ -59,8 +59,19 @@ Four soundness notes justify the pruning:
   level-2 state filters the elements of C, listed only when |C| is at most
   ``LISTED_CAP`` (above it, this note does not apply),
   and a deeper state filters its parent's list by its newest generator,
-  leaving the group N_parent ∩ N_C(H).  The partitions model keeps the
-  level-2 pruning only.
+  leaving the group N_parent ∩ N_C(H).
+* Shapes (the easy case of the same augmentation): let x = (a b) and F
+  the points x fixes.  C lies in Sym{a, b} x Sym(F), and when it induces
+  all of Sym(F) (:func:`_shapes_are_orbits`: one division and one sift)
+  two partition states, which all glue a to b, are C-conjugate exactly
+  when they have one shape: the size of the block of a, and the sorted
+  sizes of the others.  The partitions model then keeps one state per
+  shape, at every width, and builds no C: at level 2 the shapes of
+  {x, y_2} are the C-orbits of y_2.  A pruned state has an earlier kept
+  C-conjugate, which reaches a success no later, so the frontier is an
+  order-preserving subsequence of the one kept by exact partitions, and
+  the first success, with its witness, is the same.  Without the
+  certificate the partitions model keeps the level-2 pruning only.
 
 Exhausting every level below k certifies minimality of a level-k success;
 an emptied frontier certifies that no width at all succeeds.  A result's
@@ -104,10 +115,11 @@ building C or the partition model traces the whole class once; the search
 reads the class table it is given throughout.
 
 A state, as counted by ``states_visited`` and capped by ``STATE_CAP``, is
-every chain child before deduplication, but only a partition not seen
-before.  A state's children are counted only for the conjugates it is
-extended by (at level 2, the prefix and one per C-orbit it does not meet),
-and only the kept level-2 states have children: the reductions change the
+every chain child before deduplication, but only a partition whose key (its
+shape when certified, else itself) is new.  A state's children are counted
+only for the conjugates it is extended by (at level 2, the prefix and one
+per C-orbit it does not meet, or every conjugate under shape keys), and
+only the kept level-2 states have children: the reductions change the
 count, never the value.
 """
 
@@ -238,15 +250,21 @@ def min_width_search(
     conjugates are.  When it is given, level 2 is built from one conjugate
     per C_group(x)-orbit past its first ``LEVEL_TWO_PREFIX``, and keeps one
     state per orbit; without it the search is unreduced.  ``max_width`` is
-    the deepest width searched (``ValueError`` below 1)."""
+    the deepest width searched (``ValueError`` below 1).  For a
+    transposition x whose C_group(x)-orbits of partition states are their
+    shapes (:func:`_shapes_are_orbits`), the states are keyed by shape and
+    no C is built."""
     if max_width < 1:
         raise ValueError(f"max_width must be >= 1, got {max_width}")
     if not conjugates or conjugates[0] != x.images:
         raise ValueError("conjugates[0] must be x itself")
-    model = _Partitions if x.is_transposition() else _Chains
-    return _search(
-        model(x, conjugates), conjugates, witnesses, order_predicate, max_width, group
-    )
+    if x.is_transposition():
+        model = _Partitions(x, conjugates, group)
+        if model.by_shape:
+            group = None
+    else:
+        model = _Chains(x, conjugates)
+    return _search(model, conjugates, witnesses, order_predicate, max_width, group)
 
 
 def _search(model, conjugates, witnesses, pred, max_width, group=None) -> WidthResult:
@@ -500,19 +518,37 @@ def _partition_order(labels: Labels) -> int:
     return math.prod(math.factorial(k) for k in Counter(labels).values())
 
 
+def _shapes_are_orbits(group: PermGroup, x: Permutation, class_size: int) -> bool:
+    """True when partitions that glue the points a, b of the transposition
+    x = (a b) are C-conjugate, C = C_group(x), exactly when they have one
+    shape (:meth:`_Partitions.key`): when C induces all of Sym(F) on the
+    points F that x fixes.  C lies in Sym{a, b} x Sym(F), and the kernel of
+    its projection to Sym(F) is C ∩ <x>, so the projection is onto exactly
+    when |group| / |x^group| / |C ∩ <x>| = |F|!: one division and one sift.
+    ``class_size`` is |x^group|."""
+    kernel = 2 if group._contains_tuple(x.images) else 1
+    return group.order_int == class_size * kernel * math.factorial(x.degree - 2)
+
+
 class _Partitions:
     """States for all-transposition classes: <T> is the product of
     Sym(component) over the edge-graph components of T, so a state *is* the
     partition of points it glues together, as :func:`_merged` labels it.
-    Only the level-2 frontier is reduced by C."""
+    A partition is kept when its key is new: its shape when ``group``
+    certifies that shapes are the C-orbits (``by_shape``), else the
+    partition itself, and then only the level-2 frontier is reduced by C."""
 
     per_state_reduction = False
 
-    def __init__(self, x: Permutation, conjugates: Sequence[Images]):
+    def __init__(
+        self, x: Permutation, conjugates: Sequence[Images], group: PermGroup | None = None
+    ):
         self.conjugates = conjugates
         self.degree = x.degree
         self.initial = tuple(range(x.degree))
-        self.seen: set[Labels] = set()
+        self.point = x.moved_points()[0] - 1  # every state glues it to x's other point
+        self.by_shape = group is not None and _shapes_are_orbits(group, x, len(conjugates))
+        self.seen: set = set()
         self.edges: list[tuple[int, ...]] = []
         for y in conjugates:
             moved = tuple(i for i, image in enumerate(y) if image != i)
@@ -522,14 +558,25 @@ class _Partitions:
                 raise NotATransposition(f"{Permutation(y)} in the class of transposition {x}")
             self.edges.append(moved)
 
+    def key(self, labels: Labels):
+        """``labels`` itself, or with ``by_shape`` its shape: the size of the
+        block of x's points, then the sorted sizes of the other blocks."""
+        if not self.by_shape:
+            return labels
+        sizes = Counter(labels)
+        return sizes.pop(labels[self.point]), tuple(sorted(sizes.values()))
+
     def child(self, labels, idx):
         """The partition with the idx-th edge's blocks merged, or None when
         they already are one block (the conjugate lies in the subgroup) or
-        the merged partition was seen."""
+        the merged partition's key was seen."""
         merged = _merged(labels, *self.edges[idx])
-        if merged is None or merged in self.seen:
+        if merged is None:
             return None
-        self.seen.add(merged)
+        key = self.key(merged)
+        if key in self.seen:
+            return None
+        self.seen.add(key)
         return merged
 
     order = staticmethod(_partition_order)

@@ -314,6 +314,42 @@ def test_a_spec_builds_its_group_and_socle_once(tmp_path, monkeypatch):
     assert sorted(built) == [2, 3]  # the socle's two generators, the group's three
 
 
+@pytest.mark.parametrize(
+    "socle, chains, checks",
+    [("a b c d", 1, 0), ("d c b a", 2, 1), ("a c d", 2, 1), ("a b", 2, 1)],
+)
+def test_a_socle_naming_every_generator_in_order_is_the_group(
+    tmp_path, monkeypatch, socle, chains, checks
+):
+    """A ``socle`` line that names every generator in ``gen`` order is the
+    group: one chain, and no normality check of the group against itself.
+    The same generators in another order, or a proper subset, build their
+    own chain and are checked (here the reordered set and <a, c, d>
+    generate S4 too, and <a, b> is its normal Klein group)."""
+    path = tmp_path / "s4.spec"
+    path.write_text(
+        "degree 4\ngen a (1 2)(3 4)\ngen b (1 3)(2 4)\ngen c (1 2 3 4)\ngen d (1 2)\n"
+        f"socle {socle}\n",
+        encoding="utf-8",
+    )
+    built, checked = [], []
+    from_generators = PermGroup.__dict__["from_generators"].__func__
+    is_normal_in = PermGroup.is_normal_in
+    monkeypatch.setattr(
+        PermGroup,
+        "from_generators",
+        classmethod(lambda cls, *a, **k: built.append(a) or from_generators(cls, *a, **k)),
+    )
+    monkeypatch.setattr(
+        PermGroup, "is_normal_in", lambda H, G: checked.append(G) or is_normal_in(H, G)
+    )
+    spec = load_spec(path)
+    assert (spec.socle() is spec.group()) == (chains == 1)
+    assert (len(built), len(checked)) == (chains, checks)
+    assert spec.group().order_int == 24
+    assert spec.socle().order_int == (4 if socle == "a b" else 24)
+
+
 def test_spec_name_defaults_to_file_stem(tmp_path):
     path = tmp_path / "mygroup.spec"
     path.write_text("degree 3\ngen a (1 2 3)\n", encoding="utf-8")

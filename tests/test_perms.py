@@ -1,5 +1,7 @@
 """Permutation arithmetic: composition convention, parsing, and cycle facts."""
 
+import itertools
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -72,6 +74,16 @@ def test_parse_accepts_spaces_and_commas():
 def test_identity_prints_as_empty_cycle():
     assert str(Permutation.identity(4)) == "()"
     assert P("()", 4) == Permutation.identity(4)
+
+
+def test_str_renders_the_cycles_of_every_small_permutation():
+    """``str`` walks the images once; it writes what :meth:`cycles` lists,
+    for every permutation of degree at most 6, the identities included."""
+    for n in range(7):
+        for images in itertools.permutations(range(n)):
+            p = Permutation(images)
+            cycles = "".join("(" + " ".join(map(str, c)) + ")" for c in p.cycles())
+            assert str(p) == (cycles or "()")
 
 
 def test_str_parse_round_trip():

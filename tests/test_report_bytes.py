@@ -30,8 +30,8 @@ from piradical import cli
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
 DIGESTS = {
-    "width-table": "e153e33e230de57911b2df0e9652841c0ca1f76eb6edfe26fd58fa88b9a5fe19",
-    "membership-bs": "6ed7060bc9f77a0978b6f357fa16d3a8ec6a44217d5d356cbed1c5674c80f4b0",
+    "width-table": "2fa59fa21ad5e95bf2c8b1a741cdc401be8b59d2f691b81491844b9efd3f7a0a",
+    "membership-bs": "6d6538c01ea1edc25452f3049efa6ba44c3cd5dee0d19edb81532fda8bd64e0b",
     "radical-catalog": "8e6eb502bbf41cfd999612d4a1141a5beb22a2718c193b028220b3fb94d2ac82",
 }
 

@@ -273,17 +273,19 @@ def test_states_visited_counts_are_pinned():
     extended only by the least conjugate of each orbit of its listed
     normaliser.  These counts guard those rules across refactors (the
     unreduced counts are pinned in test_width_reduction).  The transposition
-    classes run on partitions, which keep the level-2 reduction only.  Of
-    the S7 membership searches at m = 2, only the one on (1 2), whose class
-    has 21 members and no pair generating a non-pi group, goes past the
-    prefix; the others succeed within it and count as the unreduced engine
-    does."""
+    classes run on partitions, kept one per shape, which here is one per
+    C_L(x)-orbit, with no prefix: alpha of (1 2) on Alt(n) visits one state
+    per shape it reaches.  Of the S7 membership searches at m = 2, the one
+    on (1 2), whose class has 21 members and no pair generating a non-pi
+    group, visits <x> and the two shapes of a pair, one point shared or
+    none; the others succeed within the prefix and count as the unreduced
+    engine does."""
     def ctx(n, x):
         return AlmostSimpleContext.build(alternating_group(n), P(x, n))
 
-    assert alpha(ctx(9, "(1 2)")).states_visited == 1562
-    assert alpha(ctx(8, "(1 2)")).states_visited == 364
-    assert beta(ctx(8, "(1 2)"), 7).states_visited == 317
+    assert alpha(ctx(9, "(1 2)")).states_visited == 45
+    assert alpha(ctx(8, "(1 2)")).states_visited == 30
+    assert beta(ctx(8, "(1 2)"), 7).states_visited == 24
     assert alpha(ctx(8, "(1 2)(3 4)")).states_visited == 346
     assert beta(ctx(8, "(1 2)(3 4)(5 6)(7 8)"), 5).states_visited == 118
     assert alpha(ctx(8, "(1 2 3)")).states_visited == 57
@@ -292,7 +294,7 @@ def test_states_visited_counts_are_pinned():
     assert alpha(ctx(6, "(1 2)(3 4)(5 6)")).states_visited == 52
     res = bs_membership(symmetric_group(7), PrimeSet.of(2, 3), 2)
     assert [r.states_visited for r in res.records] == [
-        0, 13, 2, 2, 1, 1, 3, 3, 2, 1, 6, 3, 2, 2, 4
+        0, 3, 2, 2, 1, 1, 3, 3, 2, 1, 6, 3, 2, 2, 4
     ]
 
 

@@ -3,11 +3,13 @@ the unreduced engine (the same driver with no group) and the brute-force
 closure oracle over unpinned tuples with repetition."""
 
 import itertools
+import math
 from contextlib import contextmanager
 from dataclasses import replace
 from types import SimpleNamespace
 
 import pytest
+from hypothesis import example, given, settings
 
 from piradical import (
     AlmostSimpleContext,
@@ -21,6 +23,7 @@ from piradical import (
     baer_suzuki_check,
     beta,
     bs_membership,
+    catalog_groups,
     class_data,
     class_representatives,
     conjugation_orbit,
@@ -43,6 +46,8 @@ from piradical.width import (
 
 from .oracles import min_generating_width
 from .test_acceptance import every_context
+from .test_structure import BENCHMARK_PRODUCTS, new_group
+from .test_width import random_groups
 
 P = Permutation.parse
 
@@ -430,3 +435,130 @@ def test_non_pi_widths_match_the_brute_force_oracle(name):
                 else:
                     assert_witness_is_sound(res, rep, pred)
     assert absent > 0
+
+
+# -- shape keys for transposition states ----------------------------------------------
+
+
+def assert_shapes_agree_with_exact_partitions(monkeypatch, x, conjugates, witnesses, group, pred):
+    """The shape-keyed search returns the value, witness and members of the
+    same search keyed by exact partitions (the certificate refused), and its
+    status and explored width whenever either one is found; one that finds
+    nothing may end at another width with fewer states (see the module
+    docstring of ``width``)."""
+    def search():
+        return min_width_search(x, conjugates, witnesses, pred, group=group)
+
+    keyed = search()
+    with monkeypatch.context() as m:
+        m.setattr(width, "_shapes_are_orbits", lambda *a: False)
+        exact = search()
+    fields = ("value", "witness", "members", "certificate_order")
+    assert [getattr(keyed, f) for f in fields] == [getattr(exact, f) for f in fields], x
+    if "found" in (keyed.status, exact.status):
+        assert (keyed.status, keyed.explored_width) == (exact.status, exact.explored_width)
+        assert keyed.states_visited <= exact.states_visited
+
+
+def assert_shapes_agree_on_transposition_classes(monkeypatch, G: PermGroup) -> int:
+    """Every transposition class of G, for the order predicates the engine
+    asks (the whole group, divisibility by each prime, non-pi for each
+    pi); returns the number of classes whose shapes are certified."""
+    primes = sorted(G.order.prime_support)
+    preds = [lambda o: o == G.order_int] + [lambda o, r=r: o % r == 0 for r in primes]
+    preds += [
+        non_pi(PrimeSet.of(*sub))
+        for k in range(len(primes) + 1)
+        for sub in itertools.combinations(primes, k)
+    ]
+    certified = 0
+    for rep, size in class_data(G).reps:
+        if not rep.is_transposition():
+            continue
+        members, witnesses = conjugation_orbit(G, rep)
+        certified += width._shapes_are_orbits(G, rep, size)
+        for pred in preds:
+            assert_shapes_agree_with_exact_partitions(monkeypatch, rep, members, witnesses, G, pred)
+    return certified
+
+
+def test_shape_keys_agree_with_exact_partitions_on_the_catalog_and_products(monkeypatch):
+    names = [e.name for e in catalog_groups(max_order=10**4)] + BENCHMARK_PRODUCTS
+    certified = sum(
+        assert_shapes_agree_on_transposition_classes(monkeypatch, new_group(name))
+        for name in names
+    )
+    assert certified >= 6  # S2, ..., S7 at least; no benchmark product is certified
+
+
+def test_shape_keys_agree_with_exact_partitions_on_every_context(monkeypatch):
+    for label, ctx, rs in every_context():
+        if not ctx.element.is_transposition():
+            continue
+        assert width._shapes_are_orbits(ctx.socle, ctx.element, len(ctx.conjugates)), label
+        target = ctx.ambient.order_int
+        for pred in [lambda o: o == target] + [lambda o, r=r: o % r == 0 for r in rs]:
+            assert_shapes_agree_with_exact_partitions(
+                monkeypatch, ctx.element, ctx.conjugates, ctx.witnesses, ctx.socle, pred
+            )
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(random_groups())
+@example((P("(1 2)", 6), P("(1 3 5)(2 4 6)")))  # S2 wr C3: (1 2) not certified
+@example((P("(1 2)", 7), P("(1 2 3 4 5 6 7)")))  # Sym(7): certified
+def test_shape_keys_agree_with_exact_partitions_on_random_groups(pair):
+    with pytest.MonkeyPatch.context() as monkeypatch:
+        assert_shapes_agree_on_transposition_classes(monkeypatch, PermGroup.from_generators(pair))
+
+
+def brute_force_projection(G: PermGroup, x: Permutation) -> set[tuple[int, ...]]:
+    """The images on the points x fixes of every element of C_G(x)."""
+    fixed = [i for i, image in enumerate(x.images) if image == i]
+    return {
+        tuple(g[i] for i in fixed)
+        for g in G.element_tuples()
+        if conjugate_images(x.images, g) == x.images
+    }
+
+
+@pytest.mark.parametrize(
+    "gens, x, certified",
+    [
+        (["(1 2 3)", "(1 2 3 4 5 6)"], "(1 2)", True),  # Alt(6), x outside it
+        (["(1 2)", "(1 2 3 4 5 6)"], "(1 2)", True),  # Sym(6)
+        (["(1 2)", "(1 3 5)(2 4 6)", "(1 3)(2 4)"], "(1 2)", False),  # S2 wr S3
+        (["(1 2)", "(3 4)", "(3 4 5 6 7)"], "(1 2)", True),  # S2 x S5, intransitive
+        (["(1 2)", "(1 2 3)", "(4 5)", "(4 5 6 7)"], "(1 2)", False),  # S3 x S4
+    ],
+)
+def test_the_shape_certificate_is_the_projection_of_the_centralizer(gens, x, certified):
+    """``_shapes_are_orbits`` holds exactly when C_G(x) induces all of
+    Sym(F) on the points F that x fixes, counted here by brute force: on
+    S2 wr S3, |C| = 16 and the projection has order 8 < 4!; on S3 x S4,
+    C = <(1 2)> x S4 fixes the point 3 of F = {3, ..., 7}."""
+    degree = max(len(P(g).images) for g in gens)
+    G = PermGroup.from_generators([P(g, degree) for g in gens])
+    t = P(x, degree)
+    members, _ = conjugation_orbit(G, t)
+    assert width._shapes_are_orbits(G, t, len(members)) is certified
+    projection = brute_force_projection(G, t)
+    assert (len(projection) == math.factorial(degree - 2)) is certified
+    if gens[1] == "(1 3 5)(2 4 6)":
+        assert (G.order_int // len(members), len(projection)) == (16, 8)
+
+
+def test_a_shape_keyed_search_builds_no_centralizer(monkeypatch):
+    """alpha of (1 2) on Alt(n) visits one state per shape it reaches: 45 on
+    Alt(9) (1,562 by exact partitions), at most 100 on Alt(11) (38,165),
+    and builds no C on the way."""
+    def fail(*_args):
+        raise AssertionError("centralizer built for a shape-keyed search")
+
+    monkeypatch.setattr(width, "_CentralizerOrbits", fail)
+    for n, states in [(9, 45), (11, 97)]:
+        ctx = AlmostSimpleContext.build(alternating_group(n), P("(1 2)", n))
+        res = alpha(ctx)
+        assert (res.value, res.status) == (n - 1, "found")
+        assert res.states_visited == states <= 100
+        assert [str(m) for m in res.members] == [f"({i} {i + 1})" for i in range(1, n)]
