@@ -19,8 +19,10 @@ breadth-first driver over subgroup states: level 1 is <x>, and a state at
 level k+1 is obtained by adjoining one conjugate not already inside a
 level-k state.  The driver owns the levels, the width and state caps,
 saturation and the result record; a state model says what a state is, how a
-conjugate extends it, and when two states are one subgroup.
-Four soundness notes justify the pruning:
+conjugate extends it, and when two states are one subgroup.  Every predicate
+is also *upward closed*: it holds for every overgroup of a subgroup it holds
+for, since |K| divides |K'| when K <= K' ("all of A", "r divides the order",
+"not a pi-number").  Five soundness notes justify the pruning:
 
 * Pinning: a tuple (y_1, ..., y_m) of conjugates may be conjugated (by an
   element of L) so that its first entry is x; the generated subgroup maps to
@@ -51,10 +53,12 @@ Four soundness notes justify the pruning:
   in N, <H, y^c> = <H, y>^c, and conjugation by C keeps orders and the
   least number of pinned conjugates that generate a subgroup, so the
   centralizer note's argument holds state by state.  The frontier may empty
-  a width later than without it (a state C-conjugate to an earlier one is
-  new to the exact deduplication; for pgl2(7), x = (1 8)(2 7)(3 4)(5 6) and
-  a predicate that never holds, both prunings end absent at width 5, not
-  4), but the absence is the same.  N is found by filtering a list: c in C
+  at another width than without it (a state C-conjugate to an earlier one
+  is new to the exact deduplication, and the sibling note below skips
+  children: for Alt(7), the class of (1 4 6)(3 5 7) and the non-pi
+  predicate of pi = {2, 3, 5, 7}, which never holds, the pruned search ends
+  absent at width 3 and the unreduced one at 4), but the absence is the
+  same.  N is found by filtering a list: c in C
   normalises H exactly when each y_i^c lies in H, because c fixes x.  A
   level-2 state filters the elements of C, listed only when |C| is at most
   ``LISTED_CAP`` (above it, this note does not apply),
@@ -72,6 +76,19 @@ Four soundness notes justify the pruning:
   order-preserving subsequence of the one kept by exact partitions, and
   the first success, with its witness, is the same.  Without the
   certificate the partitions model keeps the level-2 pruning only.
+* Siblings (the cheapest exact case of the same dominance): with the group
+  L, before a chain state H is extended by a conjugate y, y is sifted into
+  the children of H already built at this width.  When one of them, K,
+  contains y, then <H, y> <= K.  K was tested and failed (or is a subgroup
+  already known, which was), so by upward closure <H, y> fails too, and
+  every continuation <H, y, z, ...> lies in <K, z, ...>, which the search
+  reaches, up to the normaliser's conjugation, earlier in breadth-first
+  order.  So the first success is never below such a child: it is counted
+  as a state, but never built, tested or extended
+  (:meth:`_Chains.child`).  The value, witness, members, certificate order
+  and status are the ones found without the check (the test suite compares
+  them class by class); an absent search may end at another width.  Only
+  the current parent's children are kept, so memory stays flat.
 
 Exhausting every level below k certifies minimality of a level-k success;
 an emptied frontier certifies that no width at all succeeds.  A result's
@@ -115,12 +132,12 @@ building C or the partition model traces the whole class once; the search
 reads the class table it is given throughout.
 
 A state, as counted by ``states_visited`` and capped by ``STATE_CAP``, is
-every chain child before deduplication, but only a partition whose key (its
-shape when certified, else itself) is new.  A state's children are counted
-only for the conjugates it is extended by (at level 2, the prefix and one
-per C-orbit it does not meet, or every conjugate under shape keys), and
-only the kept level-2 states have children: the reductions change the
-count, never the value.
+every chain child before deduplication, a skipped sibling included, but
+only a partition whose key (its shape when certified, else itself) is new.
+A state's children are counted only for the conjugates it is extended by
+(at level 2, the prefix and one per C-orbit it does not meet, or every
+conjugate under shape keys), and only the kept level-2 states have
+children: the reductions change the count, never the value.
 """
 
 from __future__ import annotations
@@ -244,12 +261,16 @@ def min_width_search(
     order satisfies ``order_predicate`` (see the module docstring for the
     search semantics).  The conjugates and witnesses are ``bytes``, as in a
     class table: ``conjugates[0]`` must be ``x.images`` and
-    ``witnesses[i]`` must conjugate ``x`` to ``conjugates[i]``.
+    ``witnesses[i]`` must conjugate ``x`` to ``conjugates[i]``.  The
+    predicate must be upward closed: true for the order of every overgroup
+    of a subgroup whose order it accepts, as every predicate this package
+    builds is.
 
     ``group`` is the group whose whole conjugation orbit of ``x`` the
     conjugates are.  When it is given, level 2 is built from one conjugate
-    per C_group(x)-orbit past its first ``LEVEL_TWO_PREFIX``, and keeps one
-    state per orbit; without it the search is unreduced.  ``max_width`` is
+    per C_group(x)-orbit past its first ``LEVEL_TWO_PREFIX``, keeps one
+    state per orbit, and skips a chain child inside an earlier sibling;
+    without it the search is unreduced.  ``max_width`` is
     the deepest width searched (``ValueError`` below 1).  For a
     transposition x whose C_group(x)-orbits of partition states are their
     shapes (:func:`_shapes_are_orbits`), the states are keyed by shape and
@@ -263,7 +284,7 @@ def min_width_search(
         if model.by_shape:
             group = None
     else:
-        model = _Chains(x, conjugates)
+        model = _Chains(x, conjugates, group)
     return _search(model, conjugates, witnesses, order_predicate, max_width, group)
 
 
@@ -458,27 +479,52 @@ def _orbit_representatives(
     return reps
 
 
+# A chain child that ``_Chains.child`` counts as a state but never builds.
+_DOMINATED = object()
+
+
 class _Chains:
     """States are subgroups with stabilizer chains (``None`` before the
     roots); any class.  Only the root conjugate becomes a
-    :class:`Permutation`; every child is an extension by a ``bytes`` element."""
+    :class:`Permutation`; every child is an extension by a ``bytes`` element.
+    With ``group`` (the reduced search) a child inside an earlier sibling is
+    skipped, so the built children of the parent being extended are kept."""
 
     initial = None
     per_state_reduction = True
 
-    def __init__(self, x: Permutation, conjugates: Sequence[Images]):
+    def __init__(
+        self, x: Permutation, conjugates: Sequence[Images], group: PermGroup | None = None
+    ):
         self.conjugates = conjugates
         self.degree = x.degree
+        self.reduced = group is not None
         self.buckets: dict[int, list[PermGroup]] = {}
+        self.parent: PermGroup | None = None
+        self.siblings: list[PermGroup] = []  # the built children of ``parent``
 
     def child(self, grp, idx):
-        """<grp, y> for the idx-th conjugate y, or None when y lies in grp."""
+        """<grp, y> for the idx-th conjugate y; None when y lies in grp, and
+        ``_DOMINATED``, unbuilt, when ``group`` was given and y lies in a
+        child of grp built before it (:meth:`_dominated`)."""
         y = self.conjugates[idx]
         if grp is None:
             return PermGroup.from_generators([Permutation(y)], self.degree)
         if grp._contains_tuple(y):
             return None
-        return grp.extend(y)
+        if not self.reduced:
+            return grp.extend(y)
+        if grp is not self.parent:
+            self.parent, self.siblings = grp, []
+        if self._dominated(y):
+            return _DOMINATED
+        self.siblings.append(grp.extend(y))
+        return self.siblings[-1]
+
+    def _dominated(self, y: Images) -> bool:
+        """y lies in a child of the current parent built before it: a
+        sibling K, so <parent, y> <= K (see the module docstring)."""
+        return any(K._contains_tuple(y) for K in self.siblings)
 
     def order(self, state) -> int:
         return state.order_int
@@ -486,10 +532,14 @@ class _Chains:
     def admit(self, state) -> bool:
         """Record a new subgroup; False when it is already known.  The test is
         exact: a known subgroup of the same order that contains every
-        generator of ``state`` is ``state``."""
+        generator of ``state`` is ``state``.  Every state holds the root x,
+        ``gens[0]``, so only the others are sifted, the newest first."""
+        if state is _DOMINATED:
+            return False
         bucket = self.buckets.setdefault(state.order_int, [])
+        newest_first = state.gens[:0:-1]
         for t in bucket:
-            if all(t._contains_tuple(g) for g in state.gens):
+            if all(t._contains_tuple(g) for g in newest_first):
                 return False
         bucket.append(state)
         return True

@@ -30,7 +30,7 @@ from piradical import cli
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
 DIGESTS = {
-    "width-table": "2fa59fa21ad5e95bf2c8b1a741cdc401be8b59d2f691b81491844b9efd3f7a0a",
+    "width-table": "824c5a31cb1601a4bfe4887047684b3fd2d859078c550f17852e61da362e331e",
     "membership-bs": "6d6538c01ea1edc25452f3049efa6ba44c3cd5dee0d19edb81532fda8bd64e0b",
     "radical-catalog": "8e6eb502bbf41cfd999612d4a1141a5beb22a2718c193b028220b3fb94d2ac82",
 }

@@ -271,7 +271,8 @@ def test_states_visited_counts_are_pinned():
     conjugates, then by the least conjugate of each C_L(x)-orbit they do not
     meet, and keeps one state per orbit; a chain state from width 2 on is
     extended only by the least conjugate of each orbit of its listed
-    normaliser.  These counts guard those rules across refactors (the
+    normaliser, and a chain child inside an earlier sibling is counted but
+    never built.  These counts guard those rules across refactors (the
     unreduced counts are pinned in test_width_reduction).  The transposition
     classes run on partitions, kept one per shape, which here is one per
     C_L(x)-orbit, with no prefix: alpha of (1 2) on Alt(n) visits one state
@@ -287,8 +288,8 @@ def test_states_visited_counts_are_pinned():
     assert alpha(ctx(8, "(1 2)")).states_visited == 30
     assert beta(ctx(8, "(1 2)"), 7).states_visited == 24
     assert alpha(ctx(8, "(1 2)(3 4)")).states_visited == 346
-    assert beta(ctx(8, "(1 2)(3 4)(5 6)(7 8)"), 5).states_visited == 118
-    assert alpha(ctx(8, "(1 2 3)")).states_visited == 57
+    assert beta(ctx(8, "(1 2)(3 4)(5 6)(7 8)"), 5).states_visited == 98
+    assert alpha(ctx(8, "(1 2 3)")).states_visited == 49
     assert beta(ctx(8, "(1 2)(3 4)"), 7).states_visited == 35
     assert alpha(ctx(7, "(1 2)(3 4)")).states_visited == 35
     assert alpha(ctx(6, "(1 2)(3 4)(5 6)")).states_visited == 52
@@ -335,23 +336,28 @@ def test_a_search_ends_at_its_last_width_as_its_frontier_says(max_width, status,
 def test_chain_buckets_by_order_never_merge_two_subgroups():
     """Subgroups of one order share a bucket whatever their orbits; the
     generator sifts alone tell them apart, and a known subgroup built from
-    other generators is refused."""
+    other generators is refused.  Every state holds the root x as its first
+    generator, as in a search, so only the others are sifted."""
     def grp(*gens):
-        return PermGroup.from_generators([P(g, 4) for g in gens], 4)
+        return PermGroup.from_generators([P(g, 4) for g in ("(1 2)", *gens)], 4)
 
     x = P("(1 2)", 4)
     chains = _Chains(x, [x.images])
     for H in (
-        grp("(1 2)"),
-        grp("(3 4)"),
-        grp("(1 2)", "(3 4)"),  # orbits {1, 2}, {3, 4}
-        grp("(1 2)(3 4)", "(1 3)(2 4)"),  # transitive
+        grp(),
+        grp("(3 4)"),  # orbits {1, 2}, {3, 4}
+        grp("(1 3)"),  # Sym{1, 2, 3}
+        grp("(1 4)"),  # Sym{1, 2, 4}: the same order, other orbits
+        grp("(3 4)", "(1 3)(2 4)"),  # transitive
+        grp("(1 3 4)"),  # Sym(4)
     ):
         assert chains.admit(H)
-    assert sorted(map(len, chains.buckets.values())) == [2, 2]
+    assert sorted(map(len, chains.buckets.values())) == [1, 1, 1, 1, 2]
+    assert not chains.admit(grp("(2 3)"))
+    assert not chains.admit(grp("(2 4)", "(1 4)"))
+    assert not chains.admit(grp("(1 2)(3 4)"))
     assert not chains.admit(grp("(1 3)(2 4)", "(1 4)(2 3)"))
-    assert not chains.admit(grp("(3 4)", "(1 2)(3 4)"))
-    assert not chains.admit(grp("(1 2)"))
+    assert not chains.admit(grp())
 
 
 def test_a_search_rejects_a_width_below_one():

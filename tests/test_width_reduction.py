@@ -66,8 +66,27 @@ def unreduced_engine(monkeypatch):
         yield
 
 
+@contextmanager
+def sibling_check_off(monkeypatch):
+    """Run the reduced search without skipping a chain child inside an
+    earlier sibling."""
+    with monkeypatch.context() as m:
+        m.setattr(width._Chains, "_dominated", lambda self, y: False)
+        yield
+
+
 def non_pi(pi: PrimeSet):
     return lambda o: not is_pi_number(FactoredInteger.from_int(o), pi)
+
+
+def prime_sets(G: PermGroup) -> list[PrimeSet]:
+    """Every nonempty set of primes dividing |G|, the full one included."""
+    primes = sorted(G.order.prime_support)
+    return [
+        PrimeSet.of(*sub)
+        for k in range(1, len(primes) + 1)
+        for sub in itertools.combinations(primes, k)
+    ]
 
 
 def assert_witness_is_sound(res, x: Permutation, pred) -> None:
@@ -101,16 +120,12 @@ def test_pruned_engine_agrees_with_unreduced_on_every_context():
 def test_pruned_engine_agrees_with_unreduced_on_membership_and_pairs(name, monkeypatch):
     G = group_by_name(name)
     primes = sorted(G.order.prime_support)
-    prime_sets = [
-        PrimeSet.of(*sub)
-        for k in range(1, len(primes))
-        for sub in itertools.combinations(primes, k)
-    ]
+    proper = prime_sets(G)[:-1]  # the last is the full set
 
     def run():
         return (
-            [bs_membership(G, pi, 2) for pi in prime_sets],
-            [minimal_membership_width(G, pi) for pi in prime_sets],
+            [bs_membership(G, pi, 2) for pi in proper],
+            [minimal_membership_width(G, pi) for pi in proper],
             [baer_suzuki_check(G, p) for p in primes],
         )
 
@@ -336,14 +351,17 @@ def test_three_cycles_of_alt9_agree_with_the_unreduced_engine():
 
 def test_a_centralizer_over_the_listed_cap_keeps_only_level_two_reduction(monkeypatch):
     """|x^L| = 112 and |C| = 180 for (Alt(8), (1 2 3)).  A ``LISTED_CAP``
-    between them lists no element of C, so the search takes the 431 states
-    of the level-2 reduction alone, to the same value and members."""
+    between them lists no element of C, so the search takes the 327 states
+    of the level-2 reduction and the sibling check alone (431 with the level-2
+    reduction only), to the same value and members."""
     ctx = AlmostSimpleContext.build(alternating_group(8), P("(1 2 3)", 8))
     default = alpha(ctx)
-    assert default.states_visited == 57
+    assert default.states_visited == 49
     monkeypatch.setattr(width, "LISTED_CAP", 150)
     unlisted = alpha(ctx)
-    assert unlisted.states_visited == 431
+    assert unlisted.states_visited == 327
+    with sibling_check_off(monkeypatch):
+        assert alpha(ctx).states_visited == 431
     assert replace(unlisted, states_visited=default.states_visited) == default
     assert [str(m) for m in unlisted.members] == [str(m) for m in default.members]
 
@@ -435,6 +453,145 @@ def test_non_pi_widths_match_the_brute_force_oracle(name):
                 else:
                     assert_witness_is_sound(res, rep, pred)
     assert absent > 0
+
+
+# -- the sibling check --------------------------------------------------------------
+
+# what the sibling check must keep, search by search
+KEPT_FIELDS = ("value", "witness", "members", "certificate_order", "status")
+
+
+def assert_sibling_check_is_exact(monkeypatch, x, conjugates, witnesses, group, pred) -> str:
+    """The reduced search with and without the sibling check returns the
+    same value, witness, members, certificate order and status; returns
+    the status."""
+    def search():
+        return min_width_search(x, conjugates, witnesses, pred, group=group)
+
+    checked = search()
+    with sibling_check_off(monkeypatch):
+        plain = search()
+    assert [getattr(checked, f) for f in KEPT_FIELDS] == [
+        getattr(plain, f) for f in KEPT_FIELDS
+    ], (x, checked, plain)
+    return checked.status
+
+
+@contextmanager
+def counted_extends(monkeypatch):
+    """A list whose length is the number of ``PermGroup.extend`` calls made
+    inside the block."""
+    calls = []
+    extend = PermGroup.extend
+    with monkeypatch.context() as m:
+        m.setattr(PermGroup, "extend", lambda self, *g: calls.append(1) or extend(self, *g))
+        yield calls
+
+
+def test_the_sibling_check_is_exact_on_every_context(monkeypatch):
+    for label, ctx, rs in every_context():
+        target = ctx.ambient.order_int
+        for pred in [lambda o: o == target] + [lambda o, r=r: o % r == 0 for r in rs]:
+            status = assert_sibling_check_is_exact(
+                monkeypatch, ctx.element, ctx.conjugates, ctx.witnesses, ctx.socle, pred
+            )
+            assert status == "found", label
+
+
+def test_the_sibling_check_is_exact_on_every_catalog_class(monkeypatch):
+    """Every class of every catalog group up to order 1,440, for the non-pi
+    predicate of every nonempty prime set; the full set never holds, so
+    those searches end absent."""
+    statuses = []
+    for entry in catalog_groups(max_order=1440):
+        G = entry.group
+        for rep, _ in class_data(G).reps:
+            members, witnesses = class_data(G).class_table(rep)
+            for pi in prime_sets(G):
+                statuses.append(
+                    assert_sibling_check_is_exact(
+                        monkeypatch, rep, members, witnesses, G, non_pi(pi)
+                    )
+                )
+    assert statuses.count("found") > 1000 and statuses.count("absent") > 500
+
+
+@pytest.mark.parametrize(
+    "n, x, r, extends, plain_extends",
+    [
+        (8, "(1 2)(3 4)", None, 112, 349),
+        (10, "(1 2 3)", None, 67, 290),
+        (8, "(1 2)(3 4)(5 6)(7 8)", 5, 58, 120),
+        (8, "(1 2 3)", None, 22, 60),
+    ],
+)
+def test_chain_extends_are_pinned(monkeypatch, n, x, r, extends, plain_extends):
+    """``PermGroup.extend`` calls of alpha (or beta_r) on (Alt(n), x), with
+    the sibling check and without it: a skipped child is never built."""
+    ctx = AlmostSimpleContext.build(alternating_group(n), P(x, n))
+
+    def search():
+        return alpha(ctx) if r is None else beta(ctx, r)
+
+    with counted_extends(monkeypatch) as calls:
+        res = search()
+    with sibling_check_off(monkeypatch), counted_extends(monkeypatch) as plain_calls:
+        plain = search()
+    assert (len(calls), len(plain_calls)) == (extends, plain_extends)
+    assert replace(res, states_visited=0) == replace(plain, states_visited=0)
+    if n == 10:
+        assert (res.states_visited, plain.states_visited) == (195, 285)
+
+
+def test_pruned_engine_agrees_with_unreduced_on_absent_searches():
+    """Every class of five groups, for the non-pi predicate of every
+    nonempty prime set: the pruned and unreduced engines agree on value and
+    status, the full set's searches ending absent, and on the explored
+    width whenever a width is found (an absent one may differ, as pinned
+    below)."""
+    statuses = []
+    for name in ("S5", "A6", "psl2(7)", "pgl2(7)", "S6"):
+        G = group_by_name(name)
+        for rep, _ in class_data(G).reps:
+            members, witnesses = class_data(G).class_table(rep)
+            for pi in prime_sets(G):
+                pred = non_pi(pi)
+                pruned = min_width_search(rep, members, witnesses, pred, group=G)
+                plain = min_width_search(rep, members, witnesses, pred)
+                assert (pruned.value, pruned.status) == (plain.value, plain.status), (name, rep)
+                if pruned.status == "found":
+                    assert pruned.explored_width == plain.explored_width
+                    assert_witness_is_sound(pruned, rep, pred)
+                statuses.append(pruned.status)
+    assert statuses.count("absent") > 50
+
+
+@pytest.mark.parametrize(
+    "name, x, pi, pruned_width, plain_width, unchecked_width",
+    [
+        ("pgl2(7)", "(1 8)(2 7)(3 4)(5 6)", (2, 3, 7), 4, 4, 5),
+        ("A7", "(1 4 6)(3 5 7)", (2, 3, 5, 7), 3, 4, 4),
+    ],
+)
+def test_an_absent_search_ends_where_its_pruning_empties_it(
+    monkeypatch, name, x, pi, pruned_width, plain_width, unchecked_width
+):
+    """The non-pi predicate never holds on these classes.  Every engine ends
+    absent, but the width at which the frontier empties depends on the
+    pruning: pruned, unreduced, and pruned without the sibling check."""
+    G = group_by_name(name)
+    element = P(x, G.degree)
+    members, witnesses = conjugation_orbit(G, element)
+    pred = non_pi(PrimeSet.of(*pi))
+
+    def ends(group):
+        res = min_width_search(element, members, witnesses, pred, group=group)
+        assert res.status == "absent" and res.value is None
+        return res.explored_width
+
+    with sibling_check_off(monkeypatch):
+        unchecked = ends(G)
+    assert (ends(G), ends(None), unchecked) == (pruned_width, plain_width, unchecked_width)
 
 
 # -- shape keys for transposition states ----------------------------------------------
