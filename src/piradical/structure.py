@@ -4,19 +4,20 @@ A group's class data is part of the group: :func:`class_data` builds one
 :class:`GroupClassData` for G on first use and keeps it on G, and every
 radical, lattice and membership question about G reads it from there.  It
 holds G's class representatives and sizes, from one counting scan of the
-element enumeration (by a pair of elements when a pair generates G), with
-each representative's order; each class table (members with their
-conjugating witnesses), traced as far as it is read; and each class closure
-and pi-radical, every one computed at most once per group object.  Elements
-are ``bytes``, one byte per point, as in :mod:`piradical.groups`: a
-conjugate g^-1 m g is ``inv.translate(m + tail).translate(table)``, with
-g^-1 and g padded built once per loop (:func:`~piradical.perms.conjugators`),
-so it runs in C.
+element enumeration (by a pair of elements when a pair generates G, and by
+cycle type for Alt(n) and Sym(n)), with each representative's order; each
+class table (members with their conjugating witnesses), traced as far as it
+is read; and each class closure and pi-radical, every one computed at most
+once per group object.  Elements are ``bytes``, one byte per point, as in
+:mod:`piradical.groups`: a conjugate g^-1 m g is
+``inv.translate(m + tail).translate(table)``, with g^-1 and g padded built
+once per loop (:func:`~piradical.perms.conjugators`), so it runs in C.
 
 For a set of primes pi, a pi-number has all its prime divisors in pi and a
 pi-group has pi-number order.  The pi-radical ``O_pi(G)`` is the largest
 normal pi-subgroup of G.  Four exact facts let the class sizes of the scan
-answer most of the work without a stabilizer chain:
+answer most of the work without a stabilizer chain, and a fifth gives the
+classes of Alt(n) and Sym(n) without conjugating at all:
 
 1. *Only classes of prime-power order are closed.*  O_pi(G) is the join
    of the closures ``<x^G>`` that are pi-groups: each is a normal
@@ -47,6 +48,21 @@ answer most of the work without a stabilizer chain:
    whose mask contains ``a | b`` contains AB, and is AB when the orders
    agree; only a join that is new is built.
 4. *A pi-group is its own radical*: G is then a normal pi-subgroup of G.
+5. *A giant's classes are cycle types.*  Two permutations are conjugate in
+   Sym(n) exactly when they have one cycle type, a partition of n with m_k
+   parts k (fixed points are parts of 1), and that class has n!/z members,
+   z = prod k^m_k m_k!, the order of the centraliser.  An even class is one
+   Alt(n)-class unless its parts are distinct and odd: then the centraliser
+   (the cycles' own powers) is even, and the class is two Alt(n)-classes of
+   n!/2z members each (James and Kerber, *The Representation Theory of the
+   Symmetric Group*, 1981, ch. 1).  For such e and f, list each one's
+   cycles by length into a word; the permutation taking e's word to f's
+   conjugates e to f, and its parity is that of the two words' (as
+   one-line permutations) together, which the start of an odd cycle does
+   not change, so e and f are Alt(n)-conjugate exactly when their words
+   have one parity.  The scan of a giant keys each element by its cycle
+   type, and by that parity for a type that splits, and reads each size
+   off the type (:func:`_giant_scan`).
 
 Before the closures the radical asks two more certificates: the orbit
 certificate (:func:`radical_is_trivial_by_orbits`), when no prime of pi
@@ -60,6 +76,7 @@ from __future__ import annotations
 import functools
 import math
 import weakref
+from collections import Counter
 from dataclasses import dataclass
 from collections.abc import Iterable, Iterator, Sequence
 from typing import TYPE_CHECKING
@@ -232,23 +249,48 @@ class _Tracer:
 
 class _Traced(Sequence):
     """The members or the witnesses of an exact :class:`_Tracer`, of its class
-    size: index i traces the class to member i, iterating to the end."""
+    size: index i traces the class to member i, a slice to its last member,
+    iterating to the end.  Indices, negative ones and slices read as on the
+    list the column becomes once traced to the end, and from then on a read
+    is one list index."""
 
     def __init__(self, tracer: _Tracer, column: list[Images]):
-        self._tracer, self._column = tracer, column
+        self._tracer, self._column, self._size = tracer, column, tracer.cap
 
     def __len__(self) -> int:
-        return self._tracer.cap
+        return self._size
 
-    def __getitem__(self, i: int) -> Images:
-        i = range(self._tracer.cap)[i]  # a list's IndexError and negative indices
-        if i >= len(self._column):
-            self._tracer.trace(i + 1)
-        return self._column[i]
+    def __getitem__(self, i):
+        column = self._column
+        if len(column) < self._size:  # not yet traced to the end
+            wanted = range(self._size)[i]  # a list's IndexError and negative indices
+            if isinstance(wanted, range):  # a slice
+                if wanted:
+                    self._tracer.trace(max(wanted[0], wanted[-1]) + 1)
+                return [column[j] for j in wanted]
+            if wanted >= len(column):
+                self._tracer.trace(wanted + 1)
+            return column[wanted]
+        return column[i]
 
     def __iter__(self) -> Iterator[Images]:
         self._tracer.trace()
         return iter(self._column)
+
+
+def _lazy_table(x: Images, gens: Sequence[Images], size: int) -> ClassTable:
+    """The class table of ``x`` under conjugation by the group that ``gens``
+    generate, of ``size`` members, traced as far as it is read
+    (:class:`_Traced`); a trace that passes ``size`` or ends short of it
+    raises :class:`InvariantViolation`.  A class of more than ``CLASS_CAP``
+    members raises :class:`BudgetExhausted` before any trace."""
+    if size > CLASS_CAP:
+        raise BudgetExhausted(
+            f"the class of {Permutation(x)} has {size} members, "
+            f"more than the class cap of {CLASS_CAP}"
+        )
+    tracer = _Tracer(x, conjugators(gens), size, exact=True)
+    return _Traced(tracer, tracer.members), _Traced(tracer, tracer.witnesses)
 
 
 def conjugation_orbit(G: PermGroup, x: Permutation, cap: int | None = None) -> ClassTable:
@@ -268,15 +310,26 @@ def conjugation_orbit(G: PermGroup, x: Permutation, cap: int | None = None) -> C
 
 def _scan_conjugators(G: PermGroup) -> Conjugators:
     """The conjugating set of the class scan: with more than two
-    generators, the first pair (g_i, the product in order of the others)
-    whose chain has order |G|, else ``G.gens``.  Any generating set of G
-    has the same conjugation orbits, so the scan's classes do not move."""
+    generators, the first pair whose chain has order |G|, else ``G.gens``.
+    The pairs are each (g_i, the product in order of the others), and
+    (the product in order of the even-indexed generators, that of the
+    odd-indexed ones), which can generate a direct product given by its
+    factors' own generators where no other pair does (it generates each of
+    S3xS4, S3xA4, A4xS5 and S4xS5 so given): it is tried first when G is
+    intransitive, as such a product is, and last otherwise.  Any
+    generating set of G has the same conjugation orbits, so the scan's
+    classes do not move."""
     gens = G.gens
-    for i, g in enumerate(gens if len(gens) > 2 else ()):
-        product = functools.reduce(compose_images, gens[:i] + gens[i + 1 :])
-        pair = (Permutation(g), Permutation(product))
-        if PermGroup.from_generators(pair, degree=G.degree).order_int == G.order_int:
-            return conjugators((g, product))
+    if len(gens) <= 2:
+        return conjugators(gens)
+    product = functools.partial(functools.reduce, compose_images)
+    pairs = [(g, product(gens[:i] + gens[i + 1 :])) for i, g in enumerate(gens)]
+    split = (product(gens[0::2]), product(gens[1::2]))
+    pairs.insert(len(pairs) if G.is_transitive() else 0, split)
+    for pair in pairs:
+        chain = PermGroup.from_generators(map(Permutation, pair), degree=G.degree)
+        if chain.order_int == G.order_int:
+            return conjugators(pair)
     return conjugators(gens)
 
 
@@ -290,13 +343,23 @@ CLASS_SCAN_CAP = 10**6
 def class_representatives(G: PermGroup) -> list[tuple[Permutation, int]]:
     """One representative per conjugacy class with its class size, found by a
     deterministic scan of the canonical element enumeration (first-seen
-    element of each class represents it).  Each class is counted by
-    :func:`_orbit` over :func:`_scan_conjugators`, against one seen-set that
-    the scan drops on return: it keeps the rows only.  The scan stops once
-    the sizes sum to |G|, which for disjoint classes is a coverage
-    certificate.  Requires ``|G| <= CLASS_SCAN_CAP``."""
+    element of each class represents it).  The scan stops once the sizes
+    sum to |G|, which for disjoint classes is a coverage certificate.  A
+    giant (:func:`_is_giant`) is scanned by cycle type (fact 5 of the module
+    docstring, :func:`_giant_scan`), any other group by :func:`_orbit_scan`.
+    Requires ``|G| <= CLASS_SCAN_CAP``."""
     if G.order_int > CLASS_SCAN_CAP:
         raise TooLarge(f"group order {G.order_int} exceeds cap {CLASS_SCAN_CAP}")
+    reps = _giant_scan(G) if _is_giant(G) else _orbit_scan(G)
+    if sum(size for _, size in reps) != G.order_int:
+        raise InvariantViolation("class sizes do not sum to the group order")
+    return reps
+
+
+def _orbit_scan(G: PermGroup) -> list[tuple[Permutation, int]]:
+    """The class scan of any group: each class is counted by :func:`_orbit`
+    over :func:`_scan_conjugators`, against one seen-set that the scan drops
+    on return, so it keeps the rows only."""
     gens = _scan_conjugators(G)
     reps: list[tuple[Permutation, int]] = []
     seen: set[Images] = set()
@@ -309,9 +372,71 @@ def class_representatives(G: PermGroup) -> list[tuple[Permutation, int]]:
         covered += size
         if covered >= G.order_int:
             break
-    if covered != G.order_int:
-        raise InvariantViolation("class sizes do not sum to the group order")
     return reps
+
+
+def _giant_scan(G: PermGroup) -> list[tuple[Permutation, int]]:
+    """The class scan of Alt(n) or Sym(n) by cycle type (fact 5 of the
+    module docstring): an element is keyed by its cycle lengths and, for an
+    Alt(n) type that splits, by the parity of its cycle word, and each class
+    size is :func:`_giant_class_size`; nothing is conjugated."""
+    alternating = _is_alternating(G)
+    reps: list[tuple[Permutation, int]] = []
+    keys: set = set()
+    covered = 0
+    for e in G.iter_element_tuples():
+        cycles = _cycles(e)
+        lengths = tuple(sorted(map(len, cycles)))
+        key = lengths
+        if alternating and _splits(lengths):
+            key = (lengths, _parity([p for c in sorted(cycles, key=len) for p in c]))
+        if key in keys:
+            continue
+        keys.add(key)
+        size = _giant_class_size(G, e)
+        reps.append((Permutation(e), size))
+        covered += size
+        if covered >= G.order_int:
+            break
+    return reps
+
+
+def _cycles(e: Sequence[int]) -> list[list[int]]:
+    """Every cycle of the permutation with images ``e``, fixed points
+    included, each from its least point, by that point."""
+    seen = bytearray(len(e))
+    cycles = []
+    for start in range(len(e)):
+        if not seen[start]:
+            cycle, p = [start], e[start]
+            seen[start] = 1
+            while p != start:
+                cycle.append(p)
+                seen[p] = 1
+                p = e[p]
+            cycles.append(cycle)
+    return cycles
+
+
+def _parity(e: Sequence[int]) -> int:
+    """0 for an even permutation, 1 for an odd one."""
+    return (len(e) - len(_cycles(e))) % 2
+
+
+def _splits(lengths: Sequence[int]) -> bool:
+    """A cycle type whose Sym(n)-class is two Alt(n)-classes: distinct odd
+    parts, fixed points counted as parts of 1."""
+    return all(k % 2 for k in lengths) and len(set(lengths)) == len(lengths)
+
+
+def _giant_class_size(G: PermGroup, x: Images) -> int:
+    """|x^G| for a giant G and any x of its degree: n!/z for the cycle type
+    of x, z = prod k^m_k m_k!, halved when G is Alt(n) and the type splits
+    (fact 5 of the module docstring)."""
+    lengths = [len(c) for c in _cycles(x)]
+    z = math.prod(k**m * math.factorial(m) for k, m in Counter(lengths).items())
+    size = math.factorial(G.degree) // z
+    return size // 2 if _is_alternating(G) and _splits(lengths) else size
 
 
 def element_order_spectrum(G: PermGroup) -> frozenset[int]:
@@ -418,13 +543,7 @@ class GroupClassData:
             if key not in self._index:
                 raise ValueError(f"{rep} is not a class representative of the scan")
             size = self._reps[self._index[key]][1]
-            if size > CLASS_CAP:
-                raise BudgetExhausted(
-                    f"the class of {rep} has {size} members, "
-                    f"more than the class cap of {CLASS_CAP}"
-                )
-            tracer = _Tracer(key, conjugators(self.group.gens), size, exact=True)
-            self._tables[key] = (_Traced(tracer, tracer.members), _Traced(tracer, tracer.witnesses))
+            self._tables[key] = _lazy_table(key, self.group.gens, size)
         return self._tables[key]
 
     def order(self, rep: Permutation) -> FactoredInteger:
@@ -551,6 +670,11 @@ def radical_is_trivial_by_orbits(G: PermGroup, pi: PrimeSet) -> bool:
         for orbit in G.orbit_partition
         for p in FactoredInteger.from_int(len(orbit)).prime_support
     )
+
+
+def _is_alternating(G: PermGroup) -> bool:
+    """A giant G is Alt(n), not Sym(n): |G| = n!/2."""
+    return 2 * G.order_int == math.factorial(G.degree)
 
 
 def _is_giant(G: PermGroup) -> bool:

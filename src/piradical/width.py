@@ -107,7 +107,9 @@ less: every tuple up to their width m was searched, which ``width_budget``
 also gives.  A search always runs over the whole class, and only its
 width and ``STATE_CAP`` cut it.  A class table holds at most
 ``structure.CLASS_CAP`` members: its producer refuses a larger class with
-:class:`BudgetExhausted` before any trace, so before any search starts.
+:class:`BudgetExhausted` before any search starts, and before any trace
+when it knows the size (a class of the class data, or of a context over
+Alt(n) or Sym(n)).
 
 Two exact state models, cross-checked against each other in the test suite:
 
@@ -126,10 +128,11 @@ is built from the root conjugate, then extended by ``bytes`` elements
 (:meth:`PermGroup.extend`), and states are compared on their ``bytes``
 generators.  A :class:`Permutation` is wrapped only for the
 root of a chain search and for the witness and members of a found result.
-A class table of the class data is traced only as far as it is read: a
-search that succeeds within the level-2 prefix reads a few conjugates, and
-building C or the partition model traces the whole class once; the search
-reads the class table it is given throughout.
+A class table of the class data, and the class of a context over Alt(n)
+or Sym(n), is traced only as far as it is read: a search that succeeds
+within the level-2 prefix reads a few conjugates, and building C or the
+partition model traces the whole class once; the search reads the class
+table it is given throughout.
 
 A state, as counted by ``states_visited`` and capped by ``STATE_CAP``, is
 every chain child before deduplication, a skipped sibling included, but
@@ -685,8 +688,8 @@ def _nontrivial_centralizer_element(
 @dataclass
 class AlmostSimpleContext:
     """A socle L, an element x normalizing it, the ambient group <L, x>,
-    and the class x^L with conjugating witnesses (x first), both as tuples
-    of ``bytes`` elements, as :func:`min_width_search` takes them.
+    and the class x^L with conjugating witnesses (x first), both as
+    sequences of ``bytes`` elements, as :func:`min_width_search` takes them.
 
     ``build`` validates: degrees match; x normalizes L (else
     :class:`NotNormalizing`); x does not centralize L (else
@@ -694,15 +697,21 @@ class AlmostSimpleContext:
     conjugated by x once; the ambient centralizer of L is trivial
     (else :class:`NotAlmostSimple`), which is the almost-simplicity
     certificate for a simple socle; and x^L has at most
-    ``structure.CLASS_CAP`` members (else :class:`BudgetExhausted`, as
-    soon as the class trace passes that size).
+    ``structure.CLASS_CAP`` members (else :class:`BudgetExhausted`).  The
+    ambient group is L itself when x lies in L.  On a giant socle
+    (Alt(n) or Sym(n) on its n >= 5 points) |x^L| is read off the cycle
+    type of x, a larger class is refused before any trace, and the class
+    is traced only as far as a search reads it, each column a lazy
+    sequence whose trace to the end checks that size; any other socle's
+    class is traced in full into tuples, and refused as soon as the trace
+    passes the cap.
     """
 
     socle: PermGroup
     element: Permutation
     ambient: PermGroup
-    conjugates: tuple[Images, ...]
-    witnesses: tuple[Images, ...]
+    conjugates: Sequence[Images]
+    witnesses: Sequence[Images]
 
     @classmethod
     def build(cls, socle: PermGroup, element: Permutation) -> "AlmostSimpleContext":
@@ -710,25 +719,30 @@ class AlmostSimpleContext:
             raise DegreeMismatch(
                 f"element degree {element.degree} vs socle degree {socle.degree}"
             )
-        conjugated = [conjugate_images(s, element.images) for s in socle.gens]
+        x = element.images
+        conjugated = [conjugate_images(s, x) for s in socle.gens]
         if not all(socle._contains_tuple(s) for s in conjugated):
             raise NotNormalizing(f"{element} does not normalize the socle")
         if conjugated == list(socle.gens):  # x = 1 included
             raise CentralizesSocle(f"{element} centralizes the socle")
-        ambient = socle.extend(element.images)
+        ambient = socle if socle._contains_tuple(x) else socle.extend(x)
         witness = _nontrivial_centralizer_element(ambient, socle)
         if witness is not None:
             raise NotAlmostSimple(
                 f"ambient centralizer of the socle contains {witness}; "
                 "the context is not almost simple"
             )
-        members, wits = conjugation_orbit(socle, element)
+        if structure._is_giant(socle):
+            size = structure._giant_class_size(socle, x)
+            members, wits = structure._lazy_table(x, socle.gens, size)
+        else:
+            members, wits = map(tuple, conjugation_orbit(socle, element))
         return cls(
             socle=socle,
             element=element,
             ambient=ambient,
-            conjugates=tuple(members),
-            witnesses=tuple(wits),
+            conjugates=members,
+            witnesses=wits,
         )
 
 

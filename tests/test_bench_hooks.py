@@ -22,15 +22,17 @@ import spans
 
 tracer = spans.Tracer()
 spans.install(tracer, piradical)
-codes = {}
-for argv in json.loads(sys.argv[1]):
-    codes[argv[0]] = piradical.cli.main(argv + ["--format", "json", "--out", os.devnull])
+codes = [piradical.cli.main(argv + ["--format", "json", "--out", os.devnull])
+         for argv in json.loads(sys.argv[1])]
 print(json.dumps({"codes": codes, "metrics": tracer.metrics()}))
 """
 
 ARGV = [
     ["radical", "--group", "S4", "--pi", "2"],
     ["alpha", "--group", "A5", "--aut", "(1 2 3)"],
+    # a socle that is not a giant, so its class is traced by the wrapped
+    # ``conjugation_orbit``
+    ["alpha", "--group", "A6:pgammal", "--aut", "outer-involution"],
     ["beta", "--group", "A5", "--aut", "(1 2)", "--r", "5"],
     ["bs-check", "--group", "S4", "--pi", "2", "--m", "2", "--find-min"],
     ["transposition-sweep", "--r", "5"],
@@ -48,7 +50,7 @@ def run_traced(argvs: list[list[str]]) -> dict:
     )
     assert done.returncode == 0, done.stderr
     out = json.loads(done.stdout.splitlines()[-1])
-    assert out["codes"] == {argv[0]: 0 for argv in argvs}
+    assert out["codes"] == [0] * len(argvs)
     return out["metrics"]
 
 
@@ -76,12 +78,15 @@ def test_spec_file_questions_run_under_the_benchmark_spans(tmp_path):
 def test_no_class_table_is_traced_twice_in_one_question():
     """A width search over a group's classes reads a table that the class
     data traced on first read, outside ``conjugation_orbit``, so
-    ``bs-check`` and ``verify-bs`` trace no orbit through it; the one orbit
-    traced is the class of the ``alpha`` context's socle, once."""
+    ``bs-check`` and ``verify-bs`` trace no orbit through it, and neither
+    does a context over a giant socle, whose class is traced as its search
+    reads it; the one orbit traced is the class of the context over the
+    degree-10 Alt(6), once."""
     metrics = run_traced([
         ["bs-check", "--group", "S5", "--pi", "2", "--m", "2", "--find-min"],
         ["verify-bs", "--group", "S5"],
         ["alpha", "--group", "A5", "--aut", "(1 2 3)"],
+        ["alpha", "--group", "A6:pgammal", "--aut", "outer-involution"],
     ])
     assert metrics["structure.orbits"] == 1
     assert metrics["structure.orbit_unique_ratio"] == 1.0
@@ -138,6 +143,22 @@ PINNED_COUNTS = {
 def test_the_work_of_a_question_is_pinned(argv):
     metrics = run_traced([list(argv)])
     assert {name: metrics[name] for name in PINNED_COUNTS[argv]} == PINNED_COUNTS[argv]
+
+
+def test_the_work_of_a_direct_product_question_is_pinned(tmp_path):
+    """S3xS4, given by its factors' own generators, as the benchmark's
+    direct products are: its class scan builds one chain, for the pair of
+    the products of its even- and of its odd-indexed generators, where it
+    once built the four failing (g_i, the others' product) chains and
+    conjugated by all four generators (19 chain builds in all)."""
+    spec = tmp_path / "s3xs4.spec"
+    spec.write_text(
+        "degree 7\ngen a (1 2)\ngen b (1 2 3)\ngen c (4 5)\ngen d (4 5 6 7)\n",
+        encoding="utf-8",
+    )
+    metrics = run_traced([["radical", "--spec", str(spec), "--pi", "2"]])
+    pinned = ("groups.chain_builds", "groups.extends", "groups.sifts", "groups.enumerated")
+    assert [metrics[name] for name in pinned] == [16, 15, 211, 0]
 
 
 def test_find_min_searches_each_class_once(capsys):

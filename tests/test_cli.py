@@ -588,12 +588,17 @@ def test_a_class_over_the_budget_exits_three(capsys, monkeypatch, case):
     """A class larger than ``structure.CLASS_CAP`` (lowered here) is refused
     before it is searched, and nothing is printed: a width over part of a
     class need not be its minimum (S6's (1 5 2 4)(3 6) reads 3 over some
-    6-member subsets of its class, but 2 over the whole class)."""
+    6-member subsets of its class, but 2 over the whole class).  Its size
+    is known before its trace (the class scan's, or read off the cycle
+    type over a giant socle), so when it is the first class searched no
+    member of any class is conjugated."""
     import piradical.structure as structure
     import piradical.width as width
 
     argv, cap, first = OVER_THE_CLASS_BUDGET[case]
     monkeypatch.setattr(structure, "CLASS_CAP", cap)
+    trace, traced = structure._Tracer.trace, []
+    monkeypatch.setattr(structure._Tracer, "trace", lambda t, *a: traced.append(t) or trace(t, *a))
     search = width.min_width_search
     searched = []
 
@@ -607,6 +612,7 @@ def test_a_class_over_the_budget_exits_three(capsys, monkeypatch, case):
     assert err.startswith("budget exhausted: the class of") and err.endswith(f" of {cap}\n")
     assert all(size <= cap for size in searched)
     assert (not searched) == first
+    assert not (first and traced)
 
 
 # S5 x S5 x S5 on 15 points, of order 1,728,000: past the class scan's

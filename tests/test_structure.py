@@ -6,7 +6,8 @@ import tracemalloc
 from pathlib import Path
 
 import pytest
-from hypothesis import assume, example, given, settings, strategies as st
+from hypothesis import assume, example, given, seed, settings, strategies as st
+from hypothesis.internal.reflection import function_digest
 
 from piradical import (
     BudgetExhausted,
@@ -30,8 +31,14 @@ from piradical import (
     pi_radical,
     radical_is_trivial_by_orbits,
 )
-from piradical.perms import conjugators
-from piradical.structure import _closure_radical, _is_giant, _scan_conjugators, _Tracer
+from piradical.perms import compose_images, conjugators
+from piradical.structure import (
+    _closure_radical,
+    _is_giant,
+    _orbit_scan,
+    _scan_conjugators,
+    _Tracer,
+)
 
 from .oracles import (
     centralizer_size,
@@ -41,6 +48,7 @@ from .oracles import (
     normal_subgroup_sets_by_classes,
     pi_radical_set,
 )
+from . import test_width
 from .test_width import random_groups
 
 P = Permutation.parse
@@ -183,6 +191,44 @@ def test_tuple_scan_matches_a_scan_of_orbits_over_elements():
     same order, as the scan that stops once the classes cover G."""
     for entry in catalog_groups(10**4):
         assert class_representatives(entry.group) == reference_scan(entry.group), entry.name
+
+
+def giants():
+    """Sym(n) and Alt(n) for n = 5..9, each as the catalog builds it and
+    under three seeded relabellings of its points."""
+    for n in range(5, 10):
+        for name in (f"S{n}", f"A{n}"):
+            G = group_by_name(name)
+            yield G
+            rng = random.Random(name)
+            for _ in range(3):
+                g = Permutation(tuple(rng.sample(range(n), n)))
+                yield PermGroup.from_generators([x.conjugate(g) for x in G.generators])
+
+
+def test_the_scan_of_a_giant_by_cycle_type_is_the_orbit_scan():
+    """The scan by cycle type (fact 5 of ``structure``) gives the
+    representatives, sizes and order of the breadth-first orbit scan, on
+    Sym(n) and Alt(n), n = 5..9, however their points are labelled."""
+    for G in giants():
+        assert _is_giant(G)
+        assert class_representatives(G) == _orbit_scan(G), G.order_int
+
+
+# the seed that the derandomized theorem test on random groups draws from,
+# so that the test below meets the same 300 groups
+RANDOM_GROUPS_SEED = int.from_bytes(
+    function_digest(test_width.test_the_theorem_on_random_groups.hypothesis.inner_test), "big"
+)
+
+
+@seed(RANDOM_GROUPS_SEED)
+@settings(max_examples=300, deadline=None, database=None)
+@given(random_groups())
+def test_the_scan_of_a_random_giant_by_cycle_type_is_the_orbit_scan(pair):
+    G = PermGroup.from_generators(pair)
+    if _is_giant(G):
+        assert class_representatives(G) == _orbit_scan(G)
 
 
 def check_class_tables(G: PermGroup) -> None:
@@ -333,14 +379,33 @@ def test_the_scan_conjugates_by_a_generating_set(name):
     assert H.order_int == G.order_int and H.is_subgroup_of(G)
 
 
-def test_the_scan_conjugates_by_a_pair_or_falls_back_to_the_generators():
-    """pgl2(13) is given by more than two generators and a pair generates
-    it; no pair generates the direct product S3xS4, and two generators need
-    no pair."""
+def test_the_scan_conjugates_by_a_pair_or_falls_back_to_the_generators(monkeypatch):
+    """pgl2(13) is given by more than two generators and its first pair
+    generates it.  No pair (g_i, the others' product) generates the direct
+    product S3xS4, but the products of its even- and of its odd-indexed
+    generators do, and as S3xS4 is intransitive that pair is the first and
+    only chain built.  No pair at all generates C2^3, so the scan falls back
+    to its three generators; and two generators need no pair."""
     G, _ = scan_group("pgl2(13)")
     assert len(G.gens) > 2 and len(_scan_conjugators(G)) == 2
+    built = []
+    build = PermGroup.__dict__["from_generators"].__func__
+
+    def counting(cls, *args, **kwargs):
+        built.append(args)
+        return build(cls, *args, **kwargs)
+
     G, _ = scan_group("S3xS4")
-    assert _scan_conjugators(G) == conjugators(G.gens) and len(G.gens) == 4
+    monkeypatch.setattr(PermGroup, "from_generators", classmethod(counting))
+    pair = _scan_conjugators(G)
+    monkeypatch.undo()
+    assert len(G.gens) == 4 and len(built) == 1
+    gens = G.gens
+    assert [table[: G.degree] for _, table in pair] == [
+        compose_images(gens[0], gens[2]), compose_images(gens[1], gens[3]),
+    ]
+    G = PermGroup.from_generators([P("(1 2)", 6), P("(3 4)", 6), P("(5 6)", 6)])
+    assert _scan_conjugators(G) == conjugators(G.gens)
     G, _ = scan_group("S5")
     assert _scan_conjugators(G) == conjugators(G.gens) and len(G.gens) == 2
 

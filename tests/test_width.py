@@ -39,6 +39,7 @@ from piradical import (
     minimal_membership_width,
     normal_subgroups,
     pi_radical,
+    prime_order_class_representatives,
     projective_semilinear_9,
     symmetric_group,
     transposition_pi_sweep,
@@ -398,6 +399,82 @@ def test_build_rejects_a_context_that_is_not_almost_simple():
         AlmostSimpleContext.build(dihedral_group(8), P("(1 2 3 4 5 6 7 8)"))
     assert isinstance(exc.value, ValueError)
     assert not isinstance(exc.value, InvariantViolation)
+
+
+def giant_contexts():
+    """(socle, x) for every prime-order class of Sym(n) over Alt(n), n = 5..9
+    (the odd x among them lie outside the socle), and every class of Sym(n)
+    but the identity over Sym(n), n = 5..8."""
+    for n in range(5, 10):
+        A = alternating_group(n)
+        yield from ((A, rep) for rep, _, _ in prime_order_class_representatives(n))
+    for n in range(5, 9):
+        S = symmetric_group(n)
+        yield from ((S, rep) for rep, _ in structure.class_representatives(S)[1:])
+
+
+def test_a_giant_context_reads_its_class_size_off_the_cycle_type():
+    """Over Alt(n) or Sym(n) a context's class is as long as the cycle type
+    of x says, and traced to the end it is ``conjugation_orbit``'s class,
+    member for member and witness for witness, of that size."""
+    for socle, x in giant_contexts():
+        ctx = AlmostSimpleContext.build(socle, x)
+        members, witnesses = structure.conjugation_orbit(socle, x, socle.order_int)
+        assert len(ctx.conjugates) == len(ctx.witnesses) == len(members), (socle.order_int, x)
+        assert list(ctx.conjugates) == members and list(ctx.witnesses) == witnesses
+
+
+def test_the_ambient_group_is_the_socle_when_x_lies_in_it():
+    """x in L: <L, x> is L, the socle object itself; x outside L: a group
+    of twice its order, and alpha asks each for its own ambient order."""
+    A5 = alternating_group(5)
+    inside = AlmostSimpleContext.build(A5, P("(1 2 3)", 5))
+    assert inside.ambient is A5
+    outside = AlmostSimpleContext.build(A5, P("(1 2)", 5))
+    assert outside.ambient is not A5 and outside.ambient.order_int == 120
+    nine = projective_semilinear_9()
+    assert AlmostSimpleContext.build(nine.socle, nine.involution_outside_s6).ambient is not nine.socle
+    assert (alpha(inside).value, alpha(outside).value) == (2, 4)
+
+
+def test_a_giant_context_over_the_class_cap_is_refused_before_any_trace(monkeypatch):
+    """A class over ``structure.CLASS_CAP`` (lowered here) on a giant socle
+    is refused from its size alone: no member is conjugated."""
+    traced = []
+    trace = structure._Tracer.trace
+    monkeypatch.setattr(structure._Tracer, "trace", lambda t, *a: traced.append(t) or trace(t, *a))
+    monkeypatch.setattr(structure, "CLASS_CAP", 69)
+    with pytest.raises(BudgetExhausted, match="70 members, more than the class cap of 69"):
+        AlmostSimpleContext.build(alternating_group(7), P("(1 2 3)", 7))
+    assert traced == []
+    monkeypatch.setattr(structure, "CLASS_CAP", 70)
+    ctx = AlmostSimpleContext.build(alternating_group(7), P("(1 2 3)", 7))
+    assert traced == [] and len(ctx.conjugates) == 70
+
+
+def test_a_lazy_class_table_reads_like_a_list():
+    """Indices, negative indices and slices of a class table traced as it is
+    read give what they give on the list of the whole class, on a fresh
+    table and on one traced to its end; a class table of the class data
+    slices the same way."""
+    socle, x = symmetric_group(6), P("(1 2 3)", 6)
+    whole, _ = structure.conjugation_orbit(socle, x, socle.order_int)
+    reads = [0, 5, -1, -40, 39, slice(1, None), slice(-3, None), slice(None, 10, 3),
+             slice(30, 2, -7), slice(5, 5)]
+    for read_all_first in (False, True):
+        for i in reads:
+            ctx = AlmostSimpleContext.build(socle, x)  # a table not yet traced
+            if read_all_first:
+                list(ctx.conjugates)
+            assert ctx.conjugates[i] == whole[i], i
+        for bad in (40, -41):
+            with pytest.raises(IndexError):
+                ctx.conjugates[bad]
+    G = PermGroup.from_generators(socle.generators)  # fresh class data
+    data = class_data(G)
+    rep = next(rep for rep, _ in data.reps if rep.cycle_type() == (3,))
+    members, _ = data.class_table(rep)
+    assert members[1:] == structure.conjugation_orbit(G, rep)[0][1:]
 
 
 def brute_force_centralizer(ambient: PermGroup, socle: PermGroup) -> list[Permutation]:
